@@ -11,13 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagnostics import ValidationReport, error, warning
-from .model import (
-    ModelError,
-    StageKind,
-    StageRef,
-    TMModel,
-    normalize_ref,
-)
+from .model import Linked, ModelError, StageKind, StageRef, TMModel
 
 
 class RegionCheckFailed(Exception):
@@ -95,36 +89,6 @@ class BehaviorGraph:
         return mapping
 
 
-def _normalized_regions(
-    model: TMModel, regions: list[Region] | tuple[Region, ...]
-) -> tuple[list[tuple[Region, frozenset[StageRef]]], ValidationReport]:
-    """Resolve region stage refs to full paths, reporting dangling refs."""
-    report = ValidationReport()
-    resolved = []
-    arc_ids = {arc.id for arc in model.arcs()}
-    for region in regions:
-        stages = set()
-        ok = True
-        for ref in region.body.stages:
-            try:
-                stages.add(normalize_ref(model, ref))
-            except ModelError as exc:
-                report.diagnostics.append(
-                    error("DANGLING_REF", f"region '{region.id}': {exc}")
-                )
-                ok = False
-        for arc_id in region.body.arcs:
-            if arc_id not in arc_ids:
-                report.diagnostics.append(
-                    error("DANGLING_REF",
-                          f"region '{region.id}': unknown arc '{arc_id}'")
-                )
-                ok = False
-        if ok:
-            resolved.append((region, frozenset(stages)))
-    return resolved, report
-
-
 def _connected(stages: frozenset[StageRef], arc_ends: list[tuple[StageRef, StageRef]]) -> bool:
     """Weak connectivity.  Two stages are adjacent when an arc joins them
     or when they belong to the same machine (stages are parts of a single
@@ -153,69 +117,96 @@ def _connected(stages: frozenset[StageRef], arc_ends: list[tuple[StageRef, Stage
     return len(roots) == 1
 
 
-def check_regions(model: TMModel, regions: list[Region] | tuple[Region, ...]) -> ValidationReport:
-    """Verify a region set: resolvable refs, connected bodies, no overlap."""
-    resolved, report = _normalized_regions(model, regions)
-    arc_map = {arc.id: arc for arc in model.arcs()}
+def _link_regions(
+    linked: Linked, regions: list[Region] | tuple[Region, ...]
+) -> tuple[ValidationReport, dict[StageRef, str]]:
+    """Check a region set in one pass: the report, and the stage -> region
+    map over the regions whose refs resolve.  Stages and arcs are visited
+    sorted, so the diagnostics do not depend on set iteration order."""
+    report = ValidationReport()
+    arcs = {arc.id: arc for arc in linked.arcs()}
+    unresolved = {arc.id: f"arc '{arc.id}': {exc}" for arc, exc in linked.unresolved}
 
-    for region, stages in resolved:
-        ends = []
-        for arc_id in region.body.arcs:
-            arc = arc_map[arc_id]
-            src = normalize_ref(model, arc.source)
-            tgt = normalize_ref(model, arc.target)
-            for ref in (src, tgt):
+    resolved = []
+    for region in regions:
+        stages = set()
+        body = []
+        ok = True
+        for ref in sorted(region.body.stages, key=StageRef.sort_key):
+            try:
+                stages.add(linked.normalize(ref))
+            except ModelError as exc:
+                report.diagnostics.append(
+                    error("DANGLING_REF", f"region '{region.id}': {exc}")
+                )
+                ok = False
+        for arc_id in sorted(region.body.arcs):
+            if arc_id in arcs:
+                body.append(arcs[arc_id])
+                continue
+            why = unresolved.get(arc_id, f"unknown arc '{arc_id}'")
+            report.diagnostics.append(
+                error("DANGLING_REF", f"region '{region.id}': {why}")
+            )
+            ok = False
+        if ok:
+            resolved.append((region, frozenset(stages), body))
+
+    stage_map: dict[StageRef, str] = {}
+    for region, stages, body in resolved:
+        for arc in body:
+            for ref in (arc.source, arc.target):
                 if ref not in stages:
                     report.diagnostics.append(
                         error(
                             "DANGLING_REF",
-                            f"region '{region.id}': arc '{arc_id}' endpoint "
+                            f"region '{region.id}': arc '{arc.id}' endpoint "
                             f"{ref} is outside the region's stages",
                         )
                     )
-            ends.append((src, tgt))
-        if not _connected(stages, ends):
+        if not _connected(stages, [(arc.source, arc.target) for arc in body]):
             report.diagnostics.append(
                 error("NOT_CONNECTED",
                       f"region '{region.id}' is not weakly connected")
             )
+        for ref in stages:
+            stage_map[ref] = region.id
 
-    for i, (ra, stages_a) in enumerate(resolved):
-        for rb, stages_b in resolved[i + 1:]:
-            shared_stages = stages_a & stages_b
-            shared_arcs = set(ra.body.arcs) & set(rb.body.arcs)
-            if shared_stages or shared_arcs:
-                what = ", ".join(
-                    [str(s) for s in sorted(shared_stages, key=StageRef.sort_key)]
-                    + sorted(shared_arcs)
-                )
-                report.diagnostics.append(
-                    error("OVERLAP",
-                          f"regions '{ra.id}' and '{rb.id}' overlap on {what}")
-                )
+    # Overlaps via the regions holding each stage and arc, not by
+    # intersecting every pair of regions.
+    holders: dict[StageRef | str, list[int]] = {}
+    shared: dict[tuple[int, int], list[StageRef | str]] = {}
+    for j, (region, stages, _) in enumerate(resolved):
+        for item in sorted(stages, key=StageRef.sort_key) + sorted(set(region.body.arcs)):
+            for i in holders.setdefault(item, []):
+                shared.setdefault((i, j), []).append(item)
+            holders[item].append(j)
+    for (i, j), items in sorted(shared.items()):
+        what = ", ".join(str(item) for item in items)
+        report.diagnostics.append(
+            error("OVERLAP", f"regions '{resolved[i][0].id}' and "
+                             f"'{resolved[j][0].id}' overlap on {what}")
+        )
+    return report, stage_map
+
+
+def check_regions(model: TMModel, regions: list[Region] | tuple[Region, ...]) -> ValidationReport:
+    """Verify a region set: resolvable refs, connected bodies, no overlap.
+
+    Never raises: arcs that do not resolve are reported where a region
+    names them."""
+    report, _ = _link_regions(Linked(model, strict=False), regions)
     return report
 
 
-def _region_maps(model: TMModel, regions) -> tuple[dict[StageRef, str], dict[str, str]]:
-    """stage -> region id and arc id -> region id, over normalized refs."""
-    resolved, _ = _normalized_regions(model, regions)
-    stage_map: dict[StageRef, str] = {}
-    arc_map: dict[str, str] = {}
-    for region, stages in resolved:
-        for ref in stages:
-            stage_map[ref] = region.id
-        for arc_id in region.body.arcs:
-            arc_map[arc_id] = region.id
-    return stage_map, arc_map
-
-
-def _boundary_edges(model: TMModel, regions) -> list[tuple[str, str]]:
-    stage_map, _ = _region_maps(model, regions)
+def _boundary_edges(
+    linked: Linked, stage_map: dict[StageRef, str], regions
+) -> list[tuple[str, str]]:
     order = {region.id: i for i, region in enumerate(regions)}
     found: set[tuple[str, str]] = set()
-    for arc in model.arcs():
-        src = stage_map.get(normalize_ref(model, arc.source))
-        tgt = stage_map.get(normalize_ref(model, arc.target))
+    for arc in linked.arcs():
+        src = stage_map.get(arc.source)
+        tgt = stage_map.get(arc.target)
         if src is not None and tgt is not None and src != tgt:
             found.add((src, tgt))
     return sorted(found, key=lambda e: (order[e[0]], order[e[1]]))
@@ -229,31 +220,24 @@ def infer_behavior(model: TMModel, regions: list[Region] | tuple[Region, ...]) -
     events are those whose region holds a Create stage that no arc from
     another region feeds.
     """
-    report = check_regions(model, regions)
+    linked = Linked(model)
+    report, stage_map = _link_regions(linked, regions)
     if not report.ok:
         raise RegionCheckFailed(report)
-
-    stage_map, _ = _region_maps(model, regions)
-    edges = _boundary_edges(model, regions)
+    edges = _boundary_edges(linked, stage_map, regions)
 
     incoming_cross: dict[StageRef, set[str]] = {}
-    for arc in model.arcs():
-        src = stage_map.get(normalize_ref(model, arc.source))
-        tgt_ref = normalize_ref(model, arc.target)
+    for arc in linked.arcs():
+        src = stage_map.get(arc.source)
         if src is not None:
-            incoming_cross.setdefault(tgt_ref, set()).add(src)
+            incoming_cross.setdefault(arc.target, set()).add(src)
 
-    initial = []
-    for region in regions:
-        creates = [
-            ref for ref, rid in stage_map.items()
-            if rid == region.id and ref.kind == StageKind.CREATE
-        ]
-        for ref in creates:
-            sources = incoming_cross.get(ref, set())
-            if not (sources - {region.id}):
-                initial.append(region.id)
-                break
+    starts = {
+        rid
+        for ref, rid in stage_map.items()
+        if ref.kind == StageKind.CREATE and not (incoming_cross.get(ref, set()) - {rid})
+    }
+    initial = [region.id for region in regions if region.id in starts]
 
     events = tuple(Event(region.id, region.id, None) for region in regions)
     return BehaviorGraph(events, tuple(edges), tuple(initial))
@@ -273,9 +257,10 @@ def validate_behavior(
     duration(Ei)).  Inferred edges absent from the declaration are
     warnings.
     """
-    region_check = check_regions(model, regions)
-    if not region_check.ok:
-        raise RegionCheckFailed(region_check)
+    linked = Linked(model)
+    report, stage_map = _link_regions(linked, regions)
+    if not report.ok:
+        raise RegionCheckFailed(report)
     if mode not in ("overlap", "strict"):
         raise ValueError(f"unknown interval mode '{mode}'")
 
@@ -298,7 +283,7 @@ def validate_behavior(
                       f"initial event '{event_id}' is not declared")
             )
 
-    supported = set(_boundary_edges(model, regions))
+    supported = set(_boundary_edges(linked, stage_map, regions))
     declared_pairs = set()
     for src, dst in declared.edges:
         if src not in event_region or dst not in event_region:
@@ -381,11 +366,9 @@ def enumerate_subdiagrams(
     by size, then stage refs, then arc ids.  Raises BoundTooLarge once
     more than ``cap`` subdiagrams accumulate.
     """
-    stages = model.stage_instances()
-    arcs = {
-        arc.id: (normalize_ref(model, arc.source), normalize_ref(model, arc.target))
-        for arc in model.arcs()
-    }
+    linked = Linked(model)
+    stages = linked.model.stage_instances()
+    arcs = {arc.id: (arc.source, arc.target) for arc in linked.arcs()}
     incident: dict[StageRef, list[str]] = {ref: [] for ref in stages}
     for arc_id, (src, tgt) in arcs.items():
         incident[src].append(arc_id)

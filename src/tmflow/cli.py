@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import dot, jsonio
@@ -31,6 +32,7 @@ from .behavior import (
     validate_behavior,
 )
 from .diagnostics import Diagnostic, ValidationReport, error
+from .exprs import ExprSyntaxError, GuardTypeError
 from .model import ModelError, StageRef
 from .parser import Document, merge_documents, parse_scenario, parse_with_diagnostics
 from .simulate import UnseededCreateError, conformance, segment, simulate
@@ -224,19 +226,17 @@ def _cmd_simulate(args) -> int:
         print(f"error[SYNTAX]: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
 
-    from dataclasses import replace
-
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     if args.max_steps is not None:
+        if args.max_steps < 1:
+            print("error[SYNTAX]: --max-steps must be >= 1", file=sys.stderr)
+            return EXIT_SYNTAX
         scenario = replace(scenario, max_steps=args.max_steps)
 
-    from .model import desugar
-
-    model = desugar(doc.model)
     try:
-        trace = simulate(model, scenario)
-    except (ModelError, UnseededCreateError) as exc:
+        trace = simulate(doc.model, scenario)
+    except (ModelError, UnseededCreateError, GuardTypeError, ExprSyntaxError) as exc:
         print(f"error[SIMULATION]: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
 
@@ -341,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except NoInitialEvents as exc:
         print(f"error[NO_INITIAL]: {exc}", file=sys.stderr)
+        return EXIT_SEMANTIC
+    except ModelError as exc:  # an arc that does not resolve
+        print(f"error[UNRESOLVED]: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     except BrokenPipeError:
         return EXIT_OK

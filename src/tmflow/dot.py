@@ -5,7 +5,7 @@ digraphs.  Output is deterministic so it can be snapshot-tested."""
 from __future__ import annotations
 
 from .behavior import BehaviorGraph
-from .model import Machine, StageRef, TMModel, desugar, normalize_ref
+from .model import Linked, Machine, StageRef, TMModel
 
 
 def _quote(text: str) -> str:
@@ -37,29 +37,25 @@ def _edge_label(thing: str | None, label: str | None) -> str | None:
 
 
 def model_to_dot(model: TMModel, name: str = "model") -> str:
-    model = desugar(model)
+    linked = Linked(model)
     out = [f"digraph {_quote(name)} {{", "  compound=true", "  node [shape=box]"]
-    for machine in model.machines:
+    for machine in linked.model.machines:
         _emit_machine(machine, (), out, 0)
-    for arc in model.flows:
-        src = normalize_ref(model, arc.source)
-        tgt = normalize_ref(model, arc.target)
+    for arc in linked.flows:
         attrs = []
         label = _edge_label(arc.thing, arc.label)
         if label:
             attrs.append(f"label={_quote(label)}")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        out.append(f"  {_node_id(src)} -> {_node_id(tgt)}{suffix}")
-    for arc in model.triggers:
-        src = normalize_ref(model, arc.source)
-        tgt = normalize_ref(model, arc.target)
+        out.append(f"  {_node_id(arc.source)} -> {_node_id(arc.target)}{suffix}")
+    for arc in linked.triggers:
         attrs = ["style=dashed"]
         label = _edge_label(None, arc.label)
         if arc.guard:
             label = f"{label} when {arc.guard}" if label else f"when {arc.guard}"
         if label:
             attrs.append(f"label={_quote(label)}")
-        out.append(f"  {_node_id(src)} -> {_node_id(tgt)} [{', '.join(attrs)}]")
+        out.append(f"  {_node_id(arc.source)} -> {_node_id(arc.target)} [{', '.join(attrs)}]")
     out.append("}")
     return "\n".join(out) + "\n"
 

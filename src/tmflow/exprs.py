@@ -234,9 +234,3 @@ def exec_statements(stmts: list[Assign], attrs: dict[str, Value]) -> None:
     """Apply assignments left to right, mutating the attribute mapping."""
     for stmt in stmts:
         attrs[stmt.name] = eval_expr(stmt.expr, attrs)
-
-
-def guard_holds(text: str | None, attrs: dict[str, Value]) -> bool:
-    if text is None:
-        return True
-    return eval_guard(parse_guard(text), attrs)

@@ -157,12 +157,6 @@ class TMModel:
         yield from self.flows
         yield from self.triggers
 
-    def arc_by_id(self, arc_id: str) -> FlowArc | TriggerArc | None:
-        for arc in self.arcs():
-            if arc.id == arc_id:
-                return arc
-        return None
-
     def thing_by_name(self, name: str) -> ThingDecl | None:
         for thing in self.things:
             if thing.name == name:
@@ -178,18 +172,25 @@ class TMModel:
         return refs
 
 
-def resolve(model: TMModel, ref: StageRef) -> tuple[tuple[str, ...], Machine, StageKind | None]:
-    """Resolve a (possibly suffix-addressed) StageRef against the model.
+# Machine id -> (full path, machine) for every machine with that id.
+_SuffixIndex = dict[str, list[tuple[tuple[str, ...], Machine]]]
 
-    Returns the machine's full path, the machine, and the stage kind.
-    Raises UnknownMachineError if no machine path ends with the given
-    path, StageNotDeclaredError if the machine does not declare the kind.
-    """
+
+def _suffix_index(model: TMModel) -> _SuffixIndex:
+    index: _SuffixIndex = {}
+    for path, machine in model.walk():
+        index.setdefault(machine.id, []).append((path, machine))
+    return index
+
+
+def _lookup(
+    index: _SuffixIndex, ref: StageRef
+) -> tuple[tuple[str, ...], Machine, StageKind | None]:
     if not ref.machine:
         raise UnknownMachineError("empty machine path")
     matches = [
         (path, machine)
-        for path, machine in model.walk()
+        for path, machine in index.get(ref.machine[-1], ())
         if path[-len(ref.machine):] == ref.machine
     ]
     if not matches:
@@ -204,6 +205,16 @@ def resolve(model: TMModel, ref: StageRef) -> tuple[tuple[str, ...], Machine, St
             f"machine '{machine.id}' does not declare a {ref.kind.value} stage"
         )
     return path, machine, ref.kind
+
+
+def resolve(model: TMModel, ref: StageRef) -> tuple[tuple[str, ...], Machine, StageKind | None]:
+    """Resolve a (possibly suffix-addressed) StageRef against the model.
+
+    Returns the machine's full path, the machine, and the stage kind.
+    Raises UnknownMachineError if no machine path ends with the given
+    path, StageNotDeclaredError if the machine does not declare the kind.
+    """
+    return _lookup(_suffix_index(model), ref)
 
 
 def normalize_ref(model: TMModel, ref: StageRef) -> StageRef:
@@ -228,7 +239,10 @@ def desugar(model: TMModel) -> TMModel:
     """
     if not any(arc.sugared for arc in model.flows):
         return model
+    return _desugar(model, _suffix_index(model))
 
+
+def _desugar(model: TMModel, index: _SuffixIndex) -> TMModel:
     needed: dict[tuple[str, ...], list[StageKind]] = {}
 
     def require(path: tuple[str, ...], machine: Machine, kinds: tuple[StageKind, ...]):
@@ -242,8 +256,8 @@ def desugar(model: TMModel) -> TMModel:
         if not arc.sugared:
             flows.append(arc)
             continue
-        src_path, src_machine, _ = resolve(model, arc.source)
-        tgt_path, tgt_machine, _ = resolve(model, arc.target)
+        src_path, src_machine, _ = _lookup(index, arc.source)
+        tgt_path, tgt_machine, _ = _lookup(index, arc.target)
         require(src_path, src_machine, _SUGAR_SOURCE_STAGES)
         require(tgt_path, tgt_machine, _SUGAR_TARGET_STAGES)
         rel = StageRef(arc.source.machine, StageKind.RELEASE)
@@ -278,3 +292,57 @@ def desugar(model: TMModel) -> TMModel:
 
     machines = tuple(rebuild(root, ()) for root in model.machines)
     return replace(model, machines=machines, flows=tuple(flows))
+
+
+class Linked:
+    """A model linked once for analysis: ``model`` with its sugared arcs
+    expanded, and ``flows``/``triggers`` rewritten to full-path refs
+    through one suffix index.  Arcs that do not resolve are left out and
+    kept with their error in ``unresolved`` (sugared arcs, then flows,
+    then triggers); with ``strict`` the first of them is raised."""
+
+    def __init__(self, model: TMModel, strict: bool = True):
+        index = _suffix_index(model)
+        self.unresolved: list[tuple[FlowArc | TriggerArc, ModelError]] = []
+        flows = []
+        for arc in model.flows:
+            if arc.sugared:
+                try:
+                    _lookup(index, arc.source)
+                    _lookup(index, arc.target)
+                except ModelError as exc:
+                    self.unresolved.append((arc, exc))
+                    continue
+            flows.append(arc)
+        if len(flows) < len(model.flows):
+            model = replace(model, flows=tuple(flows))
+        if any(arc.sugared for arc in flows):
+            model = _desugar(model, index)
+            index = _suffix_index(model)  # desugaring declared new stages
+        self.model = model
+        self._index = index
+        self.flows: tuple[FlowArc, ...] = self._link(model.flows)
+        self.triggers: tuple[TriggerArc, ...] = self._link(model.triggers)
+        if strict and self.unresolved:
+            raise self.unresolved[0][1]
+
+    def normalize(self, ref: StageRef) -> StageRef:
+        """The full-path form of ``ref``; raises ModelError if it does not resolve."""
+        path, _, kind = _lookup(self._index, ref)
+        return StageRef(path, kind)
+
+    def arcs(self) -> Iterator[FlowArc | TriggerArc]:
+        yield from self.flows
+        yield from self.triggers
+
+    def _link(self, arcs):
+        linked = []
+        for arc in arcs:
+            try:
+                source = self.normalize(arc.source)
+                target = self.normalize(arc.target)
+            except ModelError as exc:
+                self.unresolved.append((arc, exc))
+                continue
+            linked.append(replace(arc, source=source, target=target))
+        return tuple(linked)

@@ -4,7 +4,7 @@ File layout is line oriented: one declaration per line, nested blocks in
 braces, comments from ``#`` to end of line.  Solid arcs use ``flow``,
 dashed arcs use ``trigger``, and a machine-to-machine shorthand
 ``A => B`` stands for the Release/Transfer/Transfer/Receive chain
-(expanded later by :func:`tmflow.model.desugar`, never implicitly).
+(kept as written here; each analysis expands it when it links the model).
 
 The same grammar also covers ``regions`` and ``behavior`` sections
 (inline in a ``.tm`` file or alone in a ``.tmb`` sidecar) and scenario
@@ -806,10 +806,6 @@ def parse_scenario(text: str) -> Scenario:
 
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _attr_value(value) -> str:
-    return str(value) if isinstance(value, int) else _quote(value)
 
 
 def _thing_lines(thing: ThingDecl) -> str:

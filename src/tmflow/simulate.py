@@ -17,7 +17,7 @@ system.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .behavior import BehaviorGraph, Interval, Region
 from .diagnostics import ValidationReport, error
@@ -29,7 +29,7 @@ from .exprs import (
     parse_guard,
     parse_statements,
 )
-from .model import StageKind, StageRef, TMModel, normalize_ref
+from .model import Linked, StageKind, StageRef, TMModel
 
 
 class UnseededCreateError(Exception):
@@ -95,31 +95,32 @@ class Trace:
 
 
 def simulate(model: TMModel, scenario: Scenario) -> Trace:
-    """Run the model under a scenario; deterministic given (scenario, seed)."""
+    """Run the model under a scenario; deterministic given (scenario, seed).
+
+    Sugared arcs are expanded first; raises ModelError if an arc or a
+    scenario stage does not resolve."""
+    linked = Linked(model)
+
+    def guarded(arc):
+        return arc, None if arc.guard is None else parse_guard(arc.guard)
+
     flows_by_source: dict[StageRef, list] = {}
-    for arc in model.flows:
-        src = normalize_ref(model, arc.source)
-        flows_by_source.setdefault(src, []).append(
-            replace(arc, source=src, target=normalize_ref(model, arc.target))
-        )
+    for arc in linked.flows:
+        flows_by_source.setdefault(arc.source, []).append(guarded(arc))
     triggers_by_source: dict[StageRef, list] = {}
     gated: set[StageRef] = set()
-    for arc in model.triggers:
-        src = normalize_ref(model, arc.source)
-        tgt = normalize_ref(model, arc.target)
-        triggers_by_source.setdefault(src, []).append(
-            replace(arc, source=src, target=tgt)
-        )
-        if tgt.kind != StageKind.CREATE:
-            gated.add(tgt)
+    for arc in linked.triggers:
+        triggers_by_source.setdefault(arc.source, []).append(guarded(arc))
+        if arc.target.kind != StageKind.CREATE:
+            gated.add(arc.target)
 
     mints = {
-        normalize_ref(model, ref): (thing, dict(attrs))
+        linked.normalize(ref): (thing, dict(attrs))
         for ref, thing, attrs in scenario.mints
     }
     actions: dict[StageRef, list] = {}
     for ref, text in scenario.actions:
-        actions.setdefault(normalize_ref(model, ref), []).extend(
+        actions.setdefault(linked.normalize(ref), []).extend(
             parse_statements(text)
         )
     stop_guard = parse_guard(scenario.stop) if scenario.stop else None
@@ -131,7 +132,7 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
 
     def spawn(seed: TokenSeed, step: int) -> Token:
         nonlocal created
-        at = normalize_ref(model, seed.at)
+        at = linked.normalize(seed.at)
         token = Token(seed.id, seed.thing, dict(seed.attrs), at, arrived=step)
         tokens.append(token)
         created += 1
@@ -169,10 +170,8 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
             at = token.at
             if step == token.arrived + 1 and not token.fired:
                 token.fired = True
-                for trig in triggers_by_source.get(at, []):
-                    if trig.guard is not None and not eval_guard(
-                        parse_guard(trig.guard), token.attrs
-                    ):
+                for trig, guard in triggers_by_source.get(at, []):
+                    if guard is not None and not eval_guard(guard, token.attrs):
                         continue
                     if trig.target.kind == StageKind.CREATE:
                         if trig.target not in mints:
@@ -214,9 +213,8 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
                 continue
             enabled_flows = [
                 arc
-                for arc in flows_by_source.get(at, [])
-                if arc.guard is None
-                or eval_guard(parse_guard(arc.guard), token.attrs)
+                for arc, guard in flows_by_source.get(at, [])
+                if guard is None or eval_guard(guard, token.attrs)
             ]
             if not enabled_flows:
                 continue

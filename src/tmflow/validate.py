@@ -9,20 +9,16 @@ description resolves them with events.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .diagnostics import ValidationReport, error, warning
 from .exprs import ExprSyntaxError, names, parse_guard
 from .model import (
     FlowArc,
-    ModelError,
+    Linked,
     StageKind,
     StageRef,
     TMModel,
-    desugar,
+    TriggerArc,
     flow_allowed,
-    normalize_ref,
-    resolve,
 )
 
 
@@ -95,35 +91,16 @@ def validate(model: TMModel) -> ValidationReport:
     """Full static check; never raises, returns a report."""
     report = ValidationReport()
     _check_duplicates(model, report)
+    linked = Linked(model, strict=False)
 
-    # Drop sugared arcs whose machine endpoints do not resolve, then expand
-    # the rest so every later check sees stage-level arcs only.
-    keep: list[FlowArc] = []
-    for arc in model.flows:
-        if not arc.sugared:
-            keep.append(arc)
-            continue
-        try:
-            resolve(model, arc.source)
-            resolve(model, arc.target)
-        except ModelError as exc:
-            report.diagnostics.append(
-                error("UNRESOLVED", f"arc '{arc.id}': {exc}", arc.span)
-            )
-            continue
-        keep.append(arc)
-    model = desugar(replace(model, flows=tuple(keep)))
+    for arc, exc in linked.unresolved:
+        what = "trigger" if isinstance(arc, TriggerArc) else "arc" if arc.sugared else "flow"
+        report.diagnostics.append(
+            error("UNRESOLVED", f"{what} '{arc.id}': {exc}", arc.span)
+        )
 
-    resolved_flows: list[FlowArc] = []
-    for arc in model.flows:
-        try:
-            src = normalize_ref(model, arc.source)
-            tgt = normalize_ref(model, arc.target)
-        except ModelError as exc:
-            report.diagnostics.append(
-                error("UNRESOLVED", f"flow '{arc.id}': {exc}", arc.span)
-            )
-            continue
+    for arc in linked.flows:
+        src, tgt = arc.source, arc.target
         same = src.machine == tgt.machine
         if not flow_allowed(src.kind, tgt.kind, same):
             where = "within one machine" if same else "across machines"
@@ -135,35 +112,26 @@ def validate(model: TMModel) -> ValidationReport:
                     arc.span,
                 )
             )
-        resolved_flows.append(replace(arc, source=src, target=tgt))
-        _check_guard(model, arc, report)
+        _check_guard(linked.model, arc, report)
 
-    for arc in model.triggers:
-        try:
-            src = normalize_ref(model, arc.source)
-            tgt = normalize_ref(model, arc.target)
-        except ModelError as exc:
-            report.diagnostics.append(
-                error("UNRESOLVED", f"trigger '{arc.id}': {exc}", arc.span)
-            )
-            continue
-        if src == tgt:
+    for arc in linked.triggers:
+        if arc.source == arc.target:
             report.diagnostics.append(
                 error(
                     "SELF_TRIGGER",
-                    f"trigger '{arc.id}' has identical source and target {src}",
+                    f"trigger '{arc.id}' has identical source and target {arc.source}",
                     arc.span,
                 )
             )
-        _check_guard(model, arc, report)
+        _check_guard(linked.model, arc, report)
 
-    _warn_opposing_flows(resolved_flows, report)
-    _warn_unreachable(model, report)
-    _warn_no_arcs(model, report)
+    _warn_opposing_flows(linked.flows, report)
+    _warn_unreachable(linked, report)
+    _warn_no_arcs(linked, report)
     return report
 
 
-def _warn_opposing_flows(flows: list[FlowArc], report: ValidationReport) -> None:
+def _warn_opposing_flows(flows: tuple[FlowArc, ...], report: ValidationReport) -> None:
     directed: dict[tuple, set[tuple]] = {}
     for arc in flows:
         if arc.source.machine == arc.target.machine:
@@ -187,14 +155,9 @@ def _warn_opposing_flows(flows: list[FlowArc], report: ValidationReport) -> None
             )
 
 
-def _warn_unreachable(model: TMModel, report: ValidationReport) -> None:
-    targets: set[StageRef] = set()
-    for arc in model.arcs():
-        try:
-            targets.add(normalize_ref(model, arc.target))
-        except ModelError:
-            continue
-    for ref in model.stage_instances():
+def _warn_unreachable(linked: Linked, report: ValidationReport) -> None:
+    targets = {arc.target for arc in linked.arcs()}
+    for ref in linked.model.stage_instances():
         if ref.kind != StageKind.CREATE and ref not in targets:
             report.diagnostics.append(
                 warning("UNREACHABLE_STAGE",
@@ -202,16 +165,12 @@ def _warn_unreachable(model: TMModel, report: ValidationReport) -> None:
             )
 
 
-def _warn_no_arcs(model: TMModel, report: ValidationReport) -> None:
+def _warn_no_arcs(linked: Linked, report: ValidationReport) -> None:
     touched: set[tuple[str, ...]] = set()
-    for arc in model.arcs():
-        for endpoint in (arc.source, arc.target):
-            try:
-                path, _, _ = resolve(model, endpoint)
-            except ModelError:
-                continue
-            touched.add(path)
-    for path, machine in model.walk():
+    for arc in linked.arcs():
+        touched.add(arc.source.machine)
+        touched.add(arc.target.machine)
+    for path, machine in linked.model.walk():
         if machine.stages and path not in touched:
             report.diagnostics.append(
                 warning("NO_ARCS",
@@ -224,19 +183,14 @@ def reachable_stages(
 ) -> set[StageRef]:
     """Forward closure over flow and trigger arcs from the given stages.
 
-    Roots must resolve; raises UnknownMachineError / StageNotDeclaredError
-    otherwise.  Returned refs are fully qualified.
+    The roots and every arc must resolve; raises UnknownMachineError /
+    StageNotDeclaredError otherwise.  Returned refs are fully qualified.
     """
-    model = desugar(model)
-    frontier = [normalize_ref(model, ref) for ref in roots]
+    linked = Linked(model)
+    frontier = [linked.normalize(ref) for ref in roots]
     edges: dict[StageRef, list[StageRef]] = {}
-    for arc in model.arcs():
-        try:
-            src = normalize_ref(model, arc.source)
-            tgt = normalize_ref(model, arc.target)
-        except ModelError:
-            continue
-        edges.setdefault(src, []).append(tgt)
+    for arc in linked.arcs():
+        edges.setdefault(arc.source, []).append(arc.target)
     seen = set(frontier)
     while frontier:
         current = frontier.pop()

@@ -71,6 +71,20 @@ class TestRegionChecks:
         report = check_regions(model, regions)
         assert {d.code for d in report.errors} == {"OVERLAP"}
 
+    def test_overlaps_listed_by_region_pair(self):
+        model = parse_model(CHAIN)
+        c, r, t = (chain_ref(kind) for kind in ("create", "release", "transfer"))
+        regions = [
+            region("r1", [c, r], ["c1"]),
+            region("r2", [t], ["c2"]),
+            region("r3", [t, r, c], ["c2", "c1"]),
+        ]
+        report = check_regions(model, regions)
+        assert [d.message for d in report.errors if d.code == "OVERLAP"] == [
+            "regions 'r1' and 'r3' overlap on a.Create, a.Release, c1",
+            "regions 'r2' and 'r3' overlap on a.Transfer, c2",
+        ]
+
     def test_disconnected_region_rejected(self, mousetrap):
         from tmflow import StageKind
 

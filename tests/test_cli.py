@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tmflow
 from tmflow.cli import main
 
 from conftest import CORPUS
@@ -175,3 +180,135 @@ class TestSidecar:
             (CORPUS / "paint_dry_strict.tmb").read_text()
         )
         assert main(["check", str(model), "--mode", "strict"]) == 0
+
+
+# A flow whose target machine does not exist.
+UNKNOWN_MACHINE_TM = """\
+thing job
+machine a { stages Create, Process, Release, Transfer }
+flow f1: a.Create -> a.Process on job
+flow f2: a.Process -> nosuch.Receive on job
+regions {
+  region r { stages a.Create, a.Process
+             arcs f1 }
+}
+"""
+
+# `route: sender => receiver` with regions over the stages and arcs that
+# expanding the arc declares.
+SUGAR_REGION_TM = """\
+thing parcel
+machine sender { stages Create, Release }
+machine receiver { stages Process }
+flow s1: sender.Create -> sender.Release on parcel
+flow route: sender => receiver on parcel
+flow r1: receiver.Receive -> receiver.Process on parcel
+regions {
+  region send { stages sender.Create, sender.Release, sender.Transfer
+                arcs s1, route__rel }
+  region recv { stages receiver.Transfer, receiver.Receive, receiver.Process
+                arcs route__rcv, r1 }
+}
+"""
+SUGAR_REGION_TMS = """\
+scenario sugar_region {
+  max_steps 20
+  token p of parcel at sender.Create
+}
+"""
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+class TestUnresolvedArcs:
+    @pytest.mark.parametrize("argv", [
+        ["behavior"], ["export"], ["events", "--bound", "2"],
+    ])
+    def test_unknown_machine_is_a_diagnostic(self, tmp_path, capsys, argv):
+        model = write(tmp_path, "m.tm", UNKNOWN_MACHINE_TM)
+        assert main([argv[0], model, *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err == "error[UNRESOLVED]: no machine matches path 'nosuch'\n"
+
+    def test_region_naming_unresolved_arc_is_dangling(self, tmp_path, capsys):
+        text = UNKNOWN_MACHINE_TM.replace("arcs f1 }", "arcs f1, f2 }")
+        model = write(tmp_path, "m.tm", text)
+        assert main(["check", model]) == 1
+        err = capsys.readouterr().err
+        assert (
+            "error[DANGLING_REF]: region 'r': arc 'f2': "
+            "no machine matches path 'nosuch'" in err
+        )
+
+    def test_simulate_guard_type_error_is_a_diagnostic(self, tmp_path, capsys):
+        model = write(tmp_path, "g.tm",
+                      "thing job { n: int }\n"
+                      "machine a { stages Create, Process }\n"
+                      'flow f1: a.Create -> a.Process on job when n >= "x"\n')
+        scenario = write(tmp_path, "g.tms",
+                         "scenario g {\n  token j of job at a.Create { n = 1 }\n}\n")
+        assert main(["simulate", model, scenario]) == 1
+        assert capsys.readouterr().err == (
+            "error[SIMULATION]: cannot order int against str\n"
+        )
+
+
+class TestSugaredArcs:
+    def test_check_accepts_regions_over_expanded_stages(self, tmp_path, capsys):
+        model = write(tmp_path, "s.tm", SUGAR_REGION_TM)
+        assert main(["check", model]) == 0
+        assert capsys.readouterr().out == "ok\n"
+
+    def test_behavior_over_expanded_stages(self, tmp_path, capsys):
+        model = write(tmp_path, "s.tm", SUGAR_REGION_TM)
+        assert main(["behavior", model]) == 0
+        assert "edge send -> recv" in capsys.readouterr().out
+
+    def test_simulate_checks_conformance(self, tmp_path, capsys):
+        model = write(tmp_path, "s.tm", SUGAR_REGION_TM)
+        scenario = write(tmp_path, "s.tms", SUGAR_REGION_TMS)
+        assert main(["simulate", model, scenario]) == 0
+        assert capsys.readouterr().out.endswith("conformance: ok\n")
+
+    def test_census_of_sugared_model(self, capsys):
+        assert main(["events", corpus("sugar_pipeline.tm"), "--bound", "3"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "19 subdiagrams with at most 3 elements\n"
+        )
+
+
+class TestArgumentChecks:
+    def test_max_steps_below_one_exits_two(self, capsys):
+        assert main(["simulate", corpus("formula.tm"), corpus("formula.tms"),
+                     "--max-steps", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error[SYNTAX]: --max-steps must be >= 1\n"
+        assert captured.out == ""
+
+
+def test_region_diagnostics_do_not_depend_on_hash_seed(tmp_path):
+    model = write(tmp_path, "d.tm",
+                  "thing t\n"
+                  "machine a { stages Create, Process }\n"
+                  "flow f1: a.Create -> a.Process on t\n"
+                  "regions {\n"
+                  "  region r { stages a.Create, b.Create, c.Process\n"
+                  "             arcs f1 }\n"
+                  "}\n")
+    src = str(Path(tmflow.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in map(str, range(1, 9)):  # set order puts c first under seed 7
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src, TM_COLOR="never")
+        run = subprocess.run([sys.executable, "-m", "tmflow.cli", "check", model],
+                             env=env, capture_output=True, text=True)
+        outputs.append((run.returncode, run.stdout, run.stderr))
+    assert outputs[0][0] == 1
+    assert outputs[0][2].splitlines()[:2] == [
+        "error[DANGLING_REF]: region 'r': no machine matches path 'b'",
+        "error[DANGLING_REF]: region 'r': no machine matches path 'c'",
+    ]
+    assert all(out == outputs[0] for out in outputs)

@@ -1,0 +1,201 @@
+"""Linking a model once: sugar expansion, suffix resolution and the
+unresolved-arc policy shared by every analysis."""
+
+import pytest
+
+import tmflow
+from tmflow import (
+    StageKind,
+    StageNotDeclaredError,
+    StageRef,
+    TMModel,
+    UnknownMachineError,
+    parse_model,
+)
+from tmflow.dot import model_to_dot
+from tmflow.model import Linked
+
+from conftest import corpus_text
+
+BROKEN = """\
+machine a { stages Create, Process, Release, Transfer }
+machine b { stages Release }
+flow f1: a.Create -> a.Process
+flow f2: a.Process -> ghost.Process
+flow g: a => nowhere
+flow f3: a.Process -> a.Create
+trigger t1: a.Process -> b.Create
+"""
+
+
+class TestLinked:
+    def test_arcs_are_rewritten_to_full_paths(self):
+        model = parse_model(
+            "machine outer { stages Create, Process\n"
+            "  machine inner { stages Create, Process } }\n"
+            "flow f1: inner.Create -> inner.Process\n"
+            "trigger t1: outer.Process -> inner.Create\n"
+        )
+        linked = Linked(model)
+        inner = ("outer", "inner")
+        assert [(a.source, a.target) for a in linked.arcs()] == [
+            (StageRef(inner, StageKind.CREATE), StageRef(inner, StageKind.PROCESS)),
+            (StageRef(("outer",), StageKind.PROCESS), StageRef(inner, StageKind.CREATE)),
+        ]
+        assert linked.model is model  # nothing to expand
+        assert linked.normalize(StageRef(("inner",), StageKind.CREATE)) == \
+            StageRef(inner, StageKind.CREATE)
+
+    def test_sugar_is_expanded_once(self, sugar_pipeline):
+        linked = Linked(sugar_pipeline.model)
+        assert linked.model == tmflow.desugar(sugar_pipeline.model)
+        assert [a.id for a in linked.flows] == \
+            ["s1", "route__rel", "route__x", "route__rcv", "r1"]
+        assert linked.normalize(StageRef(("receiver",), StageKind.RECEIVE)) == \
+            StageRef(("receiver",), StageKind.RECEIVE)
+
+    def test_unresolved_arcs_are_set_aside_in_order(self):
+        linked = Linked(parse_model(BROKEN), strict=False)
+        assert [(arc.id, str(exc)) for arc, exc in linked.unresolved] == [
+            ("g", "no machine matches path 'nowhere'"),
+            ("f2", "no machine matches path 'ghost'"),
+            ("t1", "machine 'b' does not declare a Create stage"),
+        ]
+        assert [arc.id for arc in linked.flows] == ["f1", "f3"]
+        assert linked.triggers == ()
+
+    def test_strict_raises_the_first_unresolved_arc(self):
+        with pytest.raises(UnknownMachineError, match="'nowhere'"):
+            Linked(parse_model(BROKEN))
+
+    def test_normalize_matches_public_resolution(self):
+        model = parse_model(
+            "machine x { stages Create\n  machine y { stages Create } }\n"
+            "machine z { machine y2 { stages Create } }\n"
+        )
+        linked = Linked(model)
+        for ref in (StageRef(("y",), StageKind.CREATE),
+                    StageRef(("x", "y"), StageKind.CREATE),
+                    StageRef(("y",), StageKind.PROCESS),
+                    StageRef(("w", "y"), StageKind.CREATE),
+                    StageRef((), StageKind.CREATE)):
+            try:
+                expected = tmflow.normalize_ref(model, ref)
+            except (UnknownMachineError, StageNotDeclaredError) as exc:
+                with pytest.raises(type(exc), match=str(exc)):
+                    linked.normalize(ref)
+            else:
+                assert linked.normalize(ref) == expected
+
+
+class TestUnresolvedPolicy:
+    def test_validate_reports_unresolved_before_other_errors(self):
+        report = tmflow.validate(parse_model(BROKEN))
+        assert [d.code for d in report.errors] == \
+            ["UNRESOLVED", "UNRESOLVED", "UNRESOLVED", "ADJACENCY"]
+        assert [d.message for d in report.errors[:3]] == [
+            "arc 'g': no machine matches path 'nowhere'",
+            "flow 'f2': no machine matches path 'ghost'",
+            "trigger 't1': machine 'b' does not declare a Create stage",
+        ]
+
+    @pytest.mark.parametrize("analysis", [
+        lambda m: tmflow.infer_behavior(m, ()),
+        lambda m: tmflow.enumerate_subdiagrams(m, 1),
+        lambda m: tmflow.reachable_stages(m, []),
+        lambda m: tmflow.simulate(m, tmflow.Scenario()),
+        model_to_dot,
+    ])
+    def test_other_analyses_raise_the_first(self, analysis):
+        with pytest.raises(UnknownMachineError, match="'nowhere'"):
+            analysis(parse_model(BROKEN))
+
+
+SUGAR_PIPELINE_TMS = """\
+scenario ship {
+  max_steps 20
+  token p of parcel at sender.Create
+}
+"""
+
+
+def test_readme_api_example_on_sugared_model():
+    doc = tmflow.parse(corpus_text("sugar_pipeline.tm"))
+    report = tmflow.validate(doc.model)
+    graph = tmflow.infer_behavior(doc.model, doc.regions)
+    scenario = tmflow.parse_scenario(SUGAR_PIPELINE_TMS)
+    trace = tmflow.simulate(doc.model, scenario)
+    seg = tmflow.segment(trace, doc.regions)
+    assert report.ok
+    assert tmflow.conformance(seg.occurrences, graph).ok
+    assert [r.arc for r in trace.records] == \
+        ["s1", "route__rel", "route__x", "route__rcv", "r1"]
+    assert trace == tmflow.simulate(tmflow.desugar(doc.model), scenario)
+
+
+def chain(n: int) -> tuple[str, str]:
+    """A line of n units, odd ones nested in the unit before.  A job is
+    processed once per unit (``hop`` counts the units passed) and is kept
+    from looping inside a unit by the guards on its in and out flows."""
+    stages = [f"{'Receive' if i else 'Create'}, Process, Release, Transfer"
+              for i in range(n)]
+    machines = []
+    for i in range(0, n, 2):
+        inner = f"\n  machine u{i + 1} {{ stages {stages[i + 1]} }}" if i + 1 < n else ""
+        machines.append(f"machine u{i} {{ stages {stages[i]}{inner} }}")
+    arcs = ["flow a0: u0.Create -> u0.Process on job"]
+    regions = []
+    for i in range(n):
+        ids = [f"in{i}", f"rp{i}"] if i else ["a0"]
+        if i:
+            arcs.append(f"flow in{i}: u{i}.Transfer -> u{i}.Receive on job when hop < {i + 1}")
+            arcs.append(f"flow rp{i}: u{i}.Receive -> u{i}.Process on job")
+        arcs.append(f"flow p{i}: u{i}.Process -> u{i}.Release on job")
+        arcs.append(f"flow r{i}: u{i}.Release -> u{i}.Transfer on job")
+        ids += [f"p{i}", f"r{i}"]
+        if i + 1 < n:
+            arcs.append(f"flow x{i}: u{i}.Transfer -> u{i + 1}.Transfer on job when hop > {i}")
+        refs = ", ".join(f"u{i}.{kind}" for kind in stages[i].split(", "))
+        regions.append(f"  region R{i} {{ stages {refs}\n    arcs {', '.join(ids)} }}")
+    model = "\n".join(
+        ["thing job { hop: int }", *machines, *arcs, "regions {", *regions, "}"]
+    ) + "\n"
+    actions = "".join(f"  action u{i}.Process {{ hop := hop + 1 }}\n" for i in range(n))
+    scenario = (
+        "scenario chain {\n  max_steps 1000\n"
+        "  token j of job at u0.Create { hop = 0 }\n" + actions + "}\n"
+    )
+    return model, scenario
+
+
+def test_walks_do_not_grow_with_model_size(monkeypatch):
+    """Each analysis walks the machine tree a fixed number of times, so
+    no analysis re-resolves suffix paths per arc (which made them
+    quadratic in model size)."""
+    walk = TMModel.walk
+    count = 0
+
+    def counting_walk(self):
+        nonlocal count
+        count += 1
+        return walk(self)
+
+    monkeypatch.setattr(TMModel, "walk", counting_walk)
+
+    def walks(n):
+        nonlocal count
+        model_text, scenario_text = chain(n)
+        doc = tmflow.parse(model_text)
+        scenario = tmflow.parse_scenario(scenario_text)
+        counts = []
+        for run in (lambda: tmflow.validate(doc.model),
+                    lambda: tmflow.infer_behavior(doc.model, doc.regions),
+                    lambda: tmflow.simulate(doc.model, scenario)):
+            count = 0
+            result = run()
+            counts.append(count)
+        assert tmflow.validate(doc.model).ok
+        assert result.final_tokens[0].attrs["hop"] == n
+        return counts
+
+    assert walks(20) == walks(40)
