@@ -34,7 +34,13 @@ from .behavior import (
 from .diagnostics import Diagnostic, ValidationReport, error
 from .exprs import ExprSyntaxError, GuardTypeError
 from .model import ModelError, StageRef
-from .parser import Document, merge_documents, parse_scenario, parse_with_diagnostics
+from .parser import (
+    Document,
+    TMParseError,
+    merge_documents,
+    parse_scenario,
+    parse_with_diagnostics,
+)
 from .simulate import UnseededCreateError, conformance, segment, simulate
 from .validate import validate
 
@@ -219,11 +225,11 @@ def _cmd_simulate(args) -> int:
         return code
     try:
         scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error[SYNTAX]: cannot read '{args.scenario}': {exc}", file=sys.stderr)
         return EXIT_SYNTAX
-    except Exception as exc:
-        print(f"error[SYNTAX]: {exc}", file=sys.stderr)
+    except TMParseError as exc:
+        _print_report(ValidationReport(exc.diagnostics), sys.stderr)
         return EXIT_SYNTAX
 
     if args.seed is not None:

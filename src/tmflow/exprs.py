@@ -1,6 +1,13 @@
-"""Tiny infix expression language for arc guards and stage actions.
+"""The lexer of the tmflow language, and its tiny infix expression language.
 
-Grammar (no boolean connectives, by design):
+One lexical grammar covers models, regions, behavior sections, scenarios
+and the guards, actions and stop conditions inside them.  Blanks and
+``#`` comments separate tokens.  A string is double-quoted on one line,
+with ``\\"`` and ``\\\\`` escapes.  An integer is a run of decimal digits.
+An identifier is a run of letters, digits and ``_`` that does not start
+with a decimal digit.  Symbols are listed in ``_LEXEME``.
+
+Expression grammar (no boolean connectives, by design):
 
     guard   := sum cmp sum
     cmp     := "=" | "!=" | "<" | "<=" | ">" | ">="
@@ -18,6 +25,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
+
+from .diagnostics import SourceSpan
 
 
 class ExprSyntaxError(Exception):
@@ -64,119 +74,182 @@ class Assign:
     expr: Expr
 
 
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<int>\d+)
-      | (?P<str>"(?:[^"\\]|\\.)*")
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>:=|<=|>=|!=|[=<>+\-();])
-    )""",
+# ---------------------------------------------------------------------------
+# Lexer
+
+_LEXEME = re.compile(
+    r"""
+    (?P<NEWLINE>\n)
+  | (?P<BLANK>[ \t]+|\#.*)
+  | (?P<STRING>"(?:[^"\\\n]|\\.)*")
+  | (?P<INT>\d+)
+  | (?P<IDENT>[^\W\d]\w*)
+  | (?P<SYM>->|=>|:=|<=|>=|!=|[{}(),;:.=<>+\-])
+  | (?P<UNTERMINATED>".*)
+  | (?P<UNEXPECTED>.)
+    """,
     re.VERBOSE,
 )
 
+_EXPR_SYMBOLS = frozenset(
+    {":=", "<=", ">=", "!=", "=", "<", ">", "+", "-", "(", ")", ";"}
+)
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match or match.end() == match.start():
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ExprSyntaxError(f"unexpected character in expression: {rest[0]!r}")
-        pos = match.end()
-        for kind in ("int", "str", "ident", "op"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append((kind, value))
-                break
+
+class Token(NamedTuple):
+    kind: str  # IDENT INT STRING SYM NEWLINE EOF; UNTERMINATED UNEXPECTED in LexError
+    value: str
+    line: int
+    column: int
+    offset: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.column, max(1, len(self.value)))
+
+    @property
+    def end(self) -> int:
+        return self.offset + len(self.value)
+
+
+class LexError(Exception):
+    """Text where no token starts: an unexpected character or an open string."""
+
+    def __init__(self, token: Token):
+        self.token = token
+        if token.kind == "UNTERMINATED":
+            super().__init__("unterminated string literal")
+        else:
+            super().__init__(f"unexpected character {token.value!r}")
+
+
+def tokenize(text: str, expression: bool = False) -> list[Token]:
+    """Split text into tokens, ending with EOF; raise LexError where none starts.
+
+    A NEWLINE token ends each line that holds a token.  In an expression
+    there are none, and a symbol the expression grammar lacks is an
+    unexpected character, except that ``->`` and ``=>`` read as ``-`` and
+    ``=`` followed by whatever ``>`` begins.
+    """
+    tokens: list[Token] = []
+    line, line_start, pos, size = 1, 0, 0, len(text)
+    while pos < size:
+        match = _LEXEME.match(text, pos)
+        kind, start, pos = match.lastgroup, pos, match.end()
+        if kind == "BLANK":
+            continue
+        if kind == "NEWLINE":
+            if not expression and tokens and tokens[-1].kind != "NEWLINE":
+                tokens.append(Token(kind, "\n", line, start - line_start + 1, start))
+            line, line_start = line + 1, pos
+            continue
+        value = match.group()
+        if expression and kind == "SYM" and value not in _EXPR_SYMBOLS:
+            if value in ("->", "=>"):
+                value, pos = value[0], start + 1
+            else:
+                kind = "UNEXPECTED"
+        token = Token(kind, value, line, start - line_start + 1, start)
+        if kind in ("UNTERMINATED", "UNEXPECTED"):
+            raise LexError(token)
+        tokens.append(token)
+    tokens.append(Token("EOF", "", line, pos - line_start + 1, pos))
     return tokens
 
 
+def unquote(literal: str) -> str:
+    """The text a STRING token stands for: quotes dropped, escapes undone."""
+    return literal[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+
+
+# ---------------------------------------------------------------------------
+# Expressions
+
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        try:
+            self.tokens = tokenize(text, expression=True)
+        except LexError as exc:
+            raise ExprSyntaxError(
+                f"unexpected character in expression: {exc.token.value[0]!r}"
+            ) from None
         self.pos = 0
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
-    def take(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
+    def take(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind == "EOF":
             raise ExprSyntaxError("unexpected end of expression")
         self.pos += 1
         return tok
 
+    def at(self, *symbols: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok.kind == "SYM" and tok.value in symbols
+
     def expect_op(self, op: str) -> None:
         tok = self.take()
-        if tok != ("op", op):
-            raise ExprSyntaxError(f"expected '{op}', found {tok[1]!r}")
+        if tok.kind != "SYM" or tok.value != op:
+            raise ExprSyntaxError(f"expected '{op}', found {tok.value!r}")
 
     def sum(self) -> Expr:
         node = self.term()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[0] == "op" and tok[1] in ("+", "-"):
-                self.take()
-                node = BinOp(tok[1], node, self.term())
-            else:
-                return node
+        while self.at("+", "-"):
+            node = BinOp(self.take().value, node, self.term())
+        return node
 
     def term(self) -> Expr:
-        kind, value = self.take()
-        if kind == "op" and value == "-":
+        tok = self.take()
+        if tok.kind == "SYM" and tok.value == "-":
             inner = self.term()
             if isinstance(inner, Lit) and isinstance(inner.value, int):
                 return Lit(-inner.value)
             return BinOp("-", Lit(0), inner)
-        if kind == "int":
-            return Lit(int(value))
-        if kind == "str":
-            body = value[1:-1]
-            return Lit(body.replace('\\"', '"').replace("\\\\", "\\"))
-        if kind == "ident":
-            return Name(value)
-        if kind == "op" and value == "(":
+        if tok.kind == "INT":
+            return Lit(int(tok.value))
+        if tok.kind == "STRING":
+            return Lit(unquote(tok.value))
+        if tok.kind == "IDENT":
+            return Name(tok.value)
+        if tok.kind == "SYM" and tok.value == "(":
             node = self.sum()
             self.expect_op(")")
             return node
-        raise ExprSyntaxError(f"unexpected token {value!r}")
+        raise ExprSyntaxError(f"unexpected token {tok.value!r}")
 
     def comparison(self) -> Cmp:
         left = self.sum()
         tok = self.take()
-        if tok[0] != "op" or tok[1] not in ("=", "!=", "<", "<=", ">", ">="):
-            raise ExprSyntaxError(f"expected comparison operator, found {tok[1]!r}")
-        right = self.sum()
-        return Cmp(tok[1], left, right)
+        if tok.kind != "SYM" or tok.value not in ("=", "!=", "<", "<=", ">", ">="):
+            raise ExprSyntaxError(f"expected comparison operator, found {tok.value!r}")
+        return Cmp(tok.value, left, self.sum())
 
     def assignment(self) -> Assign:
-        kind, name = self.take()
-        if kind != "ident":
-            raise ExprSyntaxError(f"expected attribute name, found {name!r}")
+        tok = self.take()
+        if tok.kind != "IDENT":
+            raise ExprSyntaxError(f"expected attribute name, found {tok.value!r}")
         self.expect_op(":=")
-        return Assign(name, self.sum())
+        return Assign(tok.value, self.sum())
 
     def done(self) -> None:
         tok = self.peek()
-        if tok is not None:
-            raise ExprSyntaxError(f"trailing input in expression: {tok[1]!r}")
+        if tok.kind != "EOF":
+            raise ExprSyntaxError(f"trailing input in expression: {tok.value!r}")
 
 
 def parse_guard(text: str) -> Cmp:
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     node = parser.comparison()
     parser.done()
     return node
 
 
 def parse_statements(text: str) -> list[Assign]:
-    tokens = _tokenize(text)
-    parser = _Parser(tokens)
+    parser = _Parser(text)
     stmts = [parser.assignment()]
-    while parser.peek() == ("op", ";"):
+    while parser.at(";"):
         parser.take()
         stmts.append(parser.assignment())
     parser.done()

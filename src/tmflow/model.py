@@ -24,16 +24,14 @@ class StageKind(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "StageKind | None":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        return None
+        return _STAGE_KINDS.get(name)
 
     def __str__(self) -> str:
         return self.value
 
 
 STAGE_KIND_NAMES = tuple(kind.value for kind in StageKind)
+_STAGE_KINDS = {kind.value: kind for kind in StageKind}
 
 # Legal (source kind, target kind) pairs for solid flow arcs.
 SAME_MACHINE_FLOWS = frozenset(

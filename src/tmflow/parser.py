@@ -1,7 +1,9 @@
 """Parser and canonical serializer for the textual model language.
 
 File layout is line oriented: one declaration per line, nested blocks in
-braces, comments from ``#`` to end of line.  Solid arcs use ``flow``,
+braces.  Tokens come from ``exprs.tokenize``, the one lexer of the
+language, after line endings are normalized to ``\\n``; guards and actions
+are parsed by ``exprs`` from their source text.  Solid arcs use ``flow``,
 dashed arcs use ``trigger``, and a machine-to-machine shorthand
 ``A => B`` stands for the Release/Transfer/Transfer/Receive chain
 (kept as written here; each analysis expands it when it links the model).
@@ -17,7 +19,15 @@ from dataclasses import dataclass, field
 
 from .behavior import BehaviorGraph, Event, Interval, Region, Subdiagram
 from .diagnostics import Diagnostic, SourceSpan, error
-from .exprs import ExprSyntaxError, parse_guard, parse_statements
+from .exprs import (
+    ExprSyntaxError,
+    LexError,
+    Token,
+    parse_guard,
+    parse_statements,
+    tokenize,
+    unquote,
+)
 from .model import (
     FlowArc,
     Machine,
@@ -54,120 +64,11 @@ def merge_documents(base: Document, sidecar: Document) -> Document:
     )
 
 
-# ---------------------------------------------------------------------------
-# Lexer
-
-_SYMBOLS = ("->", "=>", ":=", "<=", ">=", "!=", "{", "}", "(", ")",
-            ",", ";", ":", ".", "=", "<", ">", "+", "-")
-
 _ATTR_KINDS = ("int", "text")
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT INT STRING SYM NEWLINE EOF
-    value: str
-    line: int
-    column: int
-    offset: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, max(1, len(self.value)))
-
-    @property
-    def end(self) -> int:
-        return self.offset + len(self.value)
-
-
-class LexError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-        super().__init__(str(diagnostic))
 
 
 def normalize(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    n = len(text)
-
-    def emit(kind: str, value: str, ln: int, cl: int, off: int):
-        tokens.append(Token(kind, value, ln, cl, off))
-
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            if tokens and tokens[-1].kind != "NEWLINE":
-                emit("NEWLINE", "\n", line, col, pos)
-            pos += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t":
-            pos += 1
-            col += 1
-            continue
-        if ch == "#":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-                col += 1
-            continue
-        if ch == '"':
-            start, sl, sc = pos, line, col
-            pos += 1
-            col += 1
-            while pos < n and text[pos] != '"':
-                if text[pos] == "\n":
-                    raise LexError(
-                        error("SYNTAX", "unterminated string literal",
-                              SourceSpan(sl, sc, pos - start))
-                    )
-                if text[pos] == "\\" and pos + 1 < n:
-                    pos += 2
-                    col += 2
-                else:
-                    pos += 1
-                    col += 1
-            if pos >= n:
-                raise LexError(
-                    error("SYNTAX", "unterminated string literal",
-                          SourceSpan(sl, sc, pos - start))
-                )
-            pos += 1
-            col += 1
-            emit("STRING", text[start:pos], sl, sc, start)
-            continue
-        if ch.isdigit():
-            start, sc = pos, col
-            while pos < n and text[pos].isdigit():
-                pos += 1
-                col += 1
-            emit("INT", text[start:pos], line, sc, start)
-            continue
-        if ch.isalpha() or ch == "_":
-            start, sc = pos, col
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-                col += 1
-            emit("IDENT", text[start:pos], line, sc, start)
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, pos):
-                emit("SYM", sym, line, col, pos)
-                pos += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise LexError(
-                error("SYNTAX", f"unexpected character {ch!r}",
-                      SourceSpan(line, col, 1))
-            )
-    emit("EOF", "", line, col, pos)
-    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +85,7 @@ class _Parser:
         try:
             self.tokens = tokenize(self.text)
         except LexError as exc:
-            self.diagnostics.append(exc.diagnostic)
+            self.diagnostics.append(error("SYNTAX", str(exc), exc.token.span))
             self.tokens = [Token("EOF", "", 1, 1, 0)]
         self.pos = 0
         self.machine_ids: dict[str, SourceSpan] = {}
@@ -312,9 +213,7 @@ class _Parser:
         return text
 
     def string_value(self) -> str:
-        tok = self.take()
-        body = tok.value[1:-1]
-        return body.replace('\\"', '"').replace("\\\\", "\\")
+        return unquote(self.take().value)
 
     def label_clause(self) -> str | None:
         if not self.at_ident("label"):

@@ -312,3 +312,43 @@ def test_region_diagnostics_do_not_depend_on_hash_seed(tmp_path):
         "error[DANGLING_REF]: region 'r': no machine matches path 'c'",
     ]
     assert all(out == outputs[0] for out in outputs)
+
+
+class TestLexicalErrors:
+    def test_scenario_diagnostic_is_printed_once(self, tmp_path, capsys):
+        scenario = write(tmp_path, "b.tms", "scenario b {\n  bogus\n}\n")
+        assert main(["simulate", corpus("mousetrap.tm"), scenario]) == 2
+        assert capsys.readouterr().err == (
+            "2:3: error[SYNTAX]: unexpected 'bogus' in scenario\n"
+        )
+
+    def test_superscript_seed_is_a_syntax_error(self, tmp_path, capsys):
+        scenario = write(tmp_path, "s.tms", "scenario s {\n  seed ³\n}\n")
+        assert main(["simulate", corpus("mousetrap.tm"), scenario]) == 2
+        assert capsys.readouterr().err == "2:8: error[SYNTAX]: expected seed value\n"
+
+    def test_undecodable_scenario_exits_two(self, tmp_path, capsys):
+        scenario = tmp_path / "x.tms"
+        scenario.write_bytes(b"scenario x {\xff\n}\n")
+        assert main(["simulate", corpus("mousetrap.tm"), str(scenario)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error[SYNTAX]: cannot read '{scenario}': 'utf-8' codec"
+        )
+
+    def test_superscript_interval_is_a_syntax_error(self, tmp_path, capsys):
+        model = write(tmp_path, "i.tm",
+                      "machine a { stages Create }\n"
+                      "regions {\n  region r { stages a.Create }\n}\n"
+                      "behavior {\n  event e region r interval ² 1\n}\n")
+        assert main(["check", model]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("6:29: error[SYNTAX]: expected interval start\n")
+        assert "Traceback" not in err
+
+    def test_guard_over_non_ascii_attribute(self, tmp_path, capsys):
+        model = write(tmp_path, "u.tm",
+                      "thing job { größe: int }\n"
+                      "machine a { stages Create, Process }\n"
+                      "flow f1: a.Create -> a.Process on job when größe > 1\n")
+        assert main(["check", model]) == 0
+        assert capsys.readouterr().out == "ok\n"

@@ -195,6 +195,35 @@ class TestDiagnostics:
         diags = self.diags("machine Create { stages Process }")
         assert any(d.severity == "error" for d in diags)
 
+    def test_backslash_newline_does_not_continue_a_string(self):
+        diags = self.diags(
+            'machine a "x\\\ny" { stages Create }\n'
+            "machine b { stages Bogus }\n"
+        )
+        assert [str(d) for d in diags] == [
+            "1:11: error[SYNTAX]: unterminated string literal"
+        ]
+
+    def test_line_count_after_escapes_in_a_string(self):
+        diags = self.diags(
+            'machine a "x\\\\ \\"y\\"" { stages Create }\n'
+            "machine b { stages Bogus }\n"
+        )
+        assert [str(d) for d in diags] == [
+            "2:20: error[UNKNOWN_STAGE]: unknown stage 'Bogus'"
+        ]
+
+    def test_superscript_is_not_an_integer(self):
+        diags = self.diags(
+            "machine a { stages Create }\n"
+            "behavior {\n  event e region r interval \u00b2 1\n}\n"
+        )
+        assert str(diags[0]) == "3:29: error[SYNTAX]: expected interval start"
+
+    def test_decimal_digits_of_any_script(self):
+        scenario = parse_scenario("scenario s {\n  seed \u0663\n}\n")
+        assert scenario.seed == 3
+
 
 class TestFuzzing:
     def test_ten_thousand_inputs_never_crash(self):
@@ -229,6 +258,24 @@ class TestFuzzing:
             doc, diagnostics = parse_with_diagnostics(text)
             assert doc is not None
             assert all(d.severity in ("error", "warning") for d in diagnostics)
+
+
+    def test_unicode_characters_never_crash(self):
+        rng = random.Random(20261018)
+        seeds = [p.read_text(encoding="utf-8") for p in MODEL_FILES]
+        seeds += [p.read_text(encoding="utf-8") for p in SCENARIO_FILES]
+        extra = "\u00e9\u00b2\u0663\u00a0\\"
+        for _ in range(2_000):
+            text = list(rng.choice(seeds))
+            for _ in range(rng.randrange(1, 6)):
+                pos = rng.randrange(len(text) + 1)
+                text[pos:pos + rng.randrange(2)] = rng.choice(extra)
+            text = "".join(text)
+            parse_with_diagnostics(text)
+            try:
+                parse_scenario(text)
+            except TMParseError:
+                pass
 
 
 _IDENTS = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True).filter(
