@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagnostics import ValidationReport, error, warning
-from .model import Linked, ModelError, StageKind, StageRef, TMModel
+from .model import Linked, ModelError, StageKind, StageRef, TMModel, link
 
 
 class RegionCheckFailed(Exception):
@@ -195,7 +195,7 @@ def check_regions(model: TMModel, regions: list[Region] | tuple[Region, ...]) ->
 
     Never raises: arcs that do not resolve are reported where a region
     names them."""
-    report, _ = _link_regions(Linked(model, strict=False), regions)
+    report, _ = _link_regions(link(model), regions)
     return report
 
 
@@ -220,7 +220,7 @@ def infer_behavior(model: TMModel, regions: list[Region] | tuple[Region, ...]) -
     events are those whose region holds a Create stage that no arc from
     another region feeds.
     """
-    linked = Linked(model)
+    linked = link(model).require()
     report, stage_map = _link_regions(linked, regions)
     if not report.ok:
         raise RegionCheckFailed(report)
@@ -257,7 +257,7 @@ def validate_behavior(
     duration(Ei)).  Inferred edges absent from the declaration are
     warnings.
     """
-    linked = Linked(model)
+    linked = link(model).require()
     report, stage_map = _link_regions(linked, regions)
     if not report.ok:
         raise RegionCheckFailed(report)
@@ -366,7 +366,7 @@ def enumerate_subdiagrams(
     by size, then stage refs, then arc ids.  Raises BoundTooLarge once
     more than ``cap`` subdiagrams accumulate.
     """
-    linked = Linked(model)
+    linked = link(model).require()
     stages = linked.model.stage_instances()
     arcs = {arc.id: (arc.source, arc.target) for arc in linked.arcs()}
     incident: dict[StageRef, list[str]] = {ref: [] for ref in stages}

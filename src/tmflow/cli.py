@@ -80,26 +80,20 @@ def _write_output(text: str, out: str | None) -> None:
 def _load_document(path_text: str) -> tuple[Document | None, ValidationReport, int]:
     """Parse a model file plus its optional .tmb sidecar."""
     path = Path(path_text)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        report = ValidationReport([error("SYNTAX", f"cannot read '{path}': {exc}")])
-        return None, report, EXIT_SYNTAX
-
-    doc, diagnostics = parse_with_diagnostics(text)
-    report = ValidationReport(list(diagnostics))
-    if not report.ok:
-        return None, report, EXIT_SYNTAX
-
     sidecar = path.with_suffix(".tmb")
-    if path.suffix == ".tm" and sidecar.exists():
-        side_doc, side_diags = parse_with_diagnostics(
-            sidecar.read_text(encoding="utf-8")
-        )
-        report.diagnostics.extend(side_diags)
+    sources = [path, sidecar] if path.suffix == ".tm" and sidecar.exists() else [path]
+    doc, report = None, ValidationReport()
+    for source in sources:
+        try:
+            text = source.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            report.diagnostics.append(error("SYNTAX", f"cannot read '{source}': {exc}"))
+            return None, report, EXIT_SYNTAX
+        part, diagnostics = parse_with_diagnostics(text)
+        report.diagnostics.extend(diagnostics)
         if not report.ok:
             return None, report, EXIT_SYNTAX
-        doc = merge_documents(doc, side_doc)
+        doc = part if doc is None else merge_documents(doc, part)
     return doc, report, EXIT_OK
 
 

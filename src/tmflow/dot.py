@@ -5,7 +5,7 @@ digraphs.  Output is deterministic so it can be snapshot-tested."""
 from __future__ import annotations
 
 from .behavior import BehaviorGraph
-from .model import Linked, Machine, StageRef, TMModel
+from .model import Machine, StageRef, TMModel, link
 
 
 def _quote(text: str) -> str:
@@ -37,7 +37,7 @@ def _edge_label(thing: str | None, label: str | None) -> str | None:
 
 
 def model_to_dot(model: TMModel, name: str = "model") -> str:
-    linked = Linked(model)
+    linked = link(model).require()
     out = [f"digraph {_quote(name)} {{", "  compound=true", "  node [shape=box]"]
     for machine in linked.model.machines:
         _emit_machine(machine, (), out, 0)

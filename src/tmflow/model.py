@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterator
 
 from .diagnostics import SourceSpan
+from .exprs import Cmp, ExprSyntaxError, parse_guard
 
 
 class StageKind(Enum):
@@ -30,7 +32,6 @@ class StageKind(Enum):
         return self.value
 
 
-STAGE_KIND_NAMES = tuple(kind.value for kind in StageKind)
 _STAGE_KINDS = {kind.value: kind for kind in StageKind}
 
 # Legal (source kind, target kind) pairs for solid flow arcs.
@@ -138,6 +139,7 @@ class TMModel:
     flows: tuple[FlowArc, ...] = ()
     triggers: tuple[TriggerArc, ...] = ()
     things: tuple[ThingDecl, ...] = ()
+    _linked = cached_property(lambda self: Linked(self))  # see ``link``
 
     def walk(self) -> Iterator[tuple[tuple[str, ...], Machine]]:
         """Depth-first traversal yielding (full path, machine)."""
@@ -237,13 +239,16 @@ def desugar(model: TMModel) -> TMModel:
     """
     if not any(arc.sugared for arc in model.flows):
         return model
-    return _desugar(model, _suffix_index(model))
+    linked = link(model)
+    if linked.unresolved and linked.unresolved[0][0].sugared:
+        raise linked.unresolved[0][1]
+    return linked.model
 
 
-def _desugar(model: TMModel, index: _SuffixIndex) -> TMModel:
+def _desugar(model: TMModel, index: _SuffixIndex, unresolved: list) -> TMModel:
     needed: dict[tuple[str, ...], list[StageKind]] = {}
 
-    def require(path: tuple[str, ...], machine: Machine, kinds: tuple[StageKind, ...]):
+    def add_stages(path: tuple[str, ...], machine: Machine, kinds: tuple[StageKind, ...]):
         pending = needed.setdefault(path, [])
         for kind in kinds:
             if kind not in machine.stages and kind not in pending:
@@ -254,31 +259,23 @@ def _desugar(model: TMModel, index: _SuffixIndex) -> TMModel:
         if not arc.sugared:
             flows.append(arc)
             continue
-        src_path, src_machine, _ = _lookup(index, arc.source)
-        tgt_path, tgt_machine, _ = _lookup(index, arc.target)
-        require(src_path, src_machine, _SUGAR_SOURCE_STAGES)
-        require(tgt_path, tgt_machine, _SUGAR_TARGET_STAGES)
+        try:
+            src_path, src_machine, _ = _lookup(index, arc.source)
+            tgt_path, tgt_machine, _ = _lookup(index, arc.target)
+        except ModelError as exc:
+            unresolved.append((arc, exc))
+            continue
+        add_stages(src_path, src_machine, _SUGAR_SOURCE_STAGES)
+        add_stages(tgt_path, tgt_machine, _SUGAR_TARGET_STAGES)
         rel = StageRef(arc.source.machine, StageKind.RELEASE)
         src_tx = StageRef(arc.source.machine, StageKind.TRANSFER)
         tgt_tx = StageRef(arc.target.machine, StageKind.TRANSFER)
         rcv = StageRef(arc.target.machine, StageKind.RECEIVE)
-        flows.append(
-            FlowArc(f"{arc.id}__rel", rel, src_tx, thing=arc.thing, span=arc.span)
-        )
-        flows.append(
-            FlowArc(
-                f"{arc.id}__x",
-                src_tx,
-                tgt_tx,
-                thing=arc.thing,
-                guard=arc.guard,
-                label=arc.label,
-                span=arc.span,
-            )
-        )
-        flows.append(
-            FlowArc(f"{arc.id}__rcv", tgt_tx, rcv, thing=arc.thing, span=arc.span)
-        )
+        flows += [
+            FlowArc(f"{arc.id}__rel", rel, src_tx, thing=arc.thing, span=arc.span),
+            replace(arc, id=f"{arc.id}__x", source=src_tx, target=tgt_tx, auto_id=False),
+            FlowArc(f"{arc.id}__rcv", tgt_tx, rcv, thing=arc.thing, span=arc.span),
+        ]
 
     def rebuild(machine: Machine, prefix: tuple[str, ...]) -> Machine:
         path = prefix + (machine.id,)
@@ -292,37 +289,52 @@ def _desugar(model: TMModel, index: _SuffixIndex) -> TMModel:
     return replace(model, machines=machines, flows=tuple(flows))
 
 
+def link(model: TMModel) -> "Linked":
+    """The one ``Linked`` of ``model``, built on first use."""
+    return model._linked
+
+
 class Linked:
     """A model linked once for analysis: ``model`` with its sugared arcs
     expanded, and ``flows``/``triggers`` rewritten to full-path refs
-    through one suffix index.  Arcs that do not resolve are left out and
-    kept with their error in ``unresolved`` (sugared arcs, then flows,
-    then triggers); with ``strict`` the first of them is raised."""
+    through one suffix index.  ``link`` builds one per model and keeps it
+    on the model, which is frozen, so it stays valid while the model lives.
+    Arcs that do not resolve are left out and kept with their error in
+    ``unresolved`` (sugared arcs, then flows, then triggers); ``validate``
+    and ``check_regions`` report them, every other analysis calls
+    ``require``.  ``guards`` is parsed on first use only."""
 
-    def __init__(self, model: TMModel, strict: bool = True):
+    def __init__(self, model: TMModel):
         index = _suffix_index(model)
         self.unresolved: list[tuple[FlowArc | TriggerArc, ModelError]] = []
-        flows = []
-        for arc in model.flows:
-            if arc.sugared:
-                try:
-                    _lookup(index, arc.source)
-                    _lookup(index, arc.target)
-                except ModelError as exc:
-                    self.unresolved.append((arc, exc))
-                    continue
-            flows.append(arc)
-        if len(flows) < len(model.flows):
-            model = replace(model, flows=tuple(flows))
-        if any(arc.sugared for arc in flows):
-            model = _desugar(model, index)
+        if any(arc.sugared for arc in model.flows):
+            model = _desugar(model, index, self.unresolved)
             index = _suffix_index(model)  # desugaring declared new stages
+        else:
+            model = replace(model)  # a copy: the model holds this, so no cycle
         self.model = model
         self._index = index
         self.flows: tuple[FlowArc, ...] = self._link(model.flows)
         self.triggers: tuple[TriggerArc, ...] = self._link(model.triggers)
-        if strict and self.unresolved:
+
+    def require(self) -> "Linked":
+        """This linked form; raises the first unresolved arc's ModelError."""
+        if self.unresolved:
             raise self.unresolved[0][1]
+        return self
+
+    @cached_property
+    def guards(self) -> dict[str, Cmp | ExprSyntaxError]:
+        """Each guard text of the arcs, parsed on first use: its AST, or the
+        ExprSyntaxError it raised, in arc order (flows, then triggers)."""
+        parsed: dict[str, Cmp | ExprSyntaxError] = {}
+        for arc in self.arcs():
+            if arc.guard is not None and arc.guard not in parsed:
+                try:
+                    parsed[arc.guard] = parse_guard(arc.guard)
+                except ExprSyntaxError as exc:
+                    parsed[arc.guard] = exc.with_traceback(None)
+        return parsed
 
     def normalize(self, ref: StageRef) -> StageRef:
         """The full-path form of ``ref``; raises ModelError if it does not resolve."""

@@ -6,7 +6,8 @@ language, after line endings are normalized to ``\\n``; guards and actions
 are parsed by ``exprs`` from their source text.  Solid arcs use ``flow``,
 dashed arcs use ``trigger``, and a machine-to-machine shorthand
 ``A => B`` stands for the Release/Transfer/Transfer/Receive chain
-(kept as written here; each analysis expands it when it links the model).
+(kept as written here; it is expanded when the model is linked, once
+per model).
 
 The same grammar also covers ``regions`` and ``behavior`` sections
 (inline in a ``.tm`` file or alone in a ``.tmb`` sidecar) and scenario
@@ -140,11 +141,42 @@ class _Parser:
             self.fail(f"unexpected trailing input '{self.peek().value}'")
 
     def recover(self):
-        """Skip to the next line (or closing brace) after an error."""
-        while not (self.at("NEWLINE") or self.at("EOF") or self.at("SYM", "}")):
+        """Skip the rest of a failed statement: to the next line, or to the
+        ``}`` of the block it is in, passing over braces opened on its line."""
+        depth = 0
+        while not (self.at("NEWLINE") or self.at("EOF")
+                   or depth == 0 and self.at("SYM", "}")):
+            if self.at("SYM", "{"):
+                depth += 1
+            elif self.at("SYM", "}"):
+                depth -= 1
             self.take()
         if self.at("NEWLINE"):
             self.take()
+
+    def statements(self, statement, closed: bool) -> None:
+        """Run ``statement`` up to the end of input, or with ``closed`` up to
+        the ``}`` of a block.  After an error, go on with the next one; an
+        error that runs into the end of input closes the enclosing blocks
+        without more diagnostics."""
+        self.skip_newlines()
+        while not (self.at("EOF") or closed and self.at("SYM", "}")):
+            try:
+                statement()
+            except _Fail:
+                before = self.pos
+                self.recover()
+                if closed and self.at("EOF"):
+                    raise
+                if self.pos == before and not closed:
+                    self.take()  # a stray '}' at top level: force progress
+            self.skip_newlines()
+
+    def block(self, statement) -> None:
+        """``{ statement* }``, recovering per statement."""
+        self.expect_sym("{")
+        self.statements(statement, closed=True)
+        self.expect_sym("}")
 
     # -- shared pieces ---------------------------------------------------
     def dotted_path(self) -> tuple[list[str], list[Token]]:
@@ -266,29 +298,24 @@ class _Parser:
         regions: list[Region] = []
         behavior: BehaviorGraph | None = None
 
-        self.skip_newlines()
-        while not self.at("EOF"):
-            try:
-                if self.at_ident("thing"):
-                    things.append(self.thing_decl())
-                elif self.at_ident("machine"):
-                    machines.append(self.machine_decl())
-                elif self.at_ident("flow"):
-                    flows.append(self.flow_stmt())
-                elif self.at_ident("trigger"):
-                    triggers.append(self.trigger_stmt())
-                elif self.at_ident("regions"):
-                    regions.extend(self.regions_block())
-                elif self.at_ident("behavior"):
-                    behavior = self.behavior_block(behavior)
-                else:
-                    self.fail(f"unexpected '{self.peek().value}'")
-            except _Fail:
-                before = self.pos
-                self.recover()
-                if self.pos == before and not self.at("EOF"):
-                    self.take()  # e.g. a stray '}': force progress
-            self.skip_newlines()
+        def statement():
+            nonlocal behavior
+            if self.at_ident("thing"):
+                things.append(self.thing_decl())
+            elif self.at_ident("machine"):
+                machines.append(self.machine_decl())
+            elif self.at_ident("flow"):
+                flows.append(self.flow_stmt())
+            elif self.at_ident("trigger"):
+                triggers.append(self.trigger_stmt())
+            elif self.at_ident("regions"):
+                regions.extend(self.regions_block())
+            elif self.at_ident("behavior"):
+                behavior = self.behavior_block(behavior)
+            else:
+                self.fail(f"unexpected '{self.peek().value}'")
+
+        self.statements(statement, closed=False)
 
         model = TMModel(
             machines=tuple(machines),
@@ -429,11 +456,10 @@ class _Parser:
     # -- regions / behavior ----------------------------------------------
     def regions_block(self) -> list[Region]:
         self.take()  # regions
-        self.expect_sym("{")
-        self.skip_newlines()
         regions: list[Region] = []
         seen: dict[str, SourceSpan] = {}
-        while not self.at("SYM", "}"):
+
+        def region():
             if not self.at_ident("region"):
                 self.fail("expected 'region'")
             self.take()
@@ -442,9 +468,8 @@ class _Parser:
             label = self.string_value() if self.at("STRING") else ""
             stages: list[StageRef] = []
             arcs: list[str] = []
-            self.expect_sym("{")
-            self.skip_newlines()
-            while not self.at("SYM", "}"):
+
+            def statement():
                 if self.at_ident("stages"):
                     self.take()
                     while True:
@@ -465,8 +490,8 @@ class _Parser:
                     self.end_statement()
                 else:
                     self.fail(f"unexpected '{self.peek().value}' in region body")
-                self.skip_newlines()
-            self.expect_sym("}")
+
+            self.block(statement)
             self.end_statement()
             regions.append(
                 Region(
@@ -475,8 +500,8 @@ class _Parser:
                     label=label,
                 )
             )
-            self.skip_newlines()
-        self.expect_sym("}")
+
+        self.block(region)
         self.end_statement()
         return regions
 
@@ -484,13 +509,12 @@ class _Parser:
         kw = self.take()  # behavior
         if existing is not None:
             self.fail("duplicate behavior section", kw, code="DUP_ID")
-        self.expect_sym("{")
-        self.skip_newlines()
         events: list[Event] = []
         edges: list[tuple[str, str]] = []
         initial: list[str] = []
         seen: dict[str, SourceSpan] = {}
-        while not self.at("SYM", "}"):
+
+        def statement():
             if self.at_ident("event"):
                 self.take()
                 id_tok = self.expect_ident("event id")
@@ -530,8 +554,8 @@ class _Parser:
             else:
                 self.fail(f"unexpected '{self.peek().value}' in behavior body")
             self.end_statement()
-            self.skip_newlines()
-        self.expect_sym("}")
+
+        self.block(statement)
         self.end_statement()
         return BehaviorGraph(tuple(events), tuple(edges), tuple(initial))
 
@@ -550,105 +574,97 @@ class _Parser:
         mints: list[tuple[StageRef, str, dict]] = []
         actions: list[tuple[StageRef, str]] = []
         stop: str | None = None
-        self.expect_sym("{")
-        self.skip_newlines()
-        while not self.at("SYM", "}"):
-            try:
-                if self.at_ident("policy"):
+
+        def statement():
+            nonlocal policy, seed, max_steps, stop
+            if self.at_ident("policy"):
+                self.take()
+                tok = self.take()
+                if tok.value not in ("deterministic", "seeded"):
+                    self.fail("policy is 'deterministic' or 'seeded-random'", tok)
+                if tok.value == "seeded":
+                    self.expect_sym("-")
+                    if not self.at_ident("random"):
+                        self.fail("policy is 'deterministic' or 'seeded-random'")
                     self.take()
-                    tok = self.take()
-                    if tok.value not in ("deterministic", "seeded"):
-                        self.fail("policy is 'deterministic' or 'seeded-random'", tok)
-                    if tok.value == "seeded":
-                        self.expect_sym("-")
-                        if not self.at_ident("random"):
-                            self.fail("policy is 'deterministic' or 'seeded-random'")
-                        self.take()
-                        policy = "seeded-random"
-                    else:
-                        policy = "deterministic"
-                elif self.at_ident("seed"):
-                    self.take()
-                    if not self.at("INT"):
-                        self.fail("expected seed value")
-                    seed = int(self.take().value)
-                elif self.at_ident("max_steps"):
-                    self.take()
-                    if not self.at("INT"):
-                        self.fail("expected step count")
-                    tok = self.take()
-                    max_steps = int(tok.value)
-                    if max_steps < 1:
-                        self.fail("max_steps must be >= 1", tok)
-                elif self.at_ident("token") or self.at_ident("inject"):
-                    injected = self.at_ident("inject")
-                    self.take()
-                    step = None
-                    if injected:
-                        if not self.at("INT"):
-                            self.fail("expected injection step")
-                        step = int(self.take().value)
-                        if not self.at_ident("token"):
-                            self.fail("expected 'token'")
-                        self.take()
-                    tok_id = self.expect_ident("token id").value
-                    if not self.at_ident("of"):
-                        self.fail("expected 'of'")
-                    self.take()
-                    thing = self.expect_ident("thing name").value
-                    if not self.at_ident("at"):
-                        self.fail("expected 'at'")
-                    self.take()
-                    at = self.stage_ref()
-                    attrs = self.attrs_block() if self.at("SYM", "{") else {}
-                    seed_tok = TokenSeed(tok_id, thing, at, attrs)
-                    if injected:
-                        injections.append((step, seed_tok))
-                    else:
-                        tokens.append(seed_tok)
-                elif self.at_ident("mint"):
-                    self.take()
-                    at = self.stage_ref()
-                    if not self.at_ident("of"):
-                        self.fail("expected 'of'")
-                    self.take()
-                    thing = self.expect_ident("thing name").value
-                    attrs = self.attrs_block() if self.at("SYM", "{") else {}
-                    mints.append((at, thing, attrs))
-                elif self.at_ident("action"):
-                    self.take()
-                    at = self.stage_ref()
-                    self.expect_sym("{")
-                    text, tok = self.expression_text(set())
-                    try:
-                        parse_statements(text)
-                    except ExprSyntaxError as exc:
-                        self.fail(f"bad action: {exc}", tok, code="GUARD_SYNTAX")
-                    self.expect_sym("}")
-                    actions.append((at, text))
-                elif self.at_ident("stop"):
-                    self.take()
-                    if not self.at_ident("when"):
-                        self.fail("expected 'when'")
-                    self.take()
-                    stop, tok = self.expression_text(set())
-                    try:
-                        parse_guard(stop)
-                    except ExprSyntaxError as exc:
-                        self.fail(f"bad stop condition: {exc}", tok,
-                                  code="GUARD_SYNTAX")
+                    policy = "seeded-random"
                 else:
-                    self.fail(f"unexpected '{self.peek().value}' in scenario")
-                self.end_statement()
-            except _Fail:
-                before = self.pos
-                self.recover()
-                if self.pos == before:
-                    if self.at("EOF"):
-                        break
+                    policy = "deterministic"
+            elif self.at_ident("seed"):
+                self.take()
+                if not self.at("INT"):
+                    self.fail("expected seed value")
+                seed = int(self.take().value)
+            elif self.at_ident("max_steps"):
+                self.take()
+                if not self.at("INT"):
+                    self.fail("expected step count")
+                tok = self.take()
+                max_steps = int(tok.value)
+                if max_steps < 1:
+                    self.fail("max_steps must be >= 1", tok)
+            elif self.at_ident("token") or self.at_ident("inject"):
+                injected = self.at_ident("inject")
+                self.take()
+                step = None
+                if injected:
+                    if not self.at("INT"):
+                        self.fail("expected injection step")
+                    step = int(self.take().value)
+                    if not self.at_ident("token"):
+                        self.fail("expected 'token'")
                     self.take()
-            self.skip_newlines()
-        self.expect_sym("}")
+                tok_id = self.expect_ident("token id").value
+                if not self.at_ident("of"):
+                    self.fail("expected 'of'")
+                self.take()
+                thing = self.expect_ident("thing name").value
+                if not self.at_ident("at"):
+                    self.fail("expected 'at'")
+                self.take()
+                at = self.stage_ref()
+                attrs = self.attrs_block() if self.at("SYM", "{") else {}
+                seed_tok = TokenSeed(tok_id, thing, at, attrs)
+                if injected:
+                    injections.append((step, seed_tok))
+                else:
+                    tokens.append(seed_tok)
+            elif self.at_ident("mint"):
+                self.take()
+                at = self.stage_ref()
+                if not self.at_ident("of"):
+                    self.fail("expected 'of'")
+                self.take()
+                thing = self.expect_ident("thing name").value
+                attrs = self.attrs_block() if self.at("SYM", "{") else {}
+                mints.append((at, thing, attrs))
+            elif self.at_ident("action"):
+                self.take()
+                at = self.stage_ref()
+                self.expect_sym("{")
+                text, tok = self.expression_text(set())
+                try:
+                    parse_statements(text)
+                except ExprSyntaxError as exc:
+                    self.fail(f"bad action: {exc}", tok, code="GUARD_SYNTAX")
+                self.expect_sym("}")
+                actions.append((at, text))
+            elif self.at_ident("stop"):
+                self.take()
+                if not self.at_ident("when"):
+                    self.fail("expected 'when'")
+                self.take()
+                stop, tok = self.expression_text(set())
+                try:
+                    parse_guard(stop)
+                except ExprSyntaxError as exc:
+                    self.fail(f"bad stop condition: {exc}", tok,
+                              code="GUARD_SYNTAX")
+            else:
+                self.fail(f"unexpected '{self.peek().value}' in scenario")
+            self.end_statement()
+
+        self.block(statement)
         self.skip_newlines()
         return Scenario(
             name=name,

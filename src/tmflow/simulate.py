@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from .behavior import BehaviorGraph, Interval, Region
 from .diagnostics import ValidationReport, error
 from .exprs import (
+    ExprSyntaxError,
     GuardTypeError,
     Value,
     eval_guard,
@@ -29,7 +30,7 @@ from .exprs import (
     parse_guard,
     parse_statements,
 )
-from .model import Linked, StageKind, StageRef, TMModel
+from .model import StageKind, StageRef, TMModel, link
 
 
 class UnseededCreateError(Exception):
@@ -99,20 +100,19 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
 
     Sugared arcs are expanded first; raises ModelError if an arc or a
     scenario stage does not resolve."""
-    linked = Linked(model)
-
-    def guarded(arc):
-        return arc, None if arc.guard is None else parse_guard(arc.guard)
+    linked = link(model).require()
+    guards = linked.guards
+    for guard in guards.values():
+        if isinstance(guard, ExprSyntaxError):
+            raise guard
 
     flows_by_source: dict[StageRef, list] = {}
     for arc in linked.flows:
-        flows_by_source.setdefault(arc.source, []).append(guarded(arc))
+        flows_by_source.setdefault(arc.source, []).append((arc, guards.get(arc.guard)))
     triggers_by_source: dict[StageRef, list] = {}
-    gated: set[StageRef] = set()
     for arc in linked.triggers:
-        triggers_by_source.setdefault(arc.source, []).append(guarded(arc))
-        if arc.target.kind != StageKind.CREATE:
-            gated.add(arc.target)
+        triggers_by_source.setdefault(arc.source, []).append((arc, guards.get(arc.guard)))
+    gated = {arc.target for arc in linked.triggers if arc.target.kind != StageKind.CREATE}
 
     mints = {
         linked.normalize(ref): (thing, dict(attrs))

@@ -2,15 +2,15 @@
 
 Errors cover broken structure (unresolved references, illegal flow
 adjacency, duplicate stages, self-triggers, guards naming undeclared
-attributes).  Statically permitted contradictions, such as a pair of
-opposing flows over one machine pair, are warnings only: the dynamic
-description resolves them with events.
+attributes or mixing int and text).  Statically permitted
+contradictions, such as a pair of opposing flows over one machine pair,
+are warnings only: the dynamic description resolves them with events.
 """
 
 from __future__ import annotations
 
 from .diagnostics import ValidationReport, error, warning
-from .exprs import ExprSyntaxError, names, parse_guard
+from .exprs import ExprSyntaxError, Lit, Name, names
 from .model import (
     FlowArc,
     Linked,
@@ -19,6 +19,7 @@ from .model import (
     TMModel,
     TriggerArc,
     flow_allowed,
+    link,
 )
 
 
@@ -56,24 +57,23 @@ def _check_duplicates(model: TMModel, report: ValidationReport) -> None:
         seen_arcs.add(arc.id)
 
 
-def _check_guard(model: TMModel, arc, report: ValidationReport) -> None:
+def _check_guard(linked: Linked, arc, report: ValidationReport) -> None:
     if arc.guard is None:
         return
-    try:
-        guard = parse_guard(arc.guard)
-    except ExprSyntaxError as exc:
+    guard = linked.guards[arc.guard]
+    if isinstance(guard, ExprSyntaxError):
         report.diagnostics.append(
-            error("GUARD_SYNTAX", f"arc '{arc.id}': {exc}", arc.span)
+            error("GUARD_SYNTAX", f"arc '{arc.id}': {guard}", arc.span)
         )
         return
     thing = getattr(arc, "thing", None)
-    decl = model.thing_by_name(thing) if thing else None
+    decl = linked.model.thing_by_name(thing) if thing else None
     if decl is not None:
         declared = decl.attribute_names()
         scope = f"thing '{decl.name}'"
     else:
         declared = set()
-        for t in model.things:
+        for t in linked.model.things:
             declared |= t.attribute_names()
         scope = "any declared thing"
     for name in sorted(names(guard) - declared):
@@ -85,13 +85,35 @@ def _check_guard(model: TMModel, arc, report: ValidationReport) -> None:
                 arc.span,
             )
         )
+    mixed: list[str] = []
+    _kind(guard, dict(decl.attributes) if decl is not None else {}, mixed)
+    for op in mixed:
+        report.diagnostics.append(
+            error("GUARD_TYPE",
+                  f"arc '{arc.id}': operator '{op}' mixes int and text operands",
+                  arc.span)
+        )
+
+
+def _kind(node, kinds: dict[str, str], mixed: list[str]) -> str | None:
+    """The kind ("int" or "text") of an expression when it is known: for a
+    literal, an attribute in ``kinds``, or a sum of ints.  Each ordering or
+    arithmetic operator with an int and a text operand goes to ``mixed``."""
+    if isinstance(node, Lit):
+        return "text" if isinstance(node.value, str) else "int"
+    if isinstance(node, Name):
+        return kinds.get(node.ident)
+    operands = {_kind(node.left, kinds, mixed), _kind(node.right, kinds, mixed)}
+    if operands == {"int", "text"} and node.op not in ("=", "!="):
+        mixed.append(node.op)
+    return "int" if operands == {"int"} else None
 
 
 def validate(model: TMModel) -> ValidationReport:
     """Full static check; never raises, returns a report."""
     report = ValidationReport()
     _check_duplicates(model, report)
-    linked = Linked(model, strict=False)
+    linked = link(model)
 
     for arc, exc in linked.unresolved:
         what = "trigger" if isinstance(arc, TriggerArc) else "arc" if arc.sugared else "flow"
@@ -112,7 +134,7 @@ def validate(model: TMModel) -> ValidationReport:
                     arc.span,
                 )
             )
-        _check_guard(linked.model, arc, report)
+        _check_guard(linked, arc, report)
 
     for arc in linked.triggers:
         if arc.source == arc.target:
@@ -123,7 +145,7 @@ def validate(model: TMModel) -> ValidationReport:
                     arc.span,
                 )
             )
-        _check_guard(linked.model, arc, report)
+        _check_guard(linked, arc, report)
 
     _warn_opposing_flows(linked.flows, report)
     _warn_unreachable(linked, report)
@@ -186,7 +208,7 @@ def reachable_stages(
     The roots and every arc must resolve; raises UnknownMachineError /
     StageNotDeclaredError otherwise.  Returned refs are fully qualified.
     """
-    linked = Linked(model)
+    linked = link(model).require()
     frontier = [linked.normalize(ref) for ref in roots]
     edges: dict[StageRef, list[StageRef]] = {}
     for arc in linked.arcs():

@@ -257,6 +257,18 @@ class TestUnresolvedArcs:
         )
 
 
+    def test_check_reports_guard_type(self, tmp_path, capsys):
+        model = write(tmp_path, "g.tm",
+                      "thing job { n: int }\n"
+                      "machine a { stages Create, Process }\n"
+                      'flow f1: a.Create -> a.Process on job when n >= "x"\n')
+        assert main(["check", model]) == 1
+        assert capsys.readouterr().err == (
+            "3:1: error[GUARD_TYPE]: arc 'f1': operator '>=' mixes int and "
+            "text operands\n"
+        )
+
+
 class TestSugaredArcs:
     def test_check_accepts_regions_over_expanded_stages(self, tmp_path, capsys):
         model = write(tmp_path, "s.tm", SUGAR_REGION_TM)
@@ -334,6 +346,24 @@ class TestLexicalErrors:
         assert capsys.readouterr().err.startswith(
             f"error[SYNTAX]: cannot read '{scenario}': 'utf-8' codec"
         )
+
+    def test_undecodable_model_exits_two(self, tmp_path, capsys):
+        model = tmp_path / "x.tm"
+        model.write_bytes(b"machine a { stages Create }\n\xff\n")
+        assert main(["check", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[SYNTAX]: cannot read '{model}': 'utf-8' codec")
+        assert err.count("\n") == 1
+
+    def test_undecodable_sidecar_exits_two(self, tmp_path, capsys):
+        model = write(tmp_path, "x.tm", "machine a { stages Create }\n")
+        (tmp_path / "x.tmb").write_bytes(b"regions {\xff}\n")
+        assert main(["check", model]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error[SYNTAX]: cannot read '{tmp_path / 'x.tmb'}': 'utf-8' codec"
+        )
+        assert err.count("\n") == 1
 
     def test_superscript_interval_is_a_syntax_error(self, tmp_path, capsys):
         model = write(tmp_path, "i.tm",

@@ -1,5 +1,7 @@
-"""Linking a model once: sugar expansion, suffix resolution and the
-unresolved-arc policy shared by every analysis."""
+"""Linking a model once: sugar expansion, suffix resolution, parsed
+guards and the unresolved-arc policy shared by every analysis."""
+
+import sys
 
 import pytest
 
@@ -12,10 +14,11 @@ from tmflow import (
     UnknownMachineError,
     parse_model,
 )
+from tmflow.cli import main
 from tmflow.dot import model_to_dot
-from tmflow.model import Linked
+from tmflow.model import Linked, link
 
-from conftest import corpus_text
+from conftest import CORPUS, corpus_text
 
 BROKEN = """\
 machine a { stages Create, Process, Release, Transfer }
@@ -36,18 +39,18 @@ class TestLinked:
             "flow f1: inner.Create -> inner.Process\n"
             "trigger t1: outer.Process -> inner.Create\n"
         )
-        linked = Linked(model)
+        linked = link(model)
         inner = ("outer", "inner")
         assert [(a.source, a.target) for a in linked.arcs()] == [
             (StageRef(inner, StageKind.CREATE), StageRef(inner, StageKind.PROCESS)),
             (StageRef(("outer",), StageKind.PROCESS), StageRef(inner, StageKind.CREATE)),
         ]
-        assert linked.model is model  # nothing to expand
+        assert linked.model == model  # nothing to expand
         assert linked.normalize(StageRef(("inner",), StageKind.CREATE)) == \
             StageRef(inner, StageKind.CREATE)
 
     def test_sugar_is_expanded_once(self, sugar_pipeline):
-        linked = Linked(sugar_pipeline.model)
+        linked = link(sugar_pipeline.model)
         assert linked.model == tmflow.desugar(sugar_pipeline.model)
         assert [a.id for a in linked.flows] == \
             ["s1", "route__rel", "route__x", "route__rcv", "r1"]
@@ -55,7 +58,7 @@ class TestLinked:
             StageRef(("receiver",), StageKind.RECEIVE)
 
     def test_unresolved_arcs_are_set_aside_in_order(self):
-        linked = Linked(parse_model(BROKEN), strict=False)
+        linked = link(parse_model(BROKEN))
         assert [(arc.id, str(exc)) for arc, exc in linked.unresolved] == [
             ("g", "no machine matches path 'nowhere'"),
             ("f2", "no machine matches path 'ghost'"),
@@ -64,16 +67,34 @@ class TestLinked:
         assert [arc.id for arc in linked.flows] == ["f1", "f3"]
         assert linked.triggers == ()
 
-    def test_strict_raises_the_first_unresolved_arc(self):
+    def test_require_raises_the_first_unresolved_arc(self):
         with pytest.raises(UnknownMachineError, match="'nowhere'"):
-            Linked(parse_model(BROKEN))
+            link(parse_model(BROKEN)).require()
+
+    def test_link_is_kept_on_the_model(self):
+        model = parse_model(BROKEN)
+        twin = parse_model(BROKEN)
+        assert link(model) is link(model)
+        assert twin == model and link(twin) is not link(model)
+
+    def test_guards_are_parsed_once_per_text(self):
+        model = parse_model(
+            "thing job { n: int }\n"
+            "machine a { stages Create, Process, Release }\n"
+            "flow f1: a.Create -> a.Process on job when n > 1\n"
+            "flow f2: a.Process -> a.Release on job when n > 1\n"
+            "trigger t1: a.Process -> a.Create when n = 0\n"
+        )
+        guards = link(model).guards
+        assert list(guards) == ["n > 1", "n = 0"]
+        assert guards["n = 0"] == tmflow.exprs.parse_guard("n = 0")
 
     def test_normalize_matches_public_resolution(self):
         model = parse_model(
             "machine x { stages Create\n  machine y { stages Create } }\n"
             "machine z { machine y2 { stages Create } }\n"
         )
-        linked = Linked(model)
+        linked = link(model)
         for ref in (StageRef(("y",), StageKind.CREATE),
                     StageRef(("x", "y"), StageKind.CREATE),
                     StageRef(("y",), StageKind.PROCESS),
@@ -199,3 +220,66 @@ def test_walks_do_not_grow_with_model_size(monkeypatch):
         return counts
 
     assert walks(20) == walks(40)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that every call is counted; returns the count."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def count_guard_parses(monkeypatch):
+    """Count ``exprs.parse_guard`` calls through every tmflow module that
+    imported it."""
+    calls = count_calls(monkeypatch, tmflow.exprs, "parse_guard")
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("tmflow.") and hasattr(module, "parse_guard"):
+            monkeypatch.setattr(module, "parse_guard", tmflow.exprs.parse_guard)
+    return calls
+
+
+class TestLinkOnce:
+    def test_check_links_once(self, tmp_path, monkeypatch, capsys):
+        """`tm check` on a model with regions and a `.tmb` behavior runs
+        validate, check_regions and validate_behavior over one link."""
+        text = corpus_text("paint_dry.tm")
+        (tmp_path / "paint_dry.tm").write_text(text[: text.index("behavior {")])
+        (tmp_path / "paint_dry.tmb").write_text(corpus_text("paint_dry_strict.tmb"))
+        links = count_calls(monkeypatch, Linked, "__init__")
+        assert main(["check", str(tmp_path / "paint_dry.tm"), "--mode", "strict"]) == 0
+        assert capsys.readouterr().out.endswith("ok\n")
+        assert links[0] == 1
+
+    def test_simulate_links_once(self, monkeypatch, capsys):
+        """`tm simulate` runs the scenario and infers the graph for
+        conformance over one link."""
+        links = count_calls(monkeypatch, Linked, "__init__")
+        assert main(["simulate", str(CORPUS / "mousetrap.tm"),
+                     str(CORPUS / "mousetrap.tms")]) == 0
+        assert capsys.readouterr().out.endswith("conformance: ok\n")
+        assert links[0] == 1
+
+    def test_each_guard_is_parsed_once_after_parse(self, monkeypatch):
+        model_text, scenario_text = chain(6)
+        doc = tmflow.parse(model_text)
+        scenario = tmflow.parse_scenario(scenario_text)
+        guarded = [arc for arc in doc.model.arcs() if arc.guard is not None]
+        parses = count_guard_parses(monkeypatch)
+        assert tmflow.validate(doc.model).ok
+        trace = tmflow.simulate(doc.model, scenario)
+        assert trace.final_tokens[0].attrs["hop"] == 6
+        assert parses[0] == len(guarded) == 10
+
+    def test_export_and_census_parse_no_guard(self, monkeypatch):
+        doc = tmflow.parse(chain(4)[0])
+        parses = count_guard_parses(monkeypatch)
+        model_to_dot(doc.model)
+        tmflow.enumerate_subdiagrams(doc.model, 2)
+        assert parses[0] == 0

@@ -220,6 +220,45 @@ class TestDiagnostics:
         )
         assert str(diags[0]) == "3:29: error[SYNTAX]: expected interval start"
 
+    def test_errors_inside_blocks_recover_per_statement(self):
+        """An error inside a block skips to the block's next statement, so
+        the rest of the block and its closing brace add no diagnostics."""
+        diags = self.diags(
+            "machine a { stages Create, Process }\n"
+            "flow f1: a.Create -> a.Process\n"
+            "regions {\n"
+            "  region R {\n"
+            "    stages a.Create, a.Bogus\n"
+            "    arcs f1\n"
+            "  }\n"
+            "  regoin S { stages a.Process }\n"
+            "}\n"
+            "behavior {\n"
+            "  event E region R interval \u00b2 1\n"
+            "  initial E\n"
+            "}\n"
+        )
+        assert [str(d) for d in diags] == [
+            "5:24: error[UNKNOWN_STAGE]: 'Bogus' is not a stage "
+            "(one of Create, Process, Release, Receive, Transfer)",
+            "8:3: error[SYNTAX]: expected 'region'",
+            "11:29: error[SYNTAX]: expected interval start",
+        ]
+
+    def test_truncated_block_reports_once(self):
+        diags = self.diags(
+            "machine a { stages Create }\n"
+            "regions {\n  region R {\n    stages a.Create\n"
+        )
+        assert [str(d) for d in diags] == ["5:1: error[SYNTAX]: expected '}'"]
+
+    def test_error_before_a_closing_brace_keeps_the_block(self):
+        with pytest.raises(TMParseError) as exc:
+            parse_scenario("scenario s {\n  policy bogus }\n")
+        assert [str(d) for d in exc.value.diagnostics] == [
+            "2:10: error[SYNTAX]: policy is 'deterministic' or 'seeded-random'"
+        ]
+
     def test_decimal_digits_of_any_script(self):
         scenario = parse_scenario("scenario s {\n  seed \u0663\n}\n")
         assert scenario.seed == 3

@@ -99,6 +99,38 @@ class TestErrors:
         assert report.ok
 
 
+    def test_guard_type_on_ordering_and_arithmetic(self):
+        report = check(
+            "thing t { n: int, s: text }\n"
+            "machine a { stages Create, Process, Release }\n"
+            'flow f1: a.Create -> a.Process on t when n >= "x"\n'
+            "flow f2: a.Process -> a.Release on t when s + 1 = n - -2\n"
+            "flow f3: a.Create -> a.Release on t when (n + 1) < s\n"
+            "trigger t1: a.Process -> a.Release when 1 > \"y\"\n"
+        )
+        assert [(d.code, d.message) for d in report.errors] == [
+            ("GUARD_TYPE", "arc 'f1': operator '>=' mixes int and text operands"),
+            ("GUARD_TYPE", "arc 'f2': operator '+' mixes int and text operands"),
+            ("GUARD_TYPE", "arc 'f3': operator '<' mixes int and text operands"),
+            ("GUARD_TYPE", "arc 't1': operator '>' mixes int and text operands"),
+        ]
+
+    @pytest.mark.parametrize("guard", [
+        'n = "x"', 'n != "x"', "n < m", 's < "x"', "n + 1 > 0",
+        # Kinds are known only for literals and the `on` thing's attributes.
+        'k > "x"', '"a" + "b" < "x"',
+    ])
+    def test_guard_type_needs_two_known_kinds(self, guard):
+        report = check(
+            "thing t { n: int, m: int, s: text }\n"
+            "thing u { k: int }\n"
+            "machine a { stages Create, Process }\n"
+            f"flow f1: a.Create -> a.Process when {guard}\n"
+            f"flow f2: a.Create -> a.Process on t when {guard}\n"
+        )
+        assert "GUARD_TYPE" not in report.codes()
+
+
 class TestWarnings:
     def test_opposing_flows_is_warning_not_error(self):
         report = check(
