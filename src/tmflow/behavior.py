@@ -190,12 +190,27 @@ def _link_regions(
     return report, stage_map
 
 
+def _linked_regions(
+    linked: Linked, regions: list[Region] | tuple[Region, ...]
+) -> tuple[ValidationReport, dict[StageRef, str]]:
+    """``_link_regions`` of the region set last linked with the model, kept
+    on its linked form, so that ``tm check`` (check_regions, then
+    validate_behavior) links its regions once.  Each call gets its own
+    report."""
+    key = tuple(regions)
+    if linked.region_link is None or linked.region_link[0] != key:
+        report, stage_map = _link_regions(linked, key)
+        linked.region_link = (key, tuple(report.diagnostics), stage_map)
+    _, diagnostics, stage_map = linked.region_link
+    return ValidationReport(list(diagnostics)), stage_map
+
+
 def check_regions(model: TMModel, regions: list[Region] | tuple[Region, ...]) -> ValidationReport:
     """Verify a region set: resolvable refs, connected bodies, no overlap.
 
     Never raises: arcs that do not resolve are reported where a region
     names them."""
-    report, _ = _link_regions(link(model), regions)
+    report, _ = _linked_regions(link(model), regions)
     return report
 
 
@@ -221,7 +236,7 @@ def infer_behavior(model: TMModel, regions: list[Region] | tuple[Region, ...]) -
     another region feeds.
     """
     linked = link(model).require()
-    report, stage_map = _link_regions(linked, regions)
+    report, stage_map = _linked_regions(linked, regions)
     if not report.ok:
         raise RegionCheckFailed(report)
     edges = _boundary_edges(linked, stage_map, regions)
@@ -258,7 +273,7 @@ def validate_behavior(
     warnings.
     """
     linked = link(model).require()
-    report, stage_map = _link_regions(linked, regions)
+    report, stage_map = _linked_regions(linked, regions)
     if not report.ok:
         raise RegionCheckFailed(report)
     if mode not in ("overlap", "strict"):

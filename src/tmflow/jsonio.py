@@ -160,20 +160,29 @@ def trace_to_jsonl(trace: Trace) -> str:
             for t in trace.final_tokens
         ],
     }
+    # A record line is joined from fragments encoded once per distinct arc
+    # (its id and stages) and token id, keys in sorted order: the bytes of
+    # ``json.dumps`` of the record's dict with ``sort_keys=True``.  Arcs are
+    # looked up by id while the stages are the same objects, as records
+    # share their arc's stages and hashing a StageRef costs more than the
+    # rest of the line.
+    arcs: dict[str, tuple[StageRef, StageRef, str, str]] = {}
+    tokens: dict[str, str] = {}
     lines = [json.dumps(header, sort_keys=True)]
     for r in trace.records:
-        lines.append(
-            json.dumps(
-                {
-                    "step": r.step,
-                    "arc": r.arc,
-                    "token": r.token,
-                    "source": _ref(r.source),
-                    "target": _ref(r.target),
-                },
-                sort_keys=True,
+        arc = arcs.get(r.arc)
+        if arc is None or arc[0] is not r.source or arc[1] is not r.target:
+            arc = arcs[r.arc] = (
+                r.source,
+                r.target,
+                f'{{"arc": {json.dumps(r.arc)}, '
+                f'"source": {json.dumps(_ref(r.source), sort_keys=True)}, "step": ',
+                f', "target": {json.dumps(_ref(r.target), sort_keys=True)}, "token": ',
             )
-        )
+        token = tokens.get(r.token)
+        if token is None:
+            token = tokens[r.token] = json.dumps(r.token)
+        lines.append(f"{arc[2]}{r.step}{arc[3]}{token}}}")
     return "\n".join(lines) + "\n"
 
 

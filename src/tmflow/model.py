@@ -302,7 +302,8 @@ class Linked:
     Arcs that do not resolve are left out and kept with their error in
     ``unresolved`` (sugared arcs, then flows, then triggers); ``validate``
     and ``check_regions`` report them, every other analysis calls
-    ``require``.  ``guards`` is parsed on first use only."""
+    ``require``.  ``guards`` is parsed on first use only, and
+    ``region_link`` keeps the last region set checked against the model."""
 
     def __init__(self, model: TMModel):
         index = _suffix_index(model)
@@ -316,6 +317,7 @@ class Linked:
         self._index = index
         self.flows: tuple[FlowArc, ...] = self._link(model.flows)
         self.triggers: tuple[TriggerArc, ...] = self._link(model.triggers)
+        self.region_link: tuple | None = None  # see behavior._linked_regions
 
     def require(self) -> "Linked":
         """This linked form; raises the first unresolved arc's ModelError."""

@@ -25,7 +25,6 @@ from .exprs import (
     LexError,
     Token,
     parse_guard,
-    parse_statements,
     tokenize,
     unquote,
 )
@@ -38,7 +37,7 @@ from .model import (
     TMModel,
     TriggerArc,
 )
-from .simulate import Scenario, TokenSeed
+from .simulate import Scenario, TokenSeed, parse_program
 
 
 class TMParseError(Exception):
@@ -574,6 +573,7 @@ class _Parser:
         mints: list[tuple[StageRef, str, dict]] = []
         actions: list[tuple[StageRef, str]] = []
         stop: str | None = None
+        parsed: dict = {}  # handed to the Scenario, which parses no text again
 
         def statement():
             nonlocal policy, seed, max_steps, stop
@@ -643,10 +643,9 @@ class _Parser:
                 at = self.stage_ref()
                 self.expect_sym("{")
                 text, tok = self.expression_text(set())
-                try:
-                    parse_statements(text)
-                except ExprSyntaxError as exc:
-                    self.fail(f"bad action: {exc}", tok, code="GUARD_SYNTAX")
+                program = parsed["action", text] = parse_program("action", text)
+                if isinstance(program, ExprSyntaxError):
+                    self.fail(f"bad action: {program}", tok, code="GUARD_SYNTAX")
                 self.expect_sym("}")
                 actions.append((at, text))
             elif self.at_ident("stop"):
@@ -655,10 +654,9 @@ class _Parser:
                     self.fail("expected 'when'")
                 self.take()
                 stop, tok = self.expression_text(set())
-                try:
-                    parse_guard(stop)
-                except ExprSyntaxError as exc:
-                    self.fail(f"bad stop condition: {exc}", tok,
+                program = parsed["stop", stop] = parse_program("stop", stop)
+                if isinstance(program, ExprSyntaxError):
+                    self.fail(f"bad stop condition: {program}", tok,
                               code="GUARD_SYNTAX")
             else:
                 self.fail(f"unexpected '{self.peek().value}' in scenario")
@@ -676,6 +674,7 @@ class _Parser:
             mints=tuple(mints),
             actions=tuple(actions),
             stop=stop,
+            _parsed=parsed,
         )
 
 

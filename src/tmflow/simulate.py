@@ -12,6 +12,13 @@ stage; a trigger into any other stage enables that stage for the next
 step (tokens at a trigger-gated stage wait for that mark before moving
 out).  Tokens reaching a Transfer stage with no outgoing flow leave the
 system.
+
+``simulate`` builds one plan per stage before the first step (its flows
+with their parsed guards and target plans, its triggers, hold, gate,
+actions, and whether a token there leaves) and steps only the tokens
+still in the system, in creation order.  Neither changes the semantics
+above: a plan is what the loop would otherwise look up each step, and a
+token that left does nothing in any later step.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from dataclasses import dataclass, field
 from .behavior import BehaviorGraph, Interval, Region
 from .diagnostics import ValidationReport, error
 from .exprs import (
+    Assign,
+    Cmp,
     ExprSyntaxError,
     GuardTypeError,
     Value,
@@ -30,7 +39,7 @@ from .exprs import (
     parse_guard,
     parse_statements,
 )
-from .model import StageKind, StageRef, TMModel, link
+from .model import FlowArc, StageKind, StageRef, TMModel, TriggerArc, link
 
 
 class UnseededCreateError(Exception):
@@ -58,6 +67,15 @@ class Token:
     fired: bool = field(default=False, compare=False)
 
 
+def parse_program(kind: str, text: str) -> list[Assign] | Cmp | ExprSyntaxError:
+    """An action text (``kind`` "action") or stop text ("stop") parsed:
+    its statements or guard, or the ExprSyntaxError it raised."""
+    try:
+        return parse_statements(text) if kind == "action" else parse_guard(text)
+    except ExprSyntaxError as exc:
+        return exc.with_traceback(None)
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str = "scenario"
@@ -69,6 +87,26 @@ class Scenario:
     mints: tuple[tuple[StageRef, str, dict], ...] = ()
     actions: tuple[tuple[StageRef, str], ...] = ()
     stop: str | None = None
+    # ``parse_program`` of each action and stop text, keyed by (kind, text):
+    # ``parse_scenario`` hands over what it parsed, and any text missing is
+    # parsed on construction, so a scenario's texts are parsed once.
+    _parsed: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        keys = [("action", text) for _, text in self.actions]
+        if self.stop:
+            keys.append(("stop", self.stop))
+        for key in keys:
+            if key not in self._parsed:
+                self._parsed[key] = parse_program(*key)
+
+    def _program(self, kind: str, text: str) -> list[Assign] | Cmp:
+        """The parsed form of one of this scenario's action or stop texts;
+        raises its ExprSyntaxError."""
+        parsed = self._parsed[kind, text]
+        if isinstance(parsed, ExprSyntaxError):
+            raise parsed
+        return parsed
 
 
 @dataclass(frozen=True)
@@ -95,6 +133,34 @@ class Trace:
     meta: TraceMeta = TraceMeta()
 
 
+class _Stage:
+    """The plan of one stage in one ``simulate`` run."""
+
+    __slots__ = ("ref", "hold", "gated", "leaves", "actions", "mint",
+                 "flows", "triggers")
+
+    def __init__(self, ref: StageRef, actions: list[Assign] | None,
+                 mint: tuple[str, dict] | None):
+        self.ref = ref
+        self.hold = 2 if ref.kind == StageKind.PROCESS else 1
+        self.gated = False  # a trigger into it marks it for one step
+        self.leaves = ref.kind == StageKind.TRANSFER  # until a flow leaves it
+        self.actions = actions
+        self.mint = mint  # (thing, attrs) the scenario mints here
+        self.flows: list[tuple[FlowArc, Cmp | None, _Stage]] = []
+        self.triggers: list[tuple[TriggerArc, Cmp | None, _Stage]] = []
+
+
+class _Live:
+    """A token in the system and the plan of the stage it is at."""
+
+    __slots__ = ("token", "stage")
+
+    def __init__(self, token: Token, stage: _Stage):
+        self.token = token
+        self.stage = stage
+
+
 def simulate(model: TMModel, scenario: Scenario) -> Trace:
     """Run the model under a scenario; deterministic given (scenario, seed).
 
@@ -106,160 +172,163 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
         if isinstance(guard, ExprSyntaxError):
             raise guard
 
-    flows_by_source: dict[StageRef, list] = {}
-    for arc in linked.flows:
-        flows_by_source.setdefault(arc.source, []).append((arc, guards.get(arc.guard)))
-    triggers_by_source: dict[StageRef, list] = {}
-    for arc in linked.triggers:
-        triggers_by_source.setdefault(arc.source, []).append((arc, guards.get(arc.guard)))
-    gated = {arc.target for arc in linked.triggers if arc.target.kind != StageKind.CREATE}
-
     mints = {
         linked.normalize(ref): (thing, dict(attrs))
         for ref, thing, attrs in scenario.mints
     }
-    actions: dict[StageRef, list] = {}
+    actions: dict[StageRef, list[Assign]] = {}
     for ref, text in scenario.actions:
         actions.setdefault(linked.normalize(ref), []).extend(
-            parse_statements(text)
+            scenario._program("action", text)
         )
-    stop_guard = parse_guard(scenario.stop) if scenario.stop else None
+    stop_guard = scenario._program("stop", scenario.stop) if scenario.stop else None
+    seeded = scenario.policy == "seeded-random"
     rng = random.Random(scenario.seed)
 
-    tokens: list[Token] = []
+    plans: dict[StageRef, _Stage] = {}
+
+    def plan(ref: StageRef) -> _Stage:
+        stage = plans.get(ref)
+        if stage is None:
+            stage = plans[ref] = _Stage(ref, actions.get(ref), mints.get(ref))
+        return stage
+
+    for arc in linked.flows:
+        source = plan(arc.source)
+        source.flows.append((arc, guards.get(arc.guard), plan(arc.target)))
+        source.leaves = False
+    for arc in linked.triggers:
+        target = plan(arc.target)
+        target.gated = arc.target.kind != StageKind.CREATE
+        plan(arc.source).triggers.append((arc, guards.get(arc.guard), target))
+
+    live: list[_Live] = []
     created = consumed = 0
     minted_serial = 0
 
-    def spawn(seed: TokenSeed, step: int) -> Token:
+    def spawn(token: Token, stage: _Stage) -> None:
         nonlocal created
-        at = linked.normalize(seed.at)
-        token = Token(seed.id, seed.thing, dict(seed.attrs), at, arrived=step)
-        tokens.append(token)
+        live.append(_Live(token, stage))
         created += 1
-        for stmts in ([actions[at]] if at in actions else []):
-            exec_statements(stmts, token.attrs)
-        return token
+        if stage.actions:
+            exec_statements(stage.actions, token.attrs)
+
+    def inject(seed: TokenSeed, step: int) -> None:
+        stage = plan(linked.normalize(seed.at))
+        spawn(Token(seed.id, seed.thing, dict(seed.attrs), stage.ref, arrived=step),
+              stage)
 
     for seed in scenario.tokens:
-        spawn(seed, 0)
+        inject(seed, 0)
 
     records: list[TraceRecord] = []
     pending = sorted(scenario.injections, key=lambda item: item[0])
-    enabled_now: set[StageRef] = set()
-    enabled_next: set[StageRef] = set()
+    next_pending = 0
+    enabled_now: set[_Stage] = set()
+    enabled_next: set[_Stage] = set()
     steps_used = 0
     step_limit_hit = False
     prev_quiet = False
-    stopped = False
 
     for step in range(1, scenario.max_steps + 1):
         steps_used = step
         records_before = len(records)
         injected = False
-        while pending and pending[0][0] <= step:
-            _, seed = pending.pop(0)
-            spawn(seed, step)
+        while next_pending < len(pending) and pending[next_pending][0] <= step:
+            inject(pending[next_pending][1], step)
+            next_pending += 1
             injected = True
 
-        idx = 0
-        while idx < len(tokens):
-            token = tokens[idx]
-            idx += 1
-            if token.at is None:
-                continue
-            at = token.at
+        left = False
+        for entry in live:  # tokens minted in this loop join it
+            token, stage = entry.token, entry.stage
             if step == token.arrived + 1 and not token.fired:
                 token.fired = True
-                for trig, guard in triggers_by_source.get(at, []):
+                for trig, guard, target in stage.triggers:
                     if guard is not None and not eval_guard(guard, token.attrs):
                         continue
-                    if trig.target.kind == StageKind.CREATE:
-                        if trig.target not in mints:
+                    if target.ref.kind == StageKind.CREATE:
+                        if target.mint is None:
                             raise UnseededCreateError(
                                 f"trigger '{trig.id}' fires into {trig.target} "
                                 "but the scenario mints no token there"
                             )
-                        thing, attrs = mints[trig.target]
+                        thing, attrs = target.mint
                         minted_serial += 1
-                        minted = spawn(
-                            TokenSeed(
-                                f"{thing}_{minted_serial}", thing,
-                                trig.target, dict(attrs),
-                            ),
-                            step,
-                        )
+                        minted = Token(f"{thing}_{minted_serial}", thing,
+                                       dict(attrs), target.ref, arrived=step)
+                        spawn(minted, target)
                         records.append(
                             TraceRecord(step, trig.id, minted.id,
                                         trig.source, trig.target)
                         )
                     else:
-                        enabled_next.add(trig.target)
+                        enabled_next.add(target)
                         records.append(
                             TraceRecord(step, trig.id, token.id,
                                         trig.source, trig.target)
                         )
-                if (
-                    at.kind == StageKind.TRANSFER
-                    and not flows_by_source.get(at)
-                ):
+                if stage.leaves:
                     token.at = None  # left the system at a boundary Transfer
                     consumed += 1
+                    left = True
                     continue
 
-            hold = 2 if at.kind == StageKind.PROCESS else 1
-            if step < token.arrived + hold:
+            if step < token.arrived + stage.hold:
                 continue
-            if at in gated and at not in enabled_now:
+            if stage.gated and stage not in enabled_now:
                 continue
             enabled_flows = [
-                arc
-                for arc, guard in flows_by_source.get(at, [])
-                if guard is None or eval_guard(guard, token.attrs)
+                flow for flow in stage.flows
+                if flow[1] is None or eval_guard(flow[1], token.attrs)
             ]
             if not enabled_flows:
                 continue
-            if scenario.policy == "seeded-random" and len(enabled_flows) > 1:
-                arc = enabled_flows[rng.randrange(len(enabled_flows))]
+            if seeded and len(enabled_flows) > 1:
+                arc, _, target = enabled_flows[rng.randrange(len(enabled_flows))]
             else:
-                arc = enabled_flows[0]
+                arc, _, target = enabled_flows[0]
             records.append(
                 TraceRecord(step, arc.id, token.id, arc.source, arc.target)
             )
-            token.at = arc.target
+            token.at = target.ref
             token.arrived = step
             token.fired = False
-            if arc.target in actions:
-                exec_statements(actions[arc.target], token.attrs)
+            entry.stage = target
+            if target.actions:
+                exec_statements(target.actions, token.attrs)
 
-        if stop_guard is not None:
-            for token in tokens:
-                if token.at is None:
-                    continue
-                try:
-                    if eval_guard(stop_guard, token.attrs):
-                        stopped = True
-                        break
-                except GuardTypeError:
-                    continue
-        if stopped:
+        if left:
+            live[:] = [entry for entry in live if entry.token.at is not None]
+        if stop_guard is not None and any(
+            _stops(stop_guard, entry.token) for entry in live
+        ):
             break
 
         quiet = len(records) == records_before and not injected
-        if quiet and prev_quiet and not pending and not enabled_next:
-            steps_used = step
+        if quiet and prev_quiet and next_pending == len(pending) and not enabled_next:
             break
         prev_quiet = quiet
-        enabled_now = enabled_next
-        enabled_next = set()
+        enabled_now, enabled_next = enabled_next, set()
     else:
         step_limit_hit = not prev_quiet
 
-    final = tuple(t for t in tokens if t.at is not None)
+    for stage in plans.values():  # plans point at each other: free them now
+        stage.flows = stage.triggers = []
     return Trace(
         records=tuple(records),
-        final_tokens=final,
+        final_tokens=tuple(entry.token for entry in live),
         meta=TraceMeta(steps_used, step_limit_hit, created, consumed),
     )
+
+
+def _stops(stop_guard: Cmp, token: Token) -> bool:
+    """Whether the stop condition holds for a token (not where it cannot
+    be evaluated on the token's attributes)."""
+    try:
+        return eval_guard(stop_guard, token.attrs)
+    except GuardTypeError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -287,26 +356,23 @@ def segment(trace: Trace, regions: list[Region] | tuple[Region, ...]) -> Segment
             arc_region[arc_id] = region.id
 
     notes: list[str] = []
-    mapped: list[tuple[str, int]] = []
+    occurrences: list[Occurrence] = []
+    run: str | None = None  # the region of the open run, from step start to last
+    start = last = 0
     for record in trace.records:
         region_id = arc_region.get(record.arc)
         if region_id is None:
             notes.append(
                 f"unattributed record: step {record.step}, arc '{record.arc}'"
             )
-        else:
-            mapped.append((region_id, record.step))
-
-    occurrences: list[Occurrence] = []
-    for region_id, step in mapped:
-        if occurrences and occurrences[-1].region == region_id:
-            last = occurrences[-1]
-            duration = step - last.interval.start + 1
-            occurrences[-1] = Occurrence(
-                region_id, Interval(last.interval.start, duration)
-            )
-        else:
-            occurrences.append(Occurrence(region_id, Interval(step, 1)))
+            continue
+        if region_id != run:
+            if run is not None:
+                occurrences.append(Occurrence(run, Interval(start, last - start + 1)))
+            run, start = region_id, record.step
+        last = record.step
+    if run is not None:
+        occurrences.append(Occurrence(run, Interval(start, last - start + 1)))
     return Segmentation(tuple(occurrences), tuple(notes))
 
 
@@ -316,46 +382,50 @@ def conformance(
 ) -> ValidationReport:
     """Check that an occurrence sequence is admissible in the graph.
 
-    The first occurrence must be an initial event; each later occurrence
-    needs an edge from some earlier occurrence (forked events run
-    concurrently, so the licensing predecessor need not be the previous
-    entry).  The first violation is reported with both event ids and the
-    step range.
+    The first occurrence must be an initial event.  Each later occurrence
+    needs an edge into its event from the event of some earlier
+    occurrence: forked events run concurrently, so the licensing
+    predecessor need not be the previous entry.  That is, the events
+    seen so far and the event's predecessors in the graph must share
+    one.  The first violation is reported with the previous event, the
+    violating one and the step range.
     """
     report = ValidationReport()
     by_region = graph.events_by_region()
-    edges = set(graph.edges)
+    predecessors: dict[str, set[str]] = {}
+    for src, dst in graph.edges:
+        predecessors.setdefault(dst, set()).add(src)
 
-    seen: list[str] = []
-    for index, occ in enumerate(occurrences):
+    def steps(occ: Occurrence) -> str:
+        return (f"steps {occ.interval.start}.."
+                f"{occ.interval.start + occ.interval.duration - 1}")
+
+    seen: set[str] = set()
+    prev = None
+    for occ in occurrences:
         event_id = by_region.get(occ.region)
-        steps = (
-            f"steps {occ.interval.start}.."
-            f"{occ.interval.start + occ.interval.duration - 1}"
-        )
         if event_id is None:
             report.diagnostics.append(
                 error("NONCONFORMANT",
-                      f"no event covers region '{occ.region}' ({steps})")
+                      f"no event covers region '{occ.region}' ({steps(occ)})")
             )
             return report
-        if index == 0:
+        if prev is None:
             if event_id not in graph.initial:
                 report.diagnostics.append(
-                    error("NOT_INITIAL",
-                          f"trace starts at non-initial event '{event_id}' ({steps})")
+                    error("NOT_INITIAL", f"trace starts at non-initial event "
+                                         f"'{event_id}' ({steps(occ)})")
                 )
                 return report
-        else:
-            prev = seen[-1]
-            if not any((earlier, event_id) in edges for earlier in seen):
-                report.diagnostics.append(
-                    error(
-                        "NONCONFORMANT",
-                        f"transition {prev} -> {event_id} has no edge in the "
-                        f"behavior graph ({steps})",
-                    )
+        elif seen.isdisjoint(predecessors.get(event_id, ())):
+            report.diagnostics.append(
+                error(
+                    "NONCONFORMANT",
+                    f"transition {prev} -> {event_id} has no edge in the "
+                    f"behavior graph ({steps(occ)})",
                 )
-                return report
-        seen.append(event_id)
+            )
+            return report
+        seen.add(event_id)
+        prev = event_id
     return report

@@ -1,8 +1,21 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tmflow import desugar, infer_behavior, parse, simulate
+from tmflow import (
+    StageKind,
+    StageRef,
+    Token,
+    Trace,
+    TraceMeta,
+    TraceRecord,
+    desugar,
+    infer_behavior,
+    parse,
+    simulate,
+)
 from tmflow.dot import behavior_to_dot, model_to_dot
 from tmflow.jsonio import (
     JSONFormatError,
@@ -134,3 +147,66 @@ class TestJsonRoundTrip:
 
     def test_dumps_is_deterministic(self, stack):
         assert dumps(model_to_obj(stack.model)) == dumps(model_to_obj(stack.model))
+
+
+# ---------------------------------------------------------------------------
+# Trace lines are joined from memoized fragments; they must be the bytes
+# ``json.dumps`` gives for each record's dict.
+
+def dict_line(record: TraceRecord) -> str:
+    def ref(r):
+        return {"machine": list(r.machine), "kind": r.kind.value if r.kind else None}
+
+    return json.dumps(
+        {"step": record.step, "arc": record.arc, "token": record.token,
+         "source": ref(record.source), "target": ref(record.target)},
+        sort_keys=True,
+    )
+
+
+def assert_lines_match(trace: Trace) -> None:
+    text = trace_to_jsonl(trace)
+    lines = text.split("\n")
+    assert lines[-1] == ""
+    assert lines[1:-1] == [dict_line(r) for r in trace.records]
+    assert trace_from_jsonl(text) == trace
+
+
+ODD_IDS = ['a"1', "b\\2", "caf\u00e9", "\u6a5f3", "4", 'q"\\\u00ff"', "\U0001f600", ""]
+
+
+def test_trace_lines_escape_ids_like_json_dumps():
+    refs = [StageRef((m,), kind) for m in ODD_IDS for kind in (StageKind.CREATE, None)]
+    refs.append(StageRef(("outer", 'in"ner', "\u00e9"), StageKind.TRANSFER))
+    records = []
+    for step, arc in enumerate(ODD_IDS * 3, start=1):
+        source = refs[step % len(refs)]
+        target = refs[(3 * step) % len(refs)]
+        records.append(TraceRecord(step * 7, arc, ODD_IDS[step % 5], source, target))
+    # The same arc id with other stages, and with equal stages that are
+    # other objects.
+    records.append(TraceRecord(99, ODD_IDS[0], "t", refs[5], refs[6]))
+    records.append(TraceRecord(100, ODD_IDS[0], "t", StageRef(refs[5].machine, refs[5].kind),
+                               StageRef(refs[6].machine, refs[6].kind)))
+    final = (Token('t"', "job", {"n": 1, "s": "\u00e9"}, refs[-1], arrived=3),)
+    trace = Trace(tuple(records), final, TraceMeta(100, False, 2, 1))
+    assert_lines_match(trace)
+    json_lines = trace_to_jsonl(trace).splitlines()
+    assert all(line.isascii() for line in json_lines)
+
+
+IDS = st.text(st.sampled_from('ab9"\\\u00e9\u6a5f\U0001f600 '), max_size=4)
+REFS = st.builds(StageRef, st.lists(IDS, min_size=1, max_size=3).map(tuple),
+                 st.sampled_from([*StageKind, None]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.builds(TraceRecord, st.integers(0, 10**6), IDS, IDS, REFS, REFS),
+                max_size=20))
+def test_trace_lines_match_json_dumps(records):
+    assert_lines_match(Trace(tuple(records)))
+
+
+def test_corpus_trace_lines_match_json_dumps():
+    doc = corpus_doc("paint_control.tm")
+    assert_lines_match(simulate(doc.model, corpus_scenario("paint_control.tms")))

@@ -2,6 +2,7 @@
 guards and the unresolved-arc policy shared by every analysis."""
 
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -235,13 +236,13 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def count_guard_parses(monkeypatch):
-    """Count ``exprs.parse_guard`` calls through every tmflow module that
-    imported it."""
-    calls = count_calls(monkeypatch, tmflow.exprs, "parse_guard")
+def count_guard_parses(monkeypatch, name="parse_guard"):
+    """Count calls of ``exprs.parse_guard`` (or of the ``exprs`` parser
+    ``name``) through every tmflow module that imported it."""
+    calls = count_calls(monkeypatch, tmflow.exprs, name)
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("tmflow.") and hasattr(module, "parse_guard"):
-            monkeypatch.setattr(module, "parse_guard", tmflow.exprs.parse_guard)
+        if module.__name__.startswith("tmflow.") and hasattr(module, name):
+            monkeypatch.setattr(module, name, getattr(tmflow.exprs, name))
     return calls
 
 
@@ -276,6 +277,45 @@ class TestLinkOnce:
         trace = tmflow.simulate(doc.model, scenario)
         assert trace.final_tokens[0].attrs["hop"] == 6
         assert parses[0] == len(guarded) == 10
+
+    def test_scenario_texts_are_parsed_once(self, monkeypatch):
+        """parse_scenario parses each action and the stop condition once,
+        and simulate runs on those forms, also on a copy with another seed."""
+        model_text, scenario_text = chain(6)
+        scenario_text = scenario_text[:-2] + "  stop when hop > 99\n}\n"
+        doc = tmflow.parse(model_text)
+        assert tmflow.validate(doc.model).ok  # links and parses the arc guards
+        guards = count_guard_parses(monkeypatch)
+        statements = count_guard_parses(monkeypatch, "parse_statements")
+        scenario = tmflow.parse_scenario(scenario_text)
+        assert scenario.stop == "hop > 99" and len(scenario.actions) == 6
+        for run in (scenario, replace(scenario, seed=3)):
+            trace = tmflow.simulate(doc.model, run)
+            assert trace.final_tokens[0].attrs["hop"] == 6
+        assert (statements[0], guards[0]) == (6, 1)
+
+    def test_check_links_regions_once(self, tmp_path, monkeypatch, capsys):
+        """`tm check` runs check_regions and validate_behavior over one
+        link of the region set."""
+        text = corpus_text("paint_dry.tm")
+        (tmp_path / "paint_dry.tm").write_text(text[: text.index("behavior {")])
+        (tmp_path / "paint_dry.tmb").write_text(corpus_text("paint_dry_strict.tmb"))
+        links = count_calls(monkeypatch, tmflow.behavior, "_link_regions")
+        assert main(["check", str(tmp_path / "paint_dry.tm"), "--mode", "strict"]) == 0
+        assert capsys.readouterr().out.endswith("ok\n")
+        assert links[0] == 1
+
+    def test_region_link_follows_the_region_set(self, paint_dry):
+        """Another region set, or a report changed by its caller, does not
+        reach the next check."""
+        model, regions = paint_dry.model, paint_dry.regions
+        first = tmflow.check_regions(model, regions)
+        assert first.ok
+        first.diagnostics.append(tmflow.Diagnostic("error", "X", "changed"))
+        assert tmflow.check_regions(model, regions).ok
+        overlapping = regions + (regions[0],)
+        assert not tmflow.check_regions(model, overlapping).ok
+        assert tmflow.check_regions(model, regions).ok
 
     def test_export_and_census_parse_no_guard(self, monkeypatch):
         doc = tmflow.parse(chain(4)[0])

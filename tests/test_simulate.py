@@ -1,14 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmflow import (
     BehaviorGraph,
     Event,
     Interval,
     Occurrence,
+    Region,
     Scenario,
+    Segmentation,
     StageKind,
     StageRef,
+    Subdiagram,
     TokenSeed,
+    Trace,
+    TraceRecord,
     UnseededCreateError,
     conformance,
     desugar,
@@ -18,6 +25,7 @@ from tmflow import (
     segment,
     simulate,
 )
+from tmflow.diagnostics import ValidationReport, error
 from tmflow.jsonio import trace_to_jsonl
 
 from conftest import corpus_doc, corpus_scenario, corpus_text
@@ -375,3 +383,185 @@ class TestConformance:
             graph = infer_behavior(doc.model, doc.regions)
             seg = segment(trace, doc.regions)
             assert conformance(seg.occurrences, graph).ok, model_name
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the first segment and conformance loops, kept as references for
+# the run-length segmentation and the predecessor-map conformance check.
+
+def reference_segment(trace, regions):
+    arc_region = {}
+    for region in regions:
+        for arc_id in region.body.arcs:
+            arc_region[arc_id] = region.id
+    notes = []
+    mapped = []
+    for record in trace.records:
+        region_id = arc_region.get(record.arc)
+        if region_id is None:
+            notes.append(
+                f"unattributed record: step {record.step}, arc '{record.arc}'"
+            )
+        else:
+            mapped.append((region_id, record.step))
+    occurrences = []
+    for region_id, step in mapped:
+        if occurrences and occurrences[-1].region == region_id:
+            last = occurrences[-1]
+            duration = step - last.interval.start + 1
+            occurrences[-1] = Occurrence(
+                region_id, Interval(last.interval.start, duration)
+            )
+        else:
+            occurrences.append(Occurrence(region_id, Interval(step, 1)))
+    return Segmentation(tuple(occurrences), tuple(notes))
+
+
+def reference_conformance(occurrences, graph):
+    """Scans every earlier occurrence for an edge (quadratic)."""
+    report = ValidationReport()
+    by_region = graph.events_by_region()
+    edges = set(graph.edges)
+    seen = []
+    for index, occ in enumerate(occurrences):
+        event_id = by_region.get(occ.region)
+        steps = (
+            f"steps {occ.interval.start}.."
+            f"{occ.interval.start + occ.interval.duration - 1}"
+        )
+        if event_id is None:
+            report.diagnostics.append(
+                error("NONCONFORMANT",
+                      f"no event covers region '{occ.region}' ({steps})")
+            )
+            return report
+        if index == 0:
+            if event_id not in graph.initial:
+                report.diagnostics.append(
+                    error("NOT_INITIAL",
+                          f"trace starts at non-initial event '{event_id}' ({steps})")
+                )
+                return report
+        else:
+            prev = seen[-1]
+            if not any((earlier, event_id) in edges for earlier in seen):
+                report.diagnostics.append(
+                    error(
+                        "NONCONFORMANT",
+                        f"transition {prev} -> {event_id} has no edge in the "
+                        f"behavior graph ({steps})",
+                    )
+                )
+                return report
+        seen.append(event_id)
+    return report
+
+
+@st.composite
+def graphs(draw):
+    """A behavior graph over events E0..En-1 on regions r0..rn-1, some
+    regions named by two events (the first one covers the region)."""
+    n = draw(st.integers(1, 6))
+    regions = [f"r{draw(st.integers(0, n - 1))}" if draw(st.booleans()) else f"r{i}"
+               for i in range(n)]
+    events = tuple(Event(f"E{i}", regions[i]) for i in range(n))
+    pairs = [(f"E{i}", f"E{j}") for i in range(n) for j in range(n)]
+    edges = tuple(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    initial = tuple(draw(st.lists(st.sampled_from([e.id for e in events]),
+                                  max_size=3, unique=True)))
+    return BehaviorGraph(events, edges, initial)
+
+
+@st.composite
+def runs(draw):
+    """A graph and an occurrence sequence: a conforming walk, then one of a
+    conforming end, a non-initial start, an uncovered region, an event
+    no earlier one has an edge into, or any region at all."""
+    graph = draw(graphs())
+    covering = graph.events_by_region()
+    region_of = {event_id: region for region, event_id in covering.items()}
+    successors = {}
+    for src, dst in graph.edges:
+        successors.setdefault(src, set()).add(dst)
+    kind = draw(st.sampled_from(
+        ["conforming", "not-initial", "uncovered", "missing-edge", "any"]))
+
+    walk = []
+    starts = [e for e in graph.initial if e in region_of]
+    if starts and kind != "not-initial":
+        walk.append(draw(st.sampled_from(starts)))
+        for _ in range(draw(st.integers(0, 12))):
+            reachable = sorted({d for e in walk for d in successors.get(e, ())}
+                               & set(region_of))
+            if not reachable:
+                break
+            walk.append(draw(st.sampled_from(reachable)))
+    regions = [region_of[e] for e in walk]
+    events = sorted(region_of)
+    if kind == "not-initial":
+        others = [e for e in events if e not in graph.initial]
+        if others:
+            regions = [region_of[draw(st.sampled_from(others))]]
+    elif kind == "uncovered":
+        regions.insert(draw(st.integers(0, len(regions))), "nowhere")
+    elif kind == "missing-edge":
+        reachable = {d for e in walk for d in successors.get(e, ())}
+        unlicensed = [e for e in events if e not in reachable]
+        if walk and unlicensed:
+            regions.append(region_of[draw(st.sampled_from(unlicensed))])
+    elif kind == "any":
+        regions += draw(st.lists(st.sampled_from(sorted(covering) + ["nowhere"]),
+                                 max_size=8))
+    regions += draw(st.lists(st.sampled_from(sorted(covering)), max_size=3))
+    start = 1
+    occurrences = []
+    for region in regions:
+        duration = draw(st.integers(1, 3))
+        occurrences.append(Occurrence(region, Interval(start, duration)))
+        start += draw(st.integers(0, 3))
+    return graph, occurrences
+
+
+REF = StageRef(("m",), StageKind.CREATE)
+
+
+class TestOracles:
+    @settings(max_examples=400, deadline=None)
+    @given(runs())
+    def test_conformance_matches_the_full_scan(self, run):
+        graph, occurrences = run
+        assert conformance(occurrences, graph).diagnostics == \
+            reference_conformance(occurrences, graph).diagnostics
+
+    def test_generated_runs_cover_every_outcome(self):
+        """The oracle test sees each verdict the check can give."""
+        outcomes = set()
+
+        @settings(max_examples=300, deadline=None)
+        @given(runs())
+        def collect(run):
+            graph, occurrences = run
+            report = conformance(occurrences, graph)
+            message = report.diagnostics[0].message if report.diagnostics else "ok"
+            outcomes.add(message.split(" ")[0])
+
+        collect()
+        assert outcomes == {"ok", "trace", "no", "transition"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_segment_matches_the_grouping(self, data):
+        arcs = ["a", "b", "c", "d", "e"]
+        owner = data.draw(st.lists(st.sampled_from(["R", "S", "T", None]),
+                                   min_size=len(arcs), max_size=len(arcs)))
+        regions = [
+            Region(name, Subdiagram(frozenset(), frozenset(
+                arc for arc, o in zip(arcs, owner) if o == name)))
+            for name in ("R", "S", "T")
+        ]
+        step, records = 1, []
+        for arc in data.draw(st.lists(st.sampled_from(arcs), max_size=30)):
+            step += data.draw(st.integers(0, 2))
+            records.append(TraceRecord(step, arc, "t", REF, REF))
+        trace = Trace(records=tuple(records))
+        assert segment(trace, regions) == reference_segment(trace, regions)
