@@ -16,9 +16,11 @@ Expression grammar (no boolean connectives, by design):
     stmt    := IDENT ":=" sum
     stmts   := stmt (";" stmt)*
 
-Identifiers name attributes of the token under evaluation.  Values are
-integers or text; mixing the two in an operator raises GuardTypeError,
-as does referencing an attribute the token does not carry.
+Expressions are parsed from tokens, which a file's parser hands over
+from its one lex of the file.  Identifiers name attributes of the token
+under evaluation.  Values are integers or text; mixing the two in an
+operator raises GuardTypeError, as does referencing an attribute the
+token does not carry.
 """
 
 from __future__ import annotations
@@ -123,14 +125,10 @@ class LexError(Exception):
             super().__init__(f"unexpected character {token.value!r}")
 
 
-def tokenize(text: str, expression: bool = False) -> list[Token]:
+def tokenize(text: str) -> list[Token]:
     """Split text into tokens, ending with EOF; raise LexError where none starts.
 
-    A NEWLINE token ends each line that holds a token.  In an expression
-    there are none, and a symbol the expression grammar lacks is an
-    unexpected character, except that ``->`` and ``=>`` read as ``-`` and
-    ``=`` followed by whatever ``>`` begins.
-    """
+    A NEWLINE token ends each line that holds a token."""
     tokens: list[Token] = []
     line, line_start, pos, size = 1, 0, 0, len(text)
     while pos < size:
@@ -139,17 +137,11 @@ def tokenize(text: str, expression: bool = False) -> list[Token]:
         if kind == "BLANK":
             continue
         if kind == "NEWLINE":
-            if not expression and tokens and tokens[-1].kind != "NEWLINE":
+            if tokens and tokens[-1].kind != "NEWLINE":
                 tokens.append(Token(kind, "\n", line, start - line_start + 1, start))
             line, line_start = line + 1, pos
             continue
-        value = match.group()
-        if expression and kind == "SYM" and value not in _EXPR_SYMBOLS:
-            if value in ("->", "=>"):
-                value, pos = value[0], start + 1
-            else:
-                kind = "UNEXPECTED"
-        token = Token(kind, value, line, start - line_start + 1, start)
+        token = Token(kind, match.group(), line, start - line_start + 1, start)
         if kind in ("UNTERMINATED", "UNEXPECTED"):
             raise LexError(token)
         tokens.append(token)
@@ -166,13 +158,20 @@ def unquote(literal: str) -> str:
 # Expressions
 
 class _Parser:
-    def __init__(self, text: str):
-        try:
-            self.tokens = tokenize(text, expression=True)
-        except LexError as exc:
-            raise ExprSyntaxError(
-                f"unexpected character in expression: {exc.token.value[0]!r}"
-            ) from None
+    def __init__(self, tokens: list[Token]):
+        # NEWLINEs dropped, ``->``/``=>`` read as ``-``/``=`` then ``>``,
+        # and any other symbol the expression grammar lacks refused.
+        self.tokens: list[Token] = []
+        for tok in tokens:
+            if tok.kind == "SYM" and tok.value not in _EXPR_SYMBOLS:
+                if tok.value not in ("->", "=>"):
+                    raise ExprSyntaxError(
+                        f"unexpected character in expression: {tok.value[0]!r}")
+                self.tokens.append(tok._replace(value=tok.value[0]))
+                tok = tok._replace(value=">")
+            if tok.kind != "NEWLINE":
+                self.tokens.append(tok)
+        self.tokens.append(Token("EOF", "", 0, 0, 0))
         self.pos = 0
 
     def peek(self) -> Token:
@@ -239,21 +238,53 @@ class _Parser:
             raise ExprSyntaxError(f"trailing input in expression: {tok.value!r}")
 
 
+def parse_tokens(kind: str, tokens: list[Token]) -> Cmp | list[Assign] | ExprSyntaxError:
+    """A guard (``kind`` "guard") or an action ("action") parsed from its
+    tokens, without EOF: its AST, or the ExprSyntaxError they raise."""
+    try:
+        parser = _Parser(tokens)
+        if kind == "guard":
+            node = parser.comparison()
+        else:
+            node = [parser.assignment()]
+            while parser.at(";"):
+                parser.take()
+                node.append(parser.assignment())
+        parser.done()
+        return node
+    except ExprSyntaxError as exc:
+        return exc.with_traceback(None)
+
+
+class ExprTable(dict):
+    """Parsed expressions by ``(kind, text)``, as ``parse_tokens`` gives
+    them.  The parser files each expression of a file from the file's
+    own tokens; ``__missing__`` parses a text no parser filed (in a model
+    or scenario built by hand), once per table."""
+
+    def __missing__(self, key: tuple[str, str]):
+        kind, text = key
+        try:
+            self[key] = parse_tokens(kind, tokenize(text)[:-1])
+        except LexError as exc:
+            self[key] = ExprSyntaxError(
+                f"unexpected character in expression: {exc.token.value[0]!r}")
+        return self[key]
+
+    def ast(self, kind: str, text: str):
+        """The AST of ``text``; raises its ExprSyntaxError."""
+        node = self[kind, text]
+        if isinstance(node, ExprSyntaxError):
+            raise node.with_traceback(None)
+        return node
+
+
 def parse_guard(text: str) -> Cmp:
-    parser = _Parser(text)
-    node = parser.comparison()
-    parser.done()
-    return node
+    return ExprTable().ast("guard", text)
 
 
 def parse_statements(text: str) -> list[Assign]:
-    parser = _Parser(text)
-    stmts = [parser.assignment()]
-    while parser.at(";"):
-        parser.take()
-        stmts.append(parser.assignment())
-    parser.done()
-    return stmts
+    return ExprTable().ast("action", text)
 
 
 def names(node) -> set[str]:

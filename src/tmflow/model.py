@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .diagnostics import SourceSpan
-from .exprs import Cmp, ExprSyntaxError, parse_guard
+from .exprs import ExprTable
 
 
 class StageKind(Enum):
@@ -139,6 +139,9 @@ class TMModel:
     flows: tuple[FlowArc, ...] = ()
     triggers: tuple[TriggerArc, ...] = ()
     things: tuple[ThingDecl, ...] = ()
+    # The parsed guards, by ("guard", text): filled by the parser, and
+    # parsed on first use for a model built by hand.
+    _exprs: ExprTable = field(default_factory=ExprTable, compare=False, repr=False)
     _linked = cached_property(lambda self: Linked(self))  # see ``link``
 
     def walk(self) -> Iterator[tuple[tuple[str, ...], Machine]]:
@@ -302,8 +305,9 @@ class Linked:
     Arcs that do not resolve are left out and kept with their error in
     ``unresolved`` (sugared arcs, then flows, then triggers); ``validate``
     and ``check_regions`` report them, every other analysis calls
-    ``require``.  ``guards`` is parsed on first use only, and
-    ``region_link`` keeps the last region set checked against the model."""
+    ``require``.  ``model`` shares the original's parsed guards
+    (``_exprs``), and ``region_link`` keeps the last region set checked
+    against the model."""
 
     def __init__(self, model: TMModel):
         index = _suffix_index(model)
@@ -324,19 +328,6 @@ class Linked:
         if self.unresolved:
             raise self.unresolved[0][1]
         return self
-
-    @cached_property
-    def guards(self) -> dict[str, Cmp | ExprSyntaxError]:
-        """Each guard text of the arcs, parsed on first use: its AST, or the
-        ExprSyntaxError it raised, in arc order (flows, then triggers)."""
-        parsed: dict[str, Cmp | ExprSyntaxError] = {}
-        for arc in self.arcs():
-            if arc.guard is not None and arc.guard not in parsed:
-                try:
-                    parsed[arc.guard] = parse_guard(arc.guard)
-                except ExprSyntaxError as exc:
-                    parsed[arc.guard] = exc.with_traceback(None)
-        return parsed
 
     def normalize(self, ref: StageRef) -> StageRef:
         """The full-path form of ``ref``; raises ModelError if it does not resolve."""

@@ -2,8 +2,10 @@
 
 File layout is line oriented: one declaration per line, nested blocks in
 braces.  Tokens come from ``exprs.tokenize``, the one lexer of the
-language, after line endings are normalized to ``\\n``; guards and actions
-are parsed by ``exprs`` from their source text.  Solid arcs use ``flow``,
+language, after line endings are normalized to ``\\n``, once per file.
+Guards, actions and stop conditions are parsed by ``exprs`` from those
+tokens, each distinct text once, into the ``ExprTable`` handed over with
+the model or scenario; the text stays verbatim.  Solid arcs use ``flow``,
 dashed arcs use ``trigger``, and a machine-to-machine shorthand
 ``A => B`` stands for the Release/Transfer/Transfer/Receive chain
 (kept as written here; it is expanded when the model is linked, once
@@ -22,9 +24,10 @@ from .behavior import BehaviorGraph, Event, Interval, Region, Subdiagram
 from .diagnostics import Diagnostic, SourceSpan, error
 from .exprs import (
     ExprSyntaxError,
+    ExprTable,
     LexError,
     Token,
-    parse_guard,
+    parse_tokens,
     tokenize,
     unquote,
 )
@@ -37,7 +40,7 @@ from .model import (
     TMModel,
     TriggerArc,
 )
-from .simulate import Scenario, TokenSeed, parse_program
+from .simulate import Scenario, TokenSeed
 
 
 class TMParseError(Exception):
@@ -78,6 +81,16 @@ class _Fail(Exception):
     """Internal: abort the current statement after recording a diagnostic."""
 
 
+class _Unclosed(_Fail):
+    """Internal: a body's ``}`` is missing; abort every open body."""
+
+
+# Words that start a statement a machine (or thing) body cannot hold: a
+# body that reaches one has lost its closing brace.
+_MACHINE_ENDS = frozenset({"flow", "trigger", "thing", "regions", "behavior"})
+_THING_ENDS = _MACHINE_ENDS | {"machine"}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = normalize(text)
@@ -88,6 +101,8 @@ class _Parser:
             self.diagnostics.append(error("SYNTAX", str(exc), exc.token.span))
             self.tokens = [Token("EOF", "", 1, 1, 0)]
         self.pos = 0
+        self.top_start = 0  # diagnostics before the current top-level statement
+        self.exprs = ExprTable()  # every expression of the file, parsed
         self.machine_ids: dict[str, SourceSpan] = {}
         self.thing_names: dict[str, SourceSpan] = {}
         self.arc_ids: dict[str, SourceSpan] = {}
@@ -157,11 +172,17 @@ class _Parser:
         """Run ``statement`` up to the end of input, or with ``closed`` up to
         the ``}`` of a block.  After an error, go on with the next one; an
         error that runs into the end of input closes the enclosing blocks
-        without more diagnostics."""
+        without more diagnostics, and so does a missing ``}``, after which
+        the top level goes on with the statement that showed it."""
         self.skip_newlines()
         while not (self.at("EOF") or closed and self.at("SYM", "}")):
+            if not closed:
+                self.top_start = len(self.diagnostics)
             try:
                 statement()
+            except _Unclosed:
+                if closed:
+                    raise
             except _Fail:
                 before = self.pos
                 self.recover()
@@ -170,6 +191,15 @@ class _Parser:
                 if self.pos == before and not closed:
                     self.take()  # a stray '}' at top level: force progress
             self.skip_newlines()
+
+    def unclosed(self, words: frozenset[str]) -> None:
+        """At a statement starting with one of ``words``, this body has lost
+        its ``}``: report that, unless an error earlier in the same
+        top-level statement accounts for it, and close every open body."""
+        if self.at("IDENT") and self.peek().value in words:
+            if len(self.diagnostics) == self.top_start:
+                self.diagnostics.append(error("SYNTAX", "expected '}'", self.peek().span))
+            raise _Unclosed()
 
     def block(self, statement) -> None:
         """``{ statement* }``, recovering per statement."""
@@ -215,33 +245,31 @@ class _Parser:
                 self.fail(f"'{part}' is a reserved stage name", tok)
         return StageRef(tuple(parts), None)
 
-    def expression_text(self, stop_words: set[str]) -> tuple[str, Token]:
-        """Consume expression tokens, returning their source text verbatim."""
-        start_tok = self.peek()
-        last = None
+    def expression(self, kind: str, stop_words: set[str], what: str) -> str:
+        """Consume an expression's tokens, file its parse in ``exprs`` under
+        its source text and return that text verbatim."""
+        start = self.pos
         while True:
             tok = self.peek()
-            if tok.kind in ("NEWLINE", "EOF"):
+            if (tok.kind in ("NEWLINE", "EOF") or tok.kind == "SYM" and tok.value in "{}"
+                    or tok.kind == "IDENT" and tok.value in stop_words):
                 break
-            if tok.kind == "IDENT" and tok.value in stop_words:
-                break
-            if tok.kind == "SYM" and tok.value in ("{", "}"):
-                break
-            last = self.take()
-        if last is None:
-            self.fail("expected an expression", start_tok)
-        return self.text[start_tok.offset:last.end], start_tok
+            self.take()
+        if self.pos == start:
+            self.fail("expected an expression")
+        tokens = self.tokens[start:self.pos]
+        text = self.text[tokens[0].offset:tokens[-1].end]
+        key = kind, text
+        node = self.exprs[key] = self.exprs.get(key) or parse_tokens(kind, tokens)
+        if isinstance(node, ExprSyntaxError):
+            self.fail(f"{what}: {node}", tokens[0], code="GUARD_SYNTAX")
+        return text
 
     def guard_clause(self, stop_words: set[str]) -> str | None:
         if not self.at_ident("when"):
             return None
         self.take()
-        text, tok = self.expression_text(stop_words)
-        try:
-            parse_guard(text)
-        except ExprSyntaxError as exc:
-            self.fail(f"bad guard: {exc}", tok, code="GUARD_SYNTAX")
-        return text
+        return self.expression("guard", stop_words, "bad guard")
 
     def string_value(self) -> str:
         return unquote(self.take().value)
@@ -321,6 +349,7 @@ class _Parser:
             flows=tuple(flows),
             triggers=tuple(triggers),
             things=tuple(things),
+            _exprs=self.exprs,
         )
         return Document(model=model, regions=tuple(regions), behavior=behavior)
 
@@ -329,25 +358,27 @@ class _Parser:
         name_tok = self.expect_ident("thing name")
         self.declare(self.thing_names, name_tok, "thing")
         attributes: list[tuple[str, str]] = []
+        seen: set[str] = set()
+
+        def attribute():
+            after = self.tokens[self.pos + 1]
+            if after.kind != "SYM" or after.value != ":":
+                self.unclosed(_THING_ENDS)
+            attr_tok = self.expect_ident("attribute name")
+            if attr_tok.value in seen:
+                self.fail(f"duplicate attribute '{attr_tok.value}'",
+                          attr_tok, code="DUP_ID")
+            seen.add(attr_tok.value)
+            self.expect_sym(":")
+            kind_tok = self.take()
+            if kind_tok.kind != "IDENT" or kind_tok.value not in _ATTR_KINDS:
+                self.fail("attribute kind must be 'int' or 'text'", kind_tok)
+            attributes.append((attr_tok.value, kind_tok.value))
+            if self.at("SYM", ","):
+                self.take()
+
         if self.at("SYM", "{"):
-            self.expect_sym("{")
-            self.skip_newlines()
-            seen: set[str] = set()
-            while not self.at("SYM", "}"):
-                attr_tok = self.expect_ident("attribute name")
-                if attr_tok.value in seen:
-                    self.fail(f"duplicate attribute '{attr_tok.value}'",
-                              attr_tok, code="DUP_ID")
-                seen.add(attr_tok.value)
-                self.expect_sym(":")
-                kind_tok = self.take()
-                if kind_tok.kind != "IDENT" or kind_tok.value not in _ATTR_KINDS:
-                    self.fail("attribute kind must be 'int' or 'text'", kind_tok)
-                attributes.append((attr_tok.value, kind_tok.value))
-                if self.at("SYM", ","):
-                    self.take()
-                self.skip_newlines()
-            self.expect_sym("}")
+            self.block(attribute)
         self.end_statement()
         return ThingDecl(name_tok.value, tuple(attributes), span=name_tok.span)
 
@@ -358,9 +389,8 @@ class _Parser:
         name = self.string_value() if self.at("STRING") else None
         stages: list[StageKind] = []
         submachines: list[Machine] = []
-        self.expect_sym("{")
-        self.skip_newlines()
-        while not self.at("SYM", "}"):
+
+        def statement():
             if self.at_ident("stages"):
                 self.take()
                 while True:
@@ -378,9 +408,10 @@ class _Parser:
             elif self.at_ident("machine"):
                 submachines.append(self.machine_decl())
             else:
+                self.unclosed(_MACHINE_ENDS)
                 self.fail(f"unexpected '{self.peek().value}' in machine body")
-            self.skip_newlines()
-        self.expect_sym("}")
+
+        self.block(statement)
         self.end_statement()
         return Machine(
             id=id_tok.value,
@@ -573,7 +604,7 @@ class _Parser:
         mints: list[tuple[StageRef, str, dict]] = []
         actions: list[tuple[StageRef, str]] = []
         stop: str | None = None
-        parsed: dict = {}  # handed to the Scenario, which parses no text again
+        token_ids: dict[str, SourceSpan] = {}
 
         def statement():
             nonlocal policy, seed, max_steps, stop
@@ -614,7 +645,8 @@ class _Parser:
                     if not self.at_ident("token"):
                         self.fail("expected 'token'")
                     self.take()
-                tok_id = self.expect_ident("token id").value
+                id_tok = self.expect_ident("token id")
+                self.declare(token_ids, id_tok, "token id")
                 if not self.at_ident("of"):
                     self.fail("expected 'of'")
                 self.take()
@@ -624,7 +656,7 @@ class _Parser:
                 self.take()
                 at = self.stage_ref()
                 attrs = self.attrs_block() if self.at("SYM", "{") else {}
-                seed_tok = TokenSeed(tok_id, thing, at, attrs)
+                seed_tok = TokenSeed(id_tok.value, thing, at, attrs)
                 if injected:
                     injections.append((step, seed_tok))
                 else:
@@ -642,10 +674,7 @@ class _Parser:
                 self.take()
                 at = self.stage_ref()
                 self.expect_sym("{")
-                text, tok = self.expression_text(set())
-                program = parsed["action", text] = parse_program("action", text)
-                if isinstance(program, ExprSyntaxError):
-                    self.fail(f"bad action: {program}", tok, code="GUARD_SYNTAX")
+                text = self.expression("action", set(), "bad action")
                 self.expect_sym("}")
                 actions.append((at, text))
             elif self.at_ident("stop"):
@@ -653,11 +682,7 @@ class _Parser:
                 if not self.at_ident("when"):
                     self.fail("expected 'when'")
                 self.take()
-                stop, tok = self.expression_text(set())
-                program = parsed["stop", stop] = parse_program("stop", stop)
-                if isinstance(program, ExprSyntaxError):
-                    self.fail(f"bad stop condition: {program}", tok,
-                              code="GUARD_SYNTAX")
+                stop = self.expression("guard", set(), "bad stop condition")
             else:
                 self.fail(f"unexpected '{self.peek().value}' in scenario")
             self.end_statement()
@@ -674,7 +699,7 @@ class _Parser:
             mints=tuple(mints),
             actions=tuple(actions),
             stop=stop,
-            _parsed=parsed,
+            _exprs=self.exprs,
         )
 
 

@@ -31,13 +31,11 @@ from .diagnostics import ValidationReport, error
 from .exprs import (
     Assign,
     Cmp,
-    ExprSyntaxError,
+    ExprTable,
     GuardTypeError,
     Value,
     eval_guard,
     exec_statements,
-    parse_guard,
-    parse_statements,
 )
 from .model import FlowArc, StageKind, StageRef, TMModel, TriggerArc, link
 
@@ -67,15 +65,6 @@ class Token:
     fired: bool = field(default=False, compare=False)
 
 
-def parse_program(kind: str, text: str) -> list[Assign] | Cmp | ExprSyntaxError:
-    """An action text (``kind`` "action") or stop text ("stop") parsed:
-    its statements or guard, or the ExprSyntaxError it raised."""
-    try:
-        return parse_statements(text) if kind == "action" else parse_guard(text)
-    except ExprSyntaxError as exc:
-        return exc.with_traceback(None)
-
-
 @dataclass(frozen=True)
 class Scenario:
     name: str = "scenario"
@@ -87,26 +76,9 @@ class Scenario:
     mints: tuple[tuple[StageRef, str, dict], ...] = ()
     actions: tuple[tuple[StageRef, str], ...] = ()
     stop: str | None = None
-    # ``parse_program`` of each action and stop text, keyed by (kind, text):
-    # ``parse_scenario`` hands over what it parsed, and any text missing is
-    # parsed on construction, so a scenario's texts are parsed once.
-    _parsed: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        keys = [("action", text) for _, text in self.actions]
-        if self.stop:
-            keys.append(("stop", self.stop))
-        for key in keys:
-            if key not in self._parsed:
-                self._parsed[key] = parse_program(*key)
-
-    def _program(self, kind: str, text: str) -> list[Assign] | Cmp:
-        """The parsed form of one of this scenario's action or stop texts;
-        raises its ExprSyntaxError."""
-        parsed = self._parsed[kind, text]
-        if isinstance(parsed, ExprSyntaxError):
-            raise parsed
-        return parsed
+    # The parsed actions and stop condition, by ("action" or "guard", text):
+    # filled by ``parse_scenario``, parsed on first use otherwise.
+    _exprs: ExprTable = field(default_factory=ExprTable, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -167,10 +139,8 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
     Sugared arcs are expanded first; raises ModelError if an arc or a
     scenario stage does not resolve."""
     linked = link(model).require()
-    guards = linked.guards
-    for guard in guards.values():
-        if isinstance(guard, ExprSyntaxError):
-            raise guard
+    guards = {arc.guard: linked.model._exprs.ast("guard", arc.guard)
+              for arc in linked.arcs() if arc.guard is not None}
 
     mints = {
         linked.normalize(ref): (thing, dict(attrs))
@@ -179,9 +149,9 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
     actions: dict[StageRef, list[Assign]] = {}
     for ref, text in scenario.actions:
         actions.setdefault(linked.normalize(ref), []).extend(
-            scenario._program("action", text)
+            scenario._exprs.ast("action", text)
         )
-    stop_guard = scenario._program("stop", scenario.stop) if scenario.stop else None
+    stop_guard = scenario._exprs.ast("guard", scenario.stop) if scenario.stop else None
     seeded = scenario.policy == "seeded-random"
     rng = random.Random(scenario.seed)
 

@@ -60,7 +60,7 @@ def _check_duplicates(model: TMModel, report: ValidationReport) -> None:
 def _check_guard(linked: Linked, arc, report: ValidationReport) -> None:
     if arc.guard is None:
         return
-    guard = linked.guards[arc.guard]
+    guard = linked.model._exprs["guard", arc.guard]
     if isinstance(guard, ExprSyntaxError):
         report.diagnostics.append(
             error("GUARD_SYNTAX", f"arc '{arc.id}': {guard}", arc.span)

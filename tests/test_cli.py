@@ -122,6 +122,16 @@ class TestSimulate:
     def test_missing_scenario_exits_two(self, capsys):
         assert main(["simulate", corpus("formula.tm"), corpus("nope.tms")]) == 2
 
+    def test_duplicate_token_id_exits_two(self, tmp_path, capsys):
+        scenario = write(tmp_path, "dup.tms",
+                         "scenario dup {\n"
+                         "  token s of smell at bait.Create\n"
+                         "  inject 1 token s of smell at bait.Create\n}\n")
+        assert main(["simulate", corpus("mousetrap.tm"), scenario]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "3:18: error[DUP_ID]: duplicate token id 's'\n"
+
 
 class TestExport:
     def test_dot_default(self, capsys):

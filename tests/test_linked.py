@@ -86,9 +86,10 @@ class TestLinked:
             "flow f2: a.Process -> a.Release on job when n > 1\n"
             "trigger t1: a.Process -> a.Create when n = 0\n"
         )
-        guards = link(model).guards
-        assert list(guards) == ["n > 1", "n = 0"]
-        assert guards["n = 0"] == tmflow.exprs.parse_guard("n = 0")
+        exprs = link(model).model._exprs
+        assert exprs is model._exprs
+        assert list(exprs) == [("guard", "n > 1"), ("guard", "n = 0")]
+        assert exprs["guard", "n = 0"] == tmflow.exprs.parse_guard("n = 0")
 
     def test_normalize_matches_public_resolution(self):
         model = parse_model(
@@ -276,11 +277,12 @@ class TestLinkOnce:
         assert tmflow.validate(doc.model).ok
         trace = tmflow.simulate(doc.model, scenario)
         assert trace.final_tokens[0].attrs["hop"] == 6
-        assert parses[0] == len(guarded) == 10
+        assert parses[0] == 0 and len(guarded) == 10
 
     def test_scenario_texts_are_parsed_once(self, monkeypatch):
-        """parse_scenario parses each action and the stop condition once,
-        and simulate runs on those forms, also on a copy with another seed."""
+        """parse_scenario parses each action and the stop condition from
+        its file's tokens, and simulate runs on those forms, also on a copy
+        with another seed, without parsing any text again."""
         model_text, scenario_text = chain(6)
         scenario_text = scenario_text[:-2] + "  stop when hop > 99\n}\n"
         doc = tmflow.parse(model_text)
@@ -292,7 +294,43 @@ class TestLinkOnce:
         for run in (scenario, replace(scenario, seed=3)):
             trace = tmflow.simulate(doc.model, run)
             assert trace.final_tokens[0].attrs["hop"] == 6
-        assert (statements[0], guards[0]) == (6, 1)
+        assert (statements[0], guards[0]) == (0, 0)
+
+    def test_each_file_is_lexed_once(self, monkeypatch):
+        """parse and parse_scenario lex their file once, guards and
+        actions included; validate and simulate lex nothing."""
+        model_text, scenario_text = chain(6)
+        lexes = count_guard_parses(monkeypatch, "tokenize")
+        doc = tmflow.parse(model_text)
+        assert lexes[0] == 1
+        scenario = tmflow.parse_scenario(scenario_text)
+        assert lexes[0] == 2
+        counts = [count_guard_parses(monkeypatch, name)
+                  for name in ("parse_guard", "parse_statements")]
+        assert tmflow.validate(doc.model).ok
+        trace = tmflow.simulate(doc.model, scenario)
+        assert trace.final_tokens[0].attrs["hop"] == 6
+        assert [lexes[0]] + [count[0] for count in counts] == [2, 0, 0]
+
+    def test_hand_built_model_parses_each_guard_text_once(self, monkeypatch):
+        job = StageRef(("a",), StageKind.CREATE)
+        work = StageRef(("a",), StageKind.PROCESS)
+        model = TMModel(
+            machines=(tmflow.Machine("a", stages=(StageKind.CREATE, StageKind.PROCESS)),),
+            flows=(tmflow.FlowArc("f1", job, work, guard="n > 0"),
+                   tmflow.FlowArc("f2", job, work, guard="n > 0")),
+            things=(tmflow.ThingDecl("job", (("n", "int"),)),),
+        )
+        lexes = count_guard_parses(monkeypatch, "tokenize")
+        assert tmflow.validate(model).ok
+        scenario = tmflow.Scenario(
+            tokens=(tmflow.TokenSeed("j", "job", job, {"n": 1}),),
+            actions=((work, "n := n + 1"),),
+        )
+        trace = tmflow.simulate(model, scenario)
+        assert [r.arc for r in trace.records] == ["f1"]
+        assert trace.final_tokens[0].attrs == {"n": 2}
+        assert lexes[0] == 2  # "n > 0" and "n := n + 1"
 
     def test_check_links_regions_once(self, tmp_path, monkeypatch, capsys):
         """`tm check` runs check_regions and validate_behavior over one

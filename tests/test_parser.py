@@ -245,6 +245,42 @@ class TestDiagnostics:
             "11:29: error[SYNTAX]: expected interval start",
         ]
 
+    def test_errors_inside_machine_and_thing_bodies_recover_per_statement(self):
+        diags = self.diags(
+            "thing job {\n  n: float\n  m: int\n}\n"
+            "machine a {\n  stages Create, Foo\n  machine b { stages Create }\n}\n"
+        )
+        assert [str(d) for d in diags] == [
+            "2:6: error[SYNTAX]: attribute kind must be 'int' or 'text'",
+            "6:18: error[UNKNOWN_STAGE]: unknown stage 'Foo'",
+        ]
+
+    def test_lost_closing_brace_ends_the_body(self):
+        """A body that reaches a statement it cannot hold reports its
+        missing brace once, and that statement is parsed at top level."""
+        doc, diags = parse_with_diagnostics(
+            "thing job { flow: int, machine: text\n"
+            "machine a {\n  stages Create, Process\n"
+            "  machine b {\n    stages Create\n"
+            "flow f1: a.Create -> a.Process on job\n"
+        )
+        assert [str(d) for d in diags] == [
+            "2:1: error[SYNTAX]: expected '}'",
+            "6:1: error[SYNTAX]: expected '}'",
+        ]
+        assert [arc.id for arc in doc.model.flows] == ["f1"]
+        thing = parse_model("thing job { flow: int, machine: text }").things[0]
+        assert thing.attributes == (("flow", "int"), ("machine", "text"))
+
+    def test_lost_brace_after_an_error_is_not_reported_again(self):
+        doc, diags = parse_with_diagnostics(
+            "machine a {\n  stages Creat\nflow f1: a.Create -> a.Process\n"
+        )
+        assert [str(d) for d in diags] == [
+            "2:10: error[UNKNOWN_STAGE]: unknown stage 'Creat'"
+        ]
+        assert [arc.id for arc in doc.model.flows] == ["f1"]
+
     def test_truncated_block_reports_once(self):
         diags = self.diags(
             "machine a { stages Create }\n"
@@ -257,6 +293,17 @@ class TestDiagnostics:
             parse_scenario("scenario s {\n  policy bogus }\n")
         assert [str(d) for d in exc.value.diagnostics] == [
             "2:10: error[SYNTAX]: policy is 'deterministic' or 'seeded-random'"
+        ]
+
+    @pytest.mark.parametrize("second", ["token t of job at a.Create",
+                                        "inject 2 token t of job at a.Create"])
+    def test_duplicate_token_id(self, second):
+        with pytest.raises(TMParseError) as exc:
+            parse_scenario("scenario s {\n  token t of job at a.Create\n"
+                           f"  {second}\n}}\n")
+        column = second.index(" t ") + 4
+        assert [str(d) for d in exc.value.diagnostics] == [
+            f"3:{column}: error[DUP_ID]: duplicate token id 't'"
         ]
 
     def test_decimal_digits_of_any_script(self):
