@@ -37,6 +37,7 @@ from .model import ModelError, StageRef
 from .parser import (
     Document,
     TMParseError,
+    behavior_lines,
     merge_documents,
     parse_scenario,
     parse_with_diagnostics,
@@ -77,8 +78,9 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_document(path_text: str) -> tuple[Document | None, ValidationReport, int]:
-    """Parse a model file plus its optional .tmb sidecar."""
+def _load_document(path_text: str) -> tuple[Document | None, ValidationReport]:
+    """Parse a model file plus its optional .tmb sidecar; no document when
+    it cannot be read or has a syntax error."""
     path = Path(path_text)
     sidecar = path.with_suffix(".tmb")
     sources = [path, sidecar] if path.suffix == ".tm" and sidecar.exists() else [path]
@@ -88,13 +90,13 @@ def _load_document(path_text: str) -> tuple[Document | None, ValidationReport, i
             text = source.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             report.diagnostics.append(error("SYNTAX", f"cannot read '{source}': {exc}"))
-            return None, report, EXIT_SYNTAX
+            return None, report
         part, diagnostics = parse_with_diagnostics(text)
         report.diagnostics.extend(diagnostics)
         if not report.ok:
-            return None, report, EXIT_SYNTAX
+            return None, report
         doc = part if doc is None else merge_documents(doc, part)
-    return doc, report, EXIT_OK
+    return doc, report
 
 
 def _full_check(doc: Document, mode: str) -> ValidationReport:
@@ -112,8 +114,8 @@ def _full_check(doc: Document, mode: str) -> ValidationReport:
     return report
 
 
-def _cmd_check(args) -> int:
-    doc, report, code = _load_document(args.model)
+def _cmd_check(args, doc: Document | None, report: ValidationReport) -> int:
+    code = EXIT_SYNTAX
     if doc is not None:
         report.extend(_full_check(doc, args.mode))
         code = EXIT_OK if report.ok else EXIT_SEMANTIC
@@ -126,12 +128,7 @@ def _cmd_check(args) -> int:
     return code
 
 
-def _cmd_events(args) -> int:
-    doc, report, code = _load_document(args.model)
-    if doc is None:
-        _print_report(report, sys.stderr)
-        return code
-
+def _cmd_events(args, doc: Document, report: ValidationReport) -> int:
     if args.bound is not None:
         try:
             subs = enumerate_subdiagrams(doc.model, args.bound)
@@ -167,25 +164,7 @@ def _cmd_events(args) -> int:
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
-def _graph_text(graph) -> str:
-    lines = []
-    for event in graph.events:
-        line = f"event {event.id} region {event.region}"
-        if event.interval is not None:
-            line += f" interval {event.interval.start} {event.interval.duration}"
-        lines.append(line)
-    if graph.initial:
-        lines.append("initial " + ", ".join(graph.initial))
-    for src, dst in graph.edges:
-        lines.append(f"edge {src} -> {dst}")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_behavior(args) -> int:
-    doc, report, code = _load_document(args.model)
-    if doc is None:
-        _print_report(report, sys.stderr)
-        return code
+def _cmd_behavior(args, doc: Document, report: ValidationReport) -> int:
     if not doc.regions:
         print("error[NO_REGIONS]: model declares no regions", file=sys.stderr)
         return EXIT_SEMANTIC
@@ -208,15 +187,11 @@ def _cmd_behavior(args) -> int:
     elif args.format == "json":
         _write_output(jsonio.dumps(jsonio.graph_to_obj(graph)), args.out)
     else:
-        _write_output(_graph_text(graph), args.out)
+        _write_output("\n".join(behavior_lines(graph)) + "\n", args.out)
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
-def _cmd_simulate(args) -> int:
-    doc, report, code = _load_document(args.model)
-    if doc is None:
-        _print_report(report, sys.stderr)
-        return code
+def _cmd_simulate(args, doc: Document, report: ValidationReport) -> int:
     try:
         scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
@@ -280,11 +255,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_export(args) -> int:
-    doc, report, code = _load_document(args.model)
-    if doc is None:
-        _print_report(report, sys.stderr)
-        return code
+def _cmd_export(args, doc: Document, report: ValidationReport) -> int:
     if args.format == "json":
         _write_output(jsonio.dumps(jsonio.model_to_obj(doc.model)), args.out)
     else:
@@ -320,10 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_behavior)
 
     p = sub.add_parser("simulate", help="run a scenario and print the trace")
-    p.add_argument("model", help="model file (.tm)")
+    common(p)
     p.add_argument("scenario", help="scenario file (.tms)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", help="write output to a file instead of stdout")
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument("--max-steps", type=int, dest="max_steps",
                    help="override the scenario step limit")
@@ -338,7 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, report = _load_document(args.model)
+        # A model that does not load is reported once, here; only `check`
+        # gets it, to report in its own --format.
+        if doc is None and args.func is not _cmd_check:
+            _print_report(report, sys.stderr)
+            return EXIT_SYNTAX
+        return args.func(args, doc, report)
     except NoInitialEvents as exc:
         print(f"error[NO_INITIAL]: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC

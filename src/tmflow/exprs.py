@@ -149,6 +149,11 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def quote(text: str) -> str:
+    """A STRING literal standing for ``text``: what ``unquote`` undoes."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def unquote(literal: str) -> str:
     """The text a STRING token stands for: quotes dropped, escapes undone."""
     return literal[1:-1].replace('\\"', '"').replace("\\\\", "\\")

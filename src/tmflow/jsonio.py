@@ -1,22 +1,14 @@
-"""JSON import/export for models, region sets, behavior graphs, reports,
-and traces.  All payloads carry a top-level ``schema: 1`` marker; traces
-use JSON lines (header line, then one record per line)."""
+"""JSON export of models, region sets, behavior graphs, reports and
+traces, and import of traces.  All payloads carry a top-level ``schema: 1``
+marker; traces use JSON lines (header line, then one record per line)."""
 
 from __future__ import annotations
 
 import json
 
-from .behavior import BehaviorGraph, Event, Interval, Region, Subdiagram
-from .diagnostics import Diagnostic, SourceSpan, ValidationReport
-from .model import (
-    FlowArc,
-    Machine,
-    StageKind,
-    StageRef,
-    ThingDecl,
-    TMModel,
-    TriggerArc,
-)
+from .behavior import BehaviorGraph
+from .diagnostics import ValidationReport
+from .model import FlowArc, Machine, StageKind, StageRef, TMModel, TriggerArc
 from .simulate import Token, Trace, TraceMeta, TraceRecord
 
 SCHEMA = 1
@@ -191,83 +183,6 @@ def trace_to_jsonl(trace: Trace) -> str:
 def _ref_from(data: dict) -> StageRef:
     kind = StageKind.from_name(data["kind"]) if data.get("kind") else None
     return StageRef(tuple(data["machine"]), kind)
-
-
-def _machine_from(data: dict) -> Machine:
-    return Machine(
-        id=data["id"],
-        name=data.get("name"),
-        stages=tuple(StageKind.from_name(k) for k in data["stages"]),
-        submachines=tuple(_machine_from(s) for s in data.get("submachines", [])),
-    )
-
-
-def model_from_obj(data: dict) -> TMModel:
-    if data.get("kind") != "model":
-        raise JSONFormatError("expected a model payload")
-    return TMModel(
-        machines=tuple(_machine_from(m) for m in data["machines"]),
-        flows=tuple(
-            FlowArc(
-                a["id"],
-                _ref_from(a["source"]),
-                _ref_from(a["target"]),
-                thing=a.get("thing"),
-                guard=a.get("guard"),
-                label=a.get("label"),
-                auto_id=a.get("auto_id", False),
-            )
-            for a in data["flows"]
-        ),
-        triggers=tuple(
-            TriggerArc(
-                a["id"],
-                _ref_from(a["source"]),
-                _ref_from(a["target"]),
-                guard=a.get("guard"),
-                label=a.get("label"),
-                auto_id=a.get("auto_id", False),
-            )
-            for a in data["triggers"]
-        ),
-        things=tuple(
-            ThingDecl(t["name"], tuple(tuple(a) for a in t["attributes"]))
-            for t in data["things"]
-        ),
-    )
-
-
-def regions_from_obj(data: dict) -> tuple[Region, ...]:
-    if data.get("kind") != "regions":
-        raise JSONFormatError("expected a regions payload")
-    return tuple(
-        Region(
-            id=r["id"],
-            body=Subdiagram(
-                frozenset(_ref_from(ref) for ref in r["stages"]),
-                frozenset(r["arcs"]),
-            ),
-            label=r.get("label", ""),
-        )
-        for r in data["regions"]
-    )
-
-
-def graph_from_obj(data: dict) -> BehaviorGraph:
-    if data.get("kind") != "behavior":
-        raise JSONFormatError("expected a behavior payload")
-    return BehaviorGraph(
-        events=tuple(
-            Event(
-                e["id"],
-                e["region"],
-                Interval(*e["interval"]) if e.get("interval") else None,
-            )
-            for e in data["events"]
-        ),
-        edges=tuple((src, dst) for src, dst in data["edges"]),
-        initial=tuple(data["initial"]),
-    )
 
 
 def trace_from_jsonl(text: str) -> Trace:

@@ -28,6 +28,7 @@ from .exprs import (
     LexError,
     Token,
     parse_tokens,
+    quote,
     tokenize,
     unquote,
 )
@@ -106,8 +107,7 @@ class _Parser:
         self.machine_ids: dict[str, SourceSpan] = {}
         self.thing_names: dict[str, SourceSpan] = {}
         self.arc_ids: dict[str, SourceSpan] = {}
-        self.auto_flow = 0
-        self.auto_trigger = 0
+        self.auto_ids = {"flow": 0, "trigger": 0}  # positional ids, per keyword
 
     # -- token helpers ---------------------------------------------------
     def peek(self) -> Token:
@@ -143,6 +143,24 @@ class _Parser:
         if StageKind.from_name(tok.value) is not None:
             self.fail(f"'{tok.value}' is a reserved stage name", tok)
         return tok
+
+    def expect_word(self, word: str, message: str | None = None) -> Token:
+        if not self.at_ident(word):
+            self.fail(message or f"expected '{word}'")
+        return self.take()
+
+    def expect_int(self, what: str) -> Token:
+        if not self.at("INT"):
+            self.fail(f"expected {what}")
+        return self.take()
+
+    def comma_list(self, item) -> None:
+        """``item (',' item)*``; each ``item`` keeps what it parsed, so a
+        failure part way keeps the items before it."""
+        item()
+        while self.at("SYM", ","):
+            self.take()
+            item()
 
     def skip_newlines(self):
         while self.at("NEWLINE"):
@@ -221,6 +239,12 @@ class _Parser:
             parts.append(self.take().value)
         return parts, toks
 
+    def machine_path(self, parts: list[str], toks: list[Token]) -> tuple[str, ...]:
+        for part, tok in zip(parts, toks):
+            if StageKind.from_name(part) is not None:
+                self.fail(f"'{part}' is a reserved stage name", tok)
+        return tuple(parts)
+
     def stage_ref(self) -> StageRef:
         parts, toks = self.dotted_path()
         kind = StageKind.from_name(parts[-1])
@@ -233,17 +257,10 @@ class _Parser:
             )
         if len(parts) == 1:
             self.fail("stage reference needs a machine path", toks[0])
-        for part, tok in zip(parts[:-1], toks[:-1]):
-            if StageKind.from_name(part) is not None:
-                self.fail(f"'{part}' is a reserved stage name", tok)
-        return StageRef(tuple(parts[:-1]), kind)
+        return StageRef(self.machine_path(parts[:-1], toks[:-1]), kind)
 
     def machine_ref(self) -> StageRef:
-        parts, toks = self.dotted_path()
-        for part, tok in zip(parts, toks):
-            if StageKind.from_name(part) is not None:
-                self.fail(f"'{part}' is a reserved stage name", tok)
-        return StageRef(tuple(parts), None)
+        return StageRef(self.machine_path(*self.dotted_path()), None)
 
     def expression(self, kind: str, stop_words: set[str], what: str) -> str:
         """Consume an expression's tokens, file its parse in ``exprs`` under
@@ -332,9 +349,9 @@ class _Parser:
             elif self.at_ident("machine"):
                 machines.append(self.machine_decl())
             elif self.at_ident("flow"):
-                flows.append(self.flow_stmt())
+                flows.append(self.arc_stmt())
             elif self.at_ident("trigger"):
-                triggers.append(self.trigger_stmt())
+                triggers.append(self.arc_stmt())
             elif self.at_ident("regions"):
                 regions.extend(self.regions_block())
             elif self.at_ident("behavior"):
@@ -390,20 +407,17 @@ class _Parser:
         stages: list[StageKind] = []
         submachines: list[Machine] = []
 
+        def stage():
+            tok = self.take()
+            kind = StageKind.from_name(tok.value) if tok.kind == "IDENT" else None
+            if kind is None:
+                self.fail(f"unknown stage '{tok.value}'", tok, code="UNKNOWN_STAGE")
+            stages.append(kind)
+
         def statement():
             if self.at_ident("stages"):
                 self.take()
-                while True:
-                    tok = self.take()
-                    kind = StageKind.from_name(tok.value) if tok.kind == "IDENT" else None
-                    if kind is None:
-                        self.fail(f"unknown stage '{tok.value}'", tok,
-                                  code="UNKNOWN_STAGE")
-                    stages.append(kind)
-                    if self.at("SYM", ","):
-                        self.take()
-                    else:
-                        break
+                self.comma_list(stage)
                 self.end_statement()
             elif self.at_ident("machine"):
                 submachines.append(self.machine_decl())
@@ -421,65 +435,44 @@ class _Parser:
             span=id_tok.span,
         )
 
-    def arc_id(self, prefix: str) -> tuple[str, bool, Token]:
-        """Optional `name:` prefix; otherwise a positional auto id."""
-        first = self.peek()
-        if (first.kind == "IDENT"
-                and self.tokens[self.pos + 1].kind == "SYM"
-                and self.tokens[self.pos + 1].value == ":"):
-            tok = self.expect_ident("arc id")
-            self.declare(self.arc_ids, tok, "arc id")
+    def arc_stmt(self) -> FlowArc | TriggerArc:
+        """``flow`` or ``trigger``, an optional ``name:`` (otherwise a
+        positional id per keyword), then the two ends."""
+        kw = self.take()
+        flow = kw.value == "flow"
+        after = self.tokens[self.pos + 1] if self.at("IDENT") else None
+        if after is not None and after.kind == "SYM" and after.value == ":":
+            id_tok = self.expect_ident("arc id")
+            self.declare(self.arc_ids, id_tok, "arc id")
             self.expect_sym(":")
-            return tok.value, False, tok
-        if prefix == "f":
-            self.auto_flow += 1
-            return f"_f{self.auto_flow}", True, first
-        self.auto_trigger += 1
-        return f"_t{self.auto_trigger}", True, first
-
-    def flow_stmt(self) -> FlowArc:
-        kw = self.take()  # flow
-        arc_id, auto, id_tok = self.arc_id("f")
-        first = self.peek()
-        # Look ahead past the dotted path for '=>' (sugared) vs '->'.
-        save = self.pos
-        self.dotted_path()
-        sugared = self.at("SYM", "=>")
-        self.pos = save
-        if sugared:
-            source = self.machine_ref()
-            self.expect_sym("=>")
-            target = self.machine_ref()
+            arc_id, auto = id_tok.value, False
         else:
-            source = self.stage_ref()
-            self.expect_sym("->")
-            target = self.stage_ref()
+            self.auto_ids[kw.value] += 1
+            arc_id, auto = f"_{kw.value[0]}{self.auto_ids[kw.value]}", True
+        first = self.peek()
+        sugared = False
+        if flow:  # look ahead past the dotted path for '=>' (sugared) vs '->'
+            save = self.pos
+            self.dotted_path()
+            sugared = self.at("SYM", "=>")
+            self.pos = save
+        end = self.machine_ref if sugared else self.stage_ref
+        source = end()
+        self.expect_sym("=>" if sugared else "->")
+        target = end()
         if source == target:
-            self.fail("flow source and target are the same stage", first,
+            self.fail(f"{kw.value} source and target are the same stage", first,
                       code="SELF_LOOP")
         thing = None
-        if self.at_ident("on"):
+        if flow and self.at_ident("on"):
             self.take()
             thing = self.expect_ident("thing name").value
         guard = self.guard_clause({"label"})
         label = self.label_clause()
         self.end_statement()
-        return FlowArc(arc_id, source, target, thing=thing, guard=guard,
-                       label=label, auto_id=auto, span=kw.span)
-
-    def trigger_stmt(self) -> TriggerArc:
-        kw = self.take()  # trigger
-        arc_id, auto, _ = self.arc_id("t")
-        first = self.peek()
-        source = self.stage_ref()
-        self.expect_sym("->")
-        target = self.stage_ref()
-        if source == target:
-            self.fail("trigger source and target are the same stage", first,
-                      code="SELF_LOOP")
-        guard = self.guard_clause({"label"})
-        label = self.label_clause()
-        self.end_statement()
+        if flow:
+            return FlowArc(arc_id, source, target, thing=thing, guard=guard,
+                           label=label, auto_id=auto, span=kw.span)
         return TriggerArc(arc_id, source, target, guard=guard, label=label,
                           auto_id=auto, span=kw.span)
 
@@ -490,9 +483,7 @@ class _Parser:
         seen: dict[str, SourceSpan] = {}
 
         def region():
-            if not self.at_ident("region"):
-                self.fail("expected 'region'")
-            self.take()
+            self.expect_word("region")
             id_tok = self.expect_ident("region id")
             self.declare(seen, id_tok, "region id")
             label = self.string_value() if self.at("STRING") else ""
@@ -502,21 +493,11 @@ class _Parser:
             def statement():
                 if self.at_ident("stages"):
                     self.take()
-                    while True:
-                        stages.append(self.stage_ref())
-                        if self.at("SYM", ","):
-                            self.take()
-                        else:
-                            break
+                    self.comma_list(lambda: stages.append(self.stage_ref()))
                     self.end_statement()
                 elif self.at_ident("arcs"):
                     self.take()
-                    while True:
-                        arcs.append(self.expect_ident("arc id").value)
-                        if self.at("SYM", ","):
-                            self.take()
-                        else:
-                            break
+                    self.comma_list(lambda: arcs.append(self.expect_ident("arc id").value))
                     self.end_statement()
                 else:
                     self.fail(f"unexpected '{self.peek().value}' in region body")
@@ -549,19 +530,13 @@ class _Parser:
                 self.take()
                 id_tok = self.expect_ident("event id")
                 self.declare(seen, id_tok, "event id")
-                if not self.at_ident("region"):
-                    self.fail("expected 'region' in event declaration")
-                self.take()
+                self.expect_word("region", "expected 'region' in event declaration")
                 region_id = self.expect_ident("region id").value
                 interval = None
                 if self.at_ident("interval"):
                     self.take()
-                    if not self.at("INT"):
-                        self.fail("expected interval start")
-                    start = int(self.take().value)
-                    if not self.at("INT"):
-                        self.fail("expected interval duration")
-                    dur_tok = self.take()
+                    start = int(self.expect_int("interval start").value)
+                    dur_tok = self.expect_int("interval duration")
                     duration = int(dur_tok.value)
                     if duration < 1:
                         self.fail("interval duration must be >= 1", dur_tok)
@@ -575,12 +550,7 @@ class _Parser:
                 edges.append((src, dst))
             elif self.at_ident("initial"):
                 self.take()
-                while True:
-                    initial.append(self.expect_ident("event id").value)
-                    if self.at("SYM", ","):
-                        self.take()
-                    else:
-                        break
+                self.comma_list(lambda: initial.append(self.expect_ident("event id").value))
             else:
                 self.fail(f"unexpected '{self.peek().value}' in behavior body")
             self.end_statement()
@@ -592,9 +562,7 @@ class _Parser:
     # -- scenarios --------------------------------------------------------
     def parse_scenario(self) -> Scenario:
         self.skip_newlines()
-        if not self.at_ident("scenario"):
-            self.fail("expected 'scenario'")
-        self.take()
+        self.expect_word("scenario")
         name = self.expect_ident("scenario name").value
         policy = "deterministic"
         seed = 0
@@ -615,22 +583,17 @@ class _Parser:
                     self.fail("policy is 'deterministic' or 'seeded-random'", tok)
                 if tok.value == "seeded":
                     self.expect_sym("-")
-                    if not self.at_ident("random"):
-                        self.fail("policy is 'deterministic' or 'seeded-random'")
-                    self.take()
+                    self.expect_word("random",
+                                     "policy is 'deterministic' or 'seeded-random'")
                     policy = "seeded-random"
                 else:
                     policy = "deterministic"
             elif self.at_ident("seed"):
                 self.take()
-                if not self.at("INT"):
-                    self.fail("expected seed value")
-                seed = int(self.take().value)
+                seed = int(self.expect_int("seed value").value)
             elif self.at_ident("max_steps"):
                 self.take()
-                if not self.at("INT"):
-                    self.fail("expected step count")
-                tok = self.take()
+                tok = self.expect_int("step count")
                 max_steps = int(tok.value)
                 if max_steps < 1:
                     self.fail("max_steps must be >= 1", tok)
@@ -639,21 +602,13 @@ class _Parser:
                 self.take()
                 step = None
                 if injected:
-                    if not self.at("INT"):
-                        self.fail("expected injection step")
-                    step = int(self.take().value)
-                    if not self.at_ident("token"):
-                        self.fail("expected 'token'")
-                    self.take()
+                    step = int(self.expect_int("injection step").value)
+                    self.expect_word("token")
                 id_tok = self.expect_ident("token id")
                 self.declare(token_ids, id_tok, "token id")
-                if not self.at_ident("of"):
-                    self.fail("expected 'of'")
-                self.take()
+                self.expect_word("of")
                 thing = self.expect_ident("thing name").value
-                if not self.at_ident("at"):
-                    self.fail("expected 'at'")
-                self.take()
+                self.expect_word("at")
                 at = self.stage_ref()
                 attrs = self.attrs_block() if self.at("SYM", "{") else {}
                 seed_tok = TokenSeed(id_tok.value, thing, at, attrs)
@@ -664,9 +619,7 @@ class _Parser:
             elif self.at_ident("mint"):
                 self.take()
                 at = self.stage_ref()
-                if not self.at_ident("of"):
-                    self.fail("expected 'of'")
-                self.take()
+                self.expect_word("of")
                 thing = self.expect_ident("thing name").value
                 attrs = self.attrs_block() if self.at("SYM", "{") else {}
                 mints.append((at, thing, attrs))
@@ -679,9 +632,7 @@ class _Parser:
                 actions.append((at, text))
             elif self.at_ident("stop"):
                 self.take()
-                if not self.at_ident("when"):
-                    self.fail("expected 'when'")
-                self.take()
+                self.expect_word("when")
                 stop = self.expression("guard", set(), "bad stop condition")
             else:
                 self.fail(f"unexpected '{self.peek().value}' in scenario")
@@ -743,10 +694,6 @@ def parse_scenario(text: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # Canonical serializer
 
-def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def _thing_lines(thing: ThingDecl) -> str:
     if not thing.attributes:
         return f"thing {thing.name}"
@@ -758,7 +705,7 @@ def _machine_lines(machine: Machine, indent: int, out: list[str]):
     pad = "  " * indent
     head = f"{pad}machine {machine.id}"
     if machine.name is not None:
-        head += f" {_quote(machine.name)}"
+        head += f" {quote(machine.name)}"
     out.append(head + " {")
     if machine.stages:
         stages = ", ".join(kind.value for kind in machine.stages)
@@ -779,14 +726,14 @@ def _arc_line(keyword: str, arc: FlowArc | TriggerArc) -> str:
     if arc.guard is not None:
         line += f" when {arc.guard}"
     if arc.label is not None:
-        line += f" label {_quote(arc.label)}"
+        line += f" label {quote(arc.label)}"
     return line
 
 
 def _region_lines(region: Region, out: list[str]):
     head = f"  region {region.id}"
     if region.label:
-        head += f" {_quote(region.label)}"
+        head += f" {quote(region.label)}"
     out.append(head + " {")
     if region.body.stages:
         refs = sorted(region.body.stages, key=StageRef.sort_key)
@@ -794,6 +741,20 @@ def _region_lines(region: Region, out: list[str]):
     if region.body.arcs:
         out.append("    arcs " + ", ".join(sorted(region.body.arcs)))
     out.append("  }")
+
+
+def behavior_lines(graph: BehaviorGraph) -> list[str]:
+    """The statements of a behavior section: events, initial, edges."""
+    lines = []
+    for event in graph.events:
+        line = f"event {event.id} region {event.region}"
+        if event.interval is not None:
+            line += f" interval {event.interval.start} {event.interval.duration}"
+        lines.append(line)
+    if graph.initial:
+        lines.append("initial " + ", ".join(graph.initial))
+    lines.extend(f"edge {src} -> {dst}" for src, dst in graph.edges)
+    return lines
 
 
 def serialize(doc: Document | TMModel) -> str:
@@ -820,19 +781,8 @@ def serialize(doc: Document | TMModel) -> str:
         lines.append("}")
         sections.append(lines)
     if doc.behavior is not None:
-        graph = doc.behavior
-        lines = ["behavior {"]
-        for event in graph.events:
-            line = f"  event {event.id} region {event.region}"
-            if event.interval is not None:
-                line += f" interval {event.interval.start} {event.interval.duration}"
-            lines.append(line)
-        if graph.initial:
-            lines.append("  initial " + ", ".join(graph.initial))
-        for src, dst in graph.edges:
-            lines.append(f"  edge {src} -> {dst}")
-        lines.append("}")
-        sections.append(lines)
+        body = ["  " + line for line in behavior_lines(doc.behavior)]
+        sections.append(["behavior {", *body, "}"])
     if not sections:
         return "\n"
     return "\n\n".join("\n".join(lines) for lines in sections) + "\n"

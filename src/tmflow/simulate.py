@@ -8,7 +8,8 @@ the first enabled outgoing flow (declaration order, or a seeded uniform
 choice under the ``seeded-random`` policy).  A Process stage holds a
 token one extra step before its outgoing flows enable.  A trigger into
 a Create stage mints a new token from the scenario's mint seed for that
-stage; a trigger into any other stage enables that stage for the next
+stage (named ``{thing}_{serial}``, skipping serials whose id a scenario
+token declares); a trigger into any other stage enables that stage for the next
 step (tokens at a trigger-gated stage wait for that mark before moving
 out).  Tokens reaching a Transfer stage with no outgoing flow leave the
 system.
@@ -174,7 +175,9 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
 
     live: list[_Live] = []
     created = consumed = 0
-    minted_serial = 0
+    minted_serial = 0  # a minted token's id skips those the scenario declares
+    declared = {seed.id for seed in scenario.tokens}
+    declared.update(seed.id for _, seed in scenario.injections)
 
     def spawn(token: Token, stage: _Stage) -> None:
         nonlocal created
@@ -225,6 +228,8 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
                             )
                         thing, attrs = target.mint
                         minted_serial += 1
+                        while f"{thing}_{minted_serial}" in declared:
+                            minted_serial += 1
                         minted = Token(f"{thing}_{minted_serial}", thing,
                                        dict(attrs), target.ref, arrived=step)
                         spawn(minted, target)

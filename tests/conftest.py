@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,51 @@ def corpus_doc(name: str) -> tmflow.Document:
 
 def corpus_scenario(name: str) -> tmflow.Scenario:
     return tmflow.parse_scenario(corpus_text(name))
+
+
+def fuzz_texts():
+    """10 000 seeded texts: random characters, corpus prefixes, corpus
+    files with characters replaced, and shuffled corpus words."""
+    rng = random.Random(20260823)
+    seeds = [p.read_text(encoding="utf-8") for p in MODEL_FILES]
+    seeds += [p.read_text(encoding="utf-8") for p in SCENARIO_FILES]
+    alphabet = (
+        "abcdefghijklmnopqrstuvwxyz0123456789 \n\t"
+        '{}()[]<>.,;:=+-*/#"\'\\!@$%^&_~'
+    )
+    for i in range(10_000):
+        kind = i % 4
+        if kind == 0:
+            text = "".join(
+                rng.choice(alphabet) for _ in range(rng.randrange(0, 120))
+            )
+        elif kind == 1:
+            base = rng.choice(seeds)
+            cut = rng.randrange(0, len(base))
+            text = base[:cut]
+        elif kind == 2:
+            base = list(rng.choice(seeds))
+            for _ in range(rng.randrange(1, 8)):
+                pos = rng.randrange(0, len(base))
+                base[pos] = rng.choice(alphabet)
+            text = "".join(base)
+        else:
+            words = rng.choice(seeds).split()
+            rng.shuffle(words)
+            text = " ".join(words[: rng.randrange(0, 40)])
+        yield text
+
+
+def mutated_models():
+    """2 000 seeded corpus models, each with a few printable characters
+    replaced."""
+    rng = random.Random(7)
+    seeds = [p.read_text(encoding="utf-8") for p in MODEL_FILES]
+    for _ in range(2_000):
+        base = list(rng.choice(seeds))
+        for _ in range(rng.randrange(1, 6)):
+            base[rng.randrange(len(base))] = chr(rng.randrange(32, 127))
+        yield "".join(base)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,6 @@
 """End-to-end acceptance checks, one class per headline capability."""
 
 import json
-import random
 
 from tmflow import (
     chronologies,
@@ -21,7 +20,7 @@ from tmflow.cli import main
 from tmflow.dot import model_to_dot
 from tmflow.jsonio import trace_to_jsonl
 
-from conftest import CORPUS, MODEL_FILES, corpus_doc, corpus_scenario
+from conftest import CORPUS, MODEL_FILES, corpus_doc, corpus_scenario, mutated_models
 from test_behavior import brute_force_subdiagrams
 
 
@@ -166,13 +165,8 @@ class TestInvariants:
             assert parse(serialize(doc)) == doc, path.name
 
     def test_fuzzed_inputs_never_crash(self):
-        rng = random.Random(7)
-        seeds = [p.read_text(encoding="utf-8") for p in MODEL_FILES]
-        for _ in range(2_000):
-            base = list(rng.choice(seeds))
-            for _ in range(rng.randrange(1, 6)):
-                base[rng.randrange(len(base))] = chr(rng.randrange(32, 127))
-            parse_with_diagnostics("".join(base))
+        for text in mutated_models():
+            parse_with_diagnostics(text)
 
     def test_simulation_is_deterministic(self):
         pairs = [

@@ -392,3 +392,51 @@ class TestLexicalErrors:
                       "flow f1: a.Create -> a.Process on job when größe > 1\n")
         assert main(["check", model]) == 0
         assert capsys.readouterr().out == "ok\n"
+
+
+LOAD_COMMANDS = [
+    ["check"],
+    ["check", "--format", "json"],
+    ["events"],
+    ["events", "--bound", "2"],
+    ["behavior"],
+    ["export"],
+    ["export", "--format", "json"],
+    ["simulate", "SCENARIO"],
+]
+
+
+class TestLoadFailures:
+    """Every subcommand reports a model it cannot load once, with exit 2."""
+
+    @pytest.fixture(params=["missing", "undecodable", "malformed"])
+    def broken(self, request, tmp_path):
+        model = tmp_path / "m.tm"
+        if request.param == "missing":
+            reason = f"[Errno 2] No such file or directory: '{model}'"
+            return model, f"error[SYNTAX]: cannot read '{model}': {reason}"
+        if request.param == "undecodable":
+            model.write_bytes(b"machine a {\xff\n}\n")
+            reason = ("'utf-8' codec can't decode byte 0xff in position 11: "
+                      "invalid start byte")
+            return model, f"error[SYNTAX]: cannot read '{model}': {reason}"
+        model.write_text("machine a {\n  stages Create\n", encoding="utf-8")
+        return model, "3:1: error[SYNTAX]: expected '}'"
+
+    @pytest.mark.parametrize("command", LOAD_COMMANDS, ids=" ".join)
+    def test_load_failure(self, command, broken, capsys):
+        model, message = broken
+        rest = [corpus("mousetrap.tms") if a == "SCENARIO" else a for a in command[1:]]
+        assert main([command[0], str(model), *rest]) == 2
+        out, err = capsys.readouterr()
+        if "--format" in command and command[0] == "check":
+            payload = json.loads(out)
+            assert payload["ok"] is False
+            [diag] = payload["diagnostics"]
+            span = diag["span"]
+            where = f"{span['line']}:{span['column']}: " if span else ""
+            assert f"{where}{diag['severity']}[{diag['code']}]: {diag['message']}" == message
+            assert err == ""
+        else:
+            assert out == ""
+            assert err == message + "\n"

@@ -12,7 +12,6 @@ from tmflow import (
     TraceMeta,
     TraceRecord,
     desugar,
-    infer_behavior,
     parse,
     simulate,
 )
@@ -20,11 +19,7 @@ from tmflow.dot import behavior_to_dot, model_to_dot
 from tmflow.jsonio import (
     JSONFormatError,
     dumps,
-    graph_from_obj,
-    graph_to_obj,
-    model_from_obj,
     model_to_obj,
-    regions_from_obj,
     regions_to_obj,
     report_to_obj,
     trace_from_jsonl,
@@ -95,25 +90,6 @@ class TestDot:
 
 
 class TestJsonRoundTrip:
-    @pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: p.name)
-    def test_model(self, path):
-        model = parse(path.read_text(encoding="utf-8")).model
-        assert model_from_obj(json.loads(dumps(model_to_obj(model)))) == model
-
-    @pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: p.name)
-    def test_regions(self, path):
-        regions = parse(path.read_text(encoding="utf-8")).regions
-        restored = regions_from_obj(json.loads(dumps(regions_to_obj(regions))))
-        assert restored == regions
-
-    def test_behavior_graph(self, stack):
-        graph = infer_behavior(stack.model, stack.regions)
-        assert graph_from_obj(json.loads(dumps(graph_to_obj(graph)))) == graph
-
-    def test_declared_graph_with_intervals(self, one_lane):
-        graph = one_lane.behavior
-        assert graph_from_obj(json.loads(dumps(graph_to_obj(graph)))) == graph
-
     def test_trace(self):
         doc = corpus_doc("formula.tm")
         trace = simulate(desugar(doc.model), corpus_scenario("formula.tms"))
@@ -141,7 +117,7 @@ class TestJsonRoundTrip:
 
     def test_wrong_kind_rejected(self, mousetrap):
         with pytest.raises(JSONFormatError):
-            model_from_obj(regions_to_obj(mousetrap.regions))
+            trace_from_jsonl(json.dumps(regions_to_obj(mousetrap.regions)))
         with pytest.raises(JSONFormatError):
             trace_from_jsonl("")
 

@@ -190,6 +190,22 @@ class TestStepSemantics:
         with pytest.raises(UnseededCreateError):
             simulate(doc.model, scenario)
 
+    @pytest.mark.parametrize("declare, minted", [
+        ("token mousein_1 of smell at bait.Create", ["mousein_2", "shutsig_3"]),
+        ("token s of smell at bait.Create\n"
+         "  inject 1 token mousein_1 of smell at bait.Create",
+         ["mousein_2", "mousein_3", "shutsig_4", "shutsig_5"]),
+    ])
+    def test_minted_ids_skip_declared_token_ids(self, declare, minted):
+        doc = corpus_doc("mousetrap.tm")
+        text = corpus_text("mousetrap.tms").replace(
+            "token s of smell at bait.Create", declare)
+        trace = simulate(doc.model, parse_scenario(text))
+        assert [r.token for r in trace.records if r.arc in ("t1", "t2")] == minted
+        declared = {r.token for r in trace.records if r.arc == "f1"}
+        assert "mousein_1" in declared
+        assert declared.isdisjoint(r.token for r in trace.records if r.arc == "f6")
+
     def test_step_limit_flagged(self):
         doc = corpus_doc("formula.tm")
         scenario = corpus_scenario("formula.tms")
