@@ -17,17 +17,21 @@ Expression grammar (no boolean connectives, by design):
     stmts   := stmt (";" stmt)*
 
 Expressions are parsed from tokens, which a file's parser hands over
-from its one lex of the file.  Identifiers name attributes of the token
-under evaluation.  Values are integers or text; mixing the two in an
-operator raises GuardTypeError, as does referencing an attribute the
-token does not carry.
+from its one lex of the file.  ``compile_guard`` and ``compile_actions``
+turn a parsed guard or action list into one Python callable over a
+token's attributes, built from closures (no source text is generated);
+a caller compiles each expression once and calls it per evaluation.
+Identifiers name attributes of the token under evaluation.  Values are
+integers or text; mixing the two in an operator raises GuardTypeError,
+as does referencing an attribute the token does not carry.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .diagnostics import SourceSpan
 
@@ -303,43 +307,114 @@ def names(node) -> set[str]:
     return set()
 
 
-def eval_expr(node: Expr, attrs: dict[str, Value]) -> Value:
+# ---------------------------------------------------------------------------
+# Compiled evaluation
+#
+# A guard or an action list compiles once into nested closures over its
+# AST (no text is generated or evaluated).  Evaluation order and errors
+# are the same for every form: a sum evaluates its left operand, then
+# its right, then tests both for ``int``; a comparison evaluates both
+# sides, then (for an ordering) tests that their types are the same.
+# Only a literal's own type is decided when compiling: an attribute
+# value is tested each time, since nothing yet checks that a token's
+# values have their declared kinds.
+
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _missing(ident: str) -> GuardTypeError:
+    return GuardTypeError(f"token has no attribute '{ident}'")
+
+
+def _unordered(left: Value, right: Value) -> GuardTypeError:
+    return GuardTypeError(
+        f"cannot order {type(left).__name__} against {type(right).__name__}")
+
+
+def _compile_expr(node: Expr) -> Callable[[dict[str, Value]], Value]:
     if isinstance(node, Lit):
-        return node.value
+        value = node.value
+        return lambda attrs: value
     if isinstance(node, Name):
-        if node.ident not in attrs:
-            raise GuardTypeError(f"token has no attribute '{node.ident}'")
-        return attrs[node.ident]
+        ident = node.ident
+
+        def name(attrs):
+            try:
+                return attrs[ident]
+            except KeyError:
+                raise _missing(ident) from None
+        return name
     if isinstance(node, BinOp):
-        left = eval_expr(node.left, attrs)
-        right = eval_expr(node.right, attrs)
-        if not isinstance(left, int) or not isinstance(right, int):
-            raise GuardTypeError(f"operator '{node.op}' needs integer operands")
-        return left + right if node.op == "+" else left - right
-    raise GuardTypeError(f"cannot evaluate {node!r}")
+        return _compile_sum(node)
+
+    def unknown(attrs):
+        raise GuardTypeError(f"cannot evaluate {node!r}")
+    return unknown
+
+
+def _compile_sum(node: BinOp) -> Callable[[dict[str, Value]], int]:
+    left, right = _compile_expr(node.left), _compile_expr(node.right)
+    combine = operator.add if node.op == "+" else operator.sub
+    message = f"operator '{node.op}' needs integer operands"
+    if isinstance(node.right, Lit) and isinstance(node.right.value, int):
+        value = node.right.value
+
+        def int_literal_operand(attrs):
+            operand = left(attrs)
+            if isinstance(operand, int):
+                return combine(operand, value)
+            raise GuardTypeError(message)
+        return int_literal_operand
+
+    def operands(attrs):
+        a, b = left(attrs), right(attrs)
+        if isinstance(a, int) and isinstance(b, int):
+            return combine(a, b)
+        raise GuardTypeError(message)
+    return operands
+
+
+def compile_guard(node: Cmp) -> Callable[[dict[str, Value]], bool]:
+    """A guard as one callable over a token's attributes: its truth, or
+    the GuardTypeError the comparison or its operands raise."""
+    compare = _COMPARE[node.op]
+    ordering = node.op not in ("=", "!=")
+    if isinstance(node.left, Name) and isinstance(node.right, Lit):
+        # The dominant shape, ``name op literal``, in one closure.
+        ident, value = node.left.ident, node.right.value
+        kind = type(value)
+
+        def attribute_test(attrs):
+            try:
+                a = attrs[ident]
+            except KeyError:
+                raise _missing(ident) from None
+            if ordering and type(a) is not kind:
+                raise _unordered(a, value)
+            return compare(a, value)
+        return attribute_test
+    left, right = _compile_expr(node.left), _compile_expr(node.right)
+
+    def test(attrs):
+        a, b = left(attrs), right(attrs)
+        if ordering and type(a) is not type(b):
+            raise _unordered(a, b)
+        return compare(a, b)
+    return test
+
+
+def compile_actions(stmts: list[Assign]) -> Callable[[dict[str, Value]], None]:
+    """Assignments as one callable that applies them left to right,
+    mutating the attribute mapping."""
+    steps = [(stmt.name, _compile_expr(stmt.expr)) for stmt in stmts]
+
+    def run(attrs):
+        for name, expr in steps:
+            attrs[name] = expr(attrs)
+    return run
 
 
 def eval_guard(node: Cmp, attrs: dict[str, Value]) -> bool:
-    left = eval_expr(node.left, attrs)
-    right = eval_expr(node.right, attrs)
-    if node.op == "=":
-        return left == right
-    if node.op == "!=":
-        return left != right
-    if type(left) is not type(right):
-        raise GuardTypeError(
-            f"cannot order {type(left).__name__} against {type(right).__name__}"
-        )
-    if node.op == "<":
-        return left < right
-    if node.op == "<=":
-        return left <= right
-    if node.op == ">":
-        return left > right
-    return left >= right
-
-
-def exec_statements(stmts: list[Assign], attrs: dict[str, Value]) -> None:
-    """Apply assignments left to right, mutating the attribute mapping."""
-    for stmt in stmts:
-        attrs[stmt.name] = eval_expr(stmt.expr, attrs)
+    """A guard's truth on one token's attributes, compiled for this call."""
+    return compile_guard(node)(attrs)

@@ -152,24 +152,28 @@ def trace_to_jsonl(trace: Trace) -> str:
             for t in trace.final_tokens
         ],
     }
-    # A record line is joined from fragments encoded once per distinct arc
-    # (its id and stages) and token id, keys in sorted order: the bytes of
-    # ``json.dumps`` of the record's dict with ``sort_keys=True``.  Arcs are
-    # looked up by id while the stages are the same objects, as records
+    # A record line is joined from fragments, keys in sorted order: the
+    # bytes of ``json.dumps`` of the record's dict with ``sort_keys=True``.
+    # An arc's fragments (its id and stages) are built once and found by
+    # its id while the record's stages are the same objects, as records
     # share their arc's stages and hashing a StageRef costs more than the
-    # rest of the line.
+    # rest of the line.  Building them encodes each stage once, found by
+    # value, as arcs share stages; each token id is encoded once.
     arcs: dict[str, tuple[StageRef, StageRef, str, str]] = {}
+    stages: dict[StageRef, str] = {}
     tokens: dict[str, str] = {}
     lines = [json.dumps(header, sort_keys=True)]
     for r in trace.records:
         arc = arcs.get(r.arc)
         if arc is None or arc[0] is not r.source or arc[1] is not r.target:
+            for ref in (r.source, r.target):
+                if ref not in stages:
+                    stages[ref] = json.dumps(_ref(ref), sort_keys=True)
             arc = arcs[r.arc] = (
                 r.source,
                 r.target,
-                f'{{"arc": {json.dumps(r.arc)}, '
-                f'"source": {json.dumps(_ref(r.source), sort_keys=True)}, "step": ',
-                f', "target": {json.dumps(_ref(r.target), sort_keys=True)}, "token": ',
+                f'{{"arc": {json.dumps(r.arc)}, "source": {stages[r.source]}, "step": ',
+                f', "target": {stages[r.target]}, "token": ',
             )
         token = tokens.get(r.token)
         if token is None:

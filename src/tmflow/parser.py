@@ -319,9 +319,12 @@ class _Parser:
         self.expect_sym("{")
         self.skip_newlines()
         while not self.at("SYM", "}"):
-            name = self.expect_ident("attribute name").value
+            name_tok = self.expect_ident("attribute name")
+            if name_tok.value in attrs:
+                self.fail(f"duplicate attribute '{name_tok.value}'",
+                          name_tok, code="DUP_ID")
             self.expect_sym("=")
-            attrs[name] = self.literal_value()
+            attrs[name_tok.value] = self.literal_value()
             if self.at("SYM", ","):
                 self.take()
             self.skip_newlines()

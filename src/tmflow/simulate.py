@@ -14,30 +14,28 @@ step (tokens at a trigger-gated stage wait for that mark before moving
 out).  Tokens reaching a Transfer stage with no outgoing flow leave the
 system.
 
-``simulate`` builds one plan per stage before the first step (its flows
-with their parsed guards and target plans, its triggers, hold, gate,
-actions, and whether a token there leaves) and steps only the tokens
-still in the system, in creation order.  Neither changes the semantics
-above: a plan is what the loop would otherwise look up each step, and a
-token that left does nothing in any later step.
+``simulate`` compiles each distinct guard text of the model, each
+stage's action list and the stop condition once (``exprs.compile_guard``
+and ``compile_actions``), and builds one plan per stage before the first
+step: its flows with their compiled guards and target plans, its
+triggers, hold, gate, actions, and whether a token there leaves.  It
+then steps only the tokens still in the system, in creation order; a
+token at a stage with one outgoing flow tests that flow's guard alone.
+None of this changes the semantics above: a plan is what the loop would
+otherwise look up each step, a compiled guard gives the value or the
+GuardTypeError its AST gives, and a token that left does nothing in any
+later step.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .behavior import BehaviorGraph, Interval, Region
 from .diagnostics import ValidationReport, error
-from .exprs import (
-    Assign,
-    Cmp,
-    ExprTable,
-    GuardTypeError,
-    Value,
-    eval_guard,
-    exec_statements,
-)
+from .exprs import ExprTable, GuardTypeError, Value, compile_actions, compile_guard
 from .model import FlowArc, StageKind, StageRef, TMModel, TriggerArc, link
 
 
@@ -82,7 +80,7 @@ class Scenario:
     _exprs: ExprTable = field(default_factory=ExprTable, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     step: int
     arc: str
@@ -106,22 +104,25 @@ class Trace:
     meta: TraceMeta = TraceMeta()
 
 
+Guard = Callable[[dict[str, Value]], bool]
+
+
 class _Stage:
     """The plan of one stage in one ``simulate`` run."""
 
     __slots__ = ("ref", "hold", "gated", "leaves", "actions", "mint",
                  "flows", "triggers")
 
-    def __init__(self, ref: StageRef, actions: list[Assign] | None,
+    def __init__(self, ref: StageRef, actions: Callable[[dict], None] | None,
                  mint: tuple[str, dict] | None):
         self.ref = ref
         self.hold = 2 if ref.kind == StageKind.PROCESS else 1
         self.gated = False  # a trigger into it marks it for one step
         self.leaves = ref.kind == StageKind.TRANSFER  # until a flow leaves it
-        self.actions = actions
+        self.actions = actions  # the stage's compiled action list
         self.mint = mint  # (thing, attrs) the scenario mints here
-        self.flows: list[tuple[FlowArc, Cmp | None, _Stage]] = []
-        self.triggers: list[tuple[TriggerArc, Cmp | None, _Stage]] = []
+        self.flows: list[tuple[FlowArc, Guard | None, _Stage]] = []
+        self.triggers: list[tuple[TriggerArc, Guard | None, _Stage]] = []
 
 
 class _Live:
@@ -140,19 +141,23 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
     Sugared arcs are expanded first; raises ModelError if an arc or a
     scenario stage does not resolve."""
     linked = link(model).require()
-    guards = {arc.guard: linked.model._exprs.ast("guard", arc.guard)
-              for arc in linked.arcs() if arc.guard is not None}
+    guards: dict[str, Guard] = {}
+    for arc in linked.arcs():
+        if arc.guard is not None and arc.guard not in guards:
+            guards[arc.guard] = compile_guard(linked.model._exprs.ast("guard", arc.guard))
 
     mints = {
         linked.normalize(ref): (thing, dict(attrs))
         for ref, thing, attrs in scenario.mints
     }
-    actions: dict[StageRef, list[Assign]] = {}
+    statements: dict[StageRef, list] = {}
     for ref, text in scenario.actions:
-        actions.setdefault(linked.normalize(ref), []).extend(
+        statements.setdefault(linked.normalize(ref), []).extend(
             scenario._exprs.ast("action", text)
         )
-    stop_guard = scenario._exprs.ast("guard", scenario.stop) if scenario.stop else None
+    actions = {ref: compile_actions(stmts) for ref, stmts in statements.items()}
+    stop_guard = (compile_guard(scenario._exprs.ast("guard", scenario.stop))
+                  if scenario.stop else None)
     seeded = scenario.policy == "seeded-random"
     rng = random.Random(scenario.seed)
 
@@ -184,7 +189,7 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
         live.append(_Live(token, stage))
         created += 1
         if stage.actions:
-            exec_statements(stage.actions, token.attrs)
+            stage.actions(token.attrs)
 
     def inject(seed: TokenSeed, step: int) -> None:
         stage = plan(linked.normalize(seed.at))
@@ -218,7 +223,7 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
             if step == token.arrived + 1 and not token.fired:
                 token.fired = True
                 for trig, guard, target in stage.triggers:
-                    if guard is not None and not eval_guard(guard, token.attrs):
+                    if guard is not None and not guard(token.attrs):
                         continue
                     if target.ref.kind == StageKind.CREATE:
                         if target.mint is None:
@@ -253,16 +258,20 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
                 continue
             if stage.gated and stage not in enabled_now:
                 continue
-            enabled_flows = [
-                flow for flow in stage.flows
-                if flow[1] is None or eval_guard(flow[1], token.attrs)
-            ]
-            if not enabled_flows:
-                continue
-            if seeded and len(enabled_flows) > 1:
-                arc, _, target = enabled_flows[rng.randrange(len(enabled_flows))]
+            flows = stage.flows
+            if len(flows) == 1:  # no choice to make: test its guard alone
+                arc, guard, target = flows[0]
+                if guard is not None and not guard(token.attrs):
+                    continue
             else:
-                arc, _, target = enabled_flows[0]
+                enabled_flows = [flow for flow in flows
+                                 if flow[1] is None or flow[1](token.attrs)]
+                if not enabled_flows:
+                    continue
+                if seeded and len(enabled_flows) > 1:
+                    arc, _, target = enabled_flows[rng.randrange(len(enabled_flows))]
+                else:
+                    arc, _, target = enabled_flows[0]
             records.append(
                 TraceRecord(step, arc.id, token.id, arc.source, arc.target)
             )
@@ -271,7 +280,7 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
             token.fired = False
             entry.stage = target
             if target.actions:
-                exec_statements(target.actions, token.attrs)
+                target.actions(token.attrs)
 
         if left:
             live[:] = [entry for entry in live if entry.token.at is not None]
@@ -297,11 +306,11 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
     )
 
 
-def _stops(stop_guard: Cmp, token: Token) -> bool:
+def _stops(stop_guard: Guard, token: Token) -> bool:
     """Whether the stop condition holds for a token (not where it cannot
     be evaluated on the token's attributes)."""
     try:
-        return eval_guard(stop_guard, token.attrs)
+        return stop_guard(token.attrs)
     except GuardTypeError:
         return False
 

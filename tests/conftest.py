@@ -1,4 +1,5 @@
 import random
+import runpy
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,13 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 MODEL_FILES = sorted(CORPUS.glob("*.tm"))
 SCENARIO_FILES = sorted(CORPUS.glob("*.tms"))
+
+
+def perfbench_gen() -> dict:
+    """The namespace of ``perfbench/gen.py``, the benchmark's seeded
+    model and scenario generator."""
+    return runpy.run_path(str(CORPUS.parent / "perfbench" / "gen.py"),
+                          run_name="perfbench_gen")
 
 
 def corpus_text(name: str) -> str:

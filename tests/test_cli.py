@@ -132,6 +132,15 @@ class TestSimulate:
         assert out == ""
         assert err == "3:18: error[DUP_ID]: duplicate token id 's'\n"
 
+    def test_duplicate_seed_attribute_exits_two(self, tmp_path, capsys):
+        scenario = write(tmp_path, "dup.tms",
+                         "scenario dup {\n"
+                         "  token s of smell at bait.Create { n = 1, n = 2 }\n}\n")
+        assert main(["simulate", corpus("mousetrap.tm"), scenario]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "2:44: error[DUP_ID]: duplicate attribute 'n'\n"
+
 
 class TestExport:
     def test_dot_default(self, capsys):

@@ -171,6 +171,26 @@ def test_trace_lines_escape_ids_like_json_dumps():
     assert all(line.isascii() for line in json_lines)
 
 
+def test_trace_lines_share_stage_fragments_by_value():
+    """Stages equal by value but distinct objects on different arcs, a
+    stage that is the source of one arc and the target of another, and
+    stages of one machine that differ only in kind."""
+    def ref(machine, kind):
+        return StageRef((machine,), kind)
+
+    a, b, c = ref("a", StageKind.RELEASE), ref("b", StageKind.TRANSFER), ref("c", None)
+    records = (
+        TraceRecord(1, "f1", "t", a, b),
+        TraceRecord(2, "f2", "t", ref("b", StageKind.TRANSFER), c),
+        TraceRecord(3, "f3", "u", ref("a", StageKind.RELEASE), ref("c", None)),
+        TraceRecord(4, "f1", "t", a, b),
+        TraceRecord(5, "f4", "t", c, a),
+        TraceRecord(6, "f5", 'x"', ref("a", None), ref("a", StageKind.TRANSFER)),
+        TraceRecord(7, "f4", "u", b, ref("a", StageKind.RELEASE)),
+    )
+    assert_lines_match(Trace(records))
+
+
 IDS = st.text(st.sampled_from('ab9"\\\u00e9\u6a5f\U0001f600 '), max_size=4)
 REFS = st.builds(StageRef, st.lists(IDS, min_size=1, max_size=3).map(tuple),
                  st.sampled_from([*StageKind, None]))

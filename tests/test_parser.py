@@ -320,6 +320,19 @@ class TestDiagnostics:
             f"3:{column}: error[DUP_ID]: duplicate token id 't'"
         ]
 
+    @pytest.mark.parametrize("statement", [
+        "token t of job at a.Create { n = 1, n = 2 }",
+        "inject 2 token t of job at a.Create { n = 1, n = 2 }",
+        "mint a.Create of job { n = 1, n = 2 }",
+    ])
+    def test_duplicate_seed_attribute(self, statement):
+        with pytest.raises(TMParseError) as exc:
+            parse_scenario(f"scenario s {{\n  {statement}\n}}\n")
+        column = statement.rindex("n =") + 3
+        assert [str(d) for d in exc.value.diagnostics] == [
+            f"2:{column}: error[DUP_ID]: duplicate attribute 'n'"
+        ]
+
     def test_decimal_digits_of_any_script(self):
         scenario = parse_scenario("scenario s {\n  seed \u0663\n}\n")
         assert scenario.seed == 3

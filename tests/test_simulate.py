@@ -1,3 +1,7 @@
+import sys
+from collections import Counter
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,15 +24,17 @@ from tmflow import (
     conformance,
     desugar,
     infer_behavior,
+    parse,
     parse_model,
     parse_scenario,
     segment,
     simulate,
 )
+from tmflow import exprs
 from tmflow.diagnostics import ValidationReport, error
 from tmflow.jsonio import trace_to_jsonl
 
-from conftest import corpus_doc, corpus_scenario, corpus_text
+from conftest import corpus_doc, corpus_scenario, corpus_text, perfbench_gen
 
 
 def run(model_name, scenario_name):
@@ -581,3 +587,105 @@ class TestOracles:
             records.append(TraceRecord(step, arc, "t", REF, REF))
         trace = Trace(records=tuple(records))
         assert segment(trace, regions) == reference_segment(trace, regions)
+
+
+# ---------------------------------------------------------------------------
+# Compiled plans: each expression is compiled once per run, before the
+# first step, and the step loop calls only what was compiled.
+
+def counting_compiles(monkeypatch) -> Counter:
+    """Count what ``simulate`` compiles ("guards", "actions") and the
+    calls of the guards it compiled ("calls"); "before first call" is
+    the number of guards compiled when the first one was called.  A
+    call of ``exprs.eval_guard`` fails the test."""
+    module = sys.modules["tmflow.simulate"]
+    counts = Counter()
+
+    def compile_guard(node):
+        counts["guards"] += 1
+        guard = exprs.compile_guard(node)
+
+        def counted(attrs):
+            if not counts["calls"]:
+                counts["before first call"] = counts["guards"]
+            counts["calls"] += 1
+            return guard(attrs)
+        return counted
+
+    def compile_actions(stmts):
+        counts["actions"] += 1
+        return exprs.compile_actions(stmts)
+
+    def eval_guard(node, attrs):
+        raise AssertionError("simulate evaluated a guard it had not compiled")
+
+    monkeypatch.setattr(module, "compile_guard", compile_guard)
+    monkeypatch.setattr(module, "compile_actions", compile_actions)
+    monkeypatch.setattr(exprs, "eval_guard", eval_guard)
+    return counts
+
+
+class TestCompiledPlans:
+    def test_each_guard_text_compiles_once(self, monkeypatch):
+        chain = perfbench_gen()["sim_tokens"](3)
+        doc, scenario = parse(chain.model), parse_scenario(chain.scenario)
+        texts = {arc.guard for arc in doc.model.arcs() if arc.guard is not None}
+        expected = simulate(doc.model, scenario)
+        counts = counting_compiles(monkeypatch)
+        assert simulate(doc.model, scenario) == expected
+        assert counts["guards"] == len(texts) == 56
+        assert counts["before first call"] == counts["guards"]
+        assert counts["actions"] == len({ref for ref, _ in scenario.actions}) == 16
+        assert counts["calls"] == 15_660  # what the AST interpreter evaluated
+
+    def test_stop_condition_and_action_lists_compile_once(self, monkeypatch):
+        scenario = parse_scenario(
+            "scenario s {\n  max_steps 50\n"
+            "  token a0 of acc at F.Create { sum = 0, i = 1, n = 3 }\n"
+            "  action F.Process { sum := sum + i }\n"
+            "  action F.Process { sum := sum + 0 }\n"
+            "  action F.Release { i := i + 1 }\n"
+            "  stop when sum >= 3\n}\n"
+        )
+        counts = counting_compiles(monkeypatch)
+        trace = simulate(corpus_doc("formula.tm").model, scenario)
+        assert trace.final_tokens[0].attrs["sum"] == 3
+        assert counts["guards"] == 3  # "i <= n", "i > n" and the stop condition
+        assert counts["actions"] == 2  # one per stage with actions
+        assert counts["before first call"] == 3
+
+    def test_work_grows_linearly_in_tokens(self, monkeypatch):
+        """Trace records and guard evaluations at 2N injected tokens are at
+        most about twice those at N.  (Counts, not timings, which are too
+        noisy on a shared machine.)"""
+        gen = perfbench_gen()
+        n = gen["SIM_TOKENS"]
+
+        def work(tokens):
+            monkeypatch.setitem(gen["sim_tokens"].__globals__, "SIM_TOKENS", tokens)
+            chain = gen["sim_tokens"](3)
+            counts = counting_compiles(monkeypatch)
+            trace = simulate(parse(chain.model).model, parse_scenario(chain.scenario))
+            assert len(trace.records) == len(chain.expected["records"])
+            return len(trace.records), counts["calls"], counts["guards"]
+
+        records_n, calls_n, guards_n = work(n)
+        records_2n, calls_2n, guards_2n = work(2 * n)
+        assert 1.9 <= records_2n / records_n <= 2.1
+        assert 1.9 <= calls_2n / calls_n <= 2.1
+        assert guards_2n == guards_n
+
+
+def test_trace_record_is_a_slotted_frozen_dataclass():
+    other = StageRef(("m", "n"), StageKind.TRANSFER)
+    record = TraceRecord(1, "f", "t", REF, other)
+    twin = TraceRecord(1, "f", "t", StageRef(("m",), StageKind.CREATE), other)
+    assert record == twin and hash(record) == hash(twin)
+    assert record != replace(record, step=2)
+    assert replace(record, token="u") == TraceRecord(1, "f", "u", REF, other)
+    assert [f.name for f in fields(record)] == ["step", "arc", "token", "source", "target"]
+    assert repr(record) == (f"TraceRecord(step=1, arc='f', token='t', "
+                            f"source={REF!r}, target={other!r})")
+    with pytest.raises(FrozenInstanceError):
+        record.step = 2
+    assert not hasattr(record, "__dict__")
