@@ -5,7 +5,15 @@ Process, Release, Receive, Transfer), statically validate the flows,
 group stages into regions and events, infer or check a behavior graph,
 run token simulations, and segment the resulting traces back into event
 occurrences for conformance checking.
+
+Only the modules that ``tm check`` runs are imported with the package.
+The names of ``simulate`` (the simulator, its scenario and trace types,
+segmentation and conformance) load it on first access.
 """
+
+import importlib
+import sys
+from types import ModuleType
 
 from .behavior import (
     BehaviorGraph,
@@ -52,23 +60,25 @@ from .parser import (
     parse_with_diagnostics,
     serialize,
 )
-from .simulate import (
-    Occurrence,
-    Scenario,
-    Segmentation,
-    Token,
-    TokenSeed,
-    Trace,
-    TraceMeta,
-    TraceRecord,
-    UnseededCreateError,
-    conformance,
-    segment,
-    simulate,
-)
 from .validate import reachable_stages, validate
 
 __version__ = "0.1.0"
+
+# Served by ``__getattr__`` from ``simulate``, which loads on first access.
+_SIMULATE_NAMES = frozenset({
+    "Occurrence",
+    "Scenario",
+    "Segmentation",
+    "Token",
+    "TokenSeed",
+    "Trace",
+    "TraceMeta",
+    "TraceRecord",
+    "UnseededCreateError",
+    "conformance",
+    "segment",
+    "simulate",
+})
 
 __all__ = [
     "BehaviorGraph",
@@ -128,3 +138,30 @@ __all__ = [
     "validate",
     "validate_behavior",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _SIMULATE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Not ``from . import simulate``: that would look the name up here again.
+    value = getattr(importlib.import_module(__name__ + ".simulate"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SIMULATE_NAMES)
+
+
+class _Package(ModuleType):
+    """The package, whose ``simulate`` stays the function: importing the
+    submodule ``tmflow.simulate`` would otherwise bind its name here to
+    the module."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "simulate" and isinstance(value, ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

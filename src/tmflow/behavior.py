@@ -30,6 +30,8 @@ class BoundTooLarge(Exception):
 
 @dataclass(frozen=True)
 class Subdiagram:
+    """A set of stages and arcs of a model."""
+
     stages: frozenset[StageRef]
     arcs: frozenset[str]
 
@@ -47,6 +49,8 @@ class Subdiagram:
 
 @dataclass(frozen=True)
 class Region:
+    """A named subdiagram: the part of the model one event runs in."""
+
     id: str
     body: Subdiagram
     label: str = ""
@@ -54,12 +58,16 @@ class Region:
 
 @dataclass(frozen=True)
 class Interval:
+    """A start step and a duration (at least 1) of an event."""
+
     start: int
     duration: int  # >= 1
 
 
 @dataclass(frozen=True)
 class Event:
+    """A behavior-graph vertex: a region, with an optional interval."""
+
     id: str
     region: str
     interval: Interval | None = None
@@ -67,6 +75,8 @@ class Event:
 
 @dataclass(frozen=True)
 class BehaviorGraph:
+    """Events, the edges between them, and the initial events."""
+
     events: tuple[Event, ...]
     edges: tuple[tuple[str, str], ...]
     initial: tuple[str, ...]

@@ -11,6 +11,10 @@ Subcommands::
 Exit codes: 0 success (warnings allowed), 1 semantic failure, 2 syntax
 failure.  A ``MODEL.tmb`` sidecar next to ``MODEL.tm`` is merged
 automatically.  Set ``TM_COLOR=never`` to disable ANSI colors.
+
+Each subcommand imports what it runs: ``simulate`` only for ``tm
+simulate``, ``jsonio`` (and ``json``) only for ``--format json``, and
+``dot`` only for DOT output.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import dot, jsonio
 from .behavior import (
     BoundTooLarge,
     NoInitialEvents,
@@ -42,7 +45,6 @@ from .parser import (
     parse_scenario,
     parse_with_diagnostics,
 )
-from .simulate import UnseededCreateError, conformance, segment, simulate
 from .validate import validate
 
 EXIT_OK = 0
@@ -120,6 +122,7 @@ def _cmd_check(args, doc: Document | None, report: ValidationReport) -> int:
         report.extend(_full_check(doc, args.mode))
         code = EXIT_OK if report.ok else EXIT_SEMANTIC
     if args.format == "json":
+        from . import jsonio
         _write_output(jsonio.dumps(jsonio.report_to_obj(report)), args.out)
     else:
         _print_report(report, sys.stderr if code else sys.stdout)
@@ -148,6 +151,7 @@ def _cmd_events(args, doc: Document, report: ValidationReport) -> int:
     region_report = check_regions(doc.model, doc.regions)
     report.extend(region_report)
     if args.format == "json":
+        from . import jsonio
         payload = jsonio.regions_to_obj(doc.regions)
         payload["report"] = jsonio.report_to_obj(report)
         _write_output(jsonio.dumps(payload), args.out)
@@ -183,8 +187,10 @@ def _cmd_behavior(args, doc: Document, report: ValidationReport) -> int:
 
     _print_report(report, sys.stderr)
     if args.format == "dot":
+        from . import dot
         _write_output(dot.behavior_to_dot(graph), args.out)
     elif args.format == "json":
+        from . import jsonio
         _write_output(jsonio.dumps(jsonio.graph_to_obj(graph)), args.out)
     else:
         _write_output("\n".join(behavior_lines(graph)) + "\n", args.out)
@@ -192,6 +198,8 @@ def _cmd_behavior(args, doc: Document, report: ValidationReport) -> int:
 
 
 def _cmd_simulate(args, doc: Document, report: ValidationReport) -> int:
+    from .simulate import UnseededCreateError, conformance, segment, simulate
+
     try:
         scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
@@ -216,6 +224,7 @@ def _cmd_simulate(args, doc: Document, report: ValidationReport) -> int:
         return EXIT_SEMANTIC
 
     if args.format == "json":
+        from . import jsonio
         _write_output(jsonio.trace_to_jsonl(trace), args.out)
         return EXIT_OK
 
@@ -257,8 +266,10 @@ def _cmd_simulate(args, doc: Document, report: ValidationReport) -> int:
 
 def _cmd_export(args, doc: Document, report: ValidationReport) -> int:
     if args.format == "json":
+        from . import jsonio
         _write_output(jsonio.dumps(jsonio.model_to_obj(doc.model)), args.out)
     else:
+        from . import dot
         _write_output(dot.model_to_dot(doc.model, name=Path(args.model).stem), args.out)
     return EXIT_OK
 

@@ -16,6 +16,8 @@ class SourceSpan:
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """One error or warning, with its code and optional source span."""
+
     severity: str  # "error" | "warning"
     code: str
     message: str
@@ -38,6 +40,8 @@ def warning(code: str, message: str, span: SourceSpan | None = None) -> Diagnost
 
 @dataclass
 class ValidationReport:
+    """The diagnostics of one check, in the order found."""
+
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     @property

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .diagnostics import SourceSpan
@@ -47,37 +46,70 @@ class GuardTypeError(Exception):
 Value = int | str
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Value
+class _Node:
+    """An AST record: plain slots (defining and building one costs less
+    than a dataclass), equal to a node of its own class with equal fields,
+    hashed by its fields, and shown as ``Lit(value=1)``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
+class Lit(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "+" | "-"
-    left: "Expr"
-    right: "Expr"
+class Name(_Node):
+    __slots__ = ("ident",)
+
+    def __init__(self, ident: str):
+        self.ident = ident
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # "=" "!=" "<" "<=" ">" ">="
-    left: "Expr"
-    right: "Expr"
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op = op  # "+" | "-"
+        self.left = left
+        self.right = right
+
+
+class Cmp(_Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op = op  # "=" "!=" "<" "<=" ">" ">="
+        self.left = left
+        self.right = right
 
 
 Expr = Lit | Name | BinOp
 
 
-@dataclass(frozen=True)
-class Assign:
-    name: str
-    expr: Expr
+class Assign(_Node):
+    __slots__ = ("name", "expr")
+
+    def __init__(self, name: str, expr: Expr):
+        self.name = name
+        self.expr = expr
 
 
 # ---------------------------------------------------------------------------

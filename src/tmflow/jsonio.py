@@ -1,6 +1,7 @@
 """JSON export of models, region sets, behavior graphs, reports and
 traces, and import of traces.  All payloads carry a top-level ``schema: 1``
-marker; traces use JSON lines (header line, then one record per line)."""
+marker; traces use JSON lines (header line, then one record per line).
+Only ``trace_from_jsonl`` loads ``simulate``, for the trace types."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ import json
 from .behavior import BehaviorGraph
 from .diagnostics import ValidationReport
 from .model import FlowArc, Machine, StageKind, StageRef, TMModel, TriggerArc
-from .simulate import Token, Trace, TraceMeta, TraceRecord
 
 SCHEMA = 1
 
@@ -190,6 +190,8 @@ def _ref_from(data: dict) -> StageRef:
 
 
 def trace_from_jsonl(text: str) -> Trace:
+    from .simulate import Token, Trace, TraceMeta, TraceRecord
+
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise JSONFormatError("empty trace")

@@ -89,6 +89,8 @@ class StageRef:
 
 @dataclass(frozen=True)
 class Machine:
+    """A machine: its stages and nested submachines."""
+
     id: str
     name: str | None = None
     stages: tuple[StageKind, ...] = ()
@@ -98,6 +100,8 @@ class Machine:
 
 @dataclass(frozen=True)
 class FlowArc:
+    """A solid arc: a thing flowing from one stage to another."""
+
     id: str
     source: StageRef
     target: StageRef
@@ -114,6 +118,8 @@ class FlowArc:
 
 @dataclass(frozen=True)
 class TriggerArc:
+    """A dashed arc: a stage triggering another stage."""
+
     id: str
     source: StageRef
     target: StageRef
@@ -125,6 +131,8 @@ class TriggerArc:
 
 @dataclass(frozen=True)
 class ThingDecl:
+    """A declared thing and its typed attributes."""
+
     name: str
     attributes: tuple[tuple[str, str], ...] = ()  # (name, "int" | "text")
     span: SourceSpan | None = field(default=None, compare=False)
@@ -135,6 +143,8 @@ class ThingDecl:
 
 @dataclass(frozen=True)
 class TMModel:
+    """A static model: machines, flow and trigger arcs, and things."""
+
     machines: tuple[Machine, ...] = ()
     flows: tuple[FlowArc, ...] = ()
     triggers: tuple[TriggerArc, ...] = ()

@@ -13,7 +13,8 @@ per model).
 
 The same grammar also covers ``regions`` and ``behavior`` sections
 (inline in a ``.tm`` file or alone in a ``.tmb`` sidecar) and scenario
-files (``.tms``).
+files (``.tms``); the first scenario parsed loads ``simulate``, which
+defines the scenario types.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .model import (
     TMModel,
     TriggerArc,
 )
-from .simulate import Scenario, TokenSeed
 
 
 class TMParseError(Exception):
@@ -564,6 +564,8 @@ class _Parser:
 
     # -- scenarios --------------------------------------------------------
     def parse_scenario(self) -> Scenario:
+        from .simulate import Scenario, TokenSeed
+
         self.skip_newlines()
         self.expect_word("scenario")
         name = self.expect_ident("scenario name").value

@@ -36,7 +36,16 @@ from typing import Callable
 from .behavior import BehaviorGraph, Interval, Region
 from .diagnostics import ValidationReport, error
 from .exprs import ExprTable, GuardTypeError, Value, compile_actions, compile_guard
-from .model import FlowArc, StageKind, StageRef, TMModel, TriggerArc, link
+from .model import (
+    FlowArc,
+    Linked,
+    ModelError,
+    StageKind,
+    StageRef,
+    TMModel,
+    TriggerArc,
+    link,
+)
 
 
 class UnseededCreateError(Exception):
@@ -45,6 +54,8 @@ class UnseededCreateError(Exception):
 
 @dataclass(frozen=True)
 class TokenSeed:
+    """A token a scenario places at a stage, with its attributes."""
+
     id: str
     thing: str
     at: StageRef
@@ -56,6 +67,8 @@ class TokenSeed:
 
 @dataclass
 class Token:
+    """A token in a run: its thing, attributes, stage and arrival step."""
+
     id: str
     thing: str
     attrs: dict[str, Value]
@@ -66,6 +79,8 @@ class Token:
 
 @dataclass(frozen=True)
 class Scenario:
+    """What a run starts from and how it chooses, steps and stops."""
+
     name: str = "scenario"
     policy: str = "deterministic"  # or "seeded-random"
     seed: int = 0
@@ -82,6 +97,8 @@ class Scenario:
 
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
+    """One move of a token along an arc at one step."""
+
     step: int
     arc: str
     token: str
@@ -91,6 +108,9 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class TraceMeta:
+    """How a run ended: steps used, whether the limit cut it, and the
+    tokens created and consumed."""
+
     steps_used: int = 0
     step_limit_hit: bool = False
     created: int = 0
@@ -99,6 +119,8 @@ class TraceMeta:
 
 @dataclass(frozen=True)
 class Trace:
+    """The records of a run, its final tokens and its counts."""
+
     records: tuple[TraceRecord, ...] = ()
     final_tokens: tuple[Token, ...] = ()
     meta: TraceMeta = TraceMeta()
@@ -139,7 +161,8 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
     """Run the model under a scenario; deterministic given (scenario, seed).
 
     Sugared arcs are expanded first; raises ModelError if an arc or a
-    scenario stage does not resolve."""
+    scenario stage does not resolve, or if the model declares things and
+    a scenario token or mint is of none of them."""
     linked = link(model).require()
     guards: dict[str, Guard] = {}
     for arc in linked.arcs():
@@ -196,6 +219,7 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
         spawn(Token(seed.id, seed.thing, dict(seed.attrs), stage.ref, arrived=step),
               stage)
 
+    _check_placements(model, linked, scenario)
     for seed in scenario.tokens:
         inject(seed, 0)
 
@@ -306,6 +330,24 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
     )
 
 
+def _check_placements(model: TMModel, linked: Linked, scenario: Scenario) -> None:
+    """Raise ModelError for a scenario token whose stage does not resolve
+    and then, where the model declares things, for a token or mint of a
+    thing it does not declare (a model that declares none leaves tokens
+    untyped)."""
+    seeds = [*scenario.tokens, *(seed for _, seed in scenario.injections)]
+    for seed in seeds:
+        linked.normalize(seed.at)
+    if not model.things:
+        return
+    things = {decl.name for decl in model.things}
+    placed = [(f"token '{seed.id}'", seed.thing) for seed in seeds]
+    placed += [(f"mint at {ref}", thing) for ref, thing, _ in scenario.mints]
+    for what, thing in placed:
+        if thing not in things:
+            raise ModelError(f"scenario {what} is of undeclared thing '{thing}'")
+
+
 def _stops(stop_guard: Guard, token: Token) -> bool:
     """Whether the stop condition holds for a token (not where it cannot
     be evaluated on the token's attributes)."""
@@ -320,12 +362,16 @@ def _stops(stop_guard: Guard, token: Token) -> bool:
 
 @dataclass(frozen=True)
 class Occurrence:
+    """One run of trace records inside one region."""
+
     region: str
     interval: Interval
 
 
 @dataclass(frozen=True)
 class Segmentation:
+    """The occurrences of a trace, and notes on records left out."""
+
     occurrences: tuple[Occurrence, ...]
     notes: tuple[str, ...] = ()
 

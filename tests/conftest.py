@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 import runpy
 from pathlib import Path
@@ -5,6 +7,15 @@ from pathlib import Path
 import pytest
 
 import tmflow
+
+# Every submodule, loaded once per session before any test: the package
+# loads ``simulate``, ``jsonio`` and ``dot`` only when a caller needs them,
+# and a helper that patches a name in every loaded tmflow module (as
+# ``test_linked.count_guard_parses`` does) must see the same modules
+# whatever ran before it.  A module first loaded while a patch is in
+# place would keep the patched function for the rest of the session.
+for _module in pkgutil.iter_modules(tmflow.__path__):
+    importlib.import_module(f"tmflow.{_module.name}")
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 

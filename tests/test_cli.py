@@ -141,6 +141,19 @@ class TestSimulate:
         assert out == ""
         assert err == "2:44: error[DUP_ID]: duplicate attribute 'n'\n"
 
+    def test_token_of_undeclared_thing_exits_one(self, tmp_path, capsys):
+        model = write(tmp_path, "job.tm",
+                      "thing job { n: int }\n"
+                      "machine a { stages Create, Process }\n"
+                      "flow f1: a.Create -> a.Process on job\n")
+        scenario = write(tmp_path, "ghost.tms",
+                         "scenario s {\n  token t of ghost at a.Create { n = 1 }\n}\n")
+        assert main(["simulate", model, scenario]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error[SIMULATION]: scenario token 't' is of undeclared "
+                       "thing 'ghost'\n")
+
 
 class TestExport:
     def test_dot_default(self, capsys):

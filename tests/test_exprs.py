@@ -218,3 +218,21 @@ def test_guard_type_error_messages(text, attrs, message):
 def test_the_interpreter_is_gone():
     assert not hasattr(exprs, "eval_expr")
     assert not hasattr(exprs, "exec_statements")
+
+
+def test_ast_records_keep_the_dataclass_behaviour():
+    """The AST nodes are plain slotted classes: shown, compared and
+    hashed as the frozen dataclasses they replaced."""
+    node = parse_guard('n + 1 >= "x"')
+    assert repr(node) == ("Cmp(op='>=', left=BinOp(op='+', left=Name(ident='n'), "
+                          "right=Lit(value=1)), right=Lit(value='x'))")
+    assert repr(parse_statements("a := -b")) == (
+        "[Assign(name='a', expr=BinOp(op='-', left=Lit(value=0), right=Name(ident='b')))]")
+    assert node == Cmp(">=", BinOp("+", Name("n"), Lit(1)), Lit(value="x"))
+    assert node != Cmp(">", BinOp("+", Name("n"), Lit(1)), Lit("x"))
+    assert Lit("x") != Name("x") and Name("x") != Lit("x")
+    assert Assign("x", Lit(1)) != ("x", Lit(1))
+    assert hash(Lit(1)) == hash((1,)) and hash(node) == hash(parse_guard('n + 1 >= "x"'))
+    assert len({Lit(1), Lit(1), Name("n"), Name("n")}) == 2
+    for record in (Lit(1), Name("n"), BinOp("+", Lit(1), Lit(2)), node, Assign("a", Lit(1))):
+        assert not hasattr(record, "__dict__")

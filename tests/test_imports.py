@@ -1,18 +1,37 @@
-"""Every name a library module imports is used in it.
+"""What the library imports, and when.
 
-No linter ships with the toolchain, so this walks each module's syntax
-tree: a name bound by ``import`` or ``from ... import`` must be read
-somewhere in the module (annotations count).  ``__init__.py`` is exempt,
-as its imports are re-exports.
+No linter ships with the toolchain, so the first checks walk each
+module's syntax tree: a name bound by ``import`` or ``from ... import``
+must be read somewhere in the module (annotations count; ``__init__.py``
+is exempt, as its imports are re-exports), and the modules that ``tm
+check`` runs import no output or simulation module when they load.
+
+The rest run fresh interpreters: each ``tm`` command loads only the
+modules it runs, and the package's lazy ``simulate`` names resolve to
+the same objects whatever was imported first.
 """
 
 import ast
+import dataclasses
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tmflow
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "tmflow"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = SRC.parent.parent
+
+# The modules ``tm check`` loads, and what none of them may load eagerly.
+CHECK_PATH = ["__init__", "diagnostics", "exprs", "model", "behavior", "parser",
+              "validate", "cli"]
+DEFERRED = {"json", ".simulate", ".jsonio", ".dot"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,6 +47,31 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def module_level_imports(source: str) -> set[str]:
+    """The modules a source imports when it loads: outside any function
+    or class body.  A module of this package is named ``.name``."""
+    found: set[str] = set()
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level and node.module is None:  # from . import a, b
+                found.update("." + alias.name for alias in node.names)
+            elif node.level:
+                found.add("." + node.module)
+            elif node.module.startswith("tmflow."):
+                found.add(node.module[len("tmflow"):])
+            else:
+                found.add(node.module)
+        else:
+            pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -39,3 +83,158 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("from __future__ import annotations\n"
                           "from json import JSONDecoder\n"
                           "def f(x: JSONDecoder) -> None: ...\n") == []
+    assert unused_imports("def f():\n    from . import jsonio\n    return jsonio\n") == []
+
+
+@pytest.mark.parametrize("name", CHECK_PATH)
+def test_check_path_defers_output_and_simulation(name):
+    source = (SRC / f"{name}.py").read_text(encoding="utf-8")
+    assert module_level_imports(source) & DEFERRED == set()
+
+
+def test_the_check_sees_a_module_level_import():
+    source = ("import json\n"
+              "from . import dot, model\n"
+              "from .simulate import simulate\n"
+              "if True:\n"
+              "    from .jsonio import dumps\n"
+              "try:\n"
+              "    import tmflow.behavior\n"
+              "except ImportError:\n"
+              "    pass\n"
+              "def f():\n"
+              "    from . import jsonio\n"
+              "class C:\n"
+              "    import random\n")
+    assert module_level_imports(source) == {
+        "json", ".dot", ".model", ".simulate", ".jsonio", "tmflow.behavior"}
+    assert module_level_imports(source) & DEFERRED == {
+        "json", ".dot", ".simulate", ".jsonio"}
+
+
+# ---------------------------------------------------------------------------
+# Fresh interpreters
+
+def fresh(code: str, *argv: str) -> str:
+    """Standard output of ``code`` run by a new interpreter from the
+    repository root, with this tree's ``src`` first on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent), TM_COLOR="never")
+    run = subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+# Runs one `tm` command, its output sent to stderr, then lists the modules.
+FOOTPRINT = """\
+import sys
+from tmflow import cli
+sys.stdout = sys.stderr
+cli.main(sys.argv[1:])
+print("\\n".join(sorted(sys.modules)), file=sys.__stdout__)
+"""
+
+
+def loaded_by(*argv: str) -> set[str]:
+    return set(fresh(FOOTPRINT, *argv).split())
+
+
+@pytest.mark.parametrize("model", ["corpus/mousetrap.tm", "corpus/stack.tm"])
+@pytest.mark.parametrize("command", [["check"], ["events"], ["events", "--bound", "3"],
+                                     ["behavior"], ["export", "--format", "dot"]],
+                         ids=" ".join)
+def test_model_commands_load_no_simulation_or_json(command, model):
+    loaded = loaded_by(command[0], model, *command[1:])
+    assert {"tmflow.cli", "tmflow.validate"} <= loaded
+    assert loaded & {"tmflow.simulate", "tmflow.jsonio", "json"} == set()
+
+
+def test_check_as_json_loads_no_simulation():
+    loaded = loaded_by("check", "corpus/mousetrap.tm", "--format", "json")
+    assert {"tmflow.jsonio", "json"} <= loaded
+    assert "tmflow.simulate" not in loaded
+
+
+def test_simulate_as_text_loads_no_json_or_dot():
+    loaded = loaded_by("simulate", "corpus/mousetrap.tm", "corpus/mousetrap.tms")
+    assert "tmflow.simulate" in loaded
+    assert loaded & {"json", "tmflow.jsonio", "tmflow.dot"} == set()
+
+
+# The public names, as they were when every re-export was eager.
+PUBLIC = [
+    "BehaviorGraph", "BoundTooLarge", "CROSS_MACHINE_FLOWS", "Diagnostic", "Document",
+    "Event", "ExprSyntaxError", "FlowArc", "GuardTypeError", "Interval", "Machine",
+    "ModelError", "NoInitialEvents", "Occurrence", "Region", "RegionCheckFailed",
+    "SAME_MACHINE_FLOWS", "Scenario", "Segmentation", "SourceSpan", "StageKind",
+    "StageNotDeclaredError", "StageRef", "Subdiagram", "ThingDecl", "TMModel",
+    "TMParseError", "Token", "TokenSeed", "Trace", "TraceMeta", "TraceRecord",
+    "TriggerArc", "UnknownMachineError", "UnseededCreateError", "ValidationReport",
+    "check_regions", "chronologies", "conformance", "desugar", "enumerate_subdiagrams",
+    "flow_allowed", "infer_behavior", "merge_documents", "normalize_ref", "parse",
+    "parse_model", "parse_scenario", "parse_with_diagnostics", "reachable_stages",
+    "resolve", "segment", "serialize", "simulate", "validate", "validate_behavior",
+]
+
+# Imports tmflow one way first, then checks the public API; prints "ok".
+PUBLIC_API = """\
+import sys, types
+{first}
+import tmflow
+from tmflow import simulate as imported
+assert tmflow.__all__ == {public!r}, tmflow.__all__
+assert callable(tmflow.simulate) and callable(tmflow.validate)
+assert not isinstance(tmflow.simulate, types.ModuleType)
+assert tmflow.simulate is sys.modules["tmflow.simulate"].simulate
+assert tmflow.validate is sys.modules["tmflow.validate"].validate
+assert imported is tmflow.simulate
+for name in tmflow.__all__:
+    assert getattr(tmflow, name) is not None, name
+assert set(tmflow.__all__) <= set(dir(tmflow))
+namespace = {{}}
+exec("from tmflow import *", namespace)
+assert set(tmflow.__all__) <= set(namespace), set(tmflow.__all__) - set(namespace)
+assert namespace["simulate"] is tmflow.simulate
+try:
+    tmflow.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'tmflow' has no attribute 'no_such_name'", exc
+else:
+    raise AssertionError("no AttributeError")
+import tmflow.simulate
+assert callable(tmflow.simulate) and tmflow.simulate is namespace["simulate"]
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("first", [
+    "import tmflow.cli",
+    "import tmflow.jsonio",
+    "import tmflow\n"
+    "tmflow.parse_scenario('scenario s {\\n  token t of job at a.Create\\n}\\n')",
+    "from tmflow.simulate import Trace",
+    "",
+], ids=["cli", "jsonio", "parse_scenario", "simulate module", "package"])
+def test_public_api_after_any_first_import(first):
+    assert fresh(PUBLIC_API.format(first=first, public=PUBLIC)) == "ok\n"
+
+
+def test_public_api_in_this_process():
+    assert tmflow.__all__ == PUBLIC
+    assert tmflow.Scenario is sys.modules["tmflow.simulate"].Scenario
+    assert callable(tmflow.simulate)
+    with pytest.raises(AttributeError, match="^module 'tmflow' has no attribute 'nope'$"):
+        tmflow.nope
+
+
+def test_every_dataclass_has_a_docstring():
+    """``dataclass`` builds a missing docstring from ``inspect.signature``
+    when it defines the class, a cost paid on every import."""
+    undocumented = []
+    for info in pkgutil.iter_modules(tmflow.__path__):
+        module = importlib.import_module(f"tmflow.{info.name}")
+        for value in vars(module).values():
+            if (dataclasses.is_dataclass(value) and value.__module__ == module.__name__
+                    and value.__doc__.startswith(f"{value.__name__}(")):
+                undocumented.append(value.__qualname__)
+    assert undocumented == []

@@ -10,6 +10,7 @@ from tmflow import (
     BehaviorGraph,
     Event,
     Interval,
+    ModelError,
     Occurrence,
     Region,
     Scenario,
@@ -35,6 +36,11 @@ from tmflow.diagnostics import ValidationReport, error
 from tmflow.jsonio import trace_to_jsonl
 
 from conftest import corpus_doc, corpus_scenario, corpus_text, perfbench_gen
+
+
+JOB_MODEL = ("thing job { n: int }\n"
+             "machine a { stages Create, Process }\n"
+             "flow f1: a.Create -> a.Process on job\n")
 
 
 def run(model_name, scenario_name):
@@ -236,6 +242,39 @@ class TestStepSemantics:
         [token] = trace.final_tokens
         assert token.attrs["sum"] == 3
         assert trace.meta.steps_used < 17
+
+    @pytest.mark.parametrize("placement, message", [
+        ("token t of ghost at a.Create { n = 1 }",
+         "scenario token 't' is of undeclared thing 'ghost'"),
+        ("token j of job at a.Create { n = 1 }\n  inject 2 token t of ghost at a.Create",
+         "scenario token 't' is of undeclared thing 'ghost'"),
+        ("token j of job at a.Create { n = 1 }\n  mint a.Create of ghost { n = 2 }",
+         "scenario mint at a.Create is of undeclared thing 'ghost'"),
+    ], ids=["token", "inject", "mint"])
+    def test_undeclared_thing_is_refused_before_the_first_step(self, placement, message,
+                                                               monkeypatch):
+        model = parse_model(JOB_MODEL)
+        scenario = parse_scenario(f"scenario s {{\n  {placement}\n}}\n")
+        counts = counting_compiles(monkeypatch)
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            simulate(model, scenario)
+        assert counts["calls"] == 0
+
+    def test_unresolved_stage_is_reported_before_the_thing(self):
+        model = parse_model(JOB_MODEL)
+        scenario = parse_scenario("scenario s {\n"
+                                  "  token j of job at a.Create\n"
+                                  "  inject 5 token t of ghost at nowhere.Create\n}\n")
+        with pytest.raises(ModelError, match="^no machine matches path 'nowhere'$"):
+            simulate(model, scenario)
+
+    def test_a_model_without_things_runs_tokens_of_any_thing(self):
+        model = parse_model(JOB_MODEL.replace("thing job { n: int }\n", ""))
+        scenario = parse_scenario("scenario s {\n"
+                                  "  token t of ghost at a.Create { n = 1 }\n"
+                                  "  mint a.Create of phantom\n}\n")
+        trace = simulate(model, scenario)
+        assert [(r.step, r.arc, r.token) for r in trace.records] == [(1, "f1", "t")]
 
     def test_deterministic_policy_picks_first_declared_flow(self):
         model = parse_model(
