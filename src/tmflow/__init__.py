@@ -64,22 +64,6 @@ from .validate import reachable_stages, validate
 
 __version__ = "0.1.0"
 
-# Served by ``__getattr__`` from ``simulate``, which loads on first access.
-_SIMULATE_NAMES = frozenset({
-    "Occurrence",
-    "Scenario",
-    "Segmentation",
-    "Token",
-    "TokenSeed",
-    "Trace",
-    "TraceMeta",
-    "TraceRecord",
-    "UnseededCreateError",
-    "conformance",
-    "segment",
-    "simulate",
-})
-
 __all__ = [
     "BehaviorGraph",
     "BoundTooLarge",
@@ -138,6 +122,10 @@ __all__ = [
     "validate",
     "validate_behavior",
 ]
+
+# The names the imports above do not bind: ``__getattr__`` serves them
+# from ``simulate``, which loads on first access.
+_SIMULATE_NAMES = frozenset(__all__).difference(globals())
 
 
 def __getattr__(name: str):

@@ -224,9 +224,15 @@ def check_regions(model: TMModel, regions: list[Region] | tuple[Region, ...]) ->
     return report
 
 
-def _boundary_edges(
-    linked: Linked, stage_map: dict[StageRef, str], regions
-) -> list[tuple[str, str]]:
+def _bound_regions(
+    model: TMModel, regions: list[Region] | tuple[Region, ...]
+) -> tuple[Linked, dict[StageRef, str], list[tuple[str, str]]]:
+    """The linked model, the stage -> region map and the boundary edges
+    (region order) of a region set; RegionCheckFailed if it fails."""
+    linked = link(model).require()
+    report, stage_map = _linked_regions(linked, regions)
+    if not report.ok:
+        raise RegionCheckFailed(report)
     order = {region.id: i for i, region in enumerate(regions)}
     found: set[tuple[str, str]] = set()
     for arc in linked.arcs():
@@ -234,7 +240,7 @@ def _boundary_edges(
         tgt = stage_map.get(arc.target)
         if src is not None and tgt is not None and src != tgt:
             found.add((src, tgt))
-    return sorted(found, key=lambda e: (order[e[0]], order[e[1]]))
+    return linked, stage_map, sorted(found, key=lambda e: (order[e[0]], order[e[1]]))
 
 
 def infer_behavior(model: TMModel, regions: list[Region] | tuple[Region, ...]) -> BehaviorGraph:
@@ -245,11 +251,7 @@ def infer_behavior(model: TMModel, regions: list[Region] | tuple[Region, ...]) -
     events are those whose region holds a Create stage that no arc from
     another region feeds.
     """
-    linked = link(model).require()
-    report, stage_map = _linked_regions(linked, regions)
-    if not report.ok:
-        raise RegionCheckFailed(report)
-    edges = _boundary_edges(linked, stage_map, regions)
+    linked, stage_map, edges = _bound_regions(model, regions)
 
     incoming_cross: dict[StageRef, set[str]] = {}
     for arc in linked.arcs():
@@ -282,15 +284,13 @@ def validate_behavior(
     duration(Ei)).  Inferred edges absent from the declaration are
     warnings.
     """
-    linked = link(model).require()
-    report, stage_map = _linked_regions(linked, regions)
-    if not report.ok:
-        raise RegionCheckFailed(report)
+    _, _, edges = _bound_regions(model, regions)
     if mode not in ("overlap", "strict"):
         raise ValueError(f"unknown interval mode '{mode}'")
 
     report = ValidationReport()
     region_ids = {region.id for region in regions}
+    events = {event.id: event for event in reversed(declared.events)}  # first wins
     event_region: dict[str, str] = {}
     for event in declared.events:
         if event.region not in region_ids:
@@ -302,13 +302,13 @@ def validate_behavior(
             event_region[event.id] = event.region
 
     for event_id in declared.initial:
-        if declared.event_by_id(event_id) is None:
+        if event_id not in events:
             report.diagnostics.append(
                 error("UNKNOWN_REGION",
                       f"initial event '{event_id}' is not declared")
             )
 
-    supported = set(_boundary_edges(linked, stage_map, regions))
+    supported = set(edges)
     declared_pairs = set()
     for src, dst in declared.edges:
         if src not in event_region or dst not in event_region:
@@ -325,8 +325,7 @@ def validate_behavior(
                 error("UNSUPPORTED_EDGE",
                       f"edge {src} -> {dst} has no supporting boundary arc")
             )
-        ei = declared.event_by_id(src)
-        ej = declared.event_by_id(dst)
+        ei, ej = events[src], events[dst]
         if ei.interval is not None and ej.interval is not None:
             required = ei.interval.start
             if mode == "strict":

@@ -34,7 +34,7 @@ from .behavior import (
     infer_behavior,
     validate_behavior,
 )
-from .diagnostics import Diagnostic, ValidationReport, error
+from .diagnostics import ValidationReport, error
 from .exprs import ExprSyntaxError, GuardTypeError
 from .model import ModelError, StageRef
 from .parser import (
@@ -59,25 +59,31 @@ def _use_color(stream) -> bool:
     return hasattr(stream, "isatty") and stream.isatty()
 
 
-def _render_diagnostic(diag: Diagnostic, color: bool) -> str:
-    text = str(diag)
+def _report_lines(report: ValidationReport, color: bool) -> list[str]:
+    """The report's lines, tinted by severity when ``color`` is set."""
     if not color:
-        return text
-    tint = "\x1b[31m" if diag.severity == "error" else "\x1b[33m"
-    return f"{tint}{text}\x1b[0m"
+        return [str(diag) for diag in report.diagnostics]
+    return [("\x1b[31m" if diag.severity == "error" else "\x1b[33m") + f"{diag}\x1b[0m"
+            for diag in report.diagnostics]
 
 
 def _print_report(report: ValidationReport, stream) -> None:
-    color = _use_color(stream)
-    for diag in report.diagnostics:
-        print(_render_diagnostic(diag, color), file=stream)
+    for line in _report_lines(report, _use_color(stream)):
+        print(line, file=stream)
+
+
+class _CannotWrite(Exception):
+    """An ``--out`` file that cannot be written."""
 
 
 def _write_output(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write '{out}': {exc}") from exc
 
 
 def _load_document(path_text: str) -> tuple[Document | None, ValidationReport]:
@@ -124,10 +130,12 @@ def _cmd_check(args, doc: Document | None, report: ValidationReport) -> int:
     if args.format == "json":
         from . import jsonio
         _write_output(jsonio.dumps(jsonio.report_to_obj(report)), args.out)
+    elif code:
+        _print_report(report, sys.stderr)
     else:
-        _print_report(report, sys.stderr if code else sys.stdout)
-        if code == EXIT_OK:
-            print("ok" if not report.diagnostics else "ok (with warnings)")
+        lines = _report_lines(report, not args.out and _use_color(sys.stdout))
+        lines.append("ok (with warnings)" if report.diagnostics else "ok")
+        _write_output("\n".join(lines) + "\n", args.out)
     return code
 
 
@@ -156,15 +164,15 @@ def _cmd_events(args, doc: Document, report: ValidationReport) -> int:
         payload["report"] = jsonio.report_to_obj(report)
         _write_output(jsonio.dumps(payload), args.out)
     else:
-        _print_report(report, sys.stderr if not report.ok else sys.stdout)
-        for region in doc.regions:
-            refs = sorted(region.body.stages, key=StageRef.sort_key)
-            print(
-                f"region {region.id}: "
-                f"{len(refs)} stages, {len(region.body.arcs)} arcs"
-            )
-        if not doc.regions:
-            print("no regions declared")
+        if report.ok:
+            lines = _report_lines(report, not args.out and _use_color(sys.stdout))
+        else:
+            _print_report(report, sys.stderr)
+            lines = []
+        lines += [f"region {region.id}: "
+                  f"{len(region.body.stages)} stages, {len(region.body.arcs)} arcs"
+                  for region in doc.regions] or ["no regions declared"]
+        _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
@@ -331,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except ModelError as exc:  # an arc that does not resolve
         print(f"error[UNRESOLVED]: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
+    except _CannotWrite as exc:
+        print(f"error[SYNTAX]: {exc}", file=sys.stderr)
+        return EXIT_SYNTAX
     except BrokenPipeError:
         return EXIT_OK
 

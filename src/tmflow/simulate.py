@@ -14,14 +14,16 @@ step (tokens at a trigger-gated stage wait for that mark before moving
 out).  Tokens reaching a Transfer stage with no outgoing flow leave the
 system.
 
-``simulate`` compiles each distinct guard text of the model, each
-stage's action list and the stop condition once (``exprs.compile_guard``
-and ``compile_actions``), and builds one plan per stage before the first
+``simulate`` compiles each distinct guard text of the model once
+(``exprs.compile_guard``) and builds one plan per stage before the first
 step: its flows with their compiled guards and target plans, its
-triggers, hold, gate, actions, and whether a token there leaves.  It
-then steps only the tokens still in the system, in creation order; a
-token at a stage with one outgoing flow tests that flow's guard alone.
-None of this changes the semantics above: a plan is what the loop would
+triggers, hold, gate, and whether a token there leaves.  One binding
+pass, ``_bind``, resolves each stage the scenario names once, onto its
+plan (the mint seed and compiled action list), and lists each token and
+injection as (step, seed, plan) in the order they enter.  The loop then
+steps only the tokens still in the system, in creation order; a token at
+a stage with one outgoing flow tests that flow's guard alone.  None of
+this changes the semantics above: a plan is what the loop would
 otherwise look up each step, a compiled guard gives the value or the
 GuardTypeError its AST gives, and a token that left does nothing in any
 later step.
@@ -74,7 +76,6 @@ class Token:
     attrs: dict[str, Value]
     at: StageRef | None
     arrived: int = 0
-    fired: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -135,16 +136,23 @@ class _Stage:
     __slots__ = ("ref", "hold", "gated", "leaves", "actions", "mint",
                  "flows", "triggers")
 
-    def __init__(self, ref: StageRef, actions: Callable[[dict], None] | None,
-                 mint: tuple[str, dict] | None):
+    def __init__(self, ref: StageRef):
         self.ref = ref
         self.hold = 2 if ref.kind == StageKind.PROCESS else 1
         self.gated = False  # a trigger into it marks it for one step
         self.leaves = ref.kind == StageKind.TRANSFER  # until a flow leaves it
-        self.actions = actions  # the stage's compiled action list
-        self.mint = mint  # (thing, attrs) the scenario mints here
+        self.actions: Callable[[dict], None] | None = None  # compiled by ``_bind``
+        self.mint: tuple[str, dict] | None = None  # (thing, attrs) minted here
         self.flows: list[tuple[FlowArc, Guard | None, _Stage]] = []
         self.triggers: list[tuple[TriggerArc, Guard | None, _Stage]] = []
+
+
+class _Plans(dict):
+    """Stage plans by full-path ref, each made on first use."""
+
+    def __missing__(self, ref: StageRef) -> _Stage:
+        stage = self[ref] = _Stage(ref)
+        return stage
 
 
 class _Live:
@@ -169,43 +177,25 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
         if arc.guard is not None and arc.guard not in guards:
             guards[arc.guard] = compile_guard(linked.model._exprs.ast("guard", arc.guard))
 
-    mints = {
-        linked.normalize(ref): (thing, dict(attrs))
-        for ref, thing, attrs in scenario.mints
-    }
-    statements: dict[StageRef, list] = {}
-    for ref, text in scenario.actions:
-        statements.setdefault(linked.normalize(ref), []).extend(
-            scenario._exprs.ast("action", text)
-        )
-    actions = {ref: compile_actions(stmts) for ref, stmts in statements.items()}
-    stop_guard = (compile_guard(scenario._exprs.ast("guard", scenario.stop))
-                  if scenario.stop else None)
     seeded = scenario.policy == "seeded-random"
     rng = random.Random(scenario.seed)
 
-    plans: dict[StageRef, _Stage] = {}
-
-    def plan(ref: StageRef) -> _Stage:
-        stage = plans.get(ref)
-        if stage is None:
-            stage = plans[ref] = _Stage(ref, actions.get(ref), mints.get(ref))
-        return stage
-
+    plans = _Plans()
     for arc in linked.flows:
-        source = plan(arc.source)
-        source.flows.append((arc, guards.get(arc.guard), plan(arc.target)))
+        source = plans[arc.source]
+        source.flows.append((arc, guards.get(arc.guard), plans[arc.target]))
         source.leaves = False
     for arc in linked.triggers:
-        target = plan(arc.target)
+        target = plans[arc.target]
         target.gated = arc.target.kind != StageKind.CREATE
-        plan(arc.source).triggers.append((arc, guards.get(arc.guard), target))
+        plans[arc.source].triggers.append((arc, guards.get(arc.guard), target))
+    stop_guard, arrivals = _bind(linked, scenario, plans)
 
     live: list[_Live] = []
     created = consumed = 0
     minted_serial = 0  # a minted token's id skips those the scenario declares
-    declared = {seed.id for seed in scenario.tokens}
-    declared.update(seed.id for _, seed in scenario.injections)
+    declared = {seed.id for _, seed, _ in arrivals}
+    next_arrival = 0
 
     def spawn(token: Token, stage: _Stage) -> None:
         nonlocal created
@@ -214,18 +204,17 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
         if stage.actions:
             stage.actions(token.attrs)
 
-    def inject(seed: TokenSeed, step: int) -> None:
-        stage = plan(linked.normalize(seed.at))
-        spawn(Token(seed.id, seed.thing, dict(seed.attrs), stage.ref, arrived=step),
-              stage)
+    def admit(step: int) -> bool:  # spawn the tokens due by ``step``; any?
+        nonlocal next_arrival
+        first = next_arrival
+        while next_arrival < len(arrivals) and arrivals[next_arrival][0] <= step:
+            _, seed, stage = arrivals[next_arrival]
+            spawn(Token(seed.id, seed.thing, dict(seed.attrs), stage.ref, step), stage)
+            next_arrival += 1
+        return next_arrival > first
 
-    _check_placements(model, linked, scenario)
-    for seed in scenario.tokens:
-        inject(seed, 0)
-
+    admit(0)
     records: list[TraceRecord] = []
-    pending = sorted(scenario.injections, key=lambda item: item[0])
-    next_pending = 0
     enabled_now: set[_Stage] = set()
     enabled_next: set[_Stage] = set()
     steps_used = 0
@@ -235,17 +224,12 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
     for step in range(1, scenario.max_steps + 1):
         steps_used = step
         records_before = len(records)
-        injected = False
-        while next_pending < len(pending) and pending[next_pending][0] <= step:
-            inject(pending[next_pending][1], step)
-            next_pending += 1
-            injected = True
+        injected = admit(step)
 
         left = False
         for entry in live:  # tokens minted in this loop join it
             token, stage = entry.token, entry.stage
-            if step == token.arrived + 1 and not token.fired:
-                token.fired = True
+            if step == token.arrived + 1:
                 for trig, guard, target in stage.triggers:
                     if guard is not None and not guard(token.attrs):
                         continue
@@ -301,7 +285,6 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
             )
             token.at = target.ref
             token.arrived = step
-            token.fired = False
             entry.stage = target
             if target.actions:
                 target.actions(token.attrs)
@@ -314,7 +297,7 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
             break
 
         quiet = len(records) == records_before and not injected
-        if quiet and prev_quiet and next_pending == len(pending) and not enabled_next:
+        if quiet and prev_quiet and next_arrival == len(arrivals) and not enabled_next:
             break
         prev_quiet = quiet
         enabled_now, enabled_next = enabled_next, set()
@@ -330,22 +313,39 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
     )
 
 
-def _check_placements(model: TMModel, linked: Linked, scenario: Scenario) -> None:
-    """Raise ModelError for a scenario token whose stage does not resolve
-    and then, where the model declares things, for a token or mint of a
-    thing it does not declare (a model that declares none leaves tokens
-    untyped)."""
-    seeds = [*scenario.tokens, *(seed for _, seed in scenario.injections)]
-    for seed in seeds:
-        linked.normalize(seed.at)
-    if not model.things:
-        return
-    things = {decl.name for decl in model.things}
-    placed = [(f"token '{seed.id}'", seed.thing) for seed in seeds]
+def _bind(linked: Linked, scenario: Scenario, plans: _Plans
+          ) -> tuple[Guard | None, list[tuple[int, TokenSeed, _Stage]]]:
+    """Resolve each stage the scenario names once, onto its plan, where
+    the mint seed and the compiled action list go.  Returns the compiled
+    stop condition and (step, seed, plan) per token (step 0), then per
+    injection by declared step (step 1 at the earliest).  Raises, in
+    the order mints, actions, stop condition, tokens, injections, things:
+    ModelError for an unresolved stage or, where the model declares
+    things, for a token or mint of another thing; ExprSyntaxError for an
+    action or stop condition that does not parse."""
+    for ref, thing, attrs in scenario.mints:
+        plans[linked.normalize(ref)].mint = (thing, dict(attrs))
+    statements: dict[_Stage, list] = {}
+    for ref, text in scenario.actions:
+        statements.setdefault(plans[linked.normalize(ref)], []).extend(
+            scenario._exprs.ast("action", text))
+    for stage, stmts in statements.items():
+        stage.actions = compile_actions(stmts)
+    stop_guard = (compile_guard(scenario._exprs.ast("guard", scenario.stop))
+                  if scenario.stop else None)
+    arrivals = [(0, seed, plans[linked.normalize(seed.at)]) for seed in scenario.tokens]
+    injections = [(step, seed, plans[linked.normalize(seed.at)])
+                  for step, seed in scenario.injections]
+    injections.sort(key=lambda arrival: arrival[0])  # stable: as declared within a step
+    arrivals += [(max(step, 1), seed, stage) for step, seed, stage in injections]
+    things = {decl.name for decl in linked.model.things}  # empty: tokens are untyped
+    placed = [(f"token '{seed.id}'", seed.thing) for seed in scenario.tokens]
+    placed += [(f"token '{seed.id}'", seed.thing) for _, seed in scenario.injections]
     placed += [(f"mint at {ref}", thing) for ref, thing, _ in scenario.mints]
     for what, thing in placed:
-        if thing not in things:
+        if things and thing not in things:
             raise ModelError(f"scenario {what} is of undeclared thing '{thing}'")
+    return stop_guard, arrivals
 
 
 def _stops(stop_guard: Guard, token: Token) -> bool:

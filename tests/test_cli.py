@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -172,6 +173,52 @@ class TestExport:
         target = tmp_path / "model.dot"
         assert main(["export", corpus("formula.tm"), "--out", str(target)]) == 0
         assert target.read_text().startswith("digraph")
+
+
+BAD_REGION_TM = ("thing t\n"
+                 "machine a { stages Create, Process }\n"
+                 "flow f1: a.Create -> a.Process on t\n"
+                 "regions {\n  region r { stages a.Create, b.Create\n arcs f1 }\n}\n")
+
+
+class TestOutFile:
+    """``--out`` gets the bytes stdout gets without it, and stdout stays
+    empty; a command that prints nothing to stdout writes no file."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "one_lane_street.tm"],
+        ["check", "mousetrap.tm"],
+        ["check", "BAD_REGION"],
+        ["events", "mousetrap.tm"],
+        ["events", "one_lane_street.tm"],
+        ["events", "BAD_REGION"],
+        ["events", "multiple_behaviors.tm", "--bound", "2"],
+    ], ids=" ".join)
+    def test_out_file_gets_the_stdout_bytes(self, argv, tmp_path, capsys):
+        model = (write(tmp_path, "bad.tm", BAD_REGION_TM) if argv[1] == "BAD_REGION"
+                 else corpus(argv[1]))
+        command = [argv[0], model, *argv[2:]]
+        code = main(command)
+        expected = capsys.readouterr()
+        target = tmp_path / "o.txt"
+        assert main([*command, "--out", str(target)]) == code
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", expected.err)
+        if expected.out:
+            assert target.read_bytes() == expected.out.encode()
+        else:
+            assert code == 1 and not target.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["export", "stack.tm"],
+        ["check", "stack.tm", "--format", "json"],
+    ], ids=" ".join)
+    def test_unwritable_out_is_a_syntax_error(self, argv, tmp_path, capsys):
+        target = tmp_path / "nonexistent" / "x.out"
+        assert main([argv[0], corpus(argv[1]), *argv[2:], "--out", str(target)]) == 2
+        reason = f"[Errno 2] No such file or directory: '{target}'"
+        assert capsys.readouterr() == (
+            "", f"error[SYNTAX]: cannot write '{target}': {reason}\n")
 
 
 class TestSidecar:
@@ -462,3 +509,18 @@ class TestLoadFailures:
         else:
             assert out == ""
             assert err == message + "\n"
+
+
+def test_readme_lists_every_diagnostic_code():
+    """Every code ``tm`` can print appears in the README's Diagnostics
+    section."""
+    pattern = re.compile(r'\b(?:error|warning)\(\s*"([A-Z_]+)"'
+                         r'|\bcode="([A-Z_]+)"|error\[([A-Z_]+)\]')
+    package = Path(tmflow.__file__).resolve().parent
+    codes = {next(filter(None, match.groups()))
+             for path in package.glob("*.py")
+             for match in pattern.finditer(path.read_text(encoding="utf-8"))}
+    readme = (package.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Diagnostics\n", 1)[1].split("\n## ", 1)[0]
+    assert len(codes) >= 27
+    assert sorted(code for code in codes if f"`{code}`" not in section) == []

@@ -34,6 +34,7 @@ from tmflow import (
 from tmflow import exprs
 from tmflow.diagnostics import ValidationReport, error
 from tmflow.jsonio import trace_to_jsonl
+from tmflow.model import Linked
 
 from conftest import corpus_doc, corpus_scenario, corpus_text, perfbench_gen
 
@@ -275,6 +276,84 @@ class TestStepSemantics:
                                   "  mint a.Create of phantom\n}\n")
         trace = simulate(model, scenario)
         assert [(r.step, r.arc, r.token) for r in trace.records] == [(1, "f1", "t")]
+
+    HELD = (
+        "thing t\nthing go\n"
+        "machine a { stages Create, Process, Release, Transfer }\n"
+        "machine b { stages Create, Process, Release }\n"
+        "flow a1: a.Create -> a.Process on t\n"
+        "flow a2: a.Process -> a.Release on t\n"
+        "flow a3: a.Release -> a.Transfer on t\n"
+        "flow b1: b.Create -> b.Process on go\n"
+        "trigger held: a.Process -> b.Release\n"
+        "trigger waiting: a.Release -> b.Release\n"
+        "trigger gate: b.Process -> a.Release\n"
+    )
+
+    def test_held_and_waiting_tokens_fire_once_per_arrival(self):
+        """A token held at a Process stage, or waiting at a gated stage,
+        fires each outgoing trigger only the step after it arrives."""
+        model = parse_model(self.HELD)
+        create = StageRef(("a",), StageKind.CREATE)
+        scenario = Scenario(
+            tokens=(TokenSeed("x", "t", create),),
+            injections=((4, TokenSeed("y", "t", create)),
+                        (12, TokenSeed("g", "go", StageRef(("b",), StageKind.CREATE)))),
+            max_steps=30,
+        )
+        trace = simulate(model, scenario)
+        steps = {(r.arc, r.token): [] for r in trace.records}
+        for r in trace.records:
+            steps[(r.arc, r.token)].append(r.step)
+        assert steps[("held", "x")] == [2] and steps[("a2", "x")] == [3]
+        assert steps[("held", "y")] == [6] and steps[("a2", "y")] == [7]
+        # both wait at the gated Release until the trigger from b marks it
+        assert steps[("waiting", "x")] == [4] and steps[("waiting", "y")] == [8]
+        assert steps[("gate", "g")] == [14]
+        assert steps[("a3", "x")] == steps[("a3", "y")] == [15]
+
+    FORK = (
+        "thing t\n"
+        "machine a { stages Create, Release, Transfer }\n"
+        "machine b { stages Process }\n"
+        "machine c { stages Process }\n"
+        "flow a.Create -> a.Release on t\n"
+        "flow a.Release -> a.Transfer on t\n"
+        "flow left: a.Transfer -> b.Process on t\n"
+        "flow right: a.Transfer -> c.Process on t\n"
+    )
+
+    @pytest.mark.parametrize("policy", ["deterministic", "seeded-random"])
+    @pytest.mark.parametrize("late,early", [(1, 0), (1, -3), (1, 1)])
+    def test_injections_enter_in_step_order(self, policy, late, early):
+        """Injections due by the same loop step enter by their declared
+        step, then as declared: ``inject 1`` before ``inject 0`` enters
+        second, as if declared in step order."""
+        model = parse_model(self.FORK)
+        create = StageRef(("a",), StageKind.CREATE)
+        a, b = TokenSeed("a", "t", create), TokenSeed("b", "t", create)
+
+        def run_with(injections):
+            return simulate(model, Scenario(policy=policy, seed=7, max_steps=8,
+                                            injections=injections))
+
+        trace = run_with(((late, a), (early, b)))
+        first = "a" if late == early else "b"
+        assert [r.token for r in trace.records if r.step == 2][0] == first
+        assert trace.final_tokens[0].id == first
+        assert trace == run_with(tuple(sorted(((late, a), (early, b)),
+                                              key=lambda item: item[0])))
+
+    def test_scenario_file_injections_enter_in_step_order(self):
+        scenario = parse_scenario(
+            "scenario s {\n"
+            "  inject 1 token a of t at a.Create\n"
+            "  inject 0 token b of t at a.Create\n"
+            "}\n"
+        )
+        trace = simulate(parse_model(self.FORK), scenario)
+        assert [r.token for r in trace.records if r.step == 2] == ["b", "a"]
+        assert [token.id for token in trace.final_tokens] == ["b", "a"]
 
     def test_deterministic_policy_picks_first_declared_flow(self):
         model = parse_model(
@@ -676,6 +755,26 @@ class TestCompiledPlans:
         assert counts["before first call"] == counts["guards"]
         assert counts["actions"] == len({ref for ref, _ in scenario.actions}) == 16
         assert counts["calls"] == 15_660  # what the AST interpreter evaluated
+
+    def test_each_scenario_stage_resolves_once(self, monkeypatch):
+        """After linking, ``simulate`` resolves each stage the scenario
+        names once: every token, inject, mint and action."""
+        chain = perfbench_gen()["sim_tokens"](3)
+        doc, scenario = parse(chain.model), parse_scenario(chain.scenario)
+        expected = simulate(doc.model, scenario)  # links the model
+        calls = Counter()
+        normalize = Linked.normalize
+
+        def counted(self, ref):
+            calls["normalize"] += 1
+            return normalize(self, ref)
+
+        monkeypatch.setattr(Linked, "normalize", counted)
+        assert simulate(doc.model, scenario) == expected
+        placed = (len(scenario.tokens), len(scenario.injections),
+                  len(scenario.mints), len(scenario.actions))
+        assert placed == (0, 120, 15, 16)
+        assert calls["normalize"] == sum(placed) == 151
 
     def test_stop_condition_and_action_lists_compile_once(self, monkeypatch):
         scenario = parse_scenario(
