@@ -236,10 +236,18 @@ def _cmd_simulate(args, doc: Document, report: ValidationReport) -> int:
         _write_output(jsonio.trace_to_jsonl(trace), args.out)
         return EXIT_OK
 
-    lines = [
-        f"step {r.step}: {r.arc} [{r.token}] {r.source} -> {r.target}"
-        for r in trace.records
-    ]
+    # Each arc's text around the token id is built once and found by the
+    # arc's id while the record's stages are that arc's own objects, as in
+    # ``jsonio.trace_to_jsonl``: rendering two stages costs more than the
+    # rest of the line.
+    arcs: dict[str, tuple[StageRef, StageRef, str, str]] = {}
+    lines = []
+    for r in trace.records:
+        arc = arcs.get(r.arc)
+        if arc is None or arc[0] is not r.source or arc[1] is not r.target:
+            arc = arcs[r.arc] = (r.source, r.target, f": {r.arc} [",
+                                 f"] {r.source} -> {r.target}")
+        lines.append(f"step {r.step}{arc[2]}{r.token}{arc[3]}")
     lines.append(
         f"steps={trace.meta.steps_used} created={trace.meta.created} "
         f"consumed={trace.meta.consumed} "

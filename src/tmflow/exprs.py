@@ -5,7 +5,10 @@ and the guards, actions and stop conditions inside them.  Blanks and
 ``#`` comments separate tokens.  A string is double-quoted on one line,
 with ``\\"`` and ``\\\\`` escapes.  An integer is a run of decimal digits.
 An identifier is a run of letters, digits and ``_`` that does not start
-with a decimal digit.  Symbols are listed in ``_LEXEME``.
+with a decimal digit.  Symbols are listed in ``_LEXEME``, the one compiled
+pattern of the lexer: each of its matches is the blanks and comment
+before a lexeme and the lexeme, or the end of the text, and ``tokenize``
+walks them in one ``finditer`` pass.
 
 Expression grammar (no boolean connectives, by design):
 
@@ -115,19 +118,25 @@ class Assign(_Node):
 # ---------------------------------------------------------------------------
 # Lexer
 
+# One match per lexeme: the blanks and comment before it, then the lexeme,
+# or the end of the text.  A line end is a lexeme of its own; a comment
+# runs to it.  The first five kinds start with distinct characters, so
+# they are tried most frequent first; an open string is tried after a
+# closed one, and any other character after all of them.  (Written
+# without re.VERBOSE, which costs more to compile at import.)
 _LEXEME = re.compile(
-    r"""
-    (?P<NEWLINE>\n)
-  | (?P<BLANK>[ \t]+|\#.*)
-  | (?P<STRING>"(?:[^"\\\n]|\\.)*")
-  | (?P<INT>\d+)
-  | (?P<IDENT>[^\W\d]\w*)
-  | (?P<SYM>->|=>|:=|<=|>=|!=|[{}(),;:.=<>+\-])
-  | (?P<UNTERMINATED>".*)
-  | (?P<UNEXPECTED>.)
-    """,
-    re.VERBOSE,
+    r"[ \t]*(?:\#[^\n]*)?"
+    r"(?:(?P<IDENT>[^\W\d]\w*)"
+    r"|(?P<SYM>->|=>|:=|<=|>=|!=|[{}(),;:.=<>+\-])"
+    r"|(?P<NEWLINE>\n)"
+    r"|(?P<INT>\d+)"
+    r'|(?P<STRING>"(?:[^"\\\n]|\\.)*")'
+    r'|(?P<UNTERMINATED>".*)'
+    r"|(?P<UNEXPECTED>.)"
+    r"|(?P<EOF>\Z))"
 )
+
+_LAST = frozenset({"EOF", "UNTERMINATED", "UNEXPECTED"})  # kinds that end a lex
 
 _EXPR_SYMBOLS = frozenset(
     {":=", "<=", ">=", "!=", "=", "<", ">", "+", "-", "(", ")", ";"}
@@ -166,22 +175,22 @@ def tokenize(text: str) -> list[Token]:
 
     A NEWLINE token ends each line that holds a token."""
     tokens: list[Token] = []
-    line, line_start, pos, size = 1, 0, 0, len(text)
-    while pos < size:
-        match = _LEXEME.match(text, pos)
-        kind, start, pos = match.lastgroup, pos, match.end()
-        if kind == "BLANK":
-            continue
+    append, new = tokens.append, tuple.__new__
+    line, line_start = 1, -1  # line_start: the offset of the line's column 0
+    for match in _LEXEME.finditer(text):
+        kind = match.lastgroup
+        start = match.start(kind)
         if kind == "NEWLINE":
             if tokens and tokens[-1].kind != "NEWLINE":
-                tokens.append(Token(kind, "\n", line, start - line_start + 1, start))
-            line, line_start = line + 1, pos
+                append(new(Token, ("NEWLINE", "\n", line, start - line_start, start)))
+            line, line_start = line + 1, start
             continue
-        token = Token(kind, match.group(), line, start - line_start + 1, start)
-        if kind in ("UNTERMINATED", "UNEXPECTED"):
-            raise LexError(token)
-        tokens.append(token)
-    tokens.append(Token("EOF", "", line, pos - line_start + 1, pos))
+        token = new(Token, (kind, match.group(kind), line, start - line_start, start))
+        append(token)
+        if kind in _LAST:
+            if kind != "EOF":
+                raise LexError(token)
+            break
     return tokens
 
 

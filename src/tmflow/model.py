@@ -24,6 +24,11 @@ class StageKind(Enum):
     RECEIVE = "Receive"
     TRANSFER = "Transfer"
 
+    # Members are singletons that compare by identity, so the C-level
+    # identity hash agrees with equality; a StageRef hash then needs no
+    # Python-level call.
+    __hash__ = object.__hash__
+
     @classmethod
     def from_name(cls, name: str) -> "StageKind | None":
         return _STAGE_KINDS.get(name)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .behavior import BehaviorGraph, Event, Interval, Region, Subdiagram
-from .diagnostics import Diagnostic, SourceSpan, error
+from .diagnostics import Diagnostic, error
 from .exprs import (
     ExprSyntaxError,
     ExprTable,
@@ -34,6 +34,7 @@ from .exprs import (
     unquote,
 )
 from .model import (
+    _STAGE_KINDS,
     FlowArc,
     Machine,
     StageKind,
@@ -91,8 +92,20 @@ class _Unclosed(_Fail):
 _MACHINE_ENDS = frozenset({"flow", "trigger", "thing", "regions", "behavior"})
 _THING_ENDS = _MACHINE_ENDS | {"machine"}
 
+# The token values that end an expression: a line end, the end of input
+# and a brace; a guard also ends at its label clause.
+_EXPR_ENDS = frozenset({"\n", "", "{", "}"})
+_GUARD_ENDS = _EXPR_ENDS | {"label"}
+
 
 class _Parser:
+    """One file's recursive-descent parse, reading ``self.tokens`` at
+    ``self.pos`` directly where it tests the next token.
+
+    A symbol's or a word's text fixes its token's kind (a STRING keeps its
+    quotes, an INT is digits, a NEWLINE is ``"\\n"`` and EOF is empty), so
+    the parser tests symbols and keywords by value alone."""
+
     def __init__(self, text: str):
         self.text = normalize(text)
         self.diagnostics: list[Diagnostic] = []
@@ -104,87 +117,87 @@ class _Parser:
         self.pos = 0
         self.top_start = 0  # diagnostics before the current top-level statement
         self.exprs = ExprTable()  # every expression of the file, parsed
-        self.machine_ids: dict[str, SourceSpan] = {}
-        self.thing_names: dict[str, SourceSpan] = {}
-        self.arc_ids: dict[str, SourceSpan] = {}
+        self.machine_ids: set[str] = set()
+        self.thing_names: set[str] = set()
+        self.arc_ids: set[str] = set()
         self.auto_ids = {"flow": 0, "trigger": 0}  # positional ids, per keyword
 
     # -- token helpers ---------------------------------------------------
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
     def take(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != "EOF":
             self.pos += 1
         return tok
 
-    def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (value is None or tok.value == value)
+    def at(self, value: str) -> bool:
+        """Whether the next token is this symbol or word."""
+        return self.tokens[self.pos].value == value
 
-    def at_ident(self, word: str) -> bool:
-        return self.at("IDENT", word)
+    def at_kind(self, kind: str) -> bool:
+        return self.tokens[self.pos].kind == kind
 
     def fail(self, message: str, tok: Token | None = None, code: str = "SYNTAX"):
-        tok = tok or self.peek()
+        tok = tok or self.tokens[self.pos]
         self.diagnostics.append(error(code, message, tok.span))
         raise _Fail()
 
-    def expect_sym(self, sym: str) -> Token:
-        if not self.at("SYM", sym):
-            self.fail(f"expected '{sym}'")
-        return self.take()
+    def expect(self, value: str, message: str | None = None) -> Token:
+        """The next token, which must be this symbol or word."""
+        tok = self.tokens[self.pos]
+        if tok.value != value:
+            self.fail(message or f"expected '{value}'")
+        self.pos += 1
+        return tok
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        if not self.at("IDENT"):
+        tok = self.tokens[self.pos]
+        if tok.kind != "IDENT":
             self.fail(f"expected {what}")
-        tok = self.take()
-        if StageKind.from_name(tok.value) is not None:
+        self.pos += 1
+        if tok.value in _STAGE_KINDS:
             self.fail(f"'{tok.value}' is a reserved stage name", tok)
         return tok
 
-    def expect_word(self, word: str, message: str | None = None) -> Token:
-        if not self.at_ident(word):
-            self.fail(message or f"expected '{word}'")
-        return self.take()
-
     def expect_int(self, what: str) -> Token:
-        if not self.at("INT"):
+        tok = self.tokens[self.pos]
+        if tok.kind != "INT":
             self.fail(f"expected {what}")
-        return self.take()
+        self.pos += 1
+        return tok
 
     def comma_list(self, item) -> None:
         """``item (',' item)*``; each ``item`` keeps what it parsed, so a
         failure part way keeps the items before it."""
         item()
-        while self.at("SYM", ","):
-            self.take()
+        while self.tokens[self.pos].value == ",":
+            self.pos += 1
             item()
 
     def skip_newlines(self):
-        while self.at("NEWLINE"):
-            self.take()
+        while self.tokens[self.pos].kind == "NEWLINE":
+            self.pos += 1
 
     def end_statement(self):
-        if self.at("NEWLINE"):
-            self.take()
-        elif not (self.at("EOF") or self.at("SYM", "}")):
-            self.fail(f"unexpected trailing input '{self.peek().value}'")
+        tok = self.tokens[self.pos]
+        if tok.kind == "NEWLINE":
+            self.pos += 1
+        elif tok.kind != "EOF" and tok.value != "}":
+            self.fail(f"unexpected trailing input '{tok.value}'")
 
     def recover(self):
         """Skip the rest of a failed statement: to the next line, or to the
         ``}`` of the block it is in, passing over braces opened on its line."""
         depth = 0
-        while not (self.at("NEWLINE") or self.at("EOF")
-                   or depth == 0 and self.at("SYM", "}")):
-            if self.at("SYM", "{"):
+        tok = self.tokens[self.pos]
+        while not (tok.kind in ("NEWLINE", "EOF") or depth == 0 and tok.value == "}"):
+            if tok.value == "{":
                 depth += 1
-            elif self.at("SYM", "}"):
+            elif tok.value == "}":
                 depth -= 1
-            self.take()
-        if self.at("NEWLINE"):
-            self.take()
+            self.pos += 1
+            tok = self.tokens[self.pos]
+        if tok.kind == "NEWLINE":
+            self.pos += 1
 
     def statements(self, statement, closed: bool) -> None:
         """Run ``statement`` up to the end of input, or with ``closed`` up to
@@ -193,7 +206,7 @@ class _Parser:
         without more diagnostics, and so does a missing ``}``, after which
         the top level goes on with the statement that showed it."""
         self.skip_newlines()
-        while not (self.at("EOF") or closed and self.at("SYM", "}")):
+        while not (self.at_kind("EOF") or closed and self.at("}")):
             if not closed:
                 self.top_start = len(self.diagnostics)
             try:
@@ -204,7 +217,7 @@ class _Parser:
             except _Fail:
                 before = self.pos
                 self.recover()
-                if closed and self.at("EOF"):
+                if closed and self.at_kind("EOF"):
                     raise
                 if self.pos == before and not closed:
                     self.take()  # a stray '}' at top level: force progress
@@ -214,67 +227,72 @@ class _Parser:
         """At a statement starting with one of ``words``, this body has lost
         its ``}``: report that, unless an error earlier in the same
         top-level statement accounts for it, and close every open body."""
-        if self.at("IDENT") and self.peek().value in words:
+        tok = self.tokens[self.pos]
+        if tok.value in words:
             if len(self.diagnostics) == self.top_start:
-                self.diagnostics.append(error("SYNTAX", "expected '}'", self.peek().span))
+                self.diagnostics.append(error("SYNTAX", "expected '}'", tok.span))
             raise _Unclosed()
 
     def block(self, statement) -> None:
         """``{ statement* }``, recovering per statement."""
-        self.expect_sym("{")
+        self.expect("{")
         self.statements(statement, closed=True)
-        self.expect_sym("}")
+        self.expect("}")
 
     # -- shared pieces ---------------------------------------------------
-    def dotted_path(self) -> tuple[list[str], list[Token]]:
-        toks = [self.peek()]
-        if not self.at("IDENT"):
+    def dotted_path(self) -> list[Token]:
+        """``IDENT ('.' IDENT)*``: the path's IDENT tokens."""
+        tokens, pos = self.tokens, self.pos
+        tok = tokens[pos]
+        if tok.kind != "IDENT":
             self.fail("expected machine or stage path")
-        parts = [self.take().value]
-        while self.at("SYM", "."):
-            self.take()
-            if not self.at("IDENT"):
+        path = [tok]
+        while tokens[pos + 1].value == ".":
+            pos += 2
+            tok = tokens[pos]
+            if tok.kind != "IDENT":
+                self.pos = pos
                 self.fail("expected path segment after '.'")
-            toks.append(self.peek())
-            parts.append(self.take().value)
-        return parts, toks
+            path.append(tok)
+        self.pos = pos + 1
+        return path
 
-    def machine_path(self, parts: list[str], toks: list[Token]) -> tuple[str, ...]:
-        for part, tok in zip(parts, toks):
-            if StageKind.from_name(part) is not None:
-                self.fail(f"'{part}' is a reserved stage name", tok)
-        return tuple(parts)
+    def machine_path(self, path: list[Token]) -> tuple[str, ...]:
+        for tok in path:
+            if tok.value in _STAGE_KINDS:
+                self.fail(f"'{tok.value}' is a reserved stage name", tok)
+        return tuple([tok.value for tok in path])
 
-    def stage_ref(self) -> StageRef:
-        parts, toks = self.dotted_path()
-        kind = StageKind.from_name(parts[-1])
+    def stage_at(self, path: list[Token]) -> StageRef:
+        """The stage a parsed dotted path names: a machine path, then a kind."""
+        last = path[-1]
+        kind = _STAGE_KINDS.get(last.value)
         if kind is None:
             self.fail(
-                f"'{parts[-1]}' is not a stage "
+                f"'{last.value}' is not a stage "
                 f"(one of {', '.join(k.value for k in StageKind)})",
-                toks[-1],
+                last,
                 code="UNKNOWN_STAGE",
             )
-        if len(parts) == 1:
-            self.fail("stage reference needs a machine path", toks[0])
-        return StageRef(self.machine_path(parts[:-1], toks[:-1]), kind)
+        if len(path) == 1:
+            self.fail("stage reference needs a machine path", path[0])
+        return StageRef(self.machine_path(path[:-1]), kind)
 
-    def machine_ref(self) -> StageRef:
-        return StageRef(self.machine_path(*self.dotted_path()), None)
+    def stage_ref(self) -> StageRef:
+        return self.stage_at(self.dotted_path())
 
-    def expression(self, kind: str, stop_words: set[str], what: str) -> str:
-        """Consume an expression's tokens, file its parse in ``exprs`` under
-        its source text and return that text verbatim."""
-        start = self.pos
-        while True:
-            tok = self.peek()
-            if (tok.kind in ("NEWLINE", "EOF") or tok.kind == "SYM" and tok.value in "{}"
-                    or tok.kind == "IDENT" and tok.value in stop_words):
-                break
-            self.take()
-        if self.pos == start:
+    def expression(self, kind: str, ends: frozenset[str], what: str) -> str:
+        """Consume an expression's tokens, up to a token whose value is in
+        ``ends``, file its parse in ``exprs`` under its source text and
+        return that text verbatim."""
+        tokens, start = self.tokens, self.pos
+        end = start
+        while tokens[end].value not in ends:
+            end += 1
+        if end == start:
             self.fail("expected an expression")
-        tokens = self.tokens[start:self.pos]
+        self.pos = end
+        tokens = tokens[start:end]
         text = self.text[tokens[0].offset:tokens[-1].end]
         key = kind, text
         node = self.exprs[key] = self.exprs.get(key) or parse_tokens(kind, tokens)
@@ -282,33 +300,27 @@ class _Parser:
             self.fail(f"{what}: {node}", tokens[0], code="GUARD_SYNTAX")
         return text
 
-    def guard_clause(self, stop_words: set[str]) -> str | None:
-        if not self.at_ident("when"):
-            return None
-        self.take()
-        return self.expression("guard", stop_words, "bad guard")
-
     def string_value(self) -> str:
         return unquote(self.take().value)
 
     def label_clause(self) -> str | None:
-        if not self.at_ident("label"):
+        if not self.at("label"):
             return None
-        self.take()
-        if self.at("STRING"):
+        self.pos += 1
+        if self.at_kind("STRING"):
             return self.string_value()
-        if self.at("INT"):
+        if self.at_kind("INT"):
             return self.take().value
         self.fail("expected a string or number after 'label'")
 
     def literal_value(self):
-        if self.at("STRING"):
+        if self.at_kind("STRING"):
             return self.string_value()
         neg = False
-        if self.at("SYM", "-"):
-            self.take()
+        if self.at("-"):
+            self.pos += 1
             neg = True
-        if self.at("INT"):
+        if self.at_kind("INT"):
             value = int(self.take().value)
             return -value if neg else value
         self.fail("expected an integer or string value")
@@ -316,25 +328,25 @@ class _Parser:
     def attrs_block(self) -> dict[str, int | str]:
         """`{ name = value, ... }`, newlines allowed after separators."""
         attrs: dict[str, int | str] = {}
-        self.expect_sym("{")
+        self.expect("{")
         self.skip_newlines()
-        while not self.at("SYM", "}"):
+        while not self.at("}"):
             name_tok = self.expect_ident("attribute name")
             if name_tok.value in attrs:
                 self.fail(f"duplicate attribute '{name_tok.value}'",
                           name_tok, code="DUP_ID")
-            self.expect_sym("=")
+            self.expect("=")
             attrs[name_tok.value] = self.literal_value()
-            if self.at("SYM", ","):
-                self.take()
+            if self.at(","):
+                self.pos += 1
             self.skip_newlines()
-        self.expect_sym("}")
+        self.expect("}")
         return attrs
 
-    def declare(self, table: dict[str, SourceSpan], tok: Token, what: str):
-        if tok.value in table:
+    def declare(self, names: set[str], tok: Token, what: str):
+        if tok.value in names:
             self.fail(f"duplicate {what} '{tok.value}'", tok, code="DUP_ID")
-        table[tok.value] = tok.span
+        names.add(tok.value)
 
     # -- model items -----------------------------------------------------
     def parse_document(self) -> Document:
@@ -347,20 +359,21 @@ class _Parser:
 
         def statement():
             nonlocal behavior
-            if self.at_ident("thing"):
+            word = self.tokens[self.pos].value
+            if word == "thing":
                 things.append(self.thing_decl())
-            elif self.at_ident("machine"):
+            elif word == "machine":
                 machines.append(self.machine_decl())
-            elif self.at_ident("flow"):
+            elif word == "flow":
                 flows.append(self.arc_stmt())
-            elif self.at_ident("trigger"):
+            elif word == "trigger":
                 triggers.append(self.arc_stmt())
-            elif self.at_ident("regions"):
+            elif word == "regions":
                 regions.extend(self.regions_block())
-            elif self.at_ident("behavior"):
+            elif word == "behavior":
                 behavior = self.behavior_block(behavior)
             else:
-                self.fail(f"unexpected '{self.peek().value}'")
+                self.fail(f"unexpected '{word}'")
 
         self.statements(statement, closed=False)
 
@@ -381,23 +394,22 @@ class _Parser:
         seen: set[str] = set()
 
         def attribute():
-            after = self.tokens[self.pos + 1]
-            if after.kind != "SYM" or after.value != ":":
+            if self.tokens[self.pos + 1].value != ":":
                 self.unclosed(_THING_ENDS)
             attr_tok = self.expect_ident("attribute name")
             if attr_tok.value in seen:
                 self.fail(f"duplicate attribute '{attr_tok.value}'",
                           attr_tok, code="DUP_ID")
             seen.add(attr_tok.value)
-            self.expect_sym(":")
+            self.expect(":")
             kind_tok = self.take()
             if kind_tok.kind != "IDENT" or kind_tok.value not in _ATTR_KINDS:
                 self.fail("attribute kind must be 'int' or 'text'", kind_tok)
             attributes.append((attr_tok.value, kind_tok.value))
-            if self.at("SYM", ","):
-                self.take()
+            if self.at(","):
+                self.pos += 1
 
-        if self.at("SYM", "{"):
+        if self.at("{"):
             self.block(attribute)
         self.end_statement()
         return ThingDecl(name_tok.value, tuple(attributes), span=name_tok.span)
@@ -406,27 +418,28 @@ class _Parser:
         self.take()  # machine
         id_tok = self.expect_ident("machine id")
         self.declare(self.machine_ids, id_tok, "machine id")
-        name = self.string_value() if self.at("STRING") else None
+        name = self.string_value() if self.at_kind("STRING") else None
         stages: list[StageKind] = []
         submachines: list[Machine] = []
 
         def stage():
             tok = self.take()
-            kind = StageKind.from_name(tok.value) if tok.kind == "IDENT" else None
+            kind = _STAGE_KINDS.get(tok.value)  # only an IDENT names one
             if kind is None:
                 self.fail(f"unknown stage '{tok.value}'", tok, code="UNKNOWN_STAGE")
             stages.append(kind)
 
         def statement():
-            if self.at_ident("stages"):
-                self.take()
+            word = self.tokens[self.pos].value
+            if word == "stages":
+                self.pos += 1
                 self.comma_list(stage)
                 self.end_statement()
-            elif self.at_ident("machine"):
+            elif word == "machine":
                 submachines.append(self.machine_decl())
             else:
                 self.unclosed(_MACHINE_ENDS)
-                self.fail(f"unexpected '{self.peek().value}' in machine body")
+                self.fail(f"unexpected '{word}' in machine body")
 
         self.block(statement)
         self.end_statement()
@@ -443,34 +456,36 @@ class _Parser:
         positional id per keyword), then the two ends."""
         kw = self.take()
         flow = kw.value == "flow"
-        after = self.tokens[self.pos + 1] if self.at("IDENT") else None
-        if after is not None and after.kind == "SYM" and after.value == ":":
+        tok = self.tokens[self.pos]
+        if tok.kind == "IDENT" and self.tokens[self.pos + 1].value == ":":
             id_tok = self.expect_ident("arc id")
             self.declare(self.arc_ids, id_tok, "arc id")
-            self.expect_sym(":")
+            self.pos += 1  # ':'
             arc_id, auto = id_tok.value, False
         else:
             self.auto_ids[kw.value] += 1
             arc_id, auto = f"_{kw.value[0]}{self.auto_ids[kw.value]}", True
-        first = self.peek()
-        sugared = False
-        if flow:  # look ahead past the dotted path for '=>' (sugared) vs '->'
-            save = self.pos
-            self.dotted_path()
-            sugared = self.at("SYM", "=>")
-            self.pos = save
-        end = self.machine_ref if sugared else self.stage_ref
-        source = end()
-        self.expect_sym("=>" if sugared else "->")
-        target = end()
+        first = self.tokens[self.pos]
+        path = self.dotted_path()
+        if flow and self.at("=>"):  # sugared: machine to machine
+            source = StageRef(self.machine_path(path), None)
+            self.pos += 1
+            target = StageRef(self.machine_path(self.dotted_path()), None)
+        else:
+            source = self.stage_at(path)
+            self.expect("->")
+            target = self.stage_ref()
         if source == target:
             self.fail(f"{kw.value} source and target are the same stage", first,
                       code="SELF_LOOP")
         thing = None
-        if flow and self.at_ident("on"):
-            self.take()
+        if flow and self.at("on"):
+            self.pos += 1
             thing = self.expect_ident("thing name").value
-        guard = self.guard_clause({"label"})
+        guard = None
+        if self.at("when"):
+            self.pos += 1
+            guard = self.expression("guard", _GUARD_ENDS, "bad guard")
         label = self.label_clause()
         self.end_statement()
         if flow:
@@ -483,27 +498,28 @@ class _Parser:
     def regions_block(self) -> list[Region]:
         self.take()  # regions
         regions: list[Region] = []
-        seen: dict[str, SourceSpan] = {}
+        seen: set[str] = set()
 
         def region():
-            self.expect_word("region")
+            self.expect("region")
             id_tok = self.expect_ident("region id")
             self.declare(seen, id_tok, "region id")
-            label = self.string_value() if self.at("STRING") else ""
+            label = self.string_value() if self.at_kind("STRING") else ""
             stages: list[StageRef] = []
             arcs: list[str] = []
 
             def statement():
-                if self.at_ident("stages"):
-                    self.take()
+                word = self.tokens[self.pos].value
+                if word == "stages":
+                    self.pos += 1
                     self.comma_list(lambda: stages.append(self.stage_ref()))
                     self.end_statement()
-                elif self.at_ident("arcs"):
-                    self.take()
+                elif word == "arcs":
+                    self.pos += 1
                     self.comma_list(lambda: arcs.append(self.expect_ident("arc id").value))
                     self.end_statement()
                 else:
-                    self.fail(f"unexpected '{self.peek().value}' in region body")
+                    self.fail(f"unexpected '{word}' in region body")
 
             self.block(statement)
             self.end_statement()
@@ -526,18 +542,19 @@ class _Parser:
         events: list[Event] = []
         edges: list[tuple[str, str]] = []
         initial: list[str] = []
-        seen: dict[str, SourceSpan] = {}
+        seen: set[str] = set()
 
         def statement():
-            if self.at_ident("event"):
-                self.take()
+            word = self.tokens[self.pos].value
+            if word == "event":
+                self.pos += 1
                 id_tok = self.expect_ident("event id")
                 self.declare(seen, id_tok, "event id")
-                self.expect_word("region", "expected 'region' in event declaration")
+                self.expect("region", "expected 'region' in event declaration")
                 region_id = self.expect_ident("region id").value
                 interval = None
-                if self.at_ident("interval"):
-                    self.take()
+                if self.at("interval"):
+                    self.pos += 1
                     start = int(self.expect_int("interval start").value)
                     dur_tok = self.expect_int("interval duration")
                     duration = int(dur_tok.value)
@@ -545,17 +562,17 @@ class _Parser:
                         self.fail("interval duration must be >= 1", dur_tok)
                     interval = Interval(start, duration)
                 events.append(Event(id_tok.value, region_id, interval))
-            elif self.at_ident("edge"):
-                self.take()
+            elif word == "edge":
+                self.pos += 1
                 src = self.expect_ident("event id").value
-                self.expect_sym("->")
+                self.expect("->")
                 dst = self.expect_ident("event id").value
                 edges.append((src, dst))
-            elif self.at_ident("initial"):
-                self.take()
+            elif word == "initial":
+                self.pos += 1
                 self.comma_list(lambda: initial.append(self.expect_ident("event id").value))
             else:
-                self.fail(f"unexpected '{self.peek().value}' in behavior body")
+                self.fail(f"unexpected '{word}' in behavior body")
             self.end_statement()
 
         self.block(statement)
@@ -567,7 +584,7 @@ class _Parser:
         from .simulate import Scenario, TokenSeed
 
         self.skip_newlines()
-        self.expect_word("scenario")
+        self.expect("scenario")
         name = self.expect_ident("scenario name").value
         policy = "deterministic"
         seed = 0
@@ -577,70 +594,70 @@ class _Parser:
         mints: list[tuple[StageRef, str, dict]] = []
         actions: list[tuple[StageRef, str]] = []
         stop: str | None = None
-        token_ids: dict[str, SourceSpan] = {}
+        token_ids: set[str] = set()
 
         def statement():
             nonlocal policy, seed, max_steps, stop
-            if self.at_ident("policy"):
-                self.take()
+            word = self.tokens[self.pos].value
+            if word == "policy":
+                self.pos += 1
                 tok = self.take()
                 if tok.value not in ("deterministic", "seeded"):
                     self.fail("policy is 'deterministic' or 'seeded-random'", tok)
                 if tok.value == "seeded":
-                    self.expect_sym("-")
-                    self.expect_word("random",
-                                     "policy is 'deterministic' or 'seeded-random'")
+                    self.expect("-")
+                    self.expect("random", "policy is 'deterministic' or 'seeded-random'")
                     policy = "seeded-random"
                 else:
                     policy = "deterministic"
-            elif self.at_ident("seed"):
-                self.take()
+            elif word == "seed":
+                self.pos += 1
                 seed = int(self.expect_int("seed value").value)
-            elif self.at_ident("max_steps"):
-                self.take()
+            elif word == "max_steps":
+                self.pos += 1
                 tok = self.expect_int("step count")
                 max_steps = int(tok.value)
                 if max_steps < 1:
                     self.fail("max_steps must be >= 1", tok)
-            elif self.at_ident("token") or self.at_ident("inject"):
-                injected = self.at_ident("inject")
-                self.take()
+            elif word in ("token", "inject"):
+                injected = word == "inject"
+                self.pos += 1
                 step = None
                 if injected:
                     step = int(self.expect_int("injection step").value)
-                    self.expect_word("token")
+                    self.expect("token")
                 id_tok = self.expect_ident("token id")
                 self.declare(token_ids, id_tok, "token id")
-                self.expect_word("of")
+                self.expect("of")
                 thing = self.expect_ident("thing name").value
-                self.expect_word("at")
+                self.expect("at")
                 at = self.stage_ref()
-                attrs = self.attrs_block() if self.at("SYM", "{") else {}
+                attrs = self.attrs_block() if self.at("{") else {}
                 seed_tok = TokenSeed(id_tok.value, thing, at, attrs)
                 if injected:
                     injections.append((step, seed_tok))
                 else:
                     tokens.append(seed_tok)
-            elif self.at_ident("mint"):
-                self.take()
+            elif word == "mint":
+                self.pos += 1
                 at = self.stage_ref()
-                self.expect_word("of")
+                self.expect("of")
                 thing = self.expect_ident("thing name").value
-                attrs = self.attrs_block() if self.at("SYM", "{") else {}
+                attrs = self.attrs_block() if self.at("{") else {}
                 mints.append((at, thing, attrs))
-            elif self.at_ident("action"):
-                self.take()
+            elif word == "action":
+                self.pos += 1
                 at = self.stage_ref()
-                self.expect_sym("{")
-                text = self.expression("action", set(), "bad action")
-                self.expect_sym("}")
+                self.expect("{")
+                text = self.expression("action", _EXPR_ENDS, "bad action")
+                self.expect("}")
                 actions.append((at, text))
-            elif self.at_ident("stop"):
-                self.take()
-                self.expect_word("when")
-                stop = self.expression("guard", set(), "bad stop condition")
+            elif word == "stop":
+                self.pos += 1
+                self.expect("when")
+                stop = self.expression("guard", _EXPR_ENDS, "bad stop condition")
             else:
-                self.fail(f"unexpected '{self.peek().value}' in scenario")
+                self.fail(f"unexpected '{word}' in scenario")
             self.end_statement()
 
         self.block(statement)

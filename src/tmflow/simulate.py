@@ -168,6 +168,11 @@ class _Live:
 def simulate(model: TMModel, scenario: Scenario) -> Trace:
     """Run the model under a scenario; deterministic given (scenario, seed).
 
+    An ``inject N`` token enters at step ``max(N, 1)``, before the tokens
+    move, and first fires its triggers and moves at the step after (as
+    any token does after it arrives).  An injection later than
+    ``max_steps``, or after the stop condition ends the run, never enters.
+
     Sugared arcs are expanded first; raises ModelError if an arc or a
     scenario stage does not resolve, or if the model declares things and
     a scenario token or mint is of none of them."""

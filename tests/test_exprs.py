@@ -1,7 +1,10 @@
-"""The parsed guards, actions and stop conditions that the parser hands
-over, read from its file's own tokens, are what parsing their stored
-text alone gives; and their compiled forms give what the AST
-interpreter below gives."""
+"""The lexer gives what the match-per-lexeme loop below gives; the parsed
+guards, actions and stop conditions that the parser hands over, read
+from its file's own tokens, are what parsing their stored text alone
+gives; and their compiled forms give what the AST interpreter below
+gives."""
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from tmflow.exprs import (
     Cmp,
     ExprSyntaxError,
     GuardTypeError,
+    LexError,
     Lit,
     Name,
     compile_actions,
@@ -21,10 +25,96 @@ from tmflow.exprs import (
     eval_guard,
     parse_guard,
     parse_statements,
+    tokenize,
 )
 from tmflow.parser import _Fail, _Parser
 
-from conftest import MODEL_FILES, SCENARIO_FILES, perfbench_gen
+from conftest import MODEL_FILES, SCENARIO_FILES, fuzz_texts, perfbench_gen
+
+# ---------------------------------------------------------------------------
+# The one-pass lexer against the match-per-lexeme loop it replaces.
+
+_REFERENCE_LEXEME = re.compile(
+    r"""
+    (?P<NEWLINE>\n)
+  | (?P<BLANK>[ \t]+|\#.*)
+  | (?P<STRING>"(?:[^"\\\n]|\\.)*")
+  | (?P<INT>\d+)
+  | (?P<IDENT>[^\W\d]\w*)
+  | (?P<SYM>->|=>|:=|<=|>=|!=|[{}(),;:.=<>+\-])
+  | (?P<UNTERMINATED>".*)
+  | (?P<UNEXPECTED>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list[exprs.Token]:
+    tokens: list[exprs.Token] = []
+    line, line_start, pos, size = 1, 0, 0, len(text)
+    while pos < size:
+        match = _REFERENCE_LEXEME.match(text, pos)
+        kind, start, pos = match.lastgroup, pos, match.end()
+        if kind == "BLANK":
+            continue
+        if kind == "NEWLINE":
+            if tokens and tokens[-1].kind != "NEWLINE":
+                tokens.append(exprs.Token(kind, "\n", line, start - line_start + 1, start))
+            line, line_start = line + 1, pos
+            continue
+        token = exprs.Token(kind, match.group(), line, start - line_start + 1, start)
+        if kind in ("UNTERMINATED", "UNEXPECTED"):
+            raise LexError(token)
+        tokens.append(token)
+    tokens.append(exprs.Token("EOF", "", line, pos - line_start + 1, pos))
+    return tokens
+
+
+def lexed(lex, text: str):
+    """The token list, or the token of the LexError raised (and its message)."""
+    try:
+        return lex(text)
+    except LexError as exc:
+        return "LexError", exc.token, str(exc)
+
+
+_EDGE_TEXTS = [
+    "", "\n", "  \t ", "\n\n  \n", "a \n\n \t\n", "a  \t", "x\n   ",
+    "a # last line, no newline", "# only a comment", "a\n# c\n\n# d",
+    '"open string', 'a "ok" "open', 'a = "x\\"y" "\\\\"', '"a\\\n"',
+    "a\fb", "\f", "a\rb", "a\x0bb", "@", "a.b -> c.d => e := 1 <= 2 >= 3 != 4",
+    "é9 ü_x 1a 12 ٣", "\u00a0x", "\t#\n\t#x\n",
+]
+
+
+def lexer_inputs():
+    gen = perfbench_gen()
+    yield from _EDGE_TEXTS
+    yield from fuzz_texts()
+    for path in MODEL_FILES + SCENARIO_FILES:
+        yield path.read_text(encoding="utf-8")
+    for seed in range(1, 21):
+        for chain in (gen["static_large"](seed), gen["sim_tokens"](seed)):
+            yield chain.model
+            yield chain.scenario
+
+
+def test_tokenize_matches_the_reference_lexer():
+    errors = {"UNTERMINATED": 0, "UNEXPECTED": 0}
+    for text in lexer_inputs():
+        want, got = lexed(reference_tokenize, text), lexed(tokenize, text)
+        assert got == want, text
+        if want[0] == "LexError":
+            errors[want[1].kind] += 1
+        else:
+            assert all(type(token) is exprs.Token for token in got)
+    assert min(errors.values()) > 100, errors
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=" \t\n\f#\"\\ab1_.-=>:{}é", max_size=40))
+def test_generated_texts_lex_alike(text):
+    assert lexed(tokenize, text) == lexed(reference_tokenize, text)
 
 
 def from_text(kind: str, text: str):

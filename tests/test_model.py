@@ -160,3 +160,18 @@ class TestModelAccessors:
 
     def test_stage_ref_str(self):
         assert str(StageRef(("trap", "bait"), C)) == "trap.bait.Create"
+
+    def test_equal_stage_refs_hash_equal_and_key_alike(self):
+        """StageKind hashes by identity, which agrees with its equality:
+        StageRefs built apart are equal, hash equal, and find each other
+        as dict and frozenset keys."""
+        assert StageKind.__hash__ is object.__hash__
+        refs = [StageRef(("trap", "bait"), kind) for kind in (C, P, C)]
+        twins = [StageRef(tuple(["trap", "bait"]), StageKind(kind.value)) for kind in (C, P, C)]
+        for ref, twin in zip(refs, twins):
+            assert ref == twin and hash(ref) == hash(twin)
+        table = {ref: i for i, ref in enumerate(refs)}
+        assert len(table) == 2 and table[twins[0]] == 2 and table[twins[1]] == 1
+        assert frozenset(refs) == frozenset(twins) and len(frozenset(twins)) == 2
+        assert twins[1] in frozenset(refs) and StageRef(("trap",), C) not in frozenset(refs)
+        assert {StageRef(("m",), None): 1}[StageRef(("m",), None)] == 1

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,10 @@ from tmflow import (
     parse_with_diagnostics,
     serialize,
 )
+from tmflow import parser as parser_module
+from tmflow.exprs import tokenize
 
-from conftest import MODEL_FILES, SCENARIO_FILES, corpus_text, fuzz_texts
+from conftest import MODEL_FILES, SCENARIO_FILES, corpus_text, fuzz_texts, perfbench_gen
 
 
 class TestRoundTrip:
@@ -437,3 +440,54 @@ class TestProperties:
     @given(models())
     def test_serializer_is_deterministic(self, model):
         assert serialize(model) == serialize(model)
+
+
+class TestScaling:
+    def test_front_end_work_grows_linearly_in_model_size(self, monkeypatch):
+        """Tokens, the parser's own calls, and StageRef constructions and
+        hashes while parsing the static-large model at 2N units are at most
+        about twice those at N.  (Counts, not timings, which are too noisy
+        on a shared machine.)"""
+        gen = perfbench_gen()
+        n = gen["STATIC_N"]
+        lexed, built, hashed = [], [], []
+
+        def counting_tokenize(text):
+            tokens = tokenize(text)
+            lexed.append(len(tokens))
+            return tokens
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def counting_hash(self):
+            hashed.append(1)
+            return hash_(self)
+
+        init, hash_ = StageRef.__init__, StageRef.__hash__
+        monkeypatch.setattr(parser_module, "tokenize", counting_tokenize)
+        monkeypatch.setattr(StageRef, "__init__", counting_init)
+        monkeypatch.setattr(StageRef, "__hash__", counting_hash)
+
+        def work(units):
+            text = gen["static_large"](3, units).model
+            del lexed[:], built[:], hashed[:]
+            calls = [0]
+
+            def count_call(frame, event, arg):
+                if event == "call" and frame.f_code.co_filename == parser_module.__file__:
+                    calls[0] += 1
+
+            sys.setprofile(count_call)
+            try:
+                doc = parse(text)
+            finally:
+                sys.setprofile(None)
+            assert len(doc.model.flows) > units
+            return lexed[0], calls[0], len(built), len(hashed)
+
+        at_n, at_2n = work(n), work(2 * n)
+        assert all(count > 0 for count in at_n), at_n
+        for count_n, count_2n in zip(at_n, at_2n):
+            assert 1.8 <= count_2n / count_n <= 2.1, (at_n, at_2n)
