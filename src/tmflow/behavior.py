@@ -85,12 +85,6 @@ class BehaviorGraph:
     def vertices(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.events)
 
-    def event_by_id(self, event_id: str) -> Event | None:
-        for event in self.events:
-            if event.id == event_id:
-                return event
-        return None
-
     def events_by_region(self) -> dict[str, str]:
         """region id -> event id (first declaration wins)."""
         mapping: dict[str, str] = {}

@@ -27,7 +27,6 @@ from pathlib import Path
 
 from .behavior import (
     BoundTooLarge,
-    NoInitialEvents,
     RegionCheckFailed,
     check_regions,
     enumerate_subdiagrams,
@@ -341,9 +340,6 @@ def main(argv: list[str] | None = None) -> int:
             _print_report(report, sys.stderr)
             return EXIT_SYNTAX
         return args.func(args, doc, report)
-    except NoInitialEvents as exc:
-        print(f"error[NO_INITIAL]: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
     except ModelError as exc:  # an arc that does not resolve
         print(f"error[UNRESOLVED]: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC

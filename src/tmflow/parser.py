@@ -681,11 +681,7 @@ class _Parser:
 
 def parse_with_diagnostics(text: str) -> tuple[Document, list[Diagnostic]]:
     parser = _Parser(text)
-    try:
-        doc = parser.parse_document()
-    except _Fail:
-        doc = Document()
-    return doc, parser.diagnostics
+    return parser.parse_document(), parser.diagnostics
 
 
 def parse(text: str) -> Document:

@@ -14,19 +14,16 @@ step (tokens at a trigger-gated stage wait for that mark before moving
 out).  Tokens reaching a Transfer stage with no outgoing flow leave the
 system.
 
-``simulate`` compiles each distinct guard text of the model once
-(``exprs.compile_guard``) and builds one plan per stage before the first
-step: its flows with their compiled guards and target plans, its
-triggers, hold, gate, and whether a token there leaves.  One binding
-pass, ``_bind``, resolves each stage the scenario names once, onto its
-plan (the mint seed and compiled action list), and lists each token and
-injection as (step, seed, plan) in the order they enter.  The loop then
-steps only the tokens still in the system, in creation order; a token at
-a stage with one outgoing flow tests that flow's guard alone.  None of
-this changes the semantics above: a plan is what the loop would
-otherwise look up each step, a compiled guard gives the value or the
-GuardTypeError its AST gives, and a token that left does nothing in any
-later step.
+``simulate`` links the model, compiles each distinct guard text once
+(``exprs.compile_guard``) and builds one plan per stage: its flows and
+triggers with their compiled guards and target plans, its hold and gate,
+and whether a token there leaves.  ``_bind`` puts the scenario's mint
+seeds and compiled actions on their plans, and lists each token and
+injection as (step, seed, plan) in entry order.  A ``_Run`` admits and
+steps them; only its ``trace`` builds ``Token``s.  None of this changes
+the semantics above: a plan is what the loop would otherwise look up
+each step, a compiled guard gives the value or the GuardTypeError its
+AST gives, and a token that left does nothing in any later step.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ class TokenSeed:
 
 @dataclass
 class Token:
-    """A token in a run: its thing, attributes, stage and arrival step."""
+    """A token left at the end of a run: its thing, attributes, stage and arrival step."""
 
     id: str
     thing: str
@@ -155,14 +152,15 @@ class _Plans(dict):
         return stage
 
 
-class _Live:
-    """A token in the system and the plan of the stage it is at."""
+@dataclass(slots=True, eq=False)
+class _Token:
+    """A token in the system, the plan of its stage and its arrival step."""
 
-    __slots__ = ("token", "stage")
-
-    def __init__(self, token: Token, stage: _Stage):
-        self.token = token
-        self.stage = stage
+    id: str
+    thing: str
+    attrs: dict[str, Value]
+    plan: _Stage
+    arrived: int
 
 
 def simulate(model: TMModel, scenario: Scenario) -> Trace:
@@ -182,9 +180,6 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
         if arc.guard is not None and arc.guard not in guards:
             guards[arc.guard] = compile_guard(linked.model._exprs.ast("guard", arc.guard))
 
-    seeded = scenario.policy == "seeded-random"
-    rng = random.Random(scenario.seed)
-
     plans = _Plans()
     for arc in linked.flows:
         source = plans[arc.source]
@@ -194,48 +189,71 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
         target = plans[arc.target]
         target.gated = arc.target.kind != StageKind.CREATE
         plans[arc.source].triggers.append((arc, guards.get(arc.guard), target))
-    stop_guard, arrivals = _bind(linked, scenario, plans)
+    run = _Run(scenario, *_bind(linked, scenario, plans))
 
-    live: list[_Live] = []
-    created = consumed = 0
-    minted_serial = 0  # a minted token's id skips those the scenario declares
-    declared = {seed.id for _, seed, _ in arrivals}
-    next_arrival = 0
-
-    def spawn(token: Token, stage: _Stage) -> None:
-        nonlocal created
-        live.append(_Live(token, stage))
-        created += 1
-        if stage.actions:
-            stage.actions(token.attrs)
-
-    def admit(step: int) -> bool:  # spawn the tokens due by ``step``; any?
-        nonlocal next_arrival
-        first = next_arrival
-        while next_arrival < len(arrivals) and arrivals[next_arrival][0] <= step:
-            _, seed, stage = arrivals[next_arrival]
-            spawn(Token(seed.id, seed.thing, dict(seed.attrs), stage.ref, step), stage)
-            next_arrival += 1
-        return next_arrival > first
-
-    admit(0)
-    records: list[TraceRecord] = []
-    enabled_now: set[_Stage] = set()
-    enabled_next: set[_Stage] = set()
-    steps_used = 0
+    run.admit(0)
+    quiet = False  # whether the last step admitted and recorded nothing
     step_limit_hit = False
-    prev_quiet = False
-
     for step in range(1, scenario.max_steps + 1):
-        steps_used = step
-        records_before = len(records)
-        injected = admit(step)
+        was_quiet, quiet = quiet, not run.step(step)
+        if run.stopped() or quiet and was_quiet and not run.pending:
+            break  # stopped, or quiescent: two quiet steps and none left to admit
+    else:
+        step_limit_hit = not quiet
 
-        left = False
-        for entry in live:  # tokens minted in this loop join it
-            token, stage = entry.token, entry.stage
+    for stage in plans.values():  # plans point at each other: free them now
+        stage.flows = stage.triggers = []
+    return run.trace(step_limit_hit)
+
+
+class _Run:
+    """A ``simulate`` run between steps.  Its ``rng`` is None, and the
+    first enabled flow is taken, unless the policy is ``seeded-random``."""
+
+    __slots__ = ("rng", "stop_guard", "pending", "declared", "minted_serial", "live",
+                 "records", "enabled", "created", "consumed", "steps_used")
+
+    def __init__(self, scenario: Scenario, stop_guard: Guard | None,
+                 arrivals: list[tuple[int, TokenSeed, _Stage]]):
+        self.rng = random.Random(scenario.seed) if scenario.policy == "seeded-random" else None
+        self.stop_guard = stop_guard
+        self.pending = arrivals[::-1]  # the next arrival last
+        self.declared = {seed.id for _, seed, _ in arrivals}
+        self.minted_serial = 0  # a minted token's id skips those the scenario declares
+        self.live: list[_Token] = []
+        self.records: list[TraceRecord] = []
+        self.enabled: set[_Stage] = set()
+        self.created = self.consumed = self.steps_used = 0
+
+    def spawn(self, token_id: str, thing: str, attrs: dict, plan: _Stage, step: int) -> str:
+        token = _Token(token_id, thing, dict(attrs), plan, step)
+        self.live.append(token)
+        self.created += 1
+        if plan.actions:
+            plan.actions(token.attrs)
+        return token_id
+
+    def admit(self, step: int) -> bool:
+        """Spawn the tokens due by ``step``, in order; whether there were any."""
+        pending, created = self.pending, self.created
+        while pending and pending[-1][0] <= step:
+            _, seed, plan = pending.pop()
+            self.spawn(seed.id, seed.thing, seed.attrs, plan, step)
+        return self.created > created
+
+    def step(self, step: int) -> bool:
+        """Admit the tokens due at ``step``, then fire and move each token
+        once, in creation order; whether anything entered or moved."""
+        self.steps_used = step
+        admitted = self.admit(step)
+        records = self.records
+        records_before = len(records)
+        enabled, marked = self.enabled, set()
+        kept: list[_Token] = []
+        for token in self.live:  # tokens minted in this loop join it
+            plan = token.plan
             if step == token.arrived + 1:
-                for trig, guard, target in stage.triggers:
+                for trig, guard, target in plan.triggers:
                     if guard is not None and not guard(token.attrs):
                         continue
                     if target.ref.kind == StageKind.CREATE:
@@ -245,33 +263,25 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
                                 "but the scenario mints no token there"
                             )
                         thing, attrs = target.mint
-                        minted_serial += 1
-                        while f"{thing}_{minted_serial}" in declared:
-                            minted_serial += 1
-                        minted = Token(f"{thing}_{minted_serial}", thing,
-                                       dict(attrs), target.ref, arrived=step)
-                        spawn(minted, target)
-                        records.append(
-                            TraceRecord(step, trig.id, minted.id,
-                                        trig.source, trig.target)
-                        )
+                        self.minted_serial += 1
+                        while f"{thing}_{self.minted_serial}" in self.declared:
+                            self.minted_serial += 1
+                        token_id = self.spawn(f"{thing}_{self.minted_serial}", thing,
+                                              attrs, target, step)
                     else:
-                        enabled_next.add(target)
-                        records.append(
-                            TraceRecord(step, trig.id, token.id,
-                                        trig.source, trig.target)
-                        )
-                if stage.leaves:
-                    token.at = None  # left the system at a boundary Transfer
-                    consumed += 1
-                    left = True
+                        marked.add(target)
+                        token_id = token.id
+                    records.append(TraceRecord(step, trig.id, token_id,
+                                               trig.source, trig.target))
+                if plan.leaves:  # left the system at a boundary Transfer
+                    self.consumed += 1
                     continue
-
-            if step < token.arrived + stage.hold:
+            kept.append(token)
+            if step < token.arrived + plan.hold:
                 continue
-            if stage.gated and stage not in enabled_now:
+            if plan.gated and plan not in enabled:
                 continue
-            flows = stage.flows
+            flows = plan.flows
             if len(flows) == 1:  # no choice to make: test its guard alone
                 arc, guard, target = flows[0]
                 if guard is not None and not guard(token.attrs):
@@ -281,41 +291,39 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
                                  if flow[1] is None or flow[1](token.attrs)]
                 if not enabled_flows:
                     continue
-                if seeded and len(enabled_flows) > 1:
-                    arc, _, target = enabled_flows[rng.randrange(len(enabled_flows))]
+                if self.rng is not None and len(enabled_flows) > 1:
+                    arc, _, target = enabled_flows[self.rng.randrange(len(enabled_flows))]
                 else:
                     arc, _, target = enabled_flows[0]
             records.append(
                 TraceRecord(step, arc.id, token.id, arc.source, arc.target)
             )
-            token.at = target.ref
+            token.plan = target
             token.arrived = step
-            entry.stage = target
             if target.actions:
                 target.actions(token.attrs)
 
-        if left:
-            live[:] = [entry for entry in live if entry.token.at is not None]
-        if stop_guard is not None and any(
-            _stops(stop_guard, entry.token) for entry in live
-        ):
-            break
+        self.live = kept
+        self.enabled = marked
+        return admitted or len(records) > records_before
 
-        quiet = len(records) == records_before and not injected
-        if quiet and prev_quiet and next_arrival == len(arrivals) and not enabled_next:
-            break
-        prev_quiet = quiet
-        enabled_now, enabled_next = enabled_next, set()
-    else:
-        step_limit_hit = not prev_quiet
+    def stopped(self) -> bool:
+        """Whether the stop condition holds for some token in the system
+        (not for one it cannot be evaluated on)."""
+        if self.stop_guard is not None:
+            for token in self.live:
+                try:
+                    if self.stop_guard(token.attrs):
+                        return True
+                except GuardTypeError:
+                    pass
+        return False
 
-    for stage in plans.values():  # plans point at each other: free them now
-        stage.flows = stage.triggers = []
-    return Trace(
-        records=tuple(records),
-        final_tokens=tuple(entry.token for entry in live),
-        meta=TraceMeta(steps_used, step_limit_hit, created, consumed),
-    )
+    def trace(self, step_limit_hit: bool) -> Trace:
+        """The trace so far, with a public ``Token`` per token in the system."""
+        final = tuple(Token(t.id, t.thing, t.attrs, t.plan.ref, t.arrived) for t in self.live)
+        meta = TraceMeta(self.steps_used, step_limit_hit, self.created, self.consumed)
+        return Trace(tuple(self.records), final, meta)
 
 
 def _bind(linked: Linked, scenario: Scenario, plans: _Plans
@@ -351,15 +359,6 @@ def _bind(linked: Linked, scenario: Scenario, plans: _Plans
         if things and thing not in things:
             raise ModelError(f"scenario {what} is of undeclared thing '{thing}'")
     return stop_guard, arrivals
-
-
-def _stops(stop_guard: Guard, token: Token) -> bool:
-    """Whether the stop condition holds for a token (not where it cannot
-    be evaluated on the token's attributes)."""
-    try:
-        return stop_guard(token.attrs)
-    except GuardTypeError:
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -154,19 +154,17 @@ def validate(model: TMModel) -> ValidationReport:
 
 
 def _warn_opposing_flows(flows: tuple[FlowArc, ...], report: ValidationReport) -> None:
-    directed: dict[tuple, set[tuple]] = {}
+    """One warning per pair of machines with flows (of one thing) both
+    ways, in the order of the displayed pair, then of the thing."""
+    sources: dict[tuple[str, str, str], set[str]] = {}
     for arc in flows:
         if arc.source.machine == arc.target.machine:
             continue
-        key = (frozenset((arc.source.machine, arc.target.machine)), arc.thing)
-        directed.setdefault(key, set()).add(
-            (arc.source.machine, arc.target.machine)
-        )
-    for (machines, thing), directions in sorted(
-        directed.items(), key=lambda item: str(item[0])
-    ):
+        source, target = ".".join(arc.source.machine), ".".join(arc.target.machine)
+        key = (min(source, target), max(source, target), arc.thing or "")
+        sources.setdefault(key, set()).add(source)
+    for (a, b, thing), directions in sorted(sources.items()):
         if len(directions) > 1:
-            a, b = sorted(".".join(m) for m in machines)
             what = f" of '{thing}'" if thing else ""
             report.diagnostics.append(
                 warning(

@@ -204,6 +204,18 @@ class TestDeclaredBehavior:
         report = validate_behavior(paint_dry.model, paint_dry.regions, declared)
         assert "UNKNOWN_REGION" in {d.code for d in report.errors}
 
+    def test_undeclared_initial_event_and_edge_end(self, paint_dry):
+        declared = BehaviorGraph(
+            events=(Event("paint", "R_paint"), Event("dry", "R_dry")),
+            edges=(("paint", "dry"), ("paint", "wet")),
+            initial=("paint", "start"),
+        )
+        report = validate_behavior(paint_dry.model, paint_dry.regions, declared)
+        assert [str(d) for d in report.diagnostics] == [
+            "error[UNKNOWN_REGION]: initial event 'start' is not declared",
+            "error[UNKNOWN_REGION]: edge paint -> wet references undeclared event 'wet'",
+        ]
+
     def test_bad_mode_rejected(self, paint_dry):
         with pytest.raises(ValueError):
             validate_behavior(

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import tmflow
+from tmflow.behavior import enumerate_subdiagrams
 from tmflow.cli import main
 
 from conftest import CORPUS
@@ -33,6 +35,12 @@ class TestCheck:
         assert code == 0
         assert "OPPOSING_FLOWS" in out
         assert "INTERVAL_ORDER" not in out
+
+    def test_duplicate_stage_exits_one(self, tmp_path, capsys):
+        model = write(tmp_path, "dup.tm", "machine a { stages Create, Create, Process }\n")
+        assert main(["check", model]) == 1
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "1:9: error[DUPLICATE_STAGE]: machine 'a' declares Create more than once")
 
     def test_syntax_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.tm"
@@ -96,6 +104,15 @@ class TestEvents:
                      "--bound", "2"]) == 0
         assert capsys.readouterr().out.startswith("12 subdiagrams")
 
+    def test_bound_over_the_cap_exits_one(self, monkeypatch, capsys):
+        def capped(model, max_elements):
+            return enumerate_subdiagrams(model, max_elements, cap=5)
+
+        monkeypatch.setattr("tmflow.cli.enumerate_subdiagrams", capped)
+        assert main(["events", corpus("multiple_behaviors.tm"), "--bound", "2"]) == 1
+        assert capsys.readouterr() == (
+            "", "error[BOUND]: subdiagram enumeration exceeded cap of 5\n")
+
 
 class TestSimulate:
     def test_text_trace_with_conformance(self, capsys):
@@ -119,6 +136,40 @@ class TestSimulate:
         assert main(["simulate", corpus("formula.tm"), corpus("formula.tms"),
                      "--max-steps", "5"]) == 0
         assert "limit_hit=yes" in capsys.readouterr().out
+
+    def test_seed_option_runs_the_scenario_with_that_seed(self, tmp_path, capsys):
+        model = write(tmp_path, "choice.tm",
+                      "thing t\n"
+                      "machine a { stages Create, Release, Transfer }\n"
+                      "machine b { stages Transfer }\n"
+                      "machine c { stages Transfer }\n"
+                      "flow a.Create -> a.Release on t\n"
+                      "flow a.Release -> a.Transfer on t\n"
+                      "flow left: a.Transfer -> b.Transfer on t\n"
+                      "flow right: a.Transfer -> c.Transfer on t\n")
+        tokens = "".join(f"  token x{i} of t at a.Create\n" for i in range(8))
+
+        def scenario(seed):
+            return write(tmp_path, f"s{seed}.tms", "scenario s {\n  policy seeded-random\n"
+                         f"  seed {seed}\n{tokens}}}\n")
+
+        def output(*argv):
+            assert main(["simulate", model, *argv]) == 0
+            return capsys.readouterr().out
+
+        in_file = {seed: output(scenario(seed)) for seed in (1, 2, 3)}
+        assert len(set(in_file.values())) == 3  # each seed chooses differently
+        for seed, expected in in_file.items():
+            assert output(scenario(0), "--seed", str(seed)) == expected
+
+    def test_nonconformant_trace_exits_one_after_its_verdict(self, tmp_path, capsys):
+        scenario = write(tmp_path, "late.tms",
+                         "scenario late {\n  token c of coat at dry.Transfer\n}\n")
+        assert main(["simulate", corpus("paint_dry.tm"), scenario]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[-1] == ("conformance: error[NOT_INITIAL]: trace starts "
+                                        "at non-initial event 'dry' (steps 1..2)")
 
     def test_missing_scenario_exits_two(self, capsys):
         assert main(["simulate", corpus("formula.tm"), corpus("nope.tms")]) == 2
@@ -382,27 +433,45 @@ class TestArgumentChecks:
 
 
 def test_region_diagnostics_do_not_depend_on_hash_seed(tmp_path):
-    model = write(tmp_path, "d.tm",
-                  "thing t\n"
-                  "machine a { stages Create, Process }\n"
-                  "flow f1: a.Create -> a.Process on t\n"
-                  "regions {\n"
-                  "  region r { stages a.Create, b.Create, c.Process\n"
-                  "             arcs f1 }\n"
-                  "}\n")
+    dangling = write(tmp_path, "d.tm",
+                     "thing t\n"
+                     "machine a { stages Create, Process }\n"
+                     "flow f1: a.Create -> a.Process on t\n"
+                     "regions {\n"
+                     "  region r { stages a.Create, b.Create, c.Process\n"
+                     "             arcs f1 }\n"
+                     "}\n")
+    opposing = write(tmp_path, "o.tm",
+                     "".join(f"machine {m} {{ stages Transfer }}\n" for m in "abcd")
+                     + "flow a.Transfer -> d.Transfer\n"
+                       "flow d.Transfer -> a.Transfer\n"
+                       "flow b.Transfer -> c.Transfer\n"
+                       "flow c.Transfer -> b.Transfer\n")
     src = str(Path(tmflow.__file__).resolve().parent.parent)
-    outputs = []
-    for seed in map(str, range(1, 9)):  # set order puts c first under seed 7
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src, TM_COLOR="never")
-        run = subprocess.run([sys.executable, "-m", "tmflow.cli", "check", model],
-                             env=env, capture_output=True, text=True)
-        outputs.append((run.returncode, run.stdout, run.stderr))
-    assert outputs[0][0] == 1
-    assert outputs[0][2].splitlines()[:2] == [
+
+    def check_under_seeds(model):
+        outputs = []
+        for seed in map(str, range(1, 9)):  # set order puts c first under seed 7
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src, TM_COLOR="never")
+            run = subprocess.run([sys.executable, "-m", "tmflow.cli", "check", model],
+                                 env=env, capture_output=True, text=True)
+            outputs.append((run.returncode, run.stdout, run.stderr))
+        assert all(out == outputs[0] for out in outputs)
+        return outputs[0]
+
+    code, _, err = check_under_seeds(dangling)
+    assert code == 1
+    assert err.splitlines()[:2] == [
         "error[DANGLING_REF]: region 'r': no machine matches path 'b'",
         "error[DANGLING_REF]: region 'r': no machine matches path 'c'",
     ]
-    assert all(out == outputs[0] for out in outputs)
+    # Ordered by the displayed pair: the b/c warning came first under most seeds.
+    code, out, _ = check_under_seeds(opposing)
+    assert code == 0
+    assert out.splitlines() == [
+        f"warning[OPPOSING_FLOWS]: opposing flows between '{a}' and '{b}' "
+        "(statically legal; resolved dynamically by events)" for a, b in ("ad", "bc")
+    ] + ["ok (with warnings)"]
 
 
 class TestLexicalErrors:
@@ -511,16 +580,34 @@ class TestLoadFailures:
             assert err == message + "\n"
 
 
-def test_readme_lists_every_diagnostic_code():
-    """Every code ``tm`` can print appears in the README's Diagnostics
-    section."""
+def emitted_codes() -> set[str]:
+    """The diagnostic codes ``src`` can emit: each ``error("CODE"``,
+    ``warning("CODE"``, ``code="CODE"`` and ``error[CODE]``."""
     pattern = re.compile(r'\b(?:error|warning)\(\s*"([A-Z_]+)"'
                          r'|\bcode="([A-Z_]+)"|error\[([A-Z_]+)\]')
     package = Path(tmflow.__file__).resolve().parent
-    codes = {next(filter(None, match.groups()))
-             for path in package.glob("*.py")
-             for match in pattern.finditer(path.read_text(encoding="utf-8"))}
-    readme = (package.parent.parent / "README.md").read_text(encoding="utf-8")
+    return {next(filter(None, match.groups()))
+            for path in package.glob("*.py")
+            for match in pattern.finditer(path.read_text(encoding="utf-8"))}
+
+
+def test_readme_lists_every_diagnostic_code():
+    """Every code ``tm`` can print appears in the README's Diagnostics
+    section."""
+    codes = emitted_codes()
+    readme = (Path(tmflow.__file__).resolve().parent.parent.parent
+              / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Diagnostics\n", 1)[1].split("\n## ", 1)[0]
-    assert len(codes) >= 27
+    assert len(codes) >= 26
     assert sorted(code for code in codes if f"`{code}`" not in section) == []
+
+
+def test_every_diagnostic_code_is_named_in_another_test():
+    """Every code ``src`` can emit is named in some test other than this
+    one, so a test reaches each."""
+    own = inspect.getsource(test_every_diagnostic_code_is_named_in_another_test)
+    text = "".join(path.read_text(encoding="utf-8")
+                   for path in Path(__file__).resolve().parent.glob("test_*.py"))
+    text = text.replace(own, "")
+    assert sorted(code for code in emitted_codes()
+                  if not re.search(rf"\b{code}\b", text)) == []

@@ -244,6 +244,63 @@ class TestStepSemantics:
         assert token.attrs["sum"] == 3
         assert trace.meta.steps_used < 17
 
+    def test_action_runs_on_a_token_created_at_its_stage(self):
+        """A ``token``, an ``inject`` and a mint each create a token at a
+        stage with an action: it runs on the new token, once."""
+        model = parse_model(
+            "thing job { n: int }\n"
+            "machine a { stages Create, Process }\n"
+            "machine b { stages Create, Process }\n"
+            "flow fa: a.Create -> a.Process on job\n"
+            "flow fb: b.Create -> b.Process on job\n"
+            "trigger t: a.Process -> b.Create\n"
+        )
+        scenario = parse_scenario(
+            "scenario s {\n"
+            "  token j of job at a.Create { n = 0 }\n"
+            "  inject 2 token k of job at a.Create { n = 10 }\n"
+            "  mint b.Create of job { n = 100 }\n"
+            "  action a.Create { n := n + 1 }\n"
+            "  action b.Create { n := n + 1 }\n"
+            "}\n"
+        )
+        trace = simulate(model, scenario)
+        assert {token.id: token.attrs["n"] for token in trace.final_tokens} == {
+            "j": 1, "k": 11, "job_1": 101, "job_2": 101}
+
+    THREE_STAGES = ("thing job { n: int }\n"
+                    "machine a { stages Create, Process, Release }\n"
+                    "flow f1: a.Create -> a.Process on job\n"
+                    "flow f2: a.Process -> a.Release on job\n")
+
+    def test_stop_condition_that_fails_on_a_token_does_not_stop_the_run(self):
+        """``m > 3`` raises GuardTypeError on a token with no ``m``: that
+        token does not stop the run, and the next token is still tested."""
+        model = parse_model(self.THREE_STAGES)
+        x = "  token x of job at a.Create { n = 1 }\n"
+        y = "  token y of job at a.Create { n = 2, m = 5 }\n"
+
+        def run_with(tokens, stop=""):
+            return simulate(model, parse_scenario(f"scenario s {{\n{tokens}{stop}}}\n"))
+
+        trace = run_with(x, "  stop when m > 3\n")
+        assert trace == run_with(x)
+        assert trace.meta.steps_used == 5 and len(trace.records) == 2
+        assert run_with(x + y, "  stop when m > 3\n").meta.steps_used == 1
+
+    @pytest.mark.parametrize("max_steps, inject, hit", [
+        (3, "", True),  # step 3 moves x along f2
+        (4, "", False),  # step 4 is quiet
+        (4, "  inject 4 token y of job at a.Create { n = 2 }\n", True),  # step 4 admits y
+    ])
+    def test_limit_hit_only_when_the_last_step_moved(self, max_steps, inject, hit):
+        scenario = parse_scenario(f"scenario s {{\n  max_steps {max_steps}\n"
+                                  f"  token x of job at a.Create {{ n = 1 }}\n{inject}}}\n")
+        trace = simulate(parse_model(self.THREE_STAGES), scenario)
+        assert [(r.step, r.arc) for r in trace.records] == [(1, "f1"), (3, "f2")]
+        assert trace.meta.steps_used == max_steps
+        assert trace.meta.step_limit_hit is hit
+
     @pytest.mark.parametrize("placement, message", [
         ("token t of ghost at a.Create { n = 1 }",
          "scenario token 't' is of undeclared thing 'ghost'"),

@@ -1,8 +1,12 @@
 import pytest
 
 from tmflow import (
+    FlowArc,
+    Machine,
     StageKind,
     StageRef,
+    ThingDecl,
+    TMModel,
     UnknownMachineError,
     parse_model,
     reachable_stages,
@@ -37,6 +41,24 @@ class TestErrors:
         )
         [diag] = [d for d in report.errors if d.code == "ADJACENCY"]
         assert "across machines" in diag.message
+
+    def test_repeated_ids_of_a_hand_built_model(self):
+        """The parser refuses a repeated id; ``validate`` reports one in a
+        model built without it."""
+        create, process = StageKind.CREATE, StageKind.PROCESS
+        model = TMModel(
+            machines=(Machine("a", stages=(create, process)),
+                      Machine("b", stages=(create, process),
+                              submachines=(Machine("a", stages=(create,)),))),
+            flows=(FlowArc("f", StageRef(("b",), create), StageRef(("b",), process)),
+                   FlowArc("f", StageRef(("b", "a"), create), StageRef(("b",), process))),
+            things=(ThingDecl("t"), ThingDecl("t")),
+        )
+        assert [str(d) for d in validate(model).errors if d.code == "DUP_ID"] == [
+            "error[DUP_ID]: duplicate machine id 'a'",
+            "error[DUP_ID]: duplicate thing 't'",
+            "error[DUP_ID]: duplicate arc id 'f'",
+        ]
 
     def test_unresolved_machine(self):
         report = check(
