@@ -8,9 +8,7 @@ behavior graph orders events, and walks through it are chronologies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .diagnostics import ValidationReport, error, warning
+from .diagnostics import Record, ValidationReport, _setattr, error, warning
 from .model import Linked, ModelError, StageKind, StageRef, TMModel, link
 
 
@@ -28,12 +26,24 @@ class BoundTooLarge(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Subdiagram:
+class Subdiagram(Record):
     """A set of stages and arcs of a model."""
 
-    stages: frozenset[StageRef]
-    arcs: frozenset[str]
+    __slots__ = ("stages", "arcs")
+
+    def __init__(self, stages: frozenset[StageRef], arcs: frozenset[str]):
+        _setattr(self, "stages", stages)
+        _setattr(self, "arcs", arcs)
+
+    # Spelled out, not read through ``Record._key``: the enumeration
+    # tests every subdiagram it builds against the ones it has seen.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.stages, self.arcs) == (other.stages, other.arcs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.stages, self.arcs))
 
     @property
     def size(self) -> int:
@@ -47,39 +57,48 @@ class Subdiagram:
         )
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     """A named subdiagram: the part of the model one event runs in."""
 
-    id: str
-    body: Subdiagram
-    label: str = ""
+    __slots__ = ("id", "body", "label")
+
+    def __init__(self, id: str, body: Subdiagram, label: str = ""):
+        _setattr(self, "id", id)
+        _setattr(self, "body", body)
+        _setattr(self, "label", label)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A start step and a duration (at least 1) of an event."""
 
-    start: int
-    duration: int  # >= 1
+    __slots__ = ("start", "duration")
+
+    def __init__(self, start: int, duration: int):
+        _setattr(self, "start", start)
+        _setattr(self, "duration", duration)  # >= 1
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record):
     """A behavior-graph vertex: a region, with an optional interval."""
 
-    id: str
-    region: str
-    interval: Interval | None = None
+    __slots__ = ("id", "region", "interval")
+
+    def __init__(self, id: str, region: str, interval: Interval | None = None):
+        _setattr(self, "id", id)
+        _setattr(self, "region", region)
+        _setattr(self, "interval", interval)
 
 
-@dataclass(frozen=True)
-class BehaviorGraph:
+class BehaviorGraph(Record):
     """Events, the edges between them, and the initial events."""
 
-    events: tuple[Event, ...]
-    edges: tuple[tuple[str, str], ...]
-    initial: tuple[str, ...]
+    __slots__ = ("events", "edges", "initial")
+
+    def __init__(self, events: tuple[Event, ...], edges: tuple[tuple[str, str], ...],
+                 initial: tuple[str, ...]):
+        _setattr(self, "events", events)
+        _setattr(self, "edges", edges)
+        _setattr(self, "initial", initial)
 
     @property
     def vertices(self) -> tuple[str, ...]:

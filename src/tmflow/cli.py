@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .behavior import (
@@ -205,6 +204,8 @@ def _cmd_behavior(args, doc: Document, report: ValidationReport) -> int:
 
 
 def _cmd_simulate(args, doc: Document, report: ValidationReport) -> int:
+    from dataclasses import replace
+
     from .simulate import UnseededCreateError, conformance, segment, simulate
 
     try:

@@ -1,27 +1,157 @@
-"""Source locations, diagnostics, and validation reports shared across the toolkit."""
+"""Source locations, diagnostics, and validation reports shared across the toolkit.
+
+Also the base of the package's value records, ``Record``: this module
+is the one every other imports first.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
+
+_setattr = object.__setattr__  # sets a field of a frozen record in ``__init__``
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class Fresh:
+    """A default made anew for each record, as ``field(default_factory=make)``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+def _key_getter(names: tuple[str, ...]):
+    """The function that gives the tuple of a record's ``names`` fields."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda record: (get(record),)
+    return attrgetter(*names)
+
+
+class _DataclassView:
+    """``__dataclass_fields__`` or ``__dataclass_params__`` of a record
+    class, so that ``dataclasses.fields``, ``replace``, ``asdict`` and
+    ``is_dataclass`` take records.  Read from a dataclass with the same
+    fields, defaults and flags, made on first use and kept on the class;
+    only a caller that has imported ``dataclasses`` reads it."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, record, cls):
+        if not cls._fields:  # Record and the abstract bases: no dataclass
+            raise AttributeError(self.name)
+        shadow = cls.__dict__.get("_shadow")
+        if shadow is None:
+            from dataclasses import field, make_dataclass
+
+            init = cls.__init__
+            defaults = dict(zip(reversed(cls._fields), reversed(init.__defaults__ or ())))
+            specs = []
+            for name in cls._fields:
+                flags = {"compare": name in cls._compared, "repr": name in cls._shown}
+                if name not in defaults:
+                    spec = field(**flags)
+                elif isinstance(defaults[name], Fresh):
+                    spec = field(default_factory=defaults[name].make, **flags)
+                else:
+                    spec = field(default=defaults[name], **flags)
+                specs.append((name, init.__annotations__.get(name, "object"), spec))
+            shadow = make_dataclass(cls.__name__, specs, frozen=cls._frozen)
+            cls._shadow = shadow
+        return getattr(shadow, self.name)
+
+
+class Record:
+    """A value record, shown, compared, hashed and frozen as a dataclass
+    is, and taken by ``dataclasses.fields``, ``replace`` and ``asdict``,
+    but defined without ``dataclasses``: importing that module and
+    compiling each class's methods from text at every ``tm`` start cost
+    about half of what ``tm check`` takes.
+
+    A subclass's fields are the parameters of its ``__init__``, in order
+    and with their defaults (a ``Fresh`` default is made anew for each
+    record); it lists them in ``__slots__``, and a frozen record's
+    ``__init__`` sets them with ``object.__setattr__``.  Class keywords:
+    ``frozen=False`` makes a mutable, unhashable record; ``uncompared``
+    and ``unshown`` name the fields left out of ``==``/``hash`` and of
+    ``repr``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _frozen = True
+
+    def __init_subclass__(cls, frozen: bool = True, uncompared=(), unshown=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        init = cls.__dict__.get("__init__")
+        if init is not None:
+            code = init.__code__
+            cls._fields = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+            cls._compared = tuple(n for n in cls._fields if n not in uncompared)
+            cls._shown = tuple(n for n in cls._fields if n not in unshown)
+            cls._key = staticmethod(_key_getter(cls._compared))
+        cls._frozen = frozen
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            if "__hash__" not in cls.__dict__:
+                cls.__hash__ = None
+
+    __dataclass_fields__ = _DataclassView()
+    __dataclass_params__ = _DataclassView()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild through __init__
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class SourceSpan(Record):
     """1-based position of a piece of source text."""
 
-    line: int
-    column: int
-    length: int = 1
+    __slots__ = ("line", "column", "length")
+
+    def __init__(self, line: int, column: int, length: int = 1):
+        _setattr(self, "line", line)
+        _setattr(self, "column", column)
+        _setattr(self, "length", length)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One error or warning, with its code and optional source span."""
 
-    severity: str  # "error" | "warning"
-    code: str
-    message: str
-    span: SourceSpan | None = None
+    __slots__ = ("severity", "code", "message", "span")
+
+    def __init__(self, severity: str, code: str, message: str,
+                 span: SourceSpan | None = None):
+        _setattr(self, "severity", severity)  # "error" | "warning"
+        _setattr(self, "code", code)
+        _setattr(self, "message", message)
+        _setattr(self, "span", span)
 
     def __str__(self) -> str:
         loc = ""
@@ -38,11 +168,13 @@ def warning(code: str, message: str, span: SourceSpan | None = None) -> Diagnost
     return Diagnostic("warning", code, message, span)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Record, frozen=False):
     """The diagnostics of one check, in the order found."""
 
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    __slots__ = ("diagnostics",)
+
+    def __init__(self, diagnostics: list[Diagnostic] = Fresh(list)):
+        self.diagnostics = diagnostics.make() if isinstance(diagnostics, Fresh) else diagnostics
 
     @property
     def ok(self) -> bool:

@@ -35,7 +35,7 @@ import operator
 import re
 from typing import Callable, NamedTuple
 
-from .diagnostics import SourceSpan
+from .diagnostics import Record, SourceSpan, _setattr
 
 
 class ExprSyntaxError(Exception):
@@ -49,70 +49,64 @@ class GuardTypeError(Exception):
 Value = int | str
 
 
-class _Node:
-    """An AST record: plain slots (defining and building one costs less
-    than a dataclass), equal to a node of its own class with equal fields,
-    hashed by its fields, and shown as ``Lit(value=1)``."""
+class _Node(Record):
+    """An AST record: frozen, equal to a node of its own class with equal
+    fields, hashed by its fields, and shown as ``Lit(value=1)``."""
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
 
 class Lit(_Node):
+    """A literal: an int or a text."""
+
     __slots__ = ("value",)
 
     def __init__(self, value: Value):
-        self.value = value
+        _setattr(self, "value", value)
 
 
 class Name(_Node):
+    """An attribute of the token."""
+
     __slots__ = ("ident",)
 
     def __init__(self, ident: str):
-        self.ident = ident
+        _setattr(self, "ident", ident)
 
 
 class BinOp(_Node):
+    """``left + right`` or ``left - right``."""
+
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: Expr, right: Expr):
-        self.op = op  # "+" | "-"
-        self.left = left
-        self.right = right
+        _setattr(self, "op", op)  # "+" | "-"
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
 
 class Cmp(_Node):
+    """A comparison: the whole of a guard."""
+
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: Expr, right: Expr):
-        self.op = op  # "=" "!=" "<" "<=" ">" ">="
-        self.left = left
-        self.right = right
+        _setattr(self, "op", op)  # "=" "!=" "<" "<=" ">" ">="
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
 
 Expr = Lit | Name | BinOp
 
 
 class Assign(_Node):
+    """``name := expr``: one statement of an action."""
+
     __slots__ = ("name", "expr")
 
     def __init__(self, name: str, expr: Expr):
-        self.name = name
-        self.expr = expr
+        _setattr(self, "name", name)
+        _setattr(self, "expr", expr)
 
 
 # ---------------------------------------------------------------------------

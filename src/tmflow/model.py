@@ -8,12 +8,11 @@ that move along the flows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from typing import Iterator
 
-from .diagnostics import SourceSpan
+from .diagnostics import Fresh, Record, SourceSpan, _setattr
 from .exprs import ExprTable
 
 
@@ -71,8 +70,7 @@ class StageNotDeclaredError(ModelError):
     pass
 
 
-@dataclass(frozen=True)
-class StageRef:
+class StageRef(Record):
     """Address of one stage instance: a machine path plus a stage kind.
 
     The path may be any unambiguous suffix of the machine's full path
@@ -81,8 +79,21 @@ class StageRef:
     of sugared machine-to-machine arcs.
     """
 
-    machine: tuple[str, ...]
-    kind: StageKind | None
+    __slots__ = ("machine", "kind")
+
+    def __init__(self, machine: tuple[str, ...], kind: StageKind | None):
+        _setattr(self, "machine", machine)
+        _setattr(self, "kind", kind)
+
+    # Spelled out, not read through ``Record._key``: stage refs are the
+    # keys of every stage map, so these run thousands of times a check.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.machine, self.kind) == (other.machine, other.kind)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.machine, self.kind))
 
     def __str__(self) -> str:
         path = ".".join(self.machine)
@@ -92,71 +103,101 @@ class StageRef:
         return (self.machine, self.kind.value if self.kind else "")
 
 
-@dataclass(frozen=True)
-class Machine:
+class Machine(Record, uncompared=("span",)):
     """A machine: its stages and nested submachines."""
 
-    id: str
-    name: str | None = None
-    stages: tuple[StageKind, ...] = ()
-    submachines: tuple["Machine", ...] = ()
-    span: SourceSpan | None = field(default=None, compare=False)
+    __slots__ = ("id", "name", "stages", "submachines", "span")
+
+    def __init__(self, id: str, name: str | None = None, stages: tuple[StageKind, ...] = (),
+                 submachines: tuple[Machine, ...] = (), span: SourceSpan | None = None):
+        _setattr(self, "id", id)
+        _setattr(self, "name", name)
+        _setattr(self, "stages", stages)
+        _setattr(self, "submachines", submachines)
+        _setattr(self, "span", span)
 
 
-@dataclass(frozen=True)
-class FlowArc:
+class FlowArc(Record, uncompared=("auto_id", "span")):
     """A solid arc: a thing flowing from one stage to another."""
 
-    id: str
-    source: StageRef
-    target: StageRef
-    thing: str | None = None
-    guard: str | None = None
-    label: str | None = None
-    auto_id: bool = field(default=False, compare=False)
-    span: SourceSpan | None = field(default=None, compare=False)
+    __slots__ = ("id", "source", "target", "thing", "guard", "label", "auto_id", "span")
+
+    def __init__(self, id: str, source: StageRef, target: StageRef, thing: str | None = None,
+                 guard: str | None = None, label: str | None = None, auto_id: bool = False,
+                 span: SourceSpan | None = None):
+        _setattr(self, "id", id)
+        _setattr(self, "source", source)
+        _setattr(self, "target", target)
+        _setattr(self, "thing", thing)
+        _setattr(self, "guard", guard)
+        _setattr(self, "label", label)
+        _setattr(self, "auto_id", auto_id)
+        _setattr(self, "span", span)
 
     @property
     def sugared(self) -> bool:
         return self.source.kind is None or self.target.kind is None
 
+    def with_ends(self, source: StageRef, target: StageRef) -> FlowArc:
+        """This arc, between ``source`` and ``target``."""
+        return FlowArc(self.id, source, target, self.thing, self.guard, self.label,
+                       self.auto_id, self.span)
 
-@dataclass(frozen=True)
-class TriggerArc:
+
+class TriggerArc(Record, uncompared=("auto_id", "span")):
     """A dashed arc: a stage triggering another stage."""
 
-    id: str
-    source: StageRef
-    target: StageRef
-    guard: str | None = None
-    label: str | None = None
-    auto_id: bool = field(default=False, compare=False)
-    span: SourceSpan | None = field(default=None, compare=False)
+    __slots__ = ("id", "source", "target", "guard", "label", "auto_id", "span")
+
+    def __init__(self, id: str, source: StageRef, target: StageRef, guard: str | None = None,
+                 label: str | None = None, auto_id: bool = False,
+                 span: SourceSpan | None = None):
+        _setattr(self, "id", id)
+        _setattr(self, "source", source)
+        _setattr(self, "target", target)
+        _setattr(self, "guard", guard)
+        _setattr(self, "label", label)
+        _setattr(self, "auto_id", auto_id)
+        _setattr(self, "span", span)
+
+    def with_ends(self, source: StageRef, target: StageRef) -> TriggerArc:
+        """This arc, between ``source`` and ``target``."""
+        return TriggerArc(self.id, source, target, self.guard, self.label, self.auto_id,
+                          self.span)
 
 
-@dataclass(frozen=True)
-class ThingDecl:
+class ThingDecl(Record, uncompared=("span",)):
     """A declared thing and its typed attributes."""
 
-    name: str
-    attributes: tuple[tuple[str, str], ...] = ()  # (name, "int" | "text")
-    span: SourceSpan | None = field(default=None, compare=False)
+    __slots__ = ("name", "attributes", "span")
+
+    def __init__(self, name: str, attributes: tuple[tuple[str, str], ...] = (),
+                 span: SourceSpan | None = None):
+        _setattr(self, "name", name)
+        _setattr(self, "attributes", attributes)  # (name, "int" | "text")
+        _setattr(self, "span", span)
 
     def attribute_names(self) -> set[str]:
         return {name for name, _ in self.attributes}
 
 
-@dataclass(frozen=True)
-class TMModel:
+class TMModel(Record, uncompared=("_exprs",), unshown=("_exprs",)):
     """A static model: machines, flow and trigger arcs, and things."""
 
-    machines: tuple[Machine, ...] = ()
-    flows: tuple[FlowArc, ...] = ()
-    triggers: tuple[TriggerArc, ...] = ()
-    things: tuple[ThingDecl, ...] = ()
-    # The parsed guards, by ("guard", text): filled by the parser, and
-    # parsed on first use for a model built by hand.
-    _exprs: ExprTable = field(default_factory=ExprTable, compare=False, repr=False)
+    # ``__dict__`` holds the cached ``_linked``.
+    __slots__ = ("machines", "flows", "triggers", "things", "_exprs", "__dict__")
+
+    def __init__(self, machines: tuple[Machine, ...] = (), flows: tuple[FlowArc, ...] = (),
+                 triggers: tuple[TriggerArc, ...] = (), things: tuple[ThingDecl, ...] = (),
+                 _exprs: ExprTable = Fresh(ExprTable)):
+        _setattr(self, "machines", machines)
+        _setattr(self, "flows", flows)
+        _setattr(self, "triggers", triggers)
+        _setattr(self, "things", things)
+        # The parsed guards, by ("guard", text): filled by the parser, and
+        # parsed on first use for a model built by hand.
+        _setattr(self, "_exprs", _exprs.make() if isinstance(_exprs, Fresh) else _exprs)
+
     _linked = cached_property(lambda self: Linked(self))  # see ``link``
 
     def walk(self) -> Iterator[tuple[tuple[str, ...], Machine]]:
@@ -291,7 +332,8 @@ def _desugar(model: TMModel, index: _SuffixIndex, unresolved: list) -> TMModel:
         rcv = StageRef(arc.target.machine, StageKind.RECEIVE)
         flows += [
             FlowArc(f"{arc.id}__rel", rel, src_tx, thing=arc.thing, span=arc.span),
-            replace(arc, id=f"{arc.id}__x", source=src_tx, target=tgt_tx, auto_id=False),
+            FlowArc(f"{arc.id}__x", src_tx, tgt_tx, arc.thing, arc.guard, arc.label,
+                    span=arc.span),
             FlowArc(f"{arc.id}__rcv", tgt_tx, rcv, thing=arc.thing, span=arc.span),
         ]
 
@@ -301,10 +343,10 @@ def _desugar(model: TMModel, index: _SuffixIndex, unresolved: list) -> TMModel:
         subs = tuple(rebuild(sub, path) for sub in machine.submachines)
         if not extra and subs == machine.submachines:
             return machine
-        return replace(machine, stages=machine.stages + extra, submachines=subs)
+        return Machine(machine.id, machine.name, machine.stages + extra, subs, machine.span)
 
     machines = tuple(rebuild(root, ()) for root in model.machines)
-    return replace(model, machines=machines, flows=tuple(flows))
+    return TMModel(machines, tuple(flows), model.triggers, model.things, model._exprs)
 
 
 def link(model: TMModel) -> "Linked":
@@ -331,7 +373,9 @@ class Linked:
             model = _desugar(model, index, self.unresolved)
             index = _suffix_index(model)  # desugaring declared new stages
         else:
-            model = replace(model)  # a copy: the model holds this, so no cycle
+            # A copy: the model holds this, so no cycle.
+            model = TMModel(model.machines, model.flows, model.triggers, model.things,
+                            model._exprs)
         self.model = model
         self._index = index
         self.flows: tuple[FlowArc, ...] = self._link(model.flows)
@@ -345,9 +389,10 @@ class Linked:
         return self
 
     def normalize(self, ref: StageRef) -> StageRef:
-        """The full-path form of ``ref``; raises ModelError if it does not resolve."""
+        """The full-path form of ``ref`` (``ref`` itself if it has the full
+        path); raises ModelError if it does not resolve."""
         path, _, kind = _lookup(self._index, ref)
-        return StageRef(path, kind)
+        return ref if len(path) == len(ref.machine) else StageRef(path, kind)
 
     def arcs(self) -> Iterator[FlowArc | TriggerArc]:
         yield from self.flows
@@ -362,5 +407,8 @@ class Linked:
             except ModelError as exc:
                 self.unresolved.append((arc, exc))
                 continue
-            linked.append(replace(arc, source=source, target=target))
+            if source is arc.source and target is arc.target:
+                linked.append(arc)
+            else:
+                linked.append(arc.with_ends(source, target))
         return tuple(linked)

@@ -19,10 +19,8 @@ defines the scenario types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .behavior import BehaviorGraph, Event, Interval, Region, Subdiagram
-from .diagnostics import Diagnostic, error
+from .diagnostics import Diagnostic, Fresh, Record, error
 from .exprs import (
     ExprSyntaxError,
     ExprTable,
@@ -51,13 +49,16 @@ class TMParseError(Exception):
         super().__init__("\n".join(str(d) for d in diagnostics))
 
 
-@dataclass
-class Document:
+class Document(Record, frozen=False):
     """A parsed model file: the static model plus optional dynamic sections."""
 
-    model: TMModel = field(default_factory=TMModel)
-    regions: tuple[Region, ...] = ()
-    behavior: BehaviorGraph | None = None
+    __slots__ = ("model", "regions", "behavior")
+
+    def __init__(self, model: TMModel = Fresh(TMModel), regions: tuple[Region, ...] = (),
+                 behavior: BehaviorGraph | None = None):
+        self.model = model.make() if isinstance(model, Fresh) else model
+        self.regions = regions
+        self.behavior = behavior
 
 
 def merge_documents(base: Document, sidecar: Document) -> Document:

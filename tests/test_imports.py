@@ -4,10 +4,12 @@ No linter ships with the toolchain, so the first checks walk each
 module's syntax tree: a name bound by ``import`` or ``from ... import``
 must be read somewhere in the module (annotations count; ``__init__.py``
 is exempt, as its imports are re-exports), and the modules that ``tm
-check`` runs import no output or simulation module when they load.
+check`` runs import no output or simulation module, and no
+``dataclasses``, when they load.
 
 The rest run fresh interpreters: each ``tm`` command loads only the
-modules it runs, and the package's lazy ``simulate`` names resolve to
+modules it runs (a model command loads neither ``dataclasses`` nor
+``inspect``), and the package's lazy ``simulate`` names resolve to
 the same objects whatever was imported first.
 """
 
@@ -31,7 +33,7 @@ ROOT = SRC.parent.parent
 # The modules ``tm check`` loads, and what none of them may load eagerly.
 CHECK_PATH = ["__init__", "diagnostics", "exprs", "model", "behavior", "parser",
               "validate", "cli"]
-DEFERRED = {"json", ".simulate", ".jsonio", ".dot"}
+DEFERRED = {"json", "dataclasses", ".simulate", ".jsonio", ".dot"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -147,12 +149,13 @@ def test_model_commands_load_no_simulation_or_json(command, model):
     loaded = loaded_by(command[0], model, *command[1:])
     assert {"tmflow.cli", "tmflow.validate"} <= loaded
     assert loaded & {"tmflow.simulate", "tmflow.jsonio", "json"} == set()
+    assert loaded & {"dataclasses", "inspect"} == set()
 
 
 def test_check_as_json_loads_no_simulation():
     loaded = loaded_by("check", "corpus/mousetrap.tm", "--format", "json")
     assert {"tmflow.jsonio", "json"} <= loaded
-    assert "tmflow.simulate" not in loaded
+    assert loaded & {"tmflow.simulate", "dataclasses", "inspect"} == set()
 
 
 def test_simulate_as_text_loads_no_json_or_dot():
