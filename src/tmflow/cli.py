@@ -204,9 +204,7 @@ def _cmd_behavior(args, doc: Document, report: ValidationReport) -> int:
 
 
 def _cmd_simulate(args, doc: Document, report: ValidationReport) -> int:
-    from dataclasses import replace
-
-    from .simulate import UnseededCreateError, conformance, segment, simulate
+    from .simulate import Scenario, UnseededCreateError, conformance, segment, simulate
 
     try:
         scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
@@ -217,13 +215,15 @@ def _cmd_simulate(args, doc: Document, report: ValidationReport) -> int:
         _print_report(ValidationReport(exc.diagnostics), sys.stderr)
         return EXIT_SYNTAX
 
+    if args.max_steps is not None and args.max_steps < 1:
+        print("error[SYNTAX]: --max-steps must be >= 1", file=sys.stderr)
+        return EXIT_SYNTAX
+    fields = {name: getattr(scenario, name) for name in Scenario._fields}
     if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+        fields["seed"] = args.seed
     if args.max_steps is not None:
-        if args.max_steps < 1:
-            print("error[SYNTAX]: --max-steps must be >= 1", file=sys.stderr)
-            return EXIT_SYNTAX
-        scenario = replace(scenario, max_steps=args.max_steps)
+        fields["max_steps"] = args.max_steps
+    scenario = Scenario(**fields)
 
     try:
         trace = simulate(doc.model, scenario)

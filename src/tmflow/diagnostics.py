@@ -36,7 +36,10 @@ class _DataclassView:
     class, so that ``dataclasses.fields``, ``replace``, ``asdict`` and
     ``is_dataclass`` take records.  Read from a dataclass with the same
     fields, defaults and flags, made on first use and kept on the class;
-    only a caller that has imported ``dataclasses`` reads it."""
+    only a caller that has imported ``dataclasses`` reads it.
+
+    A ``NamedTuple`` class that holds these views is read as a frozen
+    dataclass of its fields, each compared and shown."""
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
@@ -48,19 +51,26 @@ class _DataclassView:
         if shadow is None:
             from dataclasses import field, make_dataclass
 
-            init = cls.__init__
-            defaults = dict(zip(reversed(cls._fields), reversed(init.__defaults__ or ())))
+            if issubclass(cls, tuple):
+                defaults, types = cls._field_defaults, cls.__annotations__
+                compared = shown = cls._fields
+                frozen = True
+            else:
+                init = cls.__init__
+                defaults = dict(zip(reversed(cls._fields), reversed(init.__defaults__ or ())))
+                types = init.__annotations__
+                compared, shown, frozen = cls._compared, cls._shown, cls._frozen
             specs = []
             for name in cls._fields:
-                flags = {"compare": name in cls._compared, "repr": name in cls._shown}
+                flags = {"compare": name in compared, "repr": name in shown}
                 if name not in defaults:
                     spec = field(**flags)
                 elif isinstance(defaults[name], Fresh):
                     spec = field(default_factory=defaults[name].make, **flags)
                 else:
                     spec = field(default=defaults[name], **flags)
-                specs.append((name, init.__annotations__.get(name, "object"), spec))
-            shadow = make_dataclass(cls.__name__, specs, frozen=cls._frozen)
+                specs.append((name, types.get(name, "object"), spec))
+            shadow = make_dataclass(cls.__name__, specs, frozen=frozen)
             cls._shadow = shadow
         return getattr(shadow, self.name)
 

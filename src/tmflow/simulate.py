@@ -24,16 +24,20 @@ steps them; only its ``trace`` builds ``Token``s.  None of this changes
 the semantics above: a plan is what the loop would otherwise look up
 each step, a compiled guard gives the value or the GuardTypeError its
 AST gives, and a token that left does nothing in any later step.
+
+Each move appends one ``TraceRecord``, a named tuple that the loop
+builds with ``tuple.__new__``, so a record costs no Python-level call.
+The other types here are ``diagnostics.Record``s, as on the ``tm
+check`` path: loading this module imports no ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .behavior import BehaviorGraph, Interval, Region
-from .diagnostics import ValidationReport, error
+from .diagnostics import Fresh, Record, ValidationReport, _setattr, error
 from .exprs import ExprTable, GuardTypeError, Value, compile_actions, compile_guard
 from .model import (
     FlowArc,
@@ -51,51 +55,74 @@ class UnseededCreateError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TokenSeed:
+class TokenSeed(Record):
     """A token a scenario places at a stage, with its attributes."""
 
-    id: str
-    thing: str
-    at: StageRef
-    attrs: dict[str, Value] = field(default_factory=dict)
+    __slots__ = ("id", "thing", "at", "attrs")
 
-    def __hash__(self):  # attrs dict keeps the dataclass unhashable otherwise
+    def __init__(self, id: str, thing: str, at: StageRef,
+                 attrs: dict[str, Value] = Fresh(dict)):
+        _setattr(self, "id", id)
+        _setattr(self, "thing", thing)
+        _setattr(self, "at", at)
+        _setattr(self, "attrs", attrs.make() if isinstance(attrs, Fresh) else attrs)
+
+    def __hash__(self):  # the attrs dict would make the hash fail otherwise
         return hash((self.id, self.thing, self.at))
 
 
-@dataclass
-class Token:
+class Token(Record, frozen=False):
     """A token left at the end of a run: its thing, attributes, stage and arrival step."""
 
-    id: str
-    thing: str
-    attrs: dict[str, Value]
-    at: StageRef | None
-    arrived: int = 0
+    __slots__ = ("id", "thing", "attrs", "at", "arrived")
+
+    def __init__(self, id: str, thing: str, attrs: dict[str, Value],
+                 at: StageRef | None, arrived: int = 0):
+        self.id = id
+        self.thing = thing
+        self.attrs = attrs
+        self.at = at
+        self.arrived = arrived
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record, uncompared=("_exprs",), unshown=("_exprs",)):
     """What a run starts from and how it chooses, steps and stops."""
 
-    name: str = "scenario"
-    policy: str = "deterministic"  # or "seeded-random"
-    seed: int = 0
-    max_steps: int = 100
-    tokens: tuple[TokenSeed, ...] = ()
-    injections: tuple[tuple[int, TokenSeed], ...] = ()
-    mints: tuple[tuple[StageRef, str, dict], ...] = ()
-    actions: tuple[tuple[StageRef, str], ...] = ()
-    stop: str | None = None
-    # The parsed actions and stop condition, by ("action" or "guard", text):
-    # filled by ``parse_scenario``, parsed on first use otherwise.
-    _exprs: ExprTable = field(default_factory=ExprTable, compare=False, repr=False)
+    __slots__ = ("name", "policy", "seed", "max_steps", "tokens", "injections",
+                 "mints", "actions", "stop", "_exprs")
+
+    def __init__(self, name: str = "scenario", policy: str = "deterministic",
+                 seed: int = 0, max_steps: int = 100,
+                 tokens: tuple[TokenSeed, ...] = (),
+                 injections: tuple[tuple[int, TokenSeed], ...] = (),
+                 mints: tuple[tuple[StageRef, str, dict], ...] = (),
+                 actions: tuple[tuple[StageRef, str], ...] = (),
+                 stop: str | None = None, _exprs: ExprTable = Fresh(ExprTable)):
+        _setattr(self, "name", name)
+        _setattr(self, "policy", policy)  # or "seeded-random"
+        _setattr(self, "seed", seed)
+        _setattr(self, "max_steps", max_steps)
+        _setattr(self, "tokens", tokens)
+        _setattr(self, "injections", injections)
+        _setattr(self, "mints", mints)
+        _setattr(self, "actions", actions)
+        _setattr(self, "stop", stop)
+        # The parsed actions and stop condition, by ("action" or "guard", text):
+        # filled by ``parse_scenario``, parsed on first use otherwise.
+        _setattr(self, "_exprs", _exprs.make() if isinstance(_exprs, Fresh) else _exprs)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One move of a token along an arc at one step."""
+class TraceRecord(NamedTuple):
+    """One move of a token along an arc at one step.
+
+    A named tuple, so that the step loop builds each record with
+    ``tuple.__new__`` and no call of its own, and its fields read in C.
+    It keeps the behaviour of the frozen dataclass it replaced: its
+    ``repr``, ``==`` and ``hash`` between records, immutability
+    (``FrozenInstanceError``), and ``dataclasses.fields``, ``replace``
+    and ``asdict``.  As a tuple it also unpacks into its five fields,
+    orders by them, and compares equal to the plain tuple of them.
+    """
 
     step: int
     arc: str
@@ -103,25 +130,36 @@ class TraceRecord:
     source: StageRef
     target: StageRef
 
+    __dataclass_fields__ = vars(Record)["__dataclass_fields__"]
+    __dataclass_params__ = vars(Record)["__dataclass_params__"]
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
-@dataclass(frozen=True)
-class TraceMeta:
+
+class TraceMeta(Record):
     """How a run ended: steps used, whether the limit cut it, and the
     tokens created and consumed."""
 
-    steps_used: int = 0
-    step_limit_hit: bool = False
-    created: int = 0
-    consumed: int = 0
+    __slots__ = ("steps_used", "step_limit_hit", "created", "consumed")
+
+    def __init__(self, steps_used: int = 0, step_limit_hit: bool = False,
+                 created: int = 0, consumed: int = 0):
+        _setattr(self, "steps_used", steps_used)
+        _setattr(self, "step_limit_hit", step_limit_hit)
+        _setattr(self, "created", created)
+        _setattr(self, "consumed", consumed)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """The records of a run, its final tokens and its counts."""
 
-    records: tuple[TraceRecord, ...] = ()
-    final_tokens: tuple[Token, ...] = ()
-    meta: TraceMeta = TraceMeta()
+    __slots__ = ("records", "final_tokens", "meta")
+
+    def __init__(self, records: tuple[TraceRecord, ...] = (),
+                 final_tokens: tuple[Token, ...] = (), meta: TraceMeta = TraceMeta()):
+        _setattr(self, "records", records)
+        _setattr(self, "final_tokens", final_tokens)
+        _setattr(self, "meta", meta)
 
 
 Guard = Callable[[dict[str, Value]], bool]
@@ -152,15 +190,18 @@ class _Plans(dict):
         return stage
 
 
-@dataclass(slots=True, eq=False)
 class _Token:
     """A token in the system, the plan of its stage and its arrival step."""
 
-    id: str
-    thing: str
-    attrs: dict[str, Value]
-    plan: _Stage
-    arrived: int
+    __slots__ = ("id", "thing", "attrs", "plan", "arrived")
+
+    def __init__(self, id: str, thing: str, attrs: dict[str, Value], plan: _Stage,
+                 arrived: int):
+        self.id = id
+        self.thing = thing
+        self.attrs = attrs
+        self.plan = plan
+        self.arrived = arrived
 
 
 def simulate(model: TMModel, scenario: Scenario) -> Trace:
@@ -271,17 +312,19 @@ class _Run:
                     else:
                         marked.add(target)
                         token_id = token.id
-                    records.append(TraceRecord(step, trig.id, token_id,
-                                               trig.source, trig.target))
+                    records.append(tuple.__new__(TraceRecord, (
+                        step, trig.id, token_id, trig.source, trig.target)))
                 if plan.leaves:  # left the system at a boundary Transfer
                     self.consumed += 1
                     continue
             kept.append(token)
+            flows = plan.flows
+            if not flows:  # nowhere to go: nothing to test or draw
+                continue
             if step < token.arrived + plan.hold:
                 continue
             if plan.gated and plan not in enabled:
                 continue
-            flows = plan.flows
             if len(flows) == 1:  # no choice to make: test its guard alone
                 arc, guard, target = flows[0]
                 if guard is not None and not guard(token.attrs):
@@ -295,9 +338,8 @@ class _Run:
                     arc, _, target = enabled_flows[self.rng.randrange(len(enabled_flows))]
                 else:
                     arc, _, target = enabled_flows[0]
-            records.append(
-                TraceRecord(step, arc.id, token.id, arc.source, arc.target)
-            )
+            records.append(tuple.__new__(TraceRecord, (
+                step, arc.id, token.id, arc.source, arc.target)))
             token.plan = target
             token.arrived = step
             if target.actions:
@@ -364,20 +406,24 @@ def _bind(linked: Linked, scenario: Scenario, plans: _Plans
 # ---------------------------------------------------------------------------
 # Segmentation and conformance
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(Record):
     """One run of trace records inside one region."""
 
-    region: str
-    interval: Interval
+    __slots__ = ("region", "interval")
+
+    def __init__(self, region: str, interval: Interval):
+        _setattr(self, "region", region)
+        _setattr(self, "interval", interval)
 
 
-@dataclass(frozen=True)
-class Segmentation:
+class Segmentation(Record):
     """The occurrences of a trace, and notes on records left out."""
 
-    occurrences: tuple[Occurrence, ...]
-    notes: tuple[str, ...] = ()
+    __slots__ = ("occurrences", "notes")
+
+    def __init__(self, occurrences: tuple[Occurrence, ...], notes: tuple[str, ...] = ()):
+        _setattr(self, "occurrences", occurrences)
+        _setattr(self, "notes", notes)
 
 
 def segment(trace: Trace, regions: list[Region] | tuple[Region, ...]) -> Segmentation:

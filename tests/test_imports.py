@@ -3,14 +3,14 @@
 No linter ships with the toolchain, so the first checks walk each
 module's syntax tree: a name bound by ``import`` or ``from ... import``
 must be read somewhere in the module (annotations count; ``__init__.py``
-is exempt, as its imports are re-exports), and the modules that ``tm
-check`` runs import no output or simulation module, and no
-``dataclasses``, when they load.
+is exempt, as its imports are re-exports), the modules that ``tm
+check`` runs import no output or simulation module when they load, and
+neither they nor ``simulate`` import ``dataclasses``.
 
 The rest run fresh interpreters: each ``tm`` command loads only the
-modules it runs (a model command loads neither ``dataclasses`` nor
-``inspect``), and the package's lazy ``simulate`` names resolve to
-the same objects whatever was imported first.
+modules it runs (neither a model command nor ``tm simulate`` loads
+``dataclasses`` or ``inspect``), and the package's lazy ``simulate``
+names resolve to the same objects whatever was imported first.
 """
 
 import ast
@@ -33,7 +33,9 @@ ROOT = SRC.parent.parent
 # The modules ``tm check`` loads, and what none of them may load eagerly.
 CHECK_PATH = ["__init__", "diagnostics", "exprs", "model", "behavior", "parser",
               "validate", "cli"]
-DEFERRED = {"json", "dataclasses", ".simulate", ".jsonio", ".dot"}
+DEFERRED = {"json", ".simulate", ".jsonio", ".dot"}
+# The modules whose records are built without ``dataclasses``.
+RECORD_MODULES = CHECK_PATH + ["simulate"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -92,6 +94,12 @@ def test_the_check_sees_an_unused_import():
 def test_check_path_defers_output_and_simulation(name):
     source = (SRC / f"{name}.py").read_text(encoding="utf-8")
     assert module_level_imports(source) & DEFERRED == set()
+
+
+@pytest.mark.parametrize("name", RECORD_MODULES)
+def test_records_load_no_dataclasses(name):
+    source = (SRC / f"{name}.py").read_text(encoding="utf-8")
+    assert "dataclasses" not in module_level_imports(source)
 
 
 def test_the_check_sees_a_module_level_import():
@@ -162,6 +170,15 @@ def test_simulate_as_text_loads_no_json_or_dot():
     loaded = loaded_by("simulate", "corpus/mousetrap.tm", "corpus/mousetrap.tms")
     assert "tmflow.simulate" in loaded
     assert loaded & {"json", "tmflow.jsonio", "tmflow.dot"} == set()
+    assert loaded & {"dataclasses", "inspect"} == set()
+
+
+@pytest.mark.parametrize("options", [["--format", "json"], ["--seed", "1", "--max-steps", "5"]],
+                         ids=" ".join)
+def test_simulate_with_options_loads_no_dataclasses(options):
+    loaded = loaded_by("simulate", "corpus/mousetrap.tm", "corpus/mousetrap.tms", *options)
+    assert "tmflow.simulate" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
 
 
 # The public names, as they were when every re-export was eager.

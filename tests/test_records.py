@@ -1,14 +1,16 @@
-"""The value records of the ``tm check`` path are built without
-``dataclasses`` but keep the dataclass behaviour of the definitions
-they replaced.  Those definitions are kept below, under the same names,
-as the reference: on generated field values each record must match its
-reference in ``repr``, ``==``, ``hash``, ``fields``, ``replace``,
-``asdict``, defaults and immutability."""
+"""The value records of ``tm check`` and ``tm simulate`` are built
+without ``dataclasses`` but keep the dataclass behaviour of the
+definitions they replaced.  Those definitions are kept below, under the
+same names, as the reference: on generated field values each record
+must match its reference in ``repr``, ``==``, ``hash``, ``fields``,
+``replace``, ``asdict``, defaults and immutability."""
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib
+import pickle
 from dataclasses import FrozenInstanceError, asdict, dataclass, field, fields, replace
 
 import pytest
@@ -18,6 +20,8 @@ from hypothesis import strategies as st
 from tmflow import behavior, diagnostics, exprs, model, parser
 from tmflow.exprs import ExprTable
 from tmflow.model import StageKind
+
+simulate = importlib.import_module("tmflow.simulate")  # ``tmflow.simulate`` is the function
 
 # ---------------------------------------------------------------------------
 # The reference: the dataclass definitions, fields only.
@@ -169,12 +173,89 @@ class Assign:
     expr: object
 
 
+# The ``simulate`` types.
+
+@dataclass(frozen=True)
+class TokenSeed:
+    id: str
+    thing: str
+    at: StageRef
+    attrs: dict = field(default_factory=dict)
+
+    def __hash__(self):
+        return hash((self.id, self.thing, self.at))
+
+
+@dataclass
+class Token:
+    id: str
+    thing: str
+    attrs: dict
+    at: StageRef | None
+    arrived: int = 0
+
+
+@dataclass(frozen=True)
+class Scenario:
+    name: str = "scenario"
+    policy: str = "deterministic"
+    seed: int = 0
+    max_steps: int = 100
+    tokens: tuple = ()
+    injections: tuple = ()
+    mints: tuple = ()
+    actions: tuple = ()
+    stop: str | None = None
+    _exprs: ExprTable = field(default_factory=ExprTable, compare=False, repr=False)
+
+
+# It was declared with ``slots=True`` too, but under Python 3.11 such a
+# dataclass raises TypeError, not FrozenInstanceError, on assignment to a
+# name that is not a field.  Its slots are checked with the others'.
+@dataclass(frozen=True)
+class TraceRecord:
+    step: int
+    arc: str
+    token: str
+    source: StageRef
+    target: StageRef
+
+
+@dataclass(frozen=True)
+class TraceMeta:
+    steps_used: int = 0
+    step_limit_hit: bool = False
+    created: int = 0
+    consumed: int = 0
+
+
+@dataclass(frozen=True)
+class Trace:
+    records: tuple = ()
+    final_tokens: tuple = ()
+    meta: TraceMeta = simulate.TraceMeta()  # the default compared is the record's own
+
+
+@dataclass(frozen=True)
+class Occurrence:
+    region: str
+    interval: Interval
+
+
+@dataclass(frozen=True)
+class Segmentation:
+    occurrences: tuple
+    notes: tuple = ()
+
+
 PAIRS = [(getattr(module, ref.__name__), ref) for module, refs in [
     (diagnostics, [SourceSpan, Diagnostic, ValidationReport]),
     (model, [StageRef, Machine, FlowArc, TriggerArc, ThingDecl, TMModel]),
     (behavior, [Subdiagram, Region, Interval, Event, BehaviorGraph]),
     (parser, [Document]),
     (exprs, [Lit, Name, BinOp, Cmp, Assign]),
+    (simulate, [TokenSeed, Token, Scenario, TraceRecord, TraceMeta, Trace, Occurrence,
+                Segmentation]),
 ] for ref in refs]
 IDS = [ref.__name__ for _, ref in PAIRS]
 
@@ -189,7 +270,7 @@ LEAVES = st.sampled_from([
 
 
 def test_every_check_path_record_has_a_reference():
-    assert len(PAIRS) == 15 + 5
+    assert len(PAIRS) == 15 + 5 + 8
     for new, _ in PAIRS:
         # Slotted: only the model keeps a ``__dict__``, for its cached linked form.
         assert ("__dict__" in vars(new)["__slots__"]) == (new is model.TMModel)
@@ -285,3 +366,27 @@ def test_the_model_keeps_its_linked_form_beside_its_slots():
     assert model.link(built) is model.link(built)
     assert model.link(built).model == built and replace(built) == built
     assert "_linked" not in vars(replace(built))
+
+
+def test_a_trace_record_is_the_tuple_of_its_fields():
+    source, target = model.StageRef(("m",), StageKind.CREATE), model.StageRef(("m", "n"), None)
+    values = (3, "f", "t", source, target)
+    record = simulate.TraceRecord(*values)
+    assert isinstance(record, tuple) and record == values and hash(record) == hash(values)
+    assert tuple.__new__(simulate.TraceRecord, values) == record
+    step, arc, token, _, _ = record
+    assert (step, arc, token) == (3, "f", "t")
+    assert record < simulate.TraceRecord(4, "a", "a", target, source)
+
+
+def test_a_trace_record_survives_copy_and_pickle():
+    source = model.StageRef(("m",), StageKind.CREATE)
+    record = simulate.TraceRecord(3, "f", "t", source, model.StageRef(("m", "n"), None))
+    copies = [copy.copy(record), copy.deepcopy(record)]
+    copies += [pickle.loads(pickle.dumps(record, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in copies:
+        assert type(copied) is simulate.TraceRecord
+        assert copied == record and hash(copied) == hash(record)
+        assert repr(copied) == repr(record)
+    assert copy.copy(record).source is source and copy.deepcopy(record).source is not source

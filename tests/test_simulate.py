@@ -884,3 +884,29 @@ def test_trace_record_is_a_slotted_frozen_dataclass():
     with pytest.raises(FrozenInstanceError):
         record.step = 2
     assert not hasattr(record, "__dict__")
+
+
+def test_the_step_loop_builds_records_without_a_call():
+    """Each move appends one record built in C: a run makes no
+    Python-level call into a ``TraceRecord`` constructor, while a record
+    built by its class is seen making one."""
+    constructors = {f.__code__ for f in (TraceRecord.__new__, TraceRecord.__init__)
+                    if hasattr(f, "__code__")}
+    chain = perfbench_gen()["sim_tokens"](3)
+    doc, scenario = parse(chain.model), parse_scenario(chain.scenario)
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls["constructor" if frame.f_code in constructors else "other"] += 1
+
+    sys.setprofile(profile)
+    try:
+        trace = simulate(doc.model, scenario)
+        seen = calls.copy()
+        TraceRecord(1, "f", "t", REF, REF)
+    finally:
+        sys.setprofile(None)
+    assert len(trace.records) == len(chain.expected["records"]) == 9_900
+    assert seen["constructor"] == 0 and seen["other"] > 0
+    assert calls["constructor"] == 1
