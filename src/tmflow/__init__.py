@@ -6,14 +6,9 @@ group stages into regions and events, infer or check a behavior graph,
 run token simulations, and segment the resulting traces back into event
 occurrences for conformance checking.
 
-Only the modules that ``tm check`` runs are imported with the package.
-The names of ``simulate`` (the simulator, its scenario and trace types,
-segmentation and conformance) load it on first access.
+The package imports every module but ``cli`` and the two output
+formats, ``jsonio`` and ``dot``.
 """
-
-import importlib
-import sys
-from types import ModuleType
 
 from .behavior import (
     BehaviorGraph,
@@ -59,6 +54,21 @@ from .parser import (
     parse_scenario,
     parse_with_diagnostics,
     serialize,
+)
+# The function shadows the loaded submodule; re-importing it rebinds nothing.
+from .simulate import (
+    Occurrence,
+    Scenario,
+    Segmentation,
+    Token,
+    TokenSeed,
+    Trace,
+    TraceMeta,
+    TraceRecord,
+    UnseededCreateError,
+    conformance,
+    segment,
+    simulate,
 )
 from .validate import reachable_stages, validate
 
@@ -122,34 +132,3 @@ __all__ = [
     "validate",
     "validate_behavior",
 ]
-
-# The names the imports above do not bind: ``__getattr__`` serves them
-# from ``simulate``, which loads on first access.
-_SIMULATE_NAMES = frozenset(__all__).difference(globals())
-
-
-def __getattr__(name: str):
-    if name not in _SIMULATE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # Not ``from . import simulate``: that would look the name up here again.
-    value = getattr(importlib.import_module(__name__ + ".simulate"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _SIMULATE_NAMES)
-
-
-class _Package(ModuleType):
-    """The package, whose ``simulate`` stays the function: importing the
-    submodule ``tmflow.simulate`` would otherwise bind its name here to
-    the module."""
-
-    def __setattr__(self, name: str, value) -> None:
-        if name == "simulate" and isinstance(value, ModuleType):
-            return
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

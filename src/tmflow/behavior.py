@@ -144,14 +144,22 @@ def _link_regions(
     linked: Linked, regions: list[Region] | tuple[Region, ...]
 ) -> tuple[ValidationReport, dict[StageRef, str]]:
     """Check a region set in one pass: the report, and the stage -> region
-    map over the regions whose refs resolve.  Stages and arcs are visited
+    map over the regions whose refs resolve.  A repeated region id is
+    reported and its later region left out.  Stages and arcs are visited
     sorted, so the diagnostics do not depend on set iteration order."""
     report = ValidationReport()
     arcs = {arc.id: arc for arc in linked.arcs()}
     unresolved = {arc.id: f"arc '{arc.id}': {exc}" for arc, exc in linked.unresolved}
 
     resolved = []
+    region_ids: set[str] = set()
     for region in regions:
+        if region.id in region_ids:
+            report.diagnostics.append(
+                error("DUP_ID", f"duplicate region id '{region.id}'")
+            )
+            continue
+        region_ids.add(region.id)
         stages = set()
         body = []
         ok = True

@@ -12,9 +12,8 @@ Exit codes: 0 success (warnings allowed), 1 semantic failure, 2 syntax
 failure.  A ``MODEL.tmb`` sidecar next to ``MODEL.tm`` is merged
 automatically.  Set ``TM_COLOR=never`` to disable ANSI colors.
 
-Each subcommand imports what it runs: ``simulate`` only for ``tm
-simulate``, ``jsonio`` (and ``json``) only for ``--format json``, and
-``dot`` only for DOT output.
+The output formats load on demand: ``jsonio`` (and ``json``) only for
+``--format json``, and ``dot`` only for DOT output.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .parser import (
     parse_scenario,
     parse_with_diagnostics,
 )
+from .simulate import Scenario, UnseededCreateError, conformance, segment, simulate
 from .validate import validate
 
 EXIT_OK = 0
@@ -204,8 +204,6 @@ def _cmd_behavior(args, doc: Document, report: ValidationReport) -> int:
 
 
 def _cmd_simulate(args, doc: Document, report: ValidationReport) -> int:
-    from .simulate import Scenario, UnseededCreateError, conformance, segment, simulate
-
     try:
         scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:

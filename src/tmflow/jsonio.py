@@ -1,7 +1,6 @@
 """JSON export of models, region sets, behavior graphs, reports and
 traces, and import of traces.  All payloads carry a top-level ``schema: 1``
-marker; traces use JSON lines (header line, then one record per line).
-Only ``trace_from_jsonl`` loads ``simulate``, for the trace types."""
+marker; traces use JSON lines (header line, then one record per line)."""
 
 from __future__ import annotations
 
@@ -10,6 +9,7 @@ import json
 from .behavior import BehaviorGraph
 from .diagnostics import ValidationReport
 from .model import FlowArc, Machine, StageKind, StageRef, TMModel, TriggerArc
+from .simulate import Token, Trace, TraceMeta, TraceRecord
 
 SCHEMA = 1
 
@@ -72,10 +72,7 @@ def regions_to_obj(regions) -> dict:
             {
                 "id": r.id,
                 "label": r.label,
-                "stages": sorted(
-                    (_ref(ref) for ref in r.body.stages),
-                    key=lambda d: (d["machine"], d["kind"] or ""),
-                ),
+                "stages": [_ref(ref) for ref in sorted(r.body.stages, key=StageRef.sort_key)],
                 "arcs": sorted(r.body.arcs),
             }
             for r in regions
@@ -190,8 +187,6 @@ def _ref_from(data: dict) -> StageRef:
 
 
 def trace_from_jsonl(text: str) -> Trace:
-    from .simulate import Token, Trace, TraceMeta, TraceRecord
-
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise JSONFormatError("empty trace")

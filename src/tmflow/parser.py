@@ -13,8 +13,7 @@ per model).
 
 The same grammar also covers ``regions`` and ``behavior`` sections
 (inline in a ``.tm`` file or alone in a ``.tmb`` sidecar) and scenario
-files (``.tms``); the first scenario parsed loads ``simulate``, which
-defines the scenario types.
+files (``.tms``).
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from .model import (
     TMModel,
     TriggerArc,
 )
+from .simulate import Scenario, TokenSeed
 
 
 class TMParseError(Exception):
@@ -582,8 +582,6 @@ class _Parser:
 
     # -- scenarios --------------------------------------------------------
     def parse_scenario(self) -> Scenario:
-        from .simulate import Scenario, TokenSeed
-
         self.skip_newlines()
         self.expect("scenario")
         name = self.expect_ident("scenario name").value
@@ -663,6 +661,10 @@ class _Parser:
 
         self.block(statement)
         self.skip_newlines()
+        # An earlier error accounts for input after the block: recovering
+        # from it may have closed the block at an inner '}'.
+        if not (self.at_kind("EOF") or self.diagnostics):
+            self.fail(f"unexpected '{self.tokens[self.pos].value}' after the scenario")
         return Scenario(
             name=name,
             policy=policy,

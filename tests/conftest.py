@@ -8,11 +8,10 @@ import pytest
 
 import tmflow
 
-# Every submodule, loaded once per session before any test: the package
-# loads ``simulate``, ``jsonio`` and ``dot`` only when a caller needs them,
-# and a helper that patches a name in every loaded tmflow module (as
-# ``test_linked.count_guard_parses`` does) must see the same modules
-# whatever ran before it.  A module first loaded while a patch is in
+# Every submodule, loaded once per session before any test: only
+# ``jsonio`` and ``dot`` load on demand, and a helper that patches a name
+# in every loaded tmflow module (as ``test_linked.count_guard_parses``
+# does) must see the same modules whatever ran before it.  A module first loaded while a patch is in
 # place would keep the patched function for the rest of the session.
 for _module in pkgutil.iter_modules(tmflow.__path__):
     importlib.import_module(f"tmflow.{_module.name}")

@@ -17,7 +17,9 @@ from tmflow import (
     desugar,
     enumerate_subdiagrams,
     infer_behavior,
+    merge_documents,
     normalize_ref,
+    parse,
     parse_model,
     validate_behavior,
 )
@@ -132,6 +134,21 @@ class TestRegionChecks:
         with pytest.raises(RegionCheckFailed) as exc:
             infer_behavior(model, regions)
         assert "OVERLAP" in {d.code for d in exc.value.report.errors}
+
+    @pytest.mark.parametrize("where", ["in-file", "sidecar"])
+    def test_repeated_region_id_fails_inference(self, where):
+        first = "regions {\n  region r1 { stages a.Create, a.Release\n arcs c1 }\n}\n"
+        second = "regions {\n  region r1 { stages a.Transfer }\n}\n"
+        if where == "in-file":
+            doc = parse(CHAIN + first + second)
+        else:
+            doc = merge_documents(parse(CHAIN + first), parse(second))
+        assert [r.id for r in doc.regions] == ["r1", "r1"]
+        with pytest.raises(RegionCheckFailed) as exc:
+            infer_behavior(doc.model, doc.regions)
+        assert [str(d) for d in exc.value.report.diagnostics] == [
+            "error[DUP_ID]: duplicate region id 'r1'"
+        ]
 
 
 class TestInference:

@@ -311,6 +311,20 @@ class TestSidecar:
         )
         assert main(["check", str(model), "--mode", "strict"]) == 0
 
+    @pytest.mark.parametrize("where", ["in-file", "sidecar"])
+    def test_repeated_region_id_fails_check(self, tmp_path, capsys, where):
+        text = (CORPUS / "paint_dry.tm").read_text()
+        model = tmp_path / "paint_dry.tm"
+        model.write_text(text[: text.index("behavior {")])
+        again = 'regions {\n  region R_paint { stages dry.Process }\n}\n'
+        if where == "in-file":
+            model.write_text(model.read_text() + again)
+        else:
+            (tmp_path / "paint_dry.tmb").write_text(again)
+        assert main(["check", str(model)]) == 1
+        assert capsys.readouterr() == (
+            "", "error[DUP_ID]: duplicate region id 'R_paint'\n")
+
 
 # A flow whose target machine does not exist.
 UNKNOWN_MACHINE_TM = """\
@@ -430,6 +444,17 @@ class TestArgumentChecks:
         captured = capsys.readouterr()
         assert captured.err == "error[SYNTAX]: --max-steps must be >= 1\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("after", ["token x of coat at paint.Create",
+                                       "scenario t {\n}", "s"],
+                             ids=["token", "second scenario", "stray word"])
+    def test_input_after_the_scenario_exits_two(self, tmp_path, capsys, after):
+        text = "scenario s {\n  max_steps 5\n}\n" + after + "\n"
+        scenario = write(tmp_path, "s.tms", text)
+        assert main(["simulate", corpus("paint_dry.tm"), scenario]) == 2
+        word = after.split()[0]
+        assert capsys.readouterr() == (
+            "", f"4:1: error[SYNTAX]: unexpected '{word}' after the scenario\n")
 
 
 def test_region_diagnostics_do_not_depend_on_hash_seed(tmp_path):

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmflow import (
+    Region,
     StageKind,
     StageRef,
+    Subdiagram,
     Token,
     Trace,
     TraceMeta,
@@ -123,6 +125,20 @@ class TestJsonRoundTrip:
 
     def test_dumps_is_deterministic(self, stack):
         assert dumps(model_to_obj(stack.model)) == dumps(model_to_obj(stack.model))
+
+    def test_region_stages_sort_by_machine_path_then_kind(self):
+        c, p, r, t = (StageKind.CREATE, StageKind.PROCESS, StageKind.RELEASE,
+                      StageKind.TRANSFER)
+        refs = [StageRef(("b",), c), StageRef(("a", "x"), t), StageRef(("a",), r),
+                StageRef(("a",), c), StageRef(("a",), None), StageRef(("a", "x"), p),
+                StageRef(("ab",), c)]
+        body = Subdiagram(frozenset(refs), frozenset())
+        [obj] = regions_to_obj([Region("r", body)])["regions"]
+        assert [(s["machine"], s["kind"]) for s in obj["stages"]] == [
+            (["a"], None), (["a"], "Create"), (["a"], "Release"),
+            (["a", "x"], "Process"), (["a", "x"], "Transfer"),
+            (["ab"], "Create"), (["b"], "Create"),
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ No linter ships with the toolchain, so the first checks walk each
 module's syntax tree: a name bound by ``import`` or ``from ... import``
 must be read somewhere in the module (annotations count; ``__init__.py``
 is exempt, as its imports are re-exports), the modules that ``tm
-check`` runs import no output or simulation module when they load, and
-neither they nor ``simulate`` import ``dataclasses``.
+check`` runs import no output module when they load, and neither they
+nor ``simulate`` import ``dataclasses``.  Every annotation in the
+package resolves under ``typing.get_type_hints``.
 
-The rest run fresh interpreters: each ``tm`` command loads only the
-modules it runs (neither a model command nor ``tm simulate`` loads
-``dataclasses`` or ``inspect``), and the package's lazy ``simulate``
-names resolve to the same objects whatever was imported first.
+The rest run fresh interpreters: ``import tmflow`` loads ``simulate``,
+only the output formats add ``jsonio`` (with ``json``) or ``dot`` to a
+``tm`` command, no command loads ``dataclasses`` or ``inspect``, and the
+package's ``simulate`` stays the function, not the submodule, whatever
+was imported first.
 """
 
 import ast
@@ -20,6 +22,9 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
+import typing
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -30,10 +35,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tmflow"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ROOT = SRC.parent.parent
 
-# The modules ``tm check`` loads, and what none of them may load eagerly.
+# The modules ``tm check`` loads besides ``simulate``, and what none of
+# them may load eagerly.
 CHECK_PATH = ["__init__", "diagnostics", "exprs", "model", "behavior", "parser",
               "validate", "cli"]
-DEFERRED = {"json", ".simulate", ".jsonio", ".dot"}
+DEFERRED = {"json", ".jsonio", ".dot"}
 # The modules whose records are built without ``dataclasses``.
 RECORD_MODULES = CHECK_PATH + ["simulate"]
 
@@ -102,6 +108,38 @@ def test_records_load_no_dataclasses(name):
     assert "dataclasses" not in module_level_imports(source)
 
 
+def package_functions():
+    """Each module-level function of the package and each method of each
+    class defined there, with their defining modules."""
+    for info in pkgutil.iter_modules(tmflow.__path__):
+        module = importlib.import_module(f"tmflow.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, types.FunctionType):
+                yield module, value
+            elif isinstance(value, type):
+                for member in vars(value).values():
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    elif isinstance(member, property):
+                        member = member.fget
+                    elif isinstance(member, cached_property):
+                        member = member.func
+                    if isinstance(member, types.FunctionType):
+                        yield module, member
+
+
+def test_every_annotation_resolves():
+    unresolved = []
+    for module, function in package_functions():
+        if function.__module__ != module.__name__:
+            continue  # imported, or generated (a named tuple's ``__new__``)
+        try:
+            typing.get_type_hints(function)
+        except NameError as exc:
+            unresolved.append(f"{module.__name__}.{function.__qualname__}: {exc}")
+    assert unresolved == []
+
+
 def test_the_check_sees_a_module_level_import():
     source = ("import json\n"
               "from . import dot, model\n"
@@ -118,8 +156,7 @@ def test_the_check_sees_a_module_level_import():
               "    import random\n")
     assert module_level_imports(source) == {
         "json", ".dot", ".model", ".simulate", ".jsonio", "tmflow.behavior"}
-    assert module_level_imports(source) & DEFERRED == {
-        "json", ".dot", ".simulate", ".jsonio"}
+    assert module_level_imports(source) & DEFERRED == {"json", ".dot", ".jsonio"}
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +190,17 @@ def loaded_by(*argv: str) -> set[str]:
 @pytest.mark.parametrize("command", [["check"], ["events"], ["events", "--bound", "3"],
                                      ["behavior"], ["export", "--format", "dot"]],
                          ids=" ".join)
-def test_model_commands_load_no_simulation_or_json(command, model):
+def test_model_commands_load_simulate_but_no_json(command, model):
     loaded = loaded_by(command[0], model, *command[1:])
-    assert {"tmflow.cli", "tmflow.validate"} <= loaded
-    assert loaded & {"tmflow.simulate", "tmflow.jsonio", "json"} == set()
+    assert {"tmflow.cli", "tmflow.validate", "tmflow.simulate"} <= loaded
+    assert loaded & {"tmflow.jsonio", "json"} == set()
     assert loaded & {"dataclasses", "inspect"} == set()
 
 
-def test_check_as_json_loads_no_simulation():
+def test_check_as_json_loads_jsonio_and_no_dataclasses():
     loaded = loaded_by("check", "corpus/mousetrap.tm", "--format", "json")
-    assert {"tmflow.jsonio", "json"} <= loaded
-    assert loaded & {"tmflow.simulate", "dataclasses", "inspect"} == set()
+    assert {"tmflow.jsonio", "json", "tmflow.simulate"} <= loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
 
 
 def test_simulate_as_text_loads_no_json_or_dot():
@@ -248,8 +285,10 @@ def test_public_api_in_this_process():
 
 
 def test_every_dataclass_has_a_docstring():
-    """``dataclass`` builds a missing docstring from ``inspect.signature``
-    when it defines the class, a cost paid on every import."""
+    """Every record class, which ``dataclasses.is_dataclass`` matches
+    through its ``_DataclassView`` (a ``Record`` or the ``TraceRecord``
+    named tuple), carries its own docstring, not one made from its
+    field names."""
     undocumented = []
     for info in pkgutil.iter_modules(tmflow.__path__):
         module = importlib.import_module(f"tmflow.{info.name}")

@@ -336,6 +336,26 @@ class TestDiagnostics:
             f"2:{column}: error[DUP_ID]: duplicate attribute 'n'"
         ]
 
+    @pytest.mark.parametrize("after", [
+        "token x of y at a.Create",
+        "scenario t {\n  max_steps 9\n}",
+        "stray",
+    ], ids=["token", "second scenario", "stray word"])
+    def test_input_after_the_scenario(self, after):
+        with pytest.raises(TMParseError) as exc:
+            parse_scenario(f"scenario s {{\n  max_steps 5\n}}\n\n{after}\n")
+        word = after.split()[0]
+        assert [str(d) for d in exc.value.diagnostics] == [
+            f"5:1: error[SYNTAX]: unexpected '{word}' after the scenario"
+        ]
+
+    def test_an_error_that_closes_the_scenario_early_is_reported_once(self):
+        with pytest.raises(TMParseError) as exc:
+            parse_scenario("scenario s {\n  seed x }\n  max_steps 5\n}\n")
+        assert [str(d) for d in exc.value.diagnostics] == [
+            "2:8: error[SYNTAX]: expected seed value"
+        ]
+
     def test_decimal_digits_of_any_script(self):
         scenario = parse_scenario("scenario s {\n  seed \u0663\n}\n")
         assert scenario.seed == 3
