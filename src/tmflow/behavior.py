@@ -35,16 +35,6 @@ class Subdiagram(Record):
         _setattr(self, "stages", stages)
         _setattr(self, "arcs", arcs)
 
-    # Spelled out, not read through ``Record._key``: the enumeration
-    # tests every subdiagram it builds against the ones it has seen.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.stages, self.arcs) == (other.stages, other.arcs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.stages, self.arcs))
-
     @property
     def size(self) -> int:
         return len(self.stages) + len(self.arcs)
@@ -112,32 +102,84 @@ class BehaviorGraph(Record):
         return mapping
 
 
-def _connected(stages: frozenset[StageRef], arc_ends: list[tuple[StageRef, StageRef]]) -> bool:
-    """Weak connectivity.  Two stages are adjacent when an arc joins them
-    or when they belong to the same machine (stages are parts of a single
-    machine node, so they touch through it)."""
+class _StageIndex:
+    """A linked model's stages and arcs as the bits of one int.  Stage ``i``
+    of ``stages`` (in ``StageRef.sort_key`` order) is bit ``i``, and arc
+    ``j`` of ``arc_ids`` (in id order) is bit ``len(stages) + j``, so a
+    mask is a subdiagram, and its bits in ascending order are its stages
+    and arcs in ``Subdiagram.sort_key`` order.  A repeated arc id keeps its
+    last arc, as an id -> arc dict does.
+
+    ``rank`` and ``bit`` give the bit of a full-path stage ref and of an
+    arc id; ``near[i]`` is the mask of stage ``i``'s machine mates (itself
+    included) and incident arcs, and ``ends[j]`` that of arc ``j``'s end
+    stages."""
+
+    __slots__ = ("stages", "rank", "arcs", "arc_ids", "bit", "all_stages", "near", "ends")
+
+    def __init__(self, linked: Linked):
+        rank = dict.fromkeys(linked.model.stage_instances())
+        self.stages = stages = sorted(rank, key=StageRef.sort_key)
+        n = len(stages)
+        self.all_stages = (1 << n) - 1
+        machines: dict[tuple[str, ...], int] = {}
+        for i, ref in enumerate(stages):
+            rank[ref] = i
+            machines[ref.machine] = machines.get(ref.machine, 0) | 1 << i
+        self.rank: dict[StageRef, int] = rank
+        self.near = near = [machines[ref.machine] for ref in stages]
+        self.arcs = arcs = {arc.id: arc for arc in linked.arcs()}
+        self.arc_ids = sorted(arcs)
+        self.bit: dict[str, int] = {}
+        self.ends: list[int] = []
+        for bit, arc_id in enumerate(self.arc_ids, n):
+            self.bit[arc_id] = bit
+            source, target = rank[arcs[arc_id].source], rank[arcs[arc_id].target]
+            self.ends.append(1 << source | 1 << target)
+            near[source] |= 1 << bit
+            near[target] |= 1 << bit
+
+    def name(self, bit: int) -> str:
+        """The stage ref or arc id at ``bit``, as text."""
+        n = len(self.stages)
+        return str(self.stages[bit]) if bit < n else self.arc_ids[bit - n]
+
+
+def _stage_index(linked: Linked) -> _StageIndex:
+    """The ``_StageIndex`` of ``linked``, built on first use and kept on it."""
+    if linked.stage_index is None:
+        linked.stage_index = _StageIndex(linked)
+    return linked.stage_index
+
+
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _connected(index: _StageIndex, body: int) -> bool:
+    """Weak connectivity of the stages of ``body``, a mask over ``index``.
+    Two stages are adjacent when an arc of ``body`` joins them or when they
+    belong to the same machine (stages are parts of a single machine node,
+    so they touch through it).  A flood fill over the index's masks from
+    the lowest stage."""
+    stages = body & index.all_stages
     if not stages:
         return False
-    nodes = list(stages)
-    parent = {node: node for node in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in arc_ends:
-        if a in parent and b in parent:
-            parent[find(a)] = find(b)
-    by_machine: dict[tuple[str, ...], StageRef] = {}
-    for node in nodes:
-        if node.machine in by_machine:
-            parent[find(node)] = find(by_machine[node.machine])
-        else:
-            by_machine[node.machine] = node
-    roots = {find(node) for node in nodes}
-    return len(roots) == 1
+    n = len(index.stages)
+    near, ends = index.near, index.ends
+    reached = todo = stages & -stages
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        bit = low.bit_length() - 1
+        new = (near[bit] if bit < n else ends[bit - n]) & body & ~reached
+        reached |= new
+        todo |= new
+    return (reached & stages) == stages
 
 
 def _link_regions(
@@ -146,9 +188,10 @@ def _link_regions(
     """Check a region set in one pass: the report, and the stage -> region
     map over the regions whose refs resolve.  A repeated region id is
     reported and its later region left out.  Stages and arcs are visited
-    sorted, so the diagnostics do not depend on set iteration order."""
+    sorted, so the diagnostics do not depend on set iteration order; each
+    region's body becomes a mask over the model's ``_StageIndex``."""
     report = ValidationReport()
-    arcs = {arc.id: arc for arc in linked.arcs()}
+    index = _stage_index(linked)
     unresolved = {arc.id: f"arc '{arc.id}': {exc}" for arc, exc in linked.unresolved}
 
     resolved = []
@@ -160,20 +203,23 @@ def _link_regions(
             )
             continue
         region_ids.add(region.id)
-        stages = set()
-        body = []
+        body = 0
         ok = True
         for ref in sorted(region.body.stages, key=StageRef.sort_key):
             try:
-                stages.add(linked.normalize(ref))
+                rank = index.rank.get(linked.normalize(ref))
             except ModelError as exc:
-                report.diagnostics.append(
-                    error("DANGLING_REF", f"region '{region.id}': {exc}")
-                )
-                ok = False
+                why = str(exc)
+            else:
+                if rank is not None:
+                    body |= 1 << rank
+                    continue
+                why = f"'{ref}' names a machine, not a stage"
+            report.diagnostics.append(error("DANGLING_REF", f"region '{region.id}': {why}"))
+            ok = False
         for arc_id in sorted(region.body.arcs):
-            if arc_id in arcs:
-                body.append(arcs[arc_id])
+            if arc_id in index.bit:
+                body |= 1 << index.bit[arc_id]
                 continue
             why = unresolved.get(arc_id, f"unknown arc '{arc_id}'")
             report.diagnostics.append(
@@ -181,13 +227,14 @@ def _link_regions(
             )
             ok = False
         if ok:
-            resolved.append((region, frozenset(stages), body))
+            resolved.append((region, body))
 
     stage_map: dict[StageRef, str] = {}
-    for region, stages, body in resolved:
-        for arc in body:
+    for region, body in resolved:
+        for arc_id in sorted(region.body.arcs):
+            arc = index.arcs[arc_id]
             for ref in (arc.source, arc.target):
-                if ref not in stages:
+                if not body >> index.rank[ref] & 1:
                     report.diagnostics.append(
                         error(
                             "DANGLING_REF",
@@ -195,25 +242,25 @@ def _link_regions(
                             f"{ref} is outside the region's stages",
                         )
                     )
-        if not _connected(stages, [(arc.source, arc.target) for arc in body]):
+        if not _connected(index, body):
             report.diagnostics.append(
                 error("NOT_CONNECTED",
                       f"region '{region.id}' is not weakly connected")
             )
-        for ref in stages:
-            stage_map[ref] = region.id
+        for bit in _bits(body & index.all_stages):
+            stage_map[index.stages[bit]] = region.id
 
     # Overlaps via the regions holding each stage and arc, not by
     # intersecting every pair of regions.
-    holders: dict[StageRef | str, list[int]] = {}
-    shared: dict[tuple[int, int], list[StageRef | str]] = {}
-    for j, (region, stages, _) in enumerate(resolved):
-        for item in sorted(stages, key=StageRef.sort_key) + sorted(set(region.body.arcs)):
-            for i in holders.setdefault(item, []):
-                shared.setdefault((i, j), []).append(item)
-            holders[item].append(j)
-    for (i, j), items in sorted(shared.items()):
-        what = ", ".join(str(item) for item in items)
+    holders: dict[int, list[int]] = {}
+    shared: dict[tuple[int, int], list[int]] = {}
+    for j, (_, body) in enumerate(resolved):
+        for bit in _bits(body):
+            for i in holders.setdefault(bit, []):
+                shared.setdefault((i, j), []).append(bit)
+            holders[bit].append(j)
+    for (i, j), bits in sorted(shared.items()):
+        what = ", ".join(index.name(bit) for bit in bits)
         report.diagnostics.append(
             error("OVERLAP", f"regions '{resolved[i][0].id}' and "
                              f"'{resolved[j][0].id}' overlap on {what}")
@@ -410,49 +457,47 @@ def enumerate_subdiagrams(
     or through shared membership in one machine.  Deterministic order:
     by size, then stage refs, then arc ids.  Raises BoundTooLarge once
     more than ``cap`` subdiagrams accumulate.
+
+    Each candidate is a mask over the model's ``_StageIndex``: one grows
+    from a single stage by a machine mate or an incident arc (with its
+    ends), repeats drop out of a set of ints, and ``Subdiagram`` records
+    are built for the answer only.
     """
-    linked = link(model).require()
-    stages = linked.model.stage_instances()
-    arcs = {arc.id: (arc.source, arc.target) for arc in linked.arcs()}
-    incident: dict[StageRef, list[str]] = {ref: [] for ref in stages}
-    for arc_id, (src, tgt) in arcs.items():
-        incident[src].append(arc_id)
-        if tgt != src:
-            incident[tgt].append(arc_id)
-    machine_mates: dict[tuple[str, ...], list[StageRef]] = {}
-    for ref in stages:
-        machine_mates.setdefault(ref.machine, []).append(ref)
-
-    seen: set[Subdiagram] = set()
-    frontier: list[Subdiagram] = []
-
-    def admit(sub: Subdiagram):
-        if sub.size <= max_elements and sub not in seen:
-            if len(seen) >= cap:
-                raise BoundTooLarge(
-                    f"subdiagram enumeration exceeded cap of {cap}"
-                )
-            seen.add(sub)
-            frontier.append(sub)
-
-    if max_elements >= 1:
-        for ref in stages:
-            admit(Subdiagram(frozenset([ref]), frozenset()))
-
+    index = _stage_index(link(model).require())
+    n, near, ends, all_stages = len(index.stages), index.near, index.ends, index.all_stages
+    seen = {1 << i for i in range(n)} if max_elements >= 1 else set()
+    if seen and len(seen) > cap:
+        raise BoundTooLarge(f"subdiagram enumeration exceeded cap of {cap}")
+    frontier = list(seen)
     while frontier:
         current = frontier.pop()
-        if current.size >= max_elements:
+        if current.bit_count() >= max_elements:
             continue
-        arc_candidates: set[str] = set()
-        stage_candidates: set[StageRef] = set()
-        for ref in current.stages:
-            arc_candidates.update(incident[ref])
-            stage_candidates.update(machine_mates[ref.machine])
-        for arc_id in arc_candidates - current.arcs:
-            src, tgt = arcs[arc_id]
-            admit(Subdiagram(current.stages | {src, tgt},
-                             current.arcs | {arc_id}))
-        for ref in stage_candidates - current.stages:
-            admit(Subdiagram(current.stages | {ref}, current.arcs))
+        grow, stages = 0, current & all_stages
+        while stages:
+            low = stages & -stages
+            grow |= near[low.bit_length() - 1]
+            stages ^= low
+        grow &= ~current
+        while grow:
+            low = grow & -grow
+            grow ^= low
+            bit = low.bit_length() - 1
+            sub = current | low if bit < n else current | low | ends[bit - n]
+            if sub not in seen and sub.bit_count() <= max_elements:
+                seen.add(sub)
+                if len(seen) > cap:
+                    raise BoundTooLarge(f"subdiagram enumeration exceeded cap of {cap}")
+                frontier.append(sub)
 
-    return sorted(seen, key=Subdiagram.sort_key)
+    keys = []
+    for sub in seen:
+        bits = tuple(_bits(sub))
+        k = (sub & all_stages).bit_count()
+        keys.append((len(bits), bits[:k], bits[k:]))
+    keys.sort()
+    return [
+        Subdiagram(frozenset([index.stages[bit] for bit in stages]),
+                   frozenset([index.arc_ids[bit - n] for bit in arcs]))
+        for _, stages, arcs in keys
+    ]

@@ -33,7 +33,7 @@ from .behavior import (
 )
 from .diagnostics import ValidationReport, error
 from .exprs import ExprSyntaxError, GuardTypeError
-from .model import ModelError, StageRef
+from .model import ModelError, StageRef, link
 from .parser import (
     Document,
     TMParseError,
@@ -43,7 +43,7 @@ from .parser import (
     parse_with_diagnostics,
 )
 from .simulate import Scenario, UnseededCreateError, conformance, segment, simulate
-from .validate import validate
+from .validate import unresolved_diagnostic, validate
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -139,6 +139,9 @@ def _cmd_check(args, doc: Document | None, report: ValidationReport) -> int:
 
 def _cmd_events(args, doc: Document, report: ValidationReport) -> int:
     if args.bound is not None:
+        if args.bound < 0:
+            print("error[SYNTAX]: --bound must be >= 0", file=sys.stderr)
+            return EXIT_SYNTAX
         try:
             subs = enumerate_subdiagrams(doc.model, args.bound)
         except BoundTooLarge as exc:
@@ -339,8 +342,9 @@ def main(argv: list[str] | None = None) -> int:
             _print_report(report, sys.stderr)
             return EXIT_SYNTAX
         return args.func(args, doc, report)
-    except ModelError as exc:  # an arc that does not resolve
-        print(f"error[UNRESOLVED]: {exc}", file=sys.stderr)
+    except ModelError:  # an arc that does not resolve: the line `tm check` prints
+        arc, exc = link(doc.model).unresolved[0]
+        print(unresolved_diagnostic(arc, exc), file=sys.stderr)
         return EXIT_SEMANTIC
     except _CannotWrite as exc:
         print(f"error[SYNTAX]: {exc}", file=sys.stderr)

@@ -363,8 +363,9 @@ class Linked:
     ``unresolved`` (sugared arcs, then flows, then triggers); ``validate``
     and ``check_regions`` report them, every other analysis calls
     ``require``.  ``model`` shares the original's parsed guards
-    (``_exprs``), and ``region_link`` keeps the last region set checked
-    against the model."""
+    (``_exprs``), ``region_link`` keeps the last region set checked
+    against the model, and ``stage_index`` its stages and arcs as integer
+    ranks, once an analysis has built them."""
 
     def __init__(self, model: TMModel):
         index = _suffix_index(model)
@@ -381,6 +382,7 @@ class Linked:
         self.flows: tuple[FlowArc, ...] = self._link(model.flows)
         self.triggers: tuple[TriggerArc, ...] = self._link(model.triggers)
         self.region_link: tuple | None = None  # see behavior._linked_regions
+        self.stage_index = None  # see behavior._stage_index
 
     def require(self) -> "Linked":
         """This linked form; raises the first unresolved arc's ModelError."""

@@ -9,11 +9,12 @@ are warnings only: the dynamic description resolves them with events.
 
 from __future__ import annotations
 
-from .diagnostics import ValidationReport, error, warning
+from .diagnostics import Diagnostic, ValidationReport, error, warning
 from .exprs import ExprSyntaxError, Lit, Name, names
 from .model import (
     FlowArc,
     Linked,
+    ModelError,
     StageKind,
     StageRef,
     TMModel,
@@ -109,6 +110,12 @@ def _kind(node, kinds: dict[str, str], mixed: list[str]) -> str | None:
     return "int" if operands == {"int"} else None
 
 
+def unresolved_diagnostic(arc: FlowArc | TriggerArc, exc: ModelError) -> Diagnostic:
+    """The UNRESOLVED error of an arc whose end does not resolve."""
+    what = "trigger" if isinstance(arc, TriggerArc) else "arc" if arc.sugared else "flow"
+    return error("UNRESOLVED", f"{what} '{arc.id}': {exc}", arc.span)
+
+
 def validate(model: TMModel) -> ValidationReport:
     """Full static check; never raises, returns a report."""
     report = ValidationReport()
@@ -116,10 +123,7 @@ def validate(model: TMModel) -> ValidationReport:
     linked = link(model)
 
     for arc, exc in linked.unresolved:
-        what = "trigger" if isinstance(arc, TriggerArc) else "arc" if arc.sugared else "flow"
-        report.diagnostics.append(
-            error("UNRESOLVED", f"{what} '{arc.id}': {exc}", arc.span)
-        )
+        report.diagnostics.append(unresolved_diagnostic(arc, exc))
 
     for arc in linked.flows:
         src, tgt = arc.source, arc.target

@@ -1,17 +1,25 @@
 import itertools
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmflow import (
     BehaviorGraph,
     BoundTooLarge,
     Event,
+    FlowArc,
     Interval,
+    Machine,
     NoInitialEvents,
     Region,
     RegionCheckFailed,
     StageRef,
+    StageKind,
     Subdiagram,
+    TMModel,
+    TriggerArc,
     check_regions,
     chronologies,
     desugar,
@@ -24,7 +32,7 @@ from tmflow import (
     validate_behavior,
 )
 
-from conftest import corpus_doc
+from conftest import corpus_doc, perfbench_gen
 
 
 def region(rid, stages, arcs):
@@ -112,6 +120,13 @@ class TestRegionChecks:
             model, [region("r", [StageRef(("ghost",), None)], [])]
         )
         assert "DANGLING_REF" in {d.code for d in report.errors}
+
+    def test_machine_without_a_stage_is_dangling(self):
+        model = parse_model(CHAIN)
+        report = check_regions(model, [region("r", [StageRef(("a",), None)], [])])
+        assert [str(d) for d in report.diagnostics] == [
+            "error[DANGLING_REF]: region 'r': 'a' names a machine, not a stage"
+        ]
 
     def test_dangling_arc_id(self):
         model = parse_model(CHAIN)
@@ -273,15 +288,20 @@ class TestChronologies:
         assert chronologies(BehaviorGraph((), (), ()), 3) == []
 
 
-def brute_force_subdiagrams(model, bound):
-    """Independent oracle: filter the full powerset of (stages, arcs)."""
+def _oracle_parts(model):
+    """The desugared model's stages, and its arc ends by arc id."""
     model = desugar(model)
-    stages = model.stage_instances()
     arcs = {
         arc.id: (normalize_ref(model, arc.source),
                  normalize_ref(model, arc.target))
         for arc in model.arcs()
     }
+    return model.stage_instances(), arcs
+
+
+def brute_force_subdiagrams(model, bound):
+    """Independent oracle: filter the full powerset of (stages, arcs)."""
+    stages, arcs = _oracle_parts(model)
     found = set()
     for k in range(1, len(stages) + 1):
         for stage_set in itertools.combinations(stages, k):
@@ -359,3 +379,144 @@ class TestSubdiagrams:
         assert first == second
         sizes = [sub.size for sub in first]
         assert sizes == sorted(sizes)
+
+
+@st.composite
+def small_models(draw):
+    """Models of at most 8 stage instances and 6 arcs once desugared: up to
+    three machines nested at random; flows and triggers between declared
+    stages, within one machine, as self-loops and under repeated ids; and
+    `=>` arcs, each declaring the stages it needs."""
+    count = draw(st.integers(1, 3))
+    ids = [f"m{i}" for i in range(count)]
+    parents = [None] + [draw(st.sampled_from([None, *range(i)])) for i in range(1, count)]
+    paths = []
+    for i in range(count):
+        paths.append((paths[parents[i]] if parents[i] is not None else ()) + (ids[i],))
+    kinds = [draw(st.lists(st.sampled_from(list(StageKind)), unique=True, max_size=3))
+             for _ in ids]
+    declared = [(i, kind) for i in range(count) for kind in kinds[i]]
+    stages = set(declared)
+    flows, triggers, arcs = [], [], 0
+
+    def ref(i, kind):
+        return StageRef(draw(st.sampled_from([(ids[i],), paths[i]])), kind)
+
+    for _ in range(draw(st.integers(0, 5))):
+        arc_id = draw(st.sampled_from(["a", "b", "c", "d"]))
+        what = draw(st.sampled_from(["flow", "trigger", "sugar"]))
+        if what == "sugar":
+            i, j = draw(st.integers(0, count - 1)), draw(st.integers(0, count - 1))
+            needed = {(i, StageKind.RELEASE), (i, StageKind.TRANSFER),
+                      (j, StageKind.TRANSFER), (j, StageKind.RECEIVE)}
+            if len(stages | needed) > 8 or arcs + 3 > 6:
+                continue
+            stages |= needed
+            arcs += 3
+            flows.append(FlowArc(arc_id, ref(i, None), ref(j, None)))
+        elif declared and arcs < 6:
+            source, target = draw(st.sampled_from(declared)), draw(st.sampled_from(declared))
+            arcs += 1
+            if what == "flow":
+                flows.append(FlowArc(arc_id, ref(*source), ref(*target)))
+            else:
+                triggers.append(TriggerArc(arc_id, ref(*source), ref(*target)))
+
+    def machine(i):
+        subs = tuple(machine(j) for j in range(count) if parents[j] == i)
+        return Machine(ids[i], stages=tuple(kinds[i]), submachines=subs)
+
+    roots = tuple(machine(i) for i in range(count) if parents[i] is None)
+    return TMModel(roots, tuple(flows), tuple(triggers))
+
+
+class TestCensusProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(small_models())
+    def test_census_matches_the_oracle_at_every_bound(self, model):
+        stages, arcs = _oracle_parts(model)
+        top = len(stages) + len(arcs)
+        full = brute_force_subdiagrams(model, top)
+        for bound in range(top + 1):
+            # The oracle filters by size, so its list at ``bound`` is this.
+            expected = [sub for sub in full if sub.size <= bound]
+            assert enumerate_subdiagrams(model, bound) == expected
+        n = len(full)
+        assert enumerate_subdiagrams(model, top, cap=n) == full
+        if n:
+            with pytest.raises(BoundTooLarge) as exc:
+                enumerate_subdiagrams(model, top, cap=n - 1)
+            assert str(exc.value) == f"subdiagram enumeration exceeded cap of {n - 1}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_models(), st.data())
+    def test_not_connected_matches_the_oracle(self, model, data):
+        stages, arcs = _oracle_parts(model)
+        if not stages:
+            return
+        chosen = set(data.draw(st.lists(st.sampled_from(stages), min_size=1, unique=True)))
+        arc_ids = set(data.draw(st.lists(st.sampled_from(sorted(arcs)), unique=True)
+                                if arcs else st.just([])))
+        report = check_regions(model, [region("r", chosen, arc_ids)])
+        internal = {a for a in arc_ids if set(arcs[a]) <= chosen}
+        assert ("NOT_CONNECTED" in report.codes()) == (
+            not _connected_oracle(chosen, internal, arcs)
+        )
+
+
+class TestCensusWork:
+    """Counts, not timings, which are too noisy on a shared machine."""
+
+    def test_records_are_built_for_the_answer_only(self, monkeypatch, stack):
+        built = []
+        init = Subdiagram.__init__
+
+        def counting_init(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(Subdiagram, "__init__", counting_init)
+        subs = enumerate_subdiagrams(stack.model, 4)
+        assert len(built) == len(subs) > 100
+        del built[:]
+        with pytest.raises(BoundTooLarge):
+            enumerate_subdiagrams(stack.model, 4, cap=len(subs) - 1)
+        assert built == []
+
+    def test_stage_hashes_grow_linearly_in_model_size(self, monkeypatch):
+        gen = perfbench_gen()
+        n = gen["STATIC_N"]
+        hashed = []
+        hash_ = StageRef.__hash__
+
+        def counting_hash(self):
+            hashed.append(1)
+            return hash_(self)
+
+        def work(units):
+            doc = parse(gen["static_large"](3, units).model)
+            monkeypatch.setattr(StageRef, "__hash__", counting_hash)
+            del hashed[:]
+            subs = enumerate_subdiagrams(doc.model, 3)
+            monkeypatch.setattr(StageRef, "__hash__", hash_)
+            return len(subs), len(hashed)
+
+        (subs_n, at_n), (subs_2n, at_2n) = work(n), work(2 * n)
+        assert subs_2n > subs_n > 0
+        assert 0 < at_2n <= 2.1 * at_n, (at_n, at_2n)
+
+    def test_held_candidates_are_ints(self):
+        gen = perfbench_gen()
+        doc = parse(gen["static_large"](3, gen["STATIC_N"]).model)
+        enumerate_subdiagrams(doc.model, 1)  # link and index outside the trace
+        cap = 2000
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundTooLarge):
+                enumerate_subdiagrams(doc.model, 8, cap=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 160 bytes per held candidate; a Subdiagram of two
+        # frozensets costs over 700.
+        assert peak < 400 * cap, peak

@@ -376,7 +376,7 @@ class TestUnresolvedArcs:
         model = write(tmp_path, "m.tm", UNKNOWN_MACHINE_TM)
         assert main([argv[0], model, *argv[1:]]) == 1
         err = capsys.readouterr().err
-        assert err == "error[UNRESOLVED]: no machine matches path 'nosuch'\n"
+        assert err == "4:1: error[UNRESOLVED]: flow 'f2': no machine matches path 'nosuch'\n"
 
     def test_region_naming_unresolved_arc_is_dangling(self, tmp_path, capsys):
         text = UNKNOWN_MACHINE_TM.replace("arcs f1 }", "arcs f1, f2 }")
@@ -444,6 +444,10 @@ class TestArgumentChecks:
         captured = capsys.readouterr()
         assert captured.err == "error[SYNTAX]: --max-steps must be >= 1\n"
         assert captured.out == ""
+
+    def test_negative_bound_exits_two(self, capsys):
+        assert main(["events", corpus("multiple_behaviors.tm"), "--bound", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error[SYNTAX]: --bound must be >= 0\n")
 
     @pytest.mark.parametrize("after", ["token x of coat at paint.Create",
                                        "scenario t {\n}", "s"],
