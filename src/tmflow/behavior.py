@@ -107,15 +107,19 @@ class _StageIndex:
     of ``stages`` (in ``StageRef.sort_key`` order) is bit ``i``, and arc
     ``j`` of ``arc_ids`` (in id order) is bit ``len(stages) + j``, so a
     mask is a subdiagram, and its bits in ascending order are its stages
-    and arcs in ``Subdiagram.sort_key`` order.  A repeated arc id keeps its
-    last arc, as an id -> arc dict does.
+    and arcs in ``Subdiagram.sort_key`` order.
 
     ``rank`` and ``bit`` give the bit of a full-path stage ref and of an
-    arc id; ``near[i]`` is the mask of stage ``i``'s machine mates (itself
+    arc id; ``arc_ends`` holds the (source, target) stage bits of every
+    linked arc, repeated ids included, and ``arcs`` those of each arc id
+    (a repeated id keeps its last arc, as an id -> arc dict does);
+    ``near[i]`` is the mask of stage ``i``'s machine mates (itself
     included) and incident arcs, and ``ends[j]`` that of arc ``j``'s end
-    stages."""
+    stages.  ``region_link`` keeps the last region set linked over the
+    index (see ``_linked_regions``)."""
 
-    __slots__ = ("stages", "rank", "arcs", "arc_ids", "bit", "all_stages", "near", "ends")
+    __slots__ = ("stages", "rank", "arc_ends", "arcs", "arc_ids", "bit", "all_stages", "near",
+                 "ends", "region_link")
 
     def __init__(self, linked: Linked):
         rank = dict.fromkeys(linked.model.stage_instances())
@@ -128,16 +132,18 @@ class _StageIndex:
             machines[ref.machine] = machines.get(ref.machine, 0) | 1 << i
         self.rank: dict[StageRef, int] = rank
         self.near = near = [machines[ref.machine] for ref in stages]
-        self.arcs = arcs = {arc.id: arc for arc in linked.arcs()}
+        self.arc_ends = [(rank[arc.source], rank[arc.target]) for arc in linked.arcs()]
+        self.arcs = arcs = dict(zip([arc.id for arc in linked.arcs()], self.arc_ends))
         self.arc_ids = sorted(arcs)
         self.bit: dict[str, int] = {}
         self.ends: list[int] = []
         for bit, arc_id in enumerate(self.arc_ids, n):
             self.bit[arc_id] = bit
-            source, target = rank[arcs[arc_id].source], rank[arcs[arc_id].target]
+            source, target = arcs[arc_id]
             self.ends.append(1 << source | 1 << target)
             near[source] |= 1 << bit
             near[target] |= 1 << bit
+        self.region_link: tuple | None = None
 
     def name(self, bit: int) -> str:
         """The stage ref or arc id at ``bit``, as text."""
@@ -184,19 +190,21 @@ def _connected(index: _StageIndex, body: int) -> bool:
 
 def _link_regions(
     linked: Linked, regions: list[Region] | tuple[Region, ...]
-) -> tuple[ValidationReport, dict[StageRef, str]]:
-    """Check a region set in one pass: the report, and the stage -> region
-    map over the regions whose refs resolve.  A repeated region id is
-    reported and its later region left out.  Stages and arcs are visited
-    sorted, so the diagnostics do not depend on set iteration order; each
-    region's body becomes a mask over the model's ``_StageIndex``."""
+) -> tuple[ValidationReport, tuple[tuple[str, str], ...], tuple[str, ...]]:
+    """Check a region set in one pass: the report, and, when it has no
+    errors, the boundary edges (region order) and the initial regions.  A
+    repeated region id is reported and its later region left out.  Stages
+    and arcs are visited sorted, so the diagnostics do not depend on set
+    iteration order; each region's body becomes a mask over the model's
+    ``_StageIndex``, and each of its stages records the region's place."""
     report = ValidationReport()
     index = _stage_index(linked)
     unresolved = {arc.id: f"arc '{arc.id}': {exc}" for arc, exc in linked.unresolved}
+    owner: list[int | None] = [None] * len(index.stages)
 
     resolved = []
     region_ids: set[str] = set()
-    for region in regions:
+    for place, region in enumerate(regions):
         if region.id in region_ids:
             report.diagnostics.append(
                 error("DUP_ID", f"duplicate region id '{region.id}'")
@@ -213,6 +221,7 @@ def _link_regions(
             else:
                 if rank is not None:
                     body |= 1 << rank
+                    owner[rank] = place
                     continue
                 why = f"'{ref}' names a machine, not a stage"
             report.diagnostics.append(error("DANGLING_REF", f"region '{region.id}': {why}"))
@@ -229,17 +238,15 @@ def _link_regions(
         if ok:
             resolved.append((region, body))
 
-    stage_map: dict[StageRef, str] = {}
     for region, body in resolved:
         for arc_id in sorted(region.body.arcs):
-            arc = index.arcs[arc_id]
-            for ref in (arc.source, arc.target):
-                if not body >> index.rank[ref] & 1:
+            for rank in index.arcs[arc_id]:
+                if not body >> rank & 1:
                     report.diagnostics.append(
                         error(
                             "DANGLING_REF",
-                            f"region '{region.id}': arc '{arc.id}' endpoint "
-                            f"{ref} is outside the region's stages",
+                            f"region '{region.id}': arc '{arc_id}' endpoint "
+                            f"{index.stages[rank]} is outside the region's stages",
                         )
                     )
         if not _connected(index, body):
@@ -247,8 +254,6 @@ def _link_regions(
                 error("NOT_CONNECTED",
                       f"region '{region.id}' is not weakly connected")
             )
-        for bit in _bits(body & index.all_stages):
-            stage_map[index.stages[bit]] = region.id
 
     # Overlaps via the regions holding each stage and arc, not by
     # intersecting every pair of regions.
@@ -265,22 +270,42 @@ def _link_regions(
             error("OVERLAP", f"regions '{resolved[i][0].id}' and "
                              f"'{resolved[j][0].id}' overlap on {what}")
         )
-    return report, stage_map
+    if not report.ok:
+        return report, (), ()
+
+    # Every region resolved, so a stage's owner is its region's place.  An
+    # arc between two regions is a boundary edge, and feeds its target.
+    crossing: set[tuple[int, int]] = set()
+    fed = 0
+    for source, target in index.arc_ends:
+        i, j = owner[source], owner[target]
+        if i is not None and j is not None and i != j:
+            crossing.add((i, j))
+            fed |= 1 << target
+    edges = tuple((regions[i].id, regions[j].id) for i, j in sorted(crossing))
+    # Initial: a region holding a Create stage that no other region feeds.
+    initial = tuple(
+        region.id for region, body in resolved
+        if any(index.stages[bit].kind is StageKind.CREATE
+               for bit in _bits(body & index.all_stages & ~fed))
+    )
+    return report, edges, initial
 
 
 def _linked_regions(
     linked: Linked, regions: list[Region] | tuple[Region, ...]
-) -> tuple[ValidationReport, dict[StageRef, str]]:
+) -> tuple[ValidationReport, tuple[tuple[str, str], ...], tuple[str, ...]]:
     """``_link_regions`` of the region set last linked with the model, kept
-    on its linked form, so that ``tm check`` (check_regions, then
-    validate_behavior) links its regions once.  Each call gets its own
-    report."""
+    on its ``_StageIndex``, so that ``tm check`` (check_regions, then
+    validate_behavior) and a repeated inference link their regions once.
+    Each call gets its own report."""
+    index = _stage_index(linked)
     key = tuple(regions)
-    if linked.region_link is None or linked.region_link[0] != key:
-        report, stage_map = _link_regions(linked, key)
-        linked.region_link = (key, tuple(report.diagnostics), stage_map)
-    _, diagnostics, stage_map = linked.region_link
-    return ValidationReport(list(diagnostics)), stage_map
+    if index.region_link is None or index.region_link[0] != key:
+        report, edges, initial = _link_regions(linked, key)
+        index.region_link = (key, tuple(report.diagnostics), edges, initial)
+    _, diagnostics, edges, initial = index.region_link
+    return ValidationReport(list(diagnostics)), edges, initial
 
 
 def check_regions(model: TMModel, regions: list[Region] | tuple[Region, ...]) -> ValidationReport:
@@ -288,27 +313,7 @@ def check_regions(model: TMModel, regions: list[Region] | tuple[Region, ...]) ->
 
     Never raises: arcs that do not resolve are reported where a region
     names them."""
-    report, _ = _linked_regions(link(model), regions)
-    return report
-
-
-def _bound_regions(
-    model: TMModel, regions: list[Region] | tuple[Region, ...]
-) -> tuple[Linked, dict[StageRef, str], list[tuple[str, str]]]:
-    """The linked model, the stage -> region map and the boundary edges
-    (region order) of a region set; RegionCheckFailed if it fails."""
-    linked = link(model).require()
-    report, stage_map = _linked_regions(linked, regions)
-    if not report.ok:
-        raise RegionCheckFailed(report)
-    order = {region.id: i for i, region in enumerate(regions)}
-    found: set[tuple[str, str]] = set()
-    for arc in linked.arcs():
-        src = stage_map.get(arc.source)
-        tgt = stage_map.get(arc.target)
-        if src is not None and tgt is not None and src != tgt:
-            found.add((src, tgt))
-    return linked, stage_map, sorted(found, key=lambda e: (order[e[0]], order[e[1]]))
+    return _linked_regions(link(model), regions)[0]
 
 
 def infer_behavior(model: TMModel, regions: list[Region] | tuple[Region, ...]) -> BehaviorGraph:
@@ -319,23 +324,11 @@ def infer_behavior(model: TMModel, regions: list[Region] | tuple[Region, ...]) -
     events are those whose region holds a Create stage that no arc from
     another region feeds.
     """
-    linked, stage_map, edges = _bound_regions(model, regions)
-
-    incoming_cross: dict[StageRef, set[str]] = {}
-    for arc in linked.arcs():
-        src = stage_map.get(arc.source)
-        if src is not None:
-            incoming_cross.setdefault(arc.target, set()).add(src)
-
-    starts = {
-        rid
-        for ref, rid in stage_map.items()
-        if ref.kind == StageKind.CREATE and not (incoming_cross.get(ref, set()) - {rid})
-    }
-    initial = [region.id for region in regions if region.id in starts]
-
+    report, edges, initial = _linked_regions(link(model).require(), regions)
+    if not report.ok:
+        raise RegionCheckFailed(report)
     events = tuple(Event(region.id, region.id, None) for region in regions)
-    return BehaviorGraph(events, tuple(edges), tuple(initial))
+    return BehaviorGraph(events, edges, initial)
 
 
 def validate_behavior(
@@ -352,7 +345,9 @@ def validate_behavior(
     duration(Ei)).  Inferred edges absent from the declaration are
     warnings.
     """
-    _, _, edges = _bound_regions(model, regions)
+    regions_report, edges, _ = _linked_regions(link(model).require(), regions)
+    if not regions_report.ok:
+        raise RegionCheckFailed(regions_report)
     if mode not in ("overlap", "strict"):
         raise ValueError(f"unknown interval mode '{mode}'")
 

@@ -363,8 +363,7 @@ class Linked:
     ``unresolved`` (sugared arcs, then flows, then triggers); ``validate``
     and ``check_regions`` report them, every other analysis calls
     ``require``.  ``model`` shares the original's parsed guards
-    (``_exprs``), ``region_link`` keeps the last region set checked
-    against the model, and ``stage_index`` its stages and arcs as integer
+    (``_exprs``), and ``stage_index`` keeps its stages and arcs as integer
     ranks, once an analysis has built them."""
 
     def __init__(self, model: TMModel):
@@ -381,7 +380,6 @@ class Linked:
         self._index = index
         self.flows: tuple[FlowArc, ...] = self._link(model.flows)
         self.triggers: tuple[TriggerArc, ...] = self._link(model.triggers)
-        self.region_link: tuple | None = None  # see behavior._linked_regions
         self.stage_index = None  # see behavior._stage_index
 
     def require(self) -> "Linked":
