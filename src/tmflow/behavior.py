@@ -8,7 +8,7 @@ behavior graph orders events, and walks through it are chronologies.
 
 from __future__ import annotations
 
-from .diagnostics import Record, ValidationReport, _setattr, error, warning
+from .diagnostics import Record, SourceSpan, ValidationReport, _setattr, error, warning
 from .model import Linked, ModelError, StageKind, StageRef, TMModel, link
 
 
@@ -47,15 +47,18 @@ class Subdiagram(Record):
         )
 
 
-class Region(Record):
-    """A named subdiagram: the part of the model one event runs in."""
+class Region(Record, uncompared=("span",), unshown=("span",)):
+    """A named subdiagram: the part of the model one event runs in.
+    ``span`` is where its id was read, for the region checks' diagnostics."""
 
-    __slots__ = ("id", "body", "label")
+    __slots__ = ("id", "body", "label", "span")
 
-    def __init__(self, id: str, body: Subdiagram, label: str = ""):
+    def __init__(self, id: str, body: Subdiagram, label: str = "",
+                 span: SourceSpan | None = None):
         _setattr(self, "id", id)
         _setattr(self, "body", body)
         _setattr(self, "label", label)
+        _setattr(self, "span", span)
 
 
 class Interval(Record):
@@ -207,35 +210,33 @@ def _link_regions(
     for place, region in enumerate(regions):
         if region.id in region_ids:
             report.diagnostics.append(
-                error("DUP_ID", f"duplicate region id '{region.id}'")
+                error("DUP_ID", f"duplicate region id '{region.id}'", region.span)
             )
             continue
         region_ids.add(region.id)
         body = 0
-        ok = True
+        dangling = []
         for ref in sorted(region.body.stages, key=StageRef.sort_key):
             try:
                 rank = index.rank.get(linked.normalize(ref))
             except ModelError as exc:
-                why = str(exc)
+                dangling.append(str(exc))
+                continue
+            if rank is None:
+                dangling.append(f"'{ref}' names a machine, not a stage")
             else:
-                if rank is not None:
-                    body |= 1 << rank
-                    owner[rank] = place
-                    continue
-                why = f"'{ref}' names a machine, not a stage"
-            report.diagnostics.append(error("DANGLING_REF", f"region '{region.id}': {why}"))
-            ok = False
+                body |= 1 << rank
+                owner[rank] = place
         for arc_id in sorted(region.body.arcs):
             if arc_id in index.bit:
                 body |= 1 << index.bit[arc_id]
-                continue
-            why = unresolved.get(arc_id, f"unknown arc '{arc_id}'")
+            else:
+                dangling.append(unresolved.get(arc_id, f"unknown arc '{arc_id}'"))
+        for why in dangling:
             report.diagnostics.append(
-                error("DANGLING_REF", f"region '{region.id}': {why}")
+                error("DANGLING_REF", f"region '{region.id}': {why}", region.span)
             )
-            ok = False
-        if ok:
+        if not dangling:
             resolved.append((region, body))
 
     for region, body in resolved:
@@ -247,12 +248,13 @@ def _link_regions(
                             "DANGLING_REF",
                             f"region '{region.id}': arc '{arc_id}' endpoint "
                             f"{index.stages[rank]} is outside the region's stages",
+                            region.span,
                         )
                     )
         if not _connected(index, body):
             report.diagnostics.append(
                 error("NOT_CONNECTED",
-                      f"region '{region.id}' is not weakly connected")
+                      f"region '{region.id}' is not weakly connected", region.span)
             )
 
     # Overlaps via the regions holding each stage and arc, not by
@@ -268,7 +270,7 @@ def _link_regions(
         what = ", ".join(index.name(bit) for bit in bits)
         report.diagnostics.append(
             error("OVERLAP", f"regions '{resolved[i][0].id}' and "
-                             f"'{resolved[j][0].id}' overlap on {what}")
+                             f"'{resolved[j][0].id}' overlap on {what}", resolved[j][0].span)
         )
     if not report.ok:
         return report, (), ()
@@ -298,11 +300,12 @@ def _linked_regions(
     """``_link_regions`` of the region set last linked with the model, kept
     on its ``_StageIndex``, so that ``tm check`` (check_regions, then
     validate_behavior) and a repeated inference link their regions once.
-    Each call gets its own report."""
+    Each call gets its own report.  The key holds each region's span, as
+    the diagnostics do, which ``==`` on regions leaves out."""
     index = _stage_index(linked)
-    key = tuple(regions)
+    key = tuple((region, region.span) for region in regions)
     if index.region_link is None or index.region_link[0] != key:
-        report, edges, initial = _link_regions(linked, key)
+        report, edges, initial = _link_regions(linked, regions)
         index.region_link = (key, tuple(report.diagnostics), edges, initial)
     _, diagnostics, edges, initial = index.region_link
     return ValidationReport(list(diagnostics)), edges, initial

@@ -147,6 +147,10 @@ def _cmd_events(args, doc: Document, report: ValidationReport) -> int:
         except BoundTooLarge as exc:
             print(f"error[BOUND]: {exc}", file=sys.stderr)
             return EXIT_SEMANTIC
+        if args.format == "json":
+            from . import jsonio
+            _write_output(jsonio.dumps(jsonio.census_to_obj(subs, args.bound)), args.out)
+            return EXIT_OK
         lines = [f"{len(subs)} subdiagrams with at most {args.bound} elements"]
         for sub in subs:
             stages = ", ".join(
@@ -276,6 +280,7 @@ def _cmd_simulate(args, doc: Document, report: ValidationReport) -> int:
             else:
                 lines.append("conformance: " + "; ".join(str(d) for d in verdict.errors))
                 _write_output("\n".join(lines) + "\n", args.out)
+                _print_report(verdict, sys.stderr)
                 return EXIT_SEMANTIC
     _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -1,12 +1,13 @@
-"""JSON export of models, region sets, behavior graphs, reports and
-traces, and import of traces.  All payloads carry a top-level ``schema: 1``
-marker; traces use JSON lines (header line, then one record per line)."""
+"""JSON export of models, region sets, subdiagram censuses, behavior
+graphs, reports and traces, and import of traces.  All payloads carry a
+top-level ``schema: 1`` marker; traces use JSON lines (header line, then
+one record per line)."""
 
 from __future__ import annotations
 
 import json
 
-from .behavior import BehaviorGraph
+from .behavior import BehaviorGraph, Subdiagram
 from .diagnostics import ValidationReport
 from .model import FlowArc, Machine, StageKind, StageRef, TMModel, TriggerArc
 from .simulate import Token, Trace, TraceMeta, TraceRecord
@@ -76,6 +77,22 @@ def regions_to_obj(regions) -> dict:
                 "arcs": sorted(r.body.arcs),
             }
             for r in regions
+        ],
+    }
+
+
+def census_to_obj(subdiagrams: list[Subdiagram], bound: int) -> dict:
+    """The subdiagram census at ``bound``, in ``tm events --bound``'s order."""
+    return {
+        "schema": SCHEMA,
+        "kind": "census",
+        "bound": bound,
+        "subdiagrams": [
+            {
+                "stages": [_ref(ref) for ref in sorted(sub.stages, key=StageRef.sort_key)],
+                "arcs": sorted(sub.arcs),
+            }
+            for sub in subdiagrams
         ],
     }
 

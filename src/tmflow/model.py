@@ -267,19 +267,19 @@ def _lookup(
 
 
 def resolve(model: TMModel, ref: StageRef) -> tuple[tuple[str, ...], Machine, StageKind | None]:
-    """Resolve a (possibly suffix-addressed) StageRef against the model.
+    """Resolve a (possibly suffix-addressed) StageRef against the model,
+    as linked (with the stages its sugared arcs declare).
 
     Returns the machine's full path, the machine, and the stage kind.
     Raises UnknownMachineError if no machine path ends with the given
     path, StageNotDeclaredError if the machine does not declare the kind.
     """
-    return _lookup(_suffix_index(model), ref)
+    return _lookup(link(model)._index, ref)
 
 
 def normalize_ref(model: TMModel, ref: StageRef) -> StageRef:
     """Rewrite a StageRef to use the machine's full path from the root."""
-    path, _, kind = resolve(model, ref)
-    return StageRef(path, kind)
+    return link(model).normalize(ref)
 
 
 # Stages auto-declared while expanding a sugared arc, in the order they

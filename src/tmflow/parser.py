@@ -529,6 +529,7 @@ class _Parser:
                     id=id_tok.value,
                     body=Subdiagram(frozenset(stages), frozenset(arcs)),
                     label=label,
+                    span=id_tok.span,
                 )
             )
 

@@ -417,34 +417,33 @@ class Occurrence(Record):
 
 
 class Segmentation(Record):
-    """The occurrences of a trace, and notes on records left out."""
+    """The occurrences of a trace, and the records no region covers."""
 
-    __slots__ = ("occurrences", "notes")
+    __slots__ = ("occurrences", "unattributed")
 
-    def __init__(self, occurrences: tuple[Occurrence, ...], notes: tuple[str, ...] = ()):
+    def __init__(self, occurrences: tuple[Occurrence, ...],
+                 unattributed: tuple[TraceRecord, ...] = ()):
         _setattr(self, "occurrences", occurrences)
-        _setattr(self, "notes", notes)
+        _setattr(self, "unattributed", unattributed)
 
 
 def segment(trace: Trace, regions: list[Region] | tuple[Region, ...]) -> Segmentation:
     """Split a trace into event occurrences: maximal runs of records that
     fall inside one region.  Records on arcs no region covers are skipped
-    and reported as notes."""
+    and kept as ``unattributed``."""
     arc_region: dict[str, str] = {}
     for region in regions:
         for arc_id in region.body.arcs:
             arc_region[arc_id] = region.id
 
-    notes: list[str] = []
+    unattributed: list[TraceRecord] = []
     occurrences: list[Occurrence] = []
     run: str | None = None  # the region of the open run, from step start to last
     start = last = 0
     for record in trace.records:
         region_id = arc_region.get(record.arc)
         if region_id is None:
-            notes.append(
-                f"unattributed record: step {record.step}, arc '{record.arc}'"
-            )
+            unattributed.append(record)
             continue
         if region_id != run:
             if run is not None:
@@ -453,7 +452,7 @@ def segment(trace: Trace, regions: list[Region] | tuple[Region, ...]) -> Segment
         last = record.step
     if run is not None:
         occurrences.append(Occurrence(run, Interval(start, last - start + 1)))
-    return Segmentation(tuple(occurrences), tuple(notes))
+    return Segmentation(tuple(occurrences), tuple(unattributed))
 
 
 def conformance(

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,17 +10,20 @@ from tmflow import (
     BehaviorGraph,
     BoundTooLarge,
     Event,
+    ModelError,
     FlowArc,
     Interval,
     Machine,
     NoInitialEvents,
     Region,
     RegionCheckFailed,
+    SourceSpan,
     StageRef,
     StageKind,
     Subdiagram,
     TMModel,
     TriggerArc,
+    ValidationReport,
     check_regions,
     chronologies,
     desugar,
@@ -31,6 +35,9 @@ from tmflow import (
     parse_model,
     validate_behavior,
 )
+from tmflow.behavior import _bits, _connected, _stage_index
+from tmflow.diagnostics import error, warning
+from tmflow.model import link
 
 from conftest import corpus_doc, perfbench_gen
 
@@ -161,8 +168,9 @@ class TestRegionChecks:
         assert [r.id for r in doc.regions] == ["r1", "r1"]
         with pytest.raises(RegionCheckFailed) as exc:
             infer_behavior(doc.model, doc.regions)
+        line = 10 if where == "in-file" else 2
         assert [str(d) for d in exc.value.report.diagnostics] == [
-            "error[DUP_ID]: duplicate region id 'r1'"
+            f"{line}:10: error[DUP_ID]: duplicate region id 'r1'"
         ]
 
 
@@ -520,3 +528,257 @@ class TestCensusWork:
         # About 160 bytes per held candidate; a Subdiagram of two
         # frozensets costs over 700.
         assert peak < 400 * cap, peak
+
+
+# ---------------------------------------------------------------------------
+# Reference: the region link as it was before the stage index carried the
+# boundary.  It keeps a stage -> region map keyed by StageRef, and scans
+# every arc for the boundary edges and again for the initial events.
+
+def reference_region_link(linked, regions):
+    """The report, and the stage -> region map over the regions whose refs
+    resolve."""
+    report = ValidationReport()
+    index = _stage_index(linked)
+    arcs = {arc.id: arc for arc in linked.arcs()}
+    unresolved = {arc.id: f"arc '{arc.id}': {exc}" for arc, exc in linked.unresolved}
+
+    resolved = []
+    region_ids = set()
+    for region in regions:
+        if region.id in region_ids:
+            report.diagnostics.append(
+                error("DUP_ID", f"duplicate region id '{region.id}'", region.span)
+            )
+            continue
+        region_ids.add(region.id)
+        body = 0
+        ok = True
+        for ref in sorted(region.body.stages, key=StageRef.sort_key):
+            try:
+                rank = index.rank.get(linked.normalize(ref))
+            except ModelError as exc:
+                why = str(exc)
+            else:
+                if rank is not None:
+                    body |= 1 << rank
+                    continue
+                why = f"'{ref}' names a machine, not a stage"
+            report.diagnostics.append(
+                error("DANGLING_REF", f"region '{region.id}': {why}", region.span))
+            ok = False
+        for arc_id in sorted(region.body.arcs):
+            if arc_id in index.bit:
+                body |= 1 << index.bit[arc_id]
+                continue
+            why = unresolved.get(arc_id, f"unknown arc '{arc_id}'")
+            report.diagnostics.append(
+                error("DANGLING_REF", f"region '{region.id}': {why}", region.span)
+            )
+            ok = False
+        if ok:
+            resolved.append((region, body))
+
+    stage_map = {}
+    for region, body in resolved:
+        for arc_id in sorted(region.body.arcs):
+            arc = arcs[arc_id]
+            for ref in (arc.source, arc.target):
+                if not body >> index.rank[ref] & 1:
+                    report.diagnostics.append(
+                        error(
+                            "DANGLING_REF",
+                            f"region '{region.id}': arc '{arc.id}' endpoint "
+                            f"{ref} is outside the region's stages",
+                            region.span,
+                        )
+                    )
+        if not _connected(index, body):
+            report.diagnostics.append(
+                error("NOT_CONNECTED",
+                      f"region '{region.id}' is not weakly connected", region.span)
+            )
+        for bit in _bits(body & index.all_stages):
+            stage_map[index.stages[bit]] = region.id
+
+    holders = {}
+    shared = {}
+    for j, (_, body) in enumerate(resolved):
+        for bit in _bits(body):
+            for i in holders.setdefault(bit, []):
+                shared.setdefault((i, j), []).append(bit)
+            holders[bit].append(j)
+    for (i, j), bits in sorted(shared.items()):
+        what = ", ".join(index.name(bit) for bit in bits)
+        report.diagnostics.append(
+            error("OVERLAP", f"regions '{resolved[i][0].id}' and "
+                             f"'{resolved[j][0].id}' overlap on {what}", resolved[j][0].span)
+        )
+    return report, stage_map
+
+
+def reference_bound_regions(model, regions):
+    """The linked model, the stage -> region map and the boundary edges
+    (region order); RegionCheckFailed if the region set fails."""
+    linked = link(model).require()
+    report, stage_map = reference_region_link(linked, regions)
+    if not report.ok:
+        raise RegionCheckFailed(report)
+    order = {region.id: i for i, region in enumerate(regions)}
+    found = set()
+    for arc in linked.arcs():
+        src = stage_map.get(arc.source)
+        tgt = stage_map.get(arc.target)
+        if src is not None and tgt is not None and src != tgt:
+            found.add((src, tgt))
+    return linked, stage_map, sorted(found, key=lambda e: (order[e[0]], order[e[1]]))
+
+
+def reference_infer(model, regions):
+    linked, stage_map, edges = reference_bound_regions(model, regions)
+    incoming_cross = {}
+    for arc in linked.arcs():
+        src = stage_map.get(arc.source)
+        if src is not None:
+            incoming_cross.setdefault(arc.target, set()).add(src)
+    starts = {
+        rid
+        for ref, rid in stage_map.items()
+        if ref.kind == StageKind.CREATE and not (incoming_cross.get(ref, set()) - {rid})
+    }
+    initial = [region.id for region in regions if region.id in starts]
+    events = tuple(Event(region.id, region.id, None) for region in regions)
+    return BehaviorGraph(events, tuple(edges), tuple(initial))
+
+
+def reference_validate(model, regions, declared):
+    """The report of ``validate_behavior`` on a graph of one interval-less
+    event per region: an error per declared edge without a boundary edge,
+    then a warning per boundary edge left undeclared."""
+    _, _, edges = reference_bound_regions(model, regions)
+    region_of = {event.id: event.region for event in declared.events}
+    pairs = [(region_of[src], region_of[dst]) for src, dst in declared.edges]
+    report = ValidationReport()
+    for (src, dst), pair in zip(declared.edges, pairs):
+        if pair not in edges:
+            report.diagnostics.append(
+                error("UNSUPPORTED_EDGE", f"edge {src} -> {dst} has no supporting boundary arc"))
+    for a, b in sorted(set(edges) - set(pairs)):
+        report.diagnostics.append(warning("MISSING_EDGE", f"inferred edge {a} -> {b} is not declared"))
+    return report
+
+
+def outcome(call, *args):
+    """What ``call`` returns, or the report of its RegionCheckFailed."""
+    try:
+        return call(*args)
+    except RegionCheckFailed as exc:
+        return exc.report
+
+
+@st.composite
+def region_sets(draw, model):
+    """One to three regions over ``model``'s stages and arcs (those its
+    `=>` arcs expand to included), with refs by suffix or full path, and
+    at times the first region's id again on the last.  Half the sets give
+    each stage to one region or none, each region taking some
+    arcs between its own stages (a region left without stages is
+    dropped); the rest take any stages and arcs, and at times an arc id
+    the model lacks."""
+    stages, arcs = _oracle_parts(model)
+    count = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        owner = {ref: draw(st.sampled_from([None, *range(count)])) for ref in stages}
+        parts = [([ref for ref in stages if owner[ref] == i],
+                  [a for a, (s, t) in sorted(arcs.items())
+                   if owner[s] == owner[t] == i and draw(st.booleans())])
+                 for i in range(count)]
+        parts = [part for part in parts if part[0]]
+    else:
+        arc_ids = sorted(arcs) + ["zz"]
+        parts = [(draw(st.lists(st.sampled_from(stages), unique=True)) if stages else [],
+                  draw(st.lists(st.sampled_from(arc_ids), unique=True)))
+                 for _ in range(count)]
+    ids = [f"r{i}" for i in range(len(parts))]
+    if len(ids) > 1 and draw(st.integers(0, 3)) == 0:
+        ids[-1] = ids[0]
+    return [region(rid, [StageRef(draw(st.sampled_from([ref.machine, ref.machine[-1:]])),
+                                  ref.kind) for ref in part_stages], part_arcs)
+            for rid, (part_stages, part_arcs) in zip(ids, parts)]
+
+
+class TestRegionLinkProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(small_models(), st.data())
+    def test_check_infer_and_validate_match_the_reference(self, model, data):
+        regions = data.draw(region_sets(model))
+        expected_report, _ = reference_region_link(link(model), regions)
+        assert check_regions(model, regions) == expected_report
+        assert outcome(infer_behavior, model, regions) == outcome(reference_infer, model, regions)
+
+        events = tuple(Event(f"e_{rid}", rid) for rid in dict.fromkeys(r.id for r in regions))
+        pairs = [(a.id, b.id) for a in events for b in events if a is not b]
+        edges = tuple(data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+        declared = BehaviorGraph(events, edges, tuple(event.id for event in events[:1]))
+        assert outcome(validate_behavior, model, regions, declared) == outcome(
+            reference_validate, model, regions, declared)
+
+
+class TestRegionLinkWork:
+    def test_a_linked_region_set_hashes_no_stage_ref(self, monkeypatch):
+        gen = perfbench_gen()
+        doc = parse(gen["static_large"](3, gen["STATIC_N"]).model)
+        assert doc.behavior is not None
+        hashed = []
+        hash_ = StageRef.__hash__
+
+        def counting_hash(self):
+            hashed.append(1)
+            return hash_(self)
+
+        monkeypatch.setattr(StageRef, "__hash__", counting_hash)
+        assert check_regions(doc.model, doc.regions).ok
+        assert hashed
+        del hashed[:]
+        validate_behavior(doc.model, doc.regions, doc.behavior)
+        assert hashed == []
+        graph = infer_behavior(doc.model, doc.regions)
+        del hashed[:]
+        assert infer_behavior(doc.model, doc.regions) == graph
+        assert hashed == []
+        assert graph == reference_infer(doc.model, doc.regions)
+
+
+class TestRegionSpans:
+    TEXT = (
+        CHAIN
+        + "regions {\n"
+        + "  region r1 { stages a.Create, a.Release\n arcs c1 }\n"
+        + "  region r2 { stages a.Release }\n"
+        + "  region r3 { stages a.Create\n arcs c2, zz }\n"
+        + "}\n"
+    )
+
+    def test_each_region_diagnostic_points_at_its_region(self):
+        doc = parse(self.TEXT)
+        assert [str(d) for d in check_regions(doc.model, doc.regions).diagnostics] == [
+            "9:10: error[DANGLING_REF]: region 'r3': unknown arc 'zz'",
+            "8:10: error[OVERLAP]: regions 'r1' and 'r2' overlap on a.Release",
+        ]
+        regions = doc.regions[:1] + (replace(doc.regions[1], id="r1"),)
+        assert [str(d) for d in check_regions(doc.model, regions).diagnostics] == [
+            "8:10: error[DUP_ID]: duplicate region id 'r1'",
+        ]
+        empty = (replace(region("r", [], []), span=SourceSpan(9, 3)),)
+        assert [str(d) for d in check_regions(doc.model, empty).diagnostics] == [
+            "9:3: error[NOT_CONNECTED]: region 'r' is not weakly connected",
+        ]
+
+    def test_an_equal_region_set_gets_its_own_spans(self):
+        model = parse_model(CHAIN)
+        body = region("r", [chain_ref("create")], ["zz"])
+        here, there = (replace(body, span=SourceSpan(line, 1)) for line in (3, 8))
+        assert here == there
+        assert check_regions(model, [here]).diagnostics[0].span == SourceSpan(3, 1)
+        assert check_regions(model, [there]).diagnostics[0].span == SourceSpan(8, 1)
+        assert check_regions(model, [here]).diagnostics[0].span == SourceSpan(3, 1)

@@ -104,6 +104,19 @@ class TestEvents:
                      "--bound", "2"]) == 0
         assert capsys.readouterr().out.startswith("12 subdiagrams")
 
+    def test_bound_as_json_is_the_census_in_text_order(self, capsys):
+        model = corpus("multiple_behaviors.tm")
+        assert main(["events", model, "--bound", "2"]) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert main(["events", model, "--bound", "2", "--format", "json"]) == 0
+        census = json.loads(capsys.readouterr().out)
+        assert (census["schema"], census["kind"], census["bound"]) == (1, "census", 2)
+        lines = [f"{len(census['subdiagrams'])} subdiagrams with at most 2 elements"]
+        for sub in census["subdiagrams"]:
+            stages = ", ".join(".".join(ref["machine"] + [ref["kind"]]) for ref in sub["stages"])
+            lines.append(f"  stages [{stages}] arcs [{', '.join(sub['arcs']) or '-'}]")
+        assert lines == text
+
     def test_bound_over_the_cap_exits_one(self, monkeypatch, capsys):
         def capped(model, max_elements):
             return enumerate_subdiagrams(model, max_elements, cap=5)
@@ -167,9 +180,9 @@ class TestSimulate:
                          "scenario late {\n  token c of coat at dry.Transfer\n}\n")
         assert main(["simulate", corpus("paint_dry.tm"), scenario]) == 1
         out, err = capsys.readouterr()
-        assert err == ""
-        assert out.splitlines()[-1] == ("conformance: error[NOT_INITIAL]: trace starts "
-                                        "at non-initial event 'dry' (steps 1..2)")
+        verdict = "error[NOT_INITIAL]: trace starts at non-initial event 'dry' (steps 1..2)"
+        assert err == verdict + "\n"
+        assert out.splitlines()[-1] == "conformance: " + verdict
 
     def test_missing_scenario_exits_two(self, capsys):
         assert main(["simulate", corpus("formula.tm"), corpus("nope.tms")]) == 2
@@ -322,8 +335,10 @@ class TestSidecar:
         else:
             (tmp_path / "paint_dry.tmb").write_text(again)
         assert main(["check", str(model)]) == 1
+        # The repeated id's line: in the model after its 32 lines, or in the sidecar.
+        line = 34 if where == "in-file" else 2
         assert capsys.readouterr() == (
-            "", "error[DUP_ID]: duplicate region id 'R_paint'\n")
+            "", f"{line}:10: error[DUP_ID]: duplicate region id 'R_paint'\n")
 
 
 # A flow whose target machine does not exist.
@@ -491,8 +506,8 @@ def test_region_diagnostics_do_not_depend_on_hash_seed(tmp_path):
     code, _, err = check_under_seeds(dangling)
     assert code == 1
     assert err.splitlines()[:2] == [
-        "error[DANGLING_REF]: region 'r': no machine matches path 'b'",
-        "error[DANGLING_REF]: region 'r': no machine matches path 'c'",
+        "5:10: error[DANGLING_REF]: region 'r': no machine matches path 'b'",
+        "5:10: error[DANGLING_REF]: region 'r': no machine matches path 'c'",
     ]
     # Ordered by the displayed pair: the b/c warning came first under most seeds.
     code, out, _ = check_under_seeds(opposing)

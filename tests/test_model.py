@@ -90,6 +90,19 @@ class TestResolve:
         with pytest.raises(UnknownMachineError):
             resolve(nested_model(), StageRef((), C))
 
+    def test_a_sugared_model_resolves_its_auto_declared_stages(self):
+        a = Machine("a", stages=(C,))
+        b = Machine("outer", submachines=(Machine("b", stages=(P,)),))
+        route = FlowArc("route", StageRef(("a",), None), StageRef(("b",), None))
+        model = TMModel(machines=(a, b), flows=(route,))
+        path, machine, kind = resolve(model, StageRef(("b",), V))
+        assert (path, kind) == (("outer", "b"), V)
+        assert machine.stages == (P, T, V)
+        assert normalize_ref(model, StageRef(("a",), T)) == StageRef(("a",), T)
+        assert normalize_ref(model, StageRef(("b",), T)) == StageRef(("outer", "b"), T)
+        with pytest.raises(StageNotDeclaredError):
+            resolve(model, StageRef(("a",), P))
+
 
 class TestDesugar:
     def sugared_model(self) -> TMModel:

@@ -112,6 +112,7 @@ class Region:
     id: str
     body: Subdiagram
     label: str = ""
+    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ class Occurrence:
 @dataclass(frozen=True)
 class Segmentation:
     occurrences: tuple
-    notes: tuple = ()
+    unattributed: tuple = ()
 
 
 PAIRS = [(getattr(module, ref.__name__), ref) for module, refs in [

@@ -511,8 +511,8 @@ class TestSegmentation:
         doc, _, trace = run("mousetrap.tm", "mousetrap.tms")
         seg = segment(trace, doc.regions)
         # f2, t1 and t2 cross region boundaries and belong to no region.
-        assert len(seg.notes) == 3
-        assert all("unattributed" in note for note in seg.notes)
+        assert len(seg.unattributed) == 3
+        assert seg.unattributed == tuple(r for r in trace.records if r.arc in {"f2", "t1", "t2"})
 
     def test_intervals_cover_maximal_runs(self):
         doc, _, trace = run("formula.tm", "formula.tms")
@@ -591,14 +591,12 @@ def reference_segment(trace, regions):
     for region in regions:
         for arc_id in region.body.arcs:
             arc_region[arc_id] = region.id
-    notes = []
+    unattributed = []
     mapped = []
     for record in trace.records:
         region_id = arc_region.get(record.arc)
         if region_id is None:
-            notes.append(
-                f"unattributed record: step {record.step}, arc '{record.arc}'"
-            )
+            unattributed.append(record)
         else:
             mapped.append((region_id, record.step))
     occurrences = []
@@ -611,7 +609,7 @@ def reference_segment(trace, regions):
             )
         else:
             occurrences.append(Occurrence(region_id, Interval(step, 1)))
-    return Segmentation(tuple(occurrences), tuple(notes))
+    return Segmentation(tuple(occurrences), tuple(unattributed))
 
 
 def reference_conformance(occurrences, graph):
