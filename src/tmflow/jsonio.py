@@ -65,19 +65,18 @@ def model_to_obj(model: TMModel) -> dict:
     }
 
 
+def _subdiagram(sub: Subdiagram) -> dict:
+    return {
+        "stages": [_ref(ref) for ref in sorted(sub.stages, key=StageRef.sort_key)],
+        "arcs": sorted(sub.arcs),
+    }
+
+
 def regions_to_obj(regions) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "regions",
-        "regions": [
-            {
-                "id": r.id,
-                "label": r.label,
-                "stages": [_ref(ref) for ref in sorted(r.body.stages, key=StageRef.sort_key)],
-                "arcs": sorted(r.body.arcs),
-            }
-            for r in regions
-        ],
+        "regions": [{"id": r.id, "label": r.label, **_subdiagram(r.body)} for r in regions],
     }
 
 
@@ -87,13 +86,7 @@ def census_to_obj(subdiagrams: list[Subdiagram], bound: int) -> dict:
         "schema": SCHEMA,
         "kind": "census",
         "bound": bound,
-        "subdiagrams": [
-            {
-                "stages": [_ref(ref) for ref in sorted(sub.stages, key=StageRef.sort_key)],
-                "arcs": sorted(sub.arcs),
-            }
-            for sub in subdiagrams
-        ],
+        "subdiagrams": [_subdiagram(sub) for sub in subdiagrams],
     }
 
 

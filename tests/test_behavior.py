@@ -10,10 +10,10 @@ from tmflow import (
     BehaviorGraph,
     BoundTooLarge,
     Event,
-    ModelError,
     FlowArc,
     Interval,
     Machine,
+    ModelError,
     NoInitialEvents,
     Region,
     RegionCheckFailed,
