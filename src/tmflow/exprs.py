@@ -2,13 +2,19 @@
 
 One lexical grammar covers models, regions, behavior sections, scenarios
 and the guards, actions and stop conditions inside them.  Blanks and
-``#`` comments separate tokens.  A string is double-quoted on one line,
+``#`` comments separate lexemes.  A string is double-quoted on one line,
 with ``\\"`` and ``\\\\`` escapes.  An integer is a run of decimal digits.
 An identifier is a run of letters, digits and ``_`` that does not start
-with a decimal digit.  Symbols are listed in ``_LEXEME``, the one compiled
-pattern of the lexer: each of its matches is the blanks and comment
-before a lexeme and the lexeme, or the end of the text, and ``tokenize``
-walks them in one ``finditer`` pass.
+with a decimal digit.  Symbols are listed in ``_LEXEME``.
+
+``tokenize`` lexes a text in two passes made in C: one ``split`` over
+``_LEXEME`` gives the lexemes, with the gaps between them, and one
+``accumulate`` over their lengths gives each lexeme's offset.  It keeps
+no record per lexeme: a lexeme's kind is read from its first character
+(a quote starts a STRING, a decimal digit an INT, ``\\n`` is NEWLINE and
+the empty lexeme EOF; ``is_ident`` tells an IDENT from a symbol), and the
+parser builds a ``SourceSpan`` from an offset only where it keeps one.
+A lexing error is at the first character, not a blank, of a gap.
 
 Expression grammar (no boolean connectives, by design):
 
@@ -19,7 +25,7 @@ Expression grammar (no boolean connectives, by design):
     stmt    := IDENT ":=" sum
     stmts   := stmt (";" stmt)*
 
-Expressions are parsed from tokens, which a file's parser hands over
+Expressions are parsed from lexemes, which a file's parser hands over
 from its one lex of the file.  ``compile_guard`` and ``compile_actions``
 turn a parsed guard or action list into one Python callable over a
 token's attributes, built from closures (no source text is generated);
@@ -33,7 +39,8 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Callable, NamedTuple
+from itertools import accumulate, compress
+from typing import Callable
 
 from .diagnostics import Record, SourceSpan, _setattr
 
@@ -112,80 +119,75 @@ class Assign(_Node):
 # ---------------------------------------------------------------------------
 # Lexer
 
-# One match per lexeme: the blanks and comment before it, then the lexeme,
-# or the end of the text.  A line end is a lexeme of its own; a comment
-# runs to it.  The first five kinds start with distinct characters, so
-# they are tried most frequent first; an open string is tried after a
-# closed one, and any other character after all of them.  (Written
+# One ``split`` finds every lexeme of a text as the group of this pattern;
+# what lies between two lexemes must be blanks.  The first five kinds
+# start with distinct characters, so they are tried most frequent first.
+# A line end takes in the blank and comment-only lines after it, and a
+# comment is a lexeme of its own: ``tokenize`` shortens the one, drops
+# the other and drops a line end before the first lexeme.  (Written
 # without re.VERBOSE, which costs more to compile at import.)
 _LEXEME = re.compile(
-    r"[ \t]*(?:\#[^\n]*)?"
-    r"(?:(?P<IDENT>[^\W\d]\w*)"
-    r"|(?P<SYM>->|=>|:=|<=|>=|!=|[{}(),;:.=<>+\-])"
-    r"|(?P<NEWLINE>\n)"
-    r"|(?P<INT>\d+)"
-    r'|(?P<STRING>"(?:[^"\\\n]|\\.)*")'
-    r'|(?P<UNTERMINATED>".*)'
-    r"|(?P<UNEXPECTED>.)"
-    r"|(?P<EOF>\Z))"
+    r"([^\W\d]\w*"
+    r"|->|=>|:=|<=|>=|!=|[{}(),;:.=<>+\-]"
+    r"|\n(?:[ \t]*(?:\#[^\n]*)?\n)*"
+    r"|\d+"
+    r'|"(?:[^"\\\n]|\\.)*"'
+    r"|\#[^\n]*)"
 )
+# The comments and the line ends with more lines; a string is matched
+# (and found as "") so that a ``#`` in it starts no comment.
+_SURPLUS = re.compile(r'"(?:[^"\\\n]|\\.)*"|(\#[^\n]*|\n(?:[ \t]*(?:\#[^\n]*)?\n)+)')
 
-_LAST = frozenset({"EOF", "UNTERMINATED", "UNEXPECTED"})  # kinds that end a lex
-
-_EXPR_SYMBOLS = frozenset(
-    {":=", "<=", ">=", "!=", "=", "<", ">", "+", "-", "(", ")", ";"}
-)
+# The symbols outside the expression grammar.
+_OTHER_SYMBOLS = frozenset({"->", "=>", "{", "}", ",", ":", "."})
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT INT STRING SYM NEWLINE EOF; UNTERMINATED UNEXPECTED in LexError
-    value: str
-    line: int
-    column: int
-    offset: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, max(1, len(self.value)))
-
-    @property
-    def end(self) -> int:
-        return self.offset + len(self.value)
+def is_ident(lexeme: str) -> bool:
+    """Whether a lexeme is an IDENT, like ``x`` or ``²x``: its first character
+    is a word character and not a decimal digit (``str.isdecimal``, as ``\\d``)."""
+    first = lexeme[:1]
+    return lexeme.isidentifier() or (first.isalnum() or first == "_") and not first.isdecimal()
 
 
 class LexError(Exception):
-    """Text where no token starts: an unexpected character or an open string."""
+    """Text where no lexeme starts: an UNEXPECTED character, or an
+    UNTERMINATED string (``value`` runs to the end of its line)."""
 
-    def __init__(self, token: Token):
-        self.token = token
-        if token.kind == "UNTERMINATED":
-            super().__init__("unterminated string literal")
-        else:
-            super().__init__(f"unexpected character {token.value!r}")
+    def __init__(self, kind: str, value: str, span: SourceSpan):
+        self.kind, self.value, self.span = kind, value, span
+        super().__init__("unterminated string literal" if kind == "UNTERMINATED"
+                         else f"unexpected character {value!r}")
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split text into tokens, ending with EOF; raise LexError where none starts.
-
-    A NEWLINE token ends each line that holds a token."""
-    tokens: list[Token] = []
-    append, new = tokens.append, tuple.__new__
-    line, line_start = 1, -1  # line_start: the offset of the line's column 0
-    for match in _LEXEME.finditer(text):
-        kind = match.lastgroup
-        start = match.start(kind)
-        if kind == "NEWLINE":
-            if tokens and tokens[-1].kind != "NEWLINE":
-                append(new(Token, ("NEWLINE", "\n", line, start - line_start, start)))
-            line, line_start = line + 1, start
-            continue
-        token = new(Token, (kind, match.group(kind), line, start - line_start, start))
-        append(token)
-        if kind in _LAST:
-            if kind != "EOF":
-                raise LexError(token)
-            break
-    return tokens
+def tokenize(text: str) -> tuple[list[str], list[int]]:
+    """The lexemes of ``text`` and their offsets, both built in C, ending
+    with EOF, the empty lexeme at ``len(text)``; raise LexError where none
+    starts.  A line that holds a lexeme ends with a ``"\\n"`` lexeme."""
+    parts = _LEXEME.split(text)  # gap, lexeme, gap, ..., lexeme, gap
+    offsets = list(accumulate(map(len, parts), initial=0))[1::2]
+    gaps = parts[::2]
+    if "".join(gaps).strip(" \t"):
+        # At the first character, not a blank, of the first gap holding one.
+        gap, end = next((gap, end) for gap, end in zip(gaps, offsets) if gap.strip(" \t"))
+        rest = gap.lstrip(" \t")
+        offset = end - len(rest)
+        kind = "UNTERMINATED" if rest[0] == '"' else "UNEXPECTED"
+        value = text[offset:].split("\n", 1)[0] if kind == "UNTERMINATED" else rest[0]
+        line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+        raise LexError(kind, value, SourceSpan(line, column, len(value)))
+    values = parts[1::2]
+    surplus = set(_SURPLUS.findall(text)) - {""}
+    if surplus:
+        # A line end with more lines becomes "\n", and a comment None.
+        fix = {lexeme: "\n" if lexeme[0] == "\n" else None for lexeme in surplus}
+        values = list(map(fix.get, values, values))
+        if None in fix.values():
+            offsets = [*compress(offsets, values), len(text)]
+            values = list(compress(values, values))
+    if values[:1] == ["\n"]:
+        del values[0], offsets[0]
+    values.append("")
+    return values, offsets
 
 
 def quote(text: str) -> str:
@@ -202,91 +204,85 @@ def unquote(literal: str) -> str:
 # Expressions
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        # NEWLINEs dropped, ``->``/``=>`` read as ``-``/``=`` then ``>``,
+    def __init__(self, lexemes: list[str]):
+        # Line ends dropped, ``->``/``=>`` read as ``-``/``=`` then ``>``,
         # and any other symbol the expression grammar lacks refused.
-        self.tokens: list[Token] = []
-        for tok in tokens:
-            if tok.kind == "SYM" and tok.value not in _EXPR_SYMBOLS:
-                if tok.value not in ("->", "=>"):
-                    raise ExprSyntaxError(
-                        f"unexpected character in expression: {tok.value[0]!r}")
-                self.tokens.append(tok._replace(value=tok.value[0]))
-                tok = tok._replace(value=">")
-            if tok.kind != "NEWLINE":
-                self.tokens.append(tok)
-        self.tokens.append(Token("EOF", "", 0, 0, 0))
+        self.values: list[str] = []
+        for value in lexemes:
+            if value in _OTHER_SYMBOLS:
+                if value not in ("->", "=>"):
+                    raise ExprSyntaxError(f"unexpected character in expression: {value[0]!r}")
+                self.values += (value[0], ">")
+            elif value != "\n":
+                self.values.append(value)
+        self.values.append("")
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind == "EOF":
+    def take(self) -> str:
+        value = self.values[self.pos]
+        if not value:
             raise ExprSyntaxError("unexpected end of expression")
         self.pos += 1
-        return tok
+        return value
 
     def at(self, *symbols: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == "SYM" and tok.value in symbols
+        return self.values[self.pos] in symbols
 
     def expect_op(self, op: str) -> None:
-        tok = self.take()
-        if tok.kind != "SYM" or tok.value != op:
-            raise ExprSyntaxError(f"expected '{op}', found {tok.value!r}")
+        value = self.take()
+        if value != op:
+            raise ExprSyntaxError(f"expected '{op}', found {value!r}")
 
     def sum(self) -> Expr:
         node = self.term()
         while self.at("+", "-"):
-            node = BinOp(self.take().value, node, self.term())
+            node = BinOp(self.take(), node, self.term())
         return node
 
     def term(self) -> Expr:
-        tok = self.take()
-        if tok.kind == "SYM" and tok.value == "-":
+        value = self.take()
+        if value == "-":
             inner = self.term()
             if isinstance(inner, Lit) and isinstance(inner.value, int):
                 return Lit(-inner.value)
             return BinOp("-", Lit(0), inner)
-        if tok.kind == "INT":
-            return Lit(int(tok.value))
-        if tok.kind == "STRING":
-            return Lit(unquote(tok.value))
-        if tok.kind == "IDENT":
-            return Name(tok.value)
-        if tok.kind == "SYM" and tok.value == "(":
+        if value[0].isdecimal():
+            return Lit(int(value))
+        if value[0] == '"':
+            return Lit(unquote(value))
+        if is_ident(value):
+            return Name(value)
+        if value == "(":
             node = self.sum()
             self.expect_op(")")
             return node
-        raise ExprSyntaxError(f"unexpected token {tok.value!r}")
+        raise ExprSyntaxError(f"unexpected token {value!r}")
 
     def comparison(self) -> Cmp:
         left = self.sum()
-        tok = self.take()
-        if tok.kind != "SYM" or tok.value not in ("=", "!=", "<", "<=", ">", ">="):
-            raise ExprSyntaxError(f"expected comparison operator, found {tok.value!r}")
-        return Cmp(tok.value, left, self.sum())
+        op = self.take()
+        if op not in _COMPARE:
+            raise ExprSyntaxError(f"expected comparison operator, found {op!r}")
+        return Cmp(op, left, self.sum())
 
     def assignment(self) -> Assign:
-        tok = self.take()
-        if tok.kind != "IDENT":
-            raise ExprSyntaxError(f"expected attribute name, found {tok.value!r}")
+        name = self.take()
+        if not is_ident(name):
+            raise ExprSyntaxError(f"expected attribute name, found {name!r}")
         self.expect_op(":=")
-        return Assign(tok.value, self.sum())
+        return Assign(name, self.sum())
 
     def done(self) -> None:
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ExprSyntaxError(f"trailing input in expression: {tok.value!r}")
+        value = self.values[self.pos]
+        if value:
+            raise ExprSyntaxError(f"trailing input in expression: {value!r}")
 
 
-def parse_tokens(kind: str, tokens: list[Token]) -> Cmp | list[Assign] | ExprSyntaxError:
+def parse_tokens(kind: str, lexemes: list[str]) -> Cmp | list[Assign] | ExprSyntaxError:
     """A guard (``kind`` "guard") or an action ("action") parsed from its
-    tokens, without EOF: its AST, or the ExprSyntaxError they raise."""
+    lexemes, without EOF: its AST, or the ExprSyntaxError they raise."""
     try:
-        parser = _Parser(tokens)
+        parser = _Parser(lexemes)
         if kind == "guard":
             node = parser.comparison()
         else:
@@ -303,16 +299,16 @@ def parse_tokens(kind: str, tokens: list[Token]) -> Cmp | list[Assign] | ExprSyn
 class ExprTable(dict):
     """Parsed expressions by ``(kind, text)``, as ``parse_tokens`` gives
     them.  The parser files each expression of a file from the file's
-    own tokens; ``__missing__`` parses a text no parser filed (in a model
+    own lexemes; ``__missing__`` parses a text no parser filed (in a model
     or scenario built by hand), once per table."""
 
     def __missing__(self, key: tuple[str, str]):
         kind, text = key
         try:
-            self[key] = parse_tokens(kind, tokenize(text)[:-1])
+            self[key] = parse_tokens(kind, tokenize(text)[0][:-1])
         except LexError as exc:
             self[key] = ExprSyntaxError(
-                f"unexpected character in expression: {exc.token.value[0]!r}")
+                f"unexpected character in expression: {exc.value[0]!r}")
         return self[key]
 
     def ast(self, kind: str, text: str):

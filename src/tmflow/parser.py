@@ -1,11 +1,12 @@
 """Parser and canonical serializer for the textual model language.
 
 File layout is line oriented: one declaration per line, nested blocks in
-braces.  Tokens come from ``exprs.tokenize``, the one lexer of the
-language, after line endings are normalized to ``\\n``, once per file.
-Guards, actions and stop conditions are parsed by ``exprs`` from those
-tokens, each distinct text once, into the ``ExprTable`` handed over with
-the model or scenario; the text stays verbatim.  Solid arcs use ``flow``,
+braces.  After ``normalize``, ``exprs.tokenize`` lexes a file once into
+lexeme strings and their offsets, which the parser reads by index; it
+builds a span only where it keeps one.  Guards, actions and stop
+conditions are parsed by ``exprs`` from those lexemes, each distinct
+text once, into the ``ExprTable`` handed over with the model or
+scenario; the text stays verbatim.  Solid arcs use ``flow``,
 dashed arcs use ``trigger``, and a machine-to-machine shorthand
 ``A => B`` stands for the Release/Transfer/Transfer/Receive chain
 (kept as written here; it is expanded when the model is linked, once
@@ -18,13 +19,16 @@ files (``.tms``).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 from .behavior import BehaviorGraph, Event, Interval, Region, Subdiagram
-from .diagnostics import Diagnostic, Fresh, Record, error
+from .diagnostics import Diagnostic, Fresh, Record, SourceSpan, error
 from .exprs import (
     ExprSyntaxError,
     ExprTable,
     LexError,
-    Token,
+    is_ident,
     parse_tokens,
     quote,
     tokenize,
@@ -74,7 +78,9 @@ _ATTR_KINDS = ("int", "text")
 
 
 def normalize(text: str) -> str:
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    """The text without a leading byte-order mark, with ``\\n`` line ends."""
+    text = text[1:] if text[:1] == "\ufeff" else text
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 # ---------------------------------------------------------------------------
@@ -100,21 +106,25 @@ _GUARD_ENDS = _EXPR_ENDS | {"label"}
 
 
 class _Parser:
-    """One file's recursive-descent parse, reading ``self.tokens`` at
-    ``self.pos`` directly where it tests the next token.
+    """One file's recursive-descent parse, reading its lexemes
+    ``self.values`` at ``self.pos`` directly where it tests the next one.
 
-    A symbol's or a word's text fixes its token's kind (a STRING keeps its
-    quotes, an INT is digits, a NEWLINE is ``"\\n"`` and EOF is empty), so
-    the parser tests symbols and keywords by value alone."""
+    A lexeme's text fixes its kind (a STRING keeps its quotes, an INT
+    starts with a decimal digit, a NEWLINE is ``"\\n"`` and EOF is
+    empty), so the parser tests symbols and keywords by value alone.  It
+    builds a span, from the lexeme's offset, only where it keeps one."""
 
     def __init__(self, text: str):
         self.text = normalize(text)
         self.diagnostics: list[Diagnostic] = []
+        # The offset where each line starts, and one past the end.
+        self.lines = list(accumulate(map((1).__add__, map(len, self.text.split("\n"))),
+                                     initial=0))
         try:
-            self.tokens = tokenize(self.text)
+            self.values, self.offsets = tokenize(self.text)
         except LexError as exc:
-            self.diagnostics.append(error("SYNTAX", str(exc), exc.token.span))
-            self.tokens = [Token("EOF", "", 1, 1, 0)]
+            self.diagnostics.append(error("SYNTAX", str(exc), exc.span))
+            self.values, self.offsets = [""], [0]
         self.pos = 0
         self.top_start = 0  # diagnostics before the current top-level statement
         self.exprs = ExprTable()  # every expression of the file, parsed
@@ -123,82 +133,88 @@ class _Parser:
         self.arc_ids: set[str] = set()
         self.auto_ids = {"flow": 0, "trigger": 0}  # positional ids, per keyword
 
-    # -- token helpers ---------------------------------------------------
-    def take(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+    # -- lexeme helpers --------------------------------------------------
+    def span(self, pos: int) -> SourceSpan:
+        offset, lines = self.offsets[pos], self.lines
+        line = bisect_right(lines, offset)
+        return SourceSpan(line, offset - lines[line - 1] + 1, max(1, len(self.values[pos])))
+
+    def take(self) -> str:
+        value = self.values[self.pos]
+        if value:
             self.pos += 1
-        return tok
+        return value
 
     def at(self, value: str) -> bool:
-        """Whether the next token is this symbol or word."""
-        return self.tokens[self.pos].value == value
+        """Whether the next lexeme is this symbol or word."""
+        return self.values[self.pos] == value
 
-    def at_kind(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
+    def at_string(self) -> bool:
+        return self.values[self.pos][:1] == '"'
 
-    def fail(self, message: str, tok: Token | None = None, code: str = "SYNTAX"):
-        tok = tok or self.tokens[self.pos]
-        self.diagnostics.append(error(code, message, tok.span))
+    def fail(self, message: str, at: int | None = None, code: str = "SYNTAX"):
+        """Report an error at the lexeme at ``at`` (by default the next one)."""
+        self.diagnostics.append(error(code, message, self.span(self.pos if at is None else at)))
         raise _Fail()
 
-    def expect(self, value: str, message: str | None = None) -> Token:
-        """The next token, which must be this symbol or word."""
-        tok = self.tokens[self.pos]
-        if tok.value != value:
+    def expect(self, value: str, message: str | None = None) -> None:
+        """Take the next lexeme, which must be this symbol or word."""
+        if self.values[self.pos] != value:
             self.fail(message or f"expected '{value}'")
         self.pos += 1
-        return tok
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "IDENT":
+    def expect_ident(self, what: str = "identifier") -> int:
+        """Take the next lexeme, an IDENT other than a stage name; give its position."""
+        pos = self.pos
+        if not is_ident(self.values[pos]):
             self.fail(f"expected {what}")
         self.pos += 1
-        if tok.value in _STAGE_KINDS:
-            self.fail(f"'{tok.value}' is a reserved stage name", tok)
-        return tok
+        if self.values[pos] in _STAGE_KINDS:
+            self.fail(f"'{self.values[pos]}' is a reserved stage name", pos)
+        return pos
 
-    def expect_int(self, what: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "INT":
+    def ident(self, what: str) -> str:
+        return self.values[self.expect_ident(what)]
+
+    def expect_int(self, what: str) -> int:
+        """Take the next lexeme, an INT; give its value."""
+        if not self.values[self.pos][:1].isdecimal():
             self.fail(f"expected {what}")
-        self.pos += 1
-        return tok
+        return int(self.take())
 
     def comma_list(self, item) -> None:
         """``item (',' item)*``; each ``item`` keeps what it parsed, so a
         failure part way keeps the items before it."""
         item()
-        while self.tokens[self.pos].value == ",":
+        while self.values[self.pos] == ",":
             self.pos += 1
             item()
 
     def skip_newlines(self):
-        while self.tokens[self.pos].kind == "NEWLINE":
+        while self.values[self.pos] == "\n":
             self.pos += 1
 
     def end_statement(self):
-        tok = self.tokens[self.pos]
-        if tok.kind == "NEWLINE":
+        value = self.values[self.pos]
+        if value == "\n":
             self.pos += 1
-        elif tok.kind != "EOF" and tok.value != "}":
-            self.fail(f"unexpected trailing input '{tok.value}'")
+        elif value and value != "}":
+            self.fail(f"unexpected trailing input '{value}'")
 
     def recover(self):
         """Skip the rest of a failed statement: to the next line, or to the
         ``}`` of the block it is in, passing over braces opened on its line."""
         depth = 0
-        tok = self.tokens[self.pos]
-        while not (tok.kind in ("NEWLINE", "EOF") or depth == 0 and tok.value == "}"):
-            if tok.value == "{":
+        values, pos = self.values, self.pos
+        value = values[pos]
+        while not (value in ("\n", "") or depth == 0 and value == "}"):
+            if value == "{":
                 depth += 1
-            elif tok.value == "}":
+            elif value == "}":
                 depth -= 1
-            self.pos += 1
-            tok = self.tokens[self.pos]
-        if tok.kind == "NEWLINE":
-            self.pos += 1
+            pos += 1
+            value = values[pos]
+        self.pos = pos + (value == "\n")
 
     def statements(self, statement, closed: bool) -> None:
         """Run ``statement`` up to the end of input, or with ``closed`` up to
@@ -207,7 +223,7 @@ class _Parser:
         without more diagnostics, and so does a missing ``}``, after which
         the top level goes on with the statement that showed it."""
         self.skip_newlines()
-        while not (self.at_kind("EOF") or closed and self.at("}")):
+        while not (self.at("") or closed and self.at("}")):
             if not closed:
                 self.top_start = len(self.diagnostics)
             try:
@@ -218,7 +234,7 @@ class _Parser:
             except _Fail:
                 before = self.pos
                 self.recover()
-                if closed and self.at_kind("EOF"):
+                if closed and self.at(""):
                     raise
                 if self.pos == before and not closed:
                     self.take()  # a stray '}' at top level: force progress
@@ -228,10 +244,9 @@ class _Parser:
         """At a statement starting with one of ``words``, this body has lost
         its ``}``: report that, unless an error earlier in the same
         top-level statement accounts for it, and close every open body."""
-        tok = self.tokens[self.pos]
-        if tok.value in words:
+        if self.values[self.pos] in words:
             if len(self.diagnostics) == self.top_start:
-                self.diagnostics.append(error("SYNTAX", "expected '}'", tok.span))
+                self.diagnostics.append(error("SYNTAX", "expected '}'", self.span(self.pos)))
             raise _Unclosed()
 
     def block(self, statement) -> None:
@@ -241,36 +256,34 @@ class _Parser:
         self.expect("}")
 
     # -- shared pieces ---------------------------------------------------
-    def dotted_path(self) -> list[Token]:
-        """``IDENT ('.' IDENT)*``: the path's IDENT tokens."""
-        tokens, pos = self.tokens, self.pos
-        tok = tokens[pos]
-        if tok.kind != "IDENT":
+    def dotted_path(self) -> range:
+        """``IDENT ('.' IDENT)*``: the positions of the path's IDENTs."""
+        values, start = self.values, self.pos
+        if not is_ident(values[start]):
             self.fail("expected machine or stage path")
-        path = [tok]
-        while tokens[pos + 1].value == ".":
+        pos = start
+        while values[pos + 1] == ".":
             pos += 2
-            tok = tokens[pos]
-            if tok.kind != "IDENT":
+            if not is_ident(values[pos]):
                 self.pos = pos
                 self.fail("expected path segment after '.'")
-            path.append(tok)
         self.pos = pos + 1
-        return path
+        return range(start, pos + 1, 2)
 
-    def machine_path(self, path: list[Token]) -> tuple[str, ...]:
-        for tok in path:
-            if tok.value in _STAGE_KINDS:
-                self.fail(f"'{tok.value}' is a reserved stage name", tok)
-        return tuple([tok.value for tok in path])
+    def machine_path(self, path: range) -> tuple[str, ...]:
+        values = self.values
+        for pos in path:
+            if values[pos] in _STAGE_KINDS:
+                self.fail(f"'{values[pos]}' is a reserved stage name", pos)
+        return tuple([values[pos] for pos in path])
 
-    def stage_at(self, path: list[Token]) -> StageRef:
+    def stage_at(self, path: range) -> StageRef:
         """The stage a parsed dotted path names: a machine path, then a kind."""
         last = path[-1]
-        kind = _STAGE_KINDS.get(last.value)
+        kind = _STAGE_KINDS.get(self.values[last])
         if kind is None:
             self.fail(
-                f"'{last.value}' is not a stage "
+                f"'{self.values[last]}' is not a stage "
                 f"(one of {', '.join(k.value for k in StageKind)})",
                 last,
                 code="UNKNOWN_STAGE",
@@ -283,48 +296,43 @@ class _Parser:
         return self.stage_at(self.dotted_path())
 
     def expression(self, kind: str, ends: frozenset[str], what: str) -> str:
-        """Consume an expression's tokens, up to a token whose value is in
-        ``ends``, file its parse in ``exprs`` under its source text and
-        return that text verbatim."""
-        tokens, start = self.tokens, self.pos
+        """Consume an expression's lexemes, up to one in ``ends``, file its
+        parse in ``exprs`` under its source text and return that text
+        verbatim."""
+        values, start = self.values, self.pos
         end = start
-        while tokens[end].value not in ends:
+        while values[end] not in ends:
             end += 1
         if end == start:
             self.fail("expected an expression")
         self.pos = end
-        tokens = tokens[start:end]
-        text = self.text[tokens[0].offset:tokens[-1].end]
+        text = self.text[self.offsets[start]:self.offsets[end - 1] + len(values[end - 1])]
         key = kind, text
-        node = self.exprs[key] = self.exprs.get(key) or parse_tokens(kind, tokens)
+        node = self.exprs[key] = self.exprs.get(key) or parse_tokens(kind, values[start:end])
         if isinstance(node, ExprSyntaxError):
-            self.fail(f"{what}: {node}", tokens[0], code="GUARD_SYNTAX")
+            self.fail(f"{what}: {node}", start, code="GUARD_SYNTAX")
         return text
 
     def string_value(self) -> str:
-        return unquote(self.take().value)
+        return unquote(self.take())
 
     def label_clause(self) -> str | None:
         if not self.at("label"):
             return None
         self.pos += 1
-        if self.at_kind("STRING"):
+        if self.at_string():
             return self.string_value()
-        if self.at_kind("INT"):
-            return self.take().value
+        if self.values[self.pos][:1].isdecimal():
+            return self.take()
         self.fail("expected a string or number after 'label'")
 
     def literal_value(self):
-        if self.at_kind("STRING"):
+        if self.at_string():
             return self.string_value()
-        neg = False
-        if self.at("-"):
-            self.pos += 1
-            neg = True
-        if self.at_kind("INT"):
-            value = int(self.take().value)
-            return -value if neg else value
-        self.fail("expected an integer or string value")
+        neg = self.at("-")
+        self.pos += neg
+        value = self.expect_int("an integer or string value")
+        return -value if neg else value
 
     def attrs_block(self) -> dict[str, int | str]:
         """`{ name = value, ... }`, newlines allowed after separators."""
@@ -332,22 +340,23 @@ class _Parser:
         self.expect("{")
         self.skip_newlines()
         while not self.at("}"):
-            name_tok = self.expect_ident("attribute name")
-            if name_tok.value in attrs:
-                self.fail(f"duplicate attribute '{name_tok.value}'",
-                          name_tok, code="DUP_ID")
+            pos = self.expect_ident("attribute name")
+            name = self.values[pos]
+            if name in attrs:
+                self.fail(f"duplicate attribute '{name}'", pos, code="DUP_ID")
             self.expect("=")
-            attrs[name_tok.value] = self.literal_value()
+            attrs[name] = self.literal_value()
             if self.at(","):
                 self.pos += 1
             self.skip_newlines()
         self.expect("}")
         return attrs
 
-    def declare(self, names: set[str], tok: Token, what: str):
-        if tok.value in names:
-            self.fail(f"duplicate {what} '{tok.value}'", tok, code="DUP_ID")
-        names.add(tok.value)
+    def declare(self, names: set[str], pos: int, what: str):
+        value = self.values[pos]
+        if value in names:
+            self.fail(f"duplicate {what} '{value}'", pos, code="DUP_ID")
+        names.add(value)
 
     # -- model items -----------------------------------------------------
     def parse_document(self) -> Document:
@@ -360,7 +369,7 @@ class _Parser:
 
         def statement():
             nonlocal behavior
-            word = self.tokens[self.pos].value
+            word = self.values[self.pos]
             if word == "thing":
                 things.append(self.thing_decl())
             elif word == "machine":
@@ -389,49 +398,46 @@ class _Parser:
 
     def thing_decl(self) -> ThingDecl:
         self.take()  # thing
-        name_tok = self.expect_ident("thing name")
-        self.declare(self.thing_names, name_tok, "thing")
+        name = self.expect_ident("thing name")
+        self.declare(self.thing_names, name, "thing")
         attributes: list[tuple[str, str]] = []
         seen: set[str] = set()
 
         def attribute():
-            if self.tokens[self.pos + 1].value != ":":
+            if self.values[self.pos + 1] != ":":
                 self.unclosed(_THING_ENDS)
-            attr_tok = self.expect_ident("attribute name")
-            if attr_tok.value in seen:
-                self.fail(f"duplicate attribute '{attr_tok.value}'",
-                          attr_tok, code="DUP_ID")
-            seen.add(attr_tok.value)
+            attr = self.expect_ident("attribute name")
+            self.declare(seen, attr, "attribute")
             self.expect(":")
-            kind_tok = self.take()
-            if kind_tok.kind != "IDENT" or kind_tok.value not in _ATTR_KINDS:
-                self.fail("attribute kind must be 'int' or 'text'", kind_tok)
-            attributes.append((attr_tok.value, kind_tok.value))
+            kind = self.pos
+            if self.take() not in _ATTR_KINDS:
+                self.fail("attribute kind must be 'int' or 'text'", kind)
+            attributes.append((self.values[attr], self.values[kind]))
             if self.at(","):
                 self.pos += 1
 
         if self.at("{"):
             self.block(attribute)
         self.end_statement()
-        return ThingDecl(name_tok.value, tuple(attributes), span=name_tok.span)
+        return ThingDecl(self.values[name], tuple(attributes), span=self.span(name))
 
     def machine_decl(self) -> Machine:
         self.take()  # machine
-        id_tok = self.expect_ident("machine id")
-        self.declare(self.machine_ids, id_tok, "machine id")
-        name = self.string_value() if self.at_kind("STRING") else None
+        id_pos = self.expect_ident("machine id")
+        self.declare(self.machine_ids, id_pos, "machine id")
+        name = self.string_value() if self.at_string() else None
         stages: list[StageKind] = []
         submachines: list[Machine] = []
 
         def stage():
-            tok = self.take()
-            kind = _STAGE_KINDS.get(tok.value)  # only an IDENT names one
+            pos = self.pos
+            kind = _STAGE_KINDS.get(self.take())  # only an IDENT names one
             if kind is None:
-                self.fail(f"unknown stage '{tok.value}'", tok, code="UNKNOWN_STAGE")
+                self.fail(f"unknown stage '{self.values[pos]}'", pos, code="UNKNOWN_STAGE")
             stages.append(kind)
 
         def statement():
-            word = self.tokens[self.pos].value
+            word = self.values[self.pos]
             if word == "stages":
                 self.pos += 1
                 self.comma_list(stage)
@@ -445,28 +451,28 @@ class _Parser:
         self.block(statement)
         self.end_statement()
         return Machine(
-            id=id_tok.value,
+            id=self.values[id_pos],
             name=name,
             stages=tuple(stages),
             submachines=tuple(submachines),
-            span=id_tok.span,
+            span=self.span(id_pos),
         )
 
     def arc_stmt(self) -> FlowArc | TriggerArc:
         """``flow`` or ``trigger``, an optional ``name:`` (otherwise a
         positional id per keyword), then the two ends."""
-        kw = self.take()
-        flow = kw.value == "flow"
-        tok = self.tokens[self.pos]
-        if tok.kind == "IDENT" and self.tokens[self.pos + 1].value == ":":
-            id_tok = self.expect_ident("arc id")
-            self.declare(self.arc_ids, id_tok, "arc id")
+        kw = self.pos
+        keyword = self.take()
+        flow = keyword == "flow"
+        if is_ident(self.values[self.pos]) and self.values[self.pos + 1] == ":":
+            id_pos = self.expect_ident("arc id")
+            self.declare(self.arc_ids, id_pos, "arc id")
             self.pos += 1  # ':'
-            arc_id, auto = id_tok.value, False
+            arc_id, auto = self.values[id_pos], False
         else:
-            self.auto_ids[kw.value] += 1
-            arc_id, auto = f"_{kw.value[0]}{self.auto_ids[kw.value]}", True
-        first = self.tokens[self.pos]
+            self.auto_ids[keyword] += 1
+            arc_id, auto = f"_{keyword[0]}{self.auto_ids[keyword]}", True
+        first = self.pos
         path = self.dotted_path()
         if flow and self.at("=>"):  # sugared: machine to machine
             source = StageRef(self.machine_path(path), None)
@@ -477,12 +483,12 @@ class _Parser:
             self.expect("->")
             target = self.stage_ref()
         if source == target:
-            self.fail(f"{kw.value} source and target are the same stage", first,
+            self.fail(f"{keyword} source and target are the same stage", first,
                       code="SELF_LOOP")
         thing = None
         if flow and self.at("on"):
             self.pos += 1
-            thing = self.expect_ident("thing name").value
+            thing = self.ident("thing name")
         guard = None
         if self.at("when"):
             self.pos += 1
@@ -491,9 +497,9 @@ class _Parser:
         self.end_statement()
         if flow:
             return FlowArc(arc_id, source, target, thing=thing, guard=guard,
-                           label=label, auto_id=auto, span=kw.span)
+                           label=label, auto_id=auto, span=self.span(kw))
         return TriggerArc(arc_id, source, target, guard=guard, label=label,
-                          auto_id=auto, span=kw.span)
+                          auto_id=auto, span=self.span(kw))
 
     # -- regions / behavior ----------------------------------------------
     def regions_block(self) -> list[Region]:
@@ -503,21 +509,21 @@ class _Parser:
 
         def region():
             self.expect("region")
-            id_tok = self.expect_ident("region id")
-            self.declare(seen, id_tok, "region id")
-            label = self.string_value() if self.at_kind("STRING") else ""
+            id_pos = self.expect_ident("region id")
+            self.declare(seen, id_pos, "region id")
+            label = self.string_value() if self.at_string() else ""
             stages: list[StageRef] = []
             arcs: list[str] = []
 
             def statement():
-                word = self.tokens[self.pos].value
+                word = self.values[self.pos]
                 if word == "stages":
                     self.pos += 1
                     self.comma_list(lambda: stages.append(self.stage_ref()))
                     self.end_statement()
                 elif word == "arcs":
                     self.pos += 1
-                    self.comma_list(lambda: arcs.append(self.expect_ident("arc id").value))
+                    self.comma_list(lambda: arcs.append(self.ident("arc id")))
                     self.end_statement()
                 else:
                     self.fail(f"unexpected '{word}' in region body")
@@ -526,10 +532,10 @@ class _Parser:
             self.end_statement()
             regions.append(
                 Region(
-                    id=id_tok.value,
+                    id=self.values[id_pos],
                     body=Subdiagram(frozenset(stages), frozenset(arcs)),
                     label=label,
-                    span=id_tok.span,
+                    span=self.span(id_pos),
                 )
             )
 
@@ -538,41 +544,40 @@ class _Parser:
         return regions
 
     def behavior_block(self, existing: BehaviorGraph | None) -> BehaviorGraph:
-        kw = self.take()  # behavior
+        self.take()  # behavior
         if existing is not None:
-            self.fail("duplicate behavior section", kw, code="DUP_ID")
+            self.fail("duplicate behavior section", self.pos - 1, code="DUP_ID")
         events: list[Event] = []
         edges: list[tuple[str, str]] = []
         initial: list[str] = []
         seen: set[str] = set()
 
         def statement():
-            word = self.tokens[self.pos].value
+            word = self.values[self.pos]
             if word == "event":
                 self.pos += 1
-                id_tok = self.expect_ident("event id")
-                self.declare(seen, id_tok, "event id")
+                id_pos = self.expect_ident("event id")
+                self.declare(seen, id_pos, "event id")
                 self.expect("region", "expected 'region' in event declaration")
-                region_id = self.expect_ident("region id").value
+                region_id = self.ident("region id")
                 interval = None
                 if self.at("interval"):
                     self.pos += 1
-                    start = int(self.expect_int("interval start").value)
-                    dur_tok = self.expect_int("interval duration")
-                    duration = int(dur_tok.value)
+                    start = self.expect_int("interval start")
+                    duration = self.expect_int("interval duration")
                     if duration < 1:
-                        self.fail("interval duration must be >= 1", dur_tok)
+                        self.fail("interval duration must be >= 1", self.pos - 1)
                     interval = Interval(start, duration)
-                events.append(Event(id_tok.value, region_id, interval))
+                events.append(Event(self.values[id_pos], region_id, interval))
             elif word == "edge":
                 self.pos += 1
-                src = self.expect_ident("event id").value
+                src = self.ident("event id")
                 self.expect("->")
-                dst = self.expect_ident("event id").value
+                dst = self.ident("event id")
                 edges.append((src, dst))
             elif word == "initial":
                 self.pos += 1
-                self.comma_list(lambda: initial.append(self.expect_ident("event id").value))
+                self.comma_list(lambda: initial.append(self.ident("event id")))
             else:
                 self.fail(f"unexpected '{word}' in behavior body")
             self.end_statement()
@@ -585,7 +590,7 @@ class _Parser:
     def parse_scenario(self) -> Scenario:
         self.skip_newlines()
         self.expect("scenario")
-        name = self.expect_ident("scenario name").value
+        name = self.ident("scenario name")
         policy = "deterministic"
         seed = 0
         max_steps = 100
@@ -598,13 +603,13 @@ class _Parser:
 
         def statement():
             nonlocal policy, seed, max_steps, stop
-            word = self.tokens[self.pos].value
+            word = self.values[self.pos]
             if word == "policy":
                 self.pos += 1
-                tok = self.take()
-                if tok.value not in ("deterministic", "seeded"):
-                    self.fail("policy is 'deterministic' or 'seeded-random'", tok)
-                if tok.value == "seeded":
+                pos = self.pos
+                if self.take() not in ("deterministic", "seeded"):
+                    self.fail("policy is 'deterministic' or 'seeded-random'", pos)
+                if self.values[pos] == "seeded":
                     self.expect("-")
                     self.expect("random", "policy is 'deterministic' or 'seeded-random'")
                     policy = "seeded-random"
@@ -612,28 +617,27 @@ class _Parser:
                     policy = "deterministic"
             elif word == "seed":
                 self.pos += 1
-                seed = int(self.expect_int("seed value").value)
+                seed = self.expect_int("seed value")
             elif word == "max_steps":
                 self.pos += 1
-                tok = self.expect_int("step count")
-                max_steps = int(tok.value)
+                max_steps = self.expect_int("step count")
                 if max_steps < 1:
-                    self.fail("max_steps must be >= 1", tok)
+                    self.fail("max_steps must be >= 1", self.pos - 1)
             elif word in ("token", "inject"):
                 injected = word == "inject"
                 self.pos += 1
                 step = None
                 if injected:
-                    step = int(self.expect_int("injection step").value)
+                    step = self.expect_int("injection step")
                     self.expect("token")
-                id_tok = self.expect_ident("token id")
-                self.declare(token_ids, id_tok, "token id")
+                id_pos = self.expect_ident("token id")
+                self.declare(token_ids, id_pos, "token id")
                 self.expect("of")
-                thing = self.expect_ident("thing name").value
+                thing = self.ident("thing name")
                 self.expect("at")
                 at = self.stage_ref()
                 attrs = self.attrs_block() if self.at("{") else {}
-                seed_tok = TokenSeed(id_tok.value, thing, at, attrs)
+                seed_tok = TokenSeed(self.values[id_pos], thing, at, attrs)
                 if injected:
                     injections.append((step, seed_tok))
                 else:
@@ -642,7 +646,7 @@ class _Parser:
                 self.pos += 1
                 at = self.stage_ref()
                 self.expect("of")
-                thing = self.expect_ident("thing name").value
+                thing = self.ident("thing name")
                 attrs = self.attrs_block() if self.at("{") else {}
                 mints.append((at, thing, attrs))
             elif word == "action":
@@ -664,8 +668,8 @@ class _Parser:
         self.skip_newlines()
         # An earlier error accounts for input after the block: recovering
         # from it may have closed the block at an inner '}'.
-        if not (self.at_kind("EOF") or self.diagnostics):
-            self.fail(f"unexpected '{self.tokens[self.pos].value}' after the scenario")
+        if not (self.at("") or self.diagnostics):
+            self.fail(f"unexpected '{self.values[self.pos]}' after the scenario")
         return Scenario(
             name=name,
             policy=policy,

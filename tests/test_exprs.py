@@ -1,16 +1,18 @@
 """The lexer gives what the match-per-lexeme loop below gives; the parsed
 guards, actions and stop conditions that the parser hands over, read
-from its file's own tokens, are what parsing their stored text alone
+from its file's own lexemes, are what parsing their stored text alone
 gives; and their compiled forms give what the AST interpreter below
 gives."""
 
 import re
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmflow import exprs
+from tmflow.diagnostics import SourceSpan
 from tmflow.exprs import (
     Assign,
     BinOp,
@@ -23,6 +25,7 @@ from tmflow.exprs import (
     compile_actions,
     compile_guard,
     eval_guard,
+    is_ident,
     parse_guard,
     parse_statements,
     tokenize,
@@ -32,7 +35,7 @@ from tmflow.parser import _Fail, _Parser
 from conftest import MODEL_FILES, SCENARIO_FILES, fuzz_texts, perfbench_gen
 
 # ---------------------------------------------------------------------------
-# The one-pass lexer against the match-per-lexeme loop it replaces.
+# The split lexer against the match-per-lexeme loop it replaces.
 
 _REFERENCE_LEXEME = re.compile(
     r"""
@@ -49,8 +52,18 @@ _REFERENCE_LEXEME = re.compile(
 )
 
 
-def reference_tokenize(text: str) -> list[exprs.Token]:
-    tokens: list[exprs.Token] = []
+class Token(NamedTuple):
+    kind: str  # IDENT INT STRING SYM NEWLINE EOF
+    value: str
+    line: int
+    column: int
+    offset: int
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """One match per lexeme, blank or comment: the tokens, ending with
+    EOF, each with its kind, line and column; or the LexError raised."""
+    tokens: list[Token] = []
     line, line_start, pos, size = 1, 0, 0, len(text)
     while pos < size:
         match = _REFERENCE_LEXEME.match(text, pos)
@@ -59,23 +72,49 @@ def reference_tokenize(text: str) -> list[exprs.Token]:
             continue
         if kind == "NEWLINE":
             if tokens and tokens[-1].kind != "NEWLINE":
-                tokens.append(exprs.Token(kind, "\n", line, start - line_start + 1, start))
+                tokens.append(Token(kind, "\n", line, start - line_start + 1, start))
             line, line_start = line + 1, pos
             continue
-        token = exprs.Token(kind, match.group(), line, start - line_start + 1, start)
+        value, column = match.group(), start - line_start + 1
         if kind in ("UNTERMINATED", "UNEXPECTED"):
-            raise LexError(token)
-        tokens.append(token)
-    tokens.append(exprs.Token("EOF", "", line, pos - line_start + 1, pos))
+            raise LexError(kind, value, SourceSpan(line, column, len(value)))
+        tokens.append(Token(kind, value, line, column, start))
+    tokens.append(Token("EOF", "", line, pos - line_start + 1, pos))
+    return tokens
+
+
+def first_character_kind(value: str) -> str:
+    """A lexeme's kind, read from its first character as the parsers do."""
+    first = value[:1]
+    if not first:
+        return "EOF"
+    if first == "\n":
+        return "NEWLINE"
+    if first == '"':
+        return "STRING"
+    if first.isdecimal():
+        return "INT"
+    return "IDENT" if is_ident(value) else "SYM"
+
+
+def split_tokens(text: str) -> list[Token]:
+    """``tokenize``'s lexemes and offsets, each with the kind read from
+    its first character and the line and column of its offset."""
+    values, offsets = tokenize(text)
+    assert len(values) == len(offsets)
+    tokens = []
+    for value, offset in zip(values, offsets):
+        line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+        tokens.append(Token(first_character_kind(value), value, line, column, offset))
     return tokens
 
 
 def lexed(lex, text: str):
-    """The token list, or the token of the LexError raised (and its message)."""
+    """The token list, or the kind, span and message of the LexError raised."""
     try:
         return lex(text)
     except LexError as exc:
-        return "LexError", exc.token, str(exc)
+        return "LexError", exc.kind, exc.span, str(exc)
 
 
 _EDGE_TEXTS = [
@@ -83,7 +122,8 @@ _EDGE_TEXTS = [
     "a # last line, no newline", "# only a comment", "a\n# c\n\n# d",
     '"open string', 'a "ok" "open', 'a = "x\\"y" "\\\\"', '"a\\\n"',
     "a\fb", "\f", "a\rb", "a\x0bb", "@", "a.b -> c.d => e := 1 <= 2 >= 3 != 4",
-    "é9 ü_x 1a 12 ٣", "\u00a0x", "\t#\n\t#x\n",
+    "é9 ü_x 1a 12 ٣", "\u00a0x", "\t#\n\t#x\n", "²x ₂ _² a² Ⅻ 1²", 'x "a # b" # c\n\n y',
+    "# a\n  # b\n\n  c # d\n\t\n# e\n", 'a "#" "\n', "\ufeffa", "a\r\nb",
 ]
 
 
@@ -100,21 +140,34 @@ def lexer_inputs():
 
 
 def test_tokenize_matches_the_reference_lexer():
+    """Lexemes, offsets, each token's kind, line and column, and each
+    LexError's kind, span and message are the reference's."""
     errors = {"UNTERMINATED": 0, "UNEXPECTED": 0}
     for text in lexer_inputs():
-        want, got = lexed(reference_tokenize, text), lexed(tokenize, text)
+        want, got = lexed(reference_tokenize, text), lexed(split_tokens, text)
         assert got == want, text
         if want[0] == "LexError":
-            errors[want[1].kind] += 1
-        else:
-            assert all(type(token) is exprs.Token for token in got)
+            errors[want[1]] += 1
     assert min(errors.values()) > 100, errors
 
 
+def test_parser_spans_are_the_reference_spans():
+    """The parser's span of each lexeme, bisected from its file's line
+    starts, is the reference token's line, column and length."""
+    for text in lexer_inputs():
+        want = lexed(reference_tokenize, text)
+        if want[0] == "LexError" or "\r" in text or text.startswith("\ufeff"):
+            continue  # no lexemes, or ones the parser's normalize moves
+        parser = _Parser(text)
+        assert [parser.span(pos) for pos in range(len(want))] == [
+            SourceSpan(token.line, token.column, max(1, len(token.value))) for token in want
+        ], text
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet=" \t\n\f#\"\\ab1_.-=>:{}é", max_size=40))
+@given(st.text(alphabet=" \t\n\r\f#\"\\ab1_.-=>:{}é\ufeff²٣;(),!+", max_size=40))
 def test_generated_texts_lex_alike(text):
-    assert lexed(tokenize, text) == lexed(reference_tokenize, text)
+    assert lexed(split_tokens, text) == lexed(reference_tokenize, text)
 
 
 def from_text(kind: str, text: str):

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -464,7 +465,7 @@ class TestProperties:
 
 class TestScaling:
     def test_front_end_work_grows_linearly_in_model_size(self, monkeypatch):
-        """Tokens, the parser's own calls, and StageRef constructions and
+        """Lexemes, the parser's own calls, and StageRef constructions and
         hashes while parsing the static-large model at 2N units are at most
         about twice those at N.  (Counts, not timings, which are too noisy
         on a shared machine.)"""
@@ -473,9 +474,9 @@ class TestScaling:
         lexed, built, hashed = [], [], []
 
         def counting_tokenize(text):
-            tokens = tokenize(text)
-            lexed.append(len(tokens))
-            return tokens
+            values, offsets = tokenize(text)
+            lexed.append(len(values))
+            return values, offsets
 
         def counting_init(self, *args, **kwargs):
             built.append(1)
@@ -511,3 +512,28 @@ class TestScaling:
         assert all(count > 0 for count in at_n), at_n
         for count_n, count_2n in zip(at_n, at_2n):
             assert 1.8 <= count_2n / count_n <= 2.1, (at_n, at_2n)
+
+    def test_lexing_makes_no_python_call_per_lexeme(self):
+        """Lexing the static-large model at 2N units makes the same Python
+        and C calls, by count, as at N: the lexemes and their offsets are
+        built in C."""
+        gen = perfbench_gen()
+        n = gen["STATIC_N"]
+
+        def calls(units):
+            text = gen["static_large"](3, units).model
+            seen = Counter()
+
+            def profile(frame, event, arg):
+                seen[event] += 1
+
+            sys.setprofile(profile)
+            try:
+                values, offsets = tokenize(text)
+            finally:
+                sys.setprofile(None)
+            return len(values), seen["call"], seen["c_call"]
+
+        (lexemes_n, *at_n), (lexemes_2n, *at_2n) = calls(n), calls(2 * n)
+        assert lexemes_2n > 1.8 * lexemes_n > 1000
+        assert at_n == at_2n and at_n[0] > 0, (at_n, at_2n)
