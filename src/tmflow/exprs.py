@@ -196,7 +196,7 @@ def quote(text: str) -> str:
 
 
 def unquote(literal: str) -> str:
-    """The text a STRING token stands for: quotes dropped, escapes undone."""
+    """The text a STRING lexeme stands for: quotes dropped, escapes undone."""
     return literal[1:-1].replace('\\"', '"').replace("\\\\", "\\")
 
 
@@ -278,7 +278,7 @@ class _Parser:
             raise ExprSyntaxError(f"trailing input in expression: {value!r}")
 
 
-def parse_tokens(kind: str, lexemes: list[str]) -> Cmp | list[Assign] | ExprSyntaxError:
+def parse_lexemes(kind: str, lexemes: list[str]) -> Cmp | list[Assign] | ExprSyntaxError:
     """A guard (``kind`` "guard") or an action ("action") parsed from its
     lexemes, without EOF: its AST, or the ExprSyntaxError they raise."""
     try:
@@ -297,7 +297,7 @@ def parse_tokens(kind: str, lexemes: list[str]) -> Cmp | list[Assign] | ExprSynt
 
 
 class ExprTable(dict):
-    """Parsed expressions by ``(kind, text)``, as ``parse_tokens`` gives
+    """Parsed expressions by ``(kind, text)``, as ``parse_lexemes`` gives
     them.  The parser files each expression of a file from the file's
     own lexemes; ``__missing__`` parses a text no parser filed (in a model
     or scenario built by hand), once per table."""
@@ -305,7 +305,7 @@ class ExprTable(dict):
     def __missing__(self, key: tuple[str, str]):
         kind, text = key
         try:
-            self[key] = parse_tokens(kind, tokenize(text)[0][:-1])
+            self[key] = parse_lexemes(kind, tokenize(text)[0][:-1])
         except LexError as exc:
             self[key] = ExprSyntaxError(
                 f"unexpected character in expression: {exc.value[0]!r}")

@@ -404,6 +404,9 @@ class Linked:
             try:
                 source = self.normalize(arc.source)
                 target = self.normalize(arc.target)
+                for end in (source, target):
+                    if end.kind is None:  # a sugared flow may have one; those are expanded
+                        raise ModelError(f"'{end}' names a machine, not a stage")
             except ModelError as exc:
                 self.unresolved.append((arc, exc))
                 continue

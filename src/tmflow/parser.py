@@ -29,7 +29,7 @@ from .exprs import (
     ExprTable,
     LexError,
     is_ident,
-    parse_tokens,
+    parse_lexemes,
     quote,
     tokenize,
     unquote,
@@ -99,7 +99,7 @@ class _Unclosed(_Fail):
 _MACHINE_ENDS = frozenset({"flow", "trigger", "thing", "regions", "behavior"})
 _THING_ENDS = _MACHINE_ENDS | {"machine"}
 
-# The token values that end an expression: a line end, the end of input
+# The lexemes that end an expression: a line end, the end of input
 # and a brace; a guard also ends at its label clause.
 _EXPR_ENDS = frozenset({"\n", "", "{", "}"})
 _GUARD_ENDS = _EXPR_ENDS | {"label"}
@@ -308,7 +308,7 @@ class _Parser:
         self.pos = end
         text = self.text[self.offsets[start]:self.offsets[end - 1] + len(values[end - 1])]
         key = kind, text
-        node = self.exprs[key] = self.exprs.get(key) or parse_tokens(kind, values[start:end])
+        node = self.exprs[key] = self.exprs.get(key) or parse_lexemes(kind, values[start:end])
         if isinstance(node, ExprSyntaxError):
             self.fail(f"{what}: {node}", start, code="GUARD_SYNTAX")
         return text

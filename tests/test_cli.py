@@ -341,6 +341,37 @@ class TestSidecar:
             "", f"{line}:10: error[DUP_ID]: duplicate region id 'R_paint'\n")
 
 
+def with_bom(tmp_path, name, target=None):
+    """A copy of a corpus file that starts with a UTF-8 byte-order mark."""
+    path = tmp_path / (target or name)
+    path.write_bytes(b"\xef\xbb\xbf" + (CORPUS / name).read_bytes())
+    return str(path)
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads as the same
+    file without it: the same output and exit code."""
+
+    def test_model(self, tmp_path, capsys):
+        assert main(["check", with_bom(tmp_path, "paint_dry.tm")]) == 0
+        assert capsys.readouterr() == ("ok\n", "")
+
+    def test_sidecar(self, tmp_path, capsys):
+        text = (CORPUS / "paint_dry.tm").read_text(encoding="utf-8")
+        (tmp_path / "paint_dry.tm").write_text(text[: text.index("behavior {")])
+        with_bom(tmp_path, "paint_dry_strict.tmb", "paint_dry.tmb")
+        assert main(["check", str(tmp_path / "paint_dry.tm"), "--mode", "strict"]) == 0
+        assert capsys.readouterr() == ("ok\n", "")
+
+    def test_scenario(self, tmp_path, capsys):
+        assert main(["simulate", corpus("mousetrap.tm"), corpus("mousetrap.tms")]) == 0
+        plain = capsys.readouterr()
+        assert "conformance: ok" in plain.out
+        argv = ["simulate", corpus("mousetrap.tm"), with_bom(tmp_path, "mousetrap.tms")]
+        assert main(argv) == 0
+        assert capsys.readouterr() == plain
+
+
 # A flow whose target machine does not exist.
 UNKNOWN_MACHINE_TM = """\
 thing job

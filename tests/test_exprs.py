@@ -122,7 +122,8 @@ _EDGE_TEXTS = [
     "a # last line, no newline", "# only a comment", "a\n# c\n\n# d",
     '"open string', 'a "ok" "open', 'a = "x\\"y" "\\\\"', '"a\\\n"',
     "a\fb", "\f", "a\rb", "a\x0bb", "@", "a.b -> c.d => e := 1 <= 2 >= 3 != 4",
-    "é9 ü_x 1a 12 ٣", "\u00a0x", "\t#\n\t#x\n", "²x ₂ _² a² Ⅻ 1²", 'x "a # b" # c\n\n y',
+    "é9 ü_x 1a 12 ٣", "\u00a0x", "\t#\n\t#x\n", "²x ₂ _² a² Ⅻ 1²",
+    'x "a # b" # c\n\n y',
     "# a\n  # b\n\n  c # d\n\t\n# e\n", 'a "#" "\n', "\ufeffa", "a\r\nb",
 ]
 

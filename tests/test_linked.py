@@ -133,6 +133,31 @@ class TestUnresolvedPolicy:
         with pytest.raises(UnknownMachineError, match="'nowhere'"):
             analysis(parse_model(BROKEN))
 
+    def test_a_trigger_end_without_a_stage_is_unresolved(self):
+        """A trigger built by hand to a machine, not a stage, is set aside
+        like an unknown machine: validate and check_regions report it, and
+        every other analysis raises it."""
+        process = StageRef(("a",), StageKind.PROCESS)
+        model = TMModel(
+            machines=(tmflow.Machine("a", stages=(StageKind.CREATE, StageKind.PROCESS)),
+                      tmflow.Machine("b", stages=(StageKind.PROCESS,))),
+            flows=(tmflow.FlowArc("f1", StageRef(("a",), StageKind.CREATE), process),),
+            triggers=(tmflow.TriggerArc("t1", process, StageRef(("b",), None)),),
+        )
+        why = "'b' names a machine, not a stage"
+        assert [(arc.id, str(exc)) for arc, exc in link(model).unresolved] == [("t1", why)]
+        assert [(d.code, d.message) for d in tmflow.validate(model).errors] == \
+            [("UNRESOLVED", f"trigger 't1': {why}")]
+        region = tmflow.Region("R", tmflow.Subdiagram(frozenset({process}), frozenset({"t1"})))
+        assert [(d.code, d.message) for d in tmflow.check_regions(model, [region]).errors] == \
+            [("DANGLING_REF", f"region 'R': arc 't1': {why}")]
+        for analysis in (lambda m: tmflow.infer_behavior(m, [region]),
+                         lambda m: tmflow.enumerate_subdiagrams(m, 2),
+                         lambda m: tmflow.simulate(m, tmflow.Scenario()),
+                         model_to_dot):
+            with pytest.raises(tmflow.ModelError, match=why):
+                analysis(model)
+
 
 SUGAR_PIPELINE_TMS = """\
 scenario ship {

@@ -24,9 +24,17 @@ from tmflow import (
     serialize,
 )
 from tmflow import parser as parser_module
+from tmflow.diagnostics import Diagnostic, SourceSpan
 from tmflow.exprs import tokenize
 
-from conftest import MODEL_FILES, SCENARIO_FILES, corpus_text, fuzz_texts, perfbench_gen
+from conftest import (
+    MODEL_FILES,
+    SCENARIO_FILES,
+    corpus_text,
+    fuzz_texts,
+    mutated_models,
+    perfbench_gen,
+)
 
 
 class TestRoundTrip:
@@ -461,6 +469,53 @@ class TestProperties:
     @given(models())
     def test_serializer_is_deterministic(self, model):
         assert serialize(model) == serialize(model)
+
+
+# Every corpus model, and corpus models with a few characters replaced,
+# so that diagnostics are compared too.
+_SPACED_MODELS = [p.read_text(encoding="utf-8") for p in MODEL_FILES] + \
+    list(mutated_models())[:100]
+
+
+_TRAILING = st.sampled_from(["", " # c", "\t#", "# a # b"])
+
+
+class TestBlankLinesAndComments:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(_SPACED_MODELS), st.data())
+    def test_blank_and_comment_lines_move_only_line_numbers(self, text, data):
+        """Runs of blank and comment-only lines inserted between a model's
+        lines, and ``#`` comments after them, give an equal document, and
+        the same diagnostics on the moved lines (a diagnostic at a line's
+        end moves past its comment)."""
+        lines = text.split("\n")
+        spaced, moved_to, trailing = [], [], []
+        for i, line in enumerate(lines):
+            comment = "" if '"' in line else data.draw(_TRAILING)
+            moved_to.append(len(spaced) + 1)
+            trailing.append(comment)
+            spaced.append(line + comment)
+            if i < len(lines) - 1:
+                spaced += data.draw(st.lists(st.sampled_from(["", "  ", "# note", "\t# x # y"]),
+                                             max_size=3))
+        doc, diagnostics = parse_with_diagnostics(text)
+        spaced_doc, spaced_diagnostics = parse_with_diagnostics("\n".join(spaced))
+
+        def moved(span: SourceSpan) -> SourceSpan:
+            line = span.line - 1
+            past_end = span.column > len(lines[line])
+            return SourceSpan(moved_to[line], span.column + past_end * len(trailing[line]),
+                              span.length)
+
+        assert spaced_doc == doc
+        assert spaced_diagnostics == [
+            Diagnostic(d.severity, d.code, d.message, d.span and moved(d.span))
+            for d in diagnostics
+        ]
+        assert [m.span for _, m in spaced_doc.model.walk()] == \
+            [moved(m.span) for _, m in doc.model.walk()]
+        assert [a.span for a in spaced_doc.model.arcs()] == \
+            [moved(a.span) for a in doc.model.arcs()]
 
 
 class TestScaling:
