@@ -404,8 +404,9 @@ class Linked:
             try:
                 source = self.normalize(arc.source)
                 target = self.normalize(arc.target)
+                # Only a sugared flow, expanded by now, may end at a machine.
                 for end in (source, target):
-                    if end.kind is None:  # a sugared flow may have one; those are expanded
+                    if end.kind is None:
                         raise ModelError(f"'{end}' names a machine, not a stage")
             except ModelError as exc:
                 self.unresolved.append((arc, exc))
