@@ -9,12 +9,16 @@ with a decimal digit.  Symbols are listed in ``_LEXEME``.
 
 ``tokenize`` lexes a text in two passes made in C: one ``split`` over
 ``_LEXEME`` gives the lexemes, with the gaps between them, and one
-``accumulate`` over their lengths gives each lexeme's offset.  It keeps
-no record per lexeme: a lexeme's kind is read from its first character
-(a quote starts a STRING, a decimal digit an INT, ``\\n`` is NEWLINE and
-the empty lexeme EOF; ``is_ident`` tells an IDENT from a symbol), and the
-parser builds a ``SourceSpan`` from an offset only where it keeps one.
-A lexing error is at the first character, not a blank, of a gap.
+``accumulate`` over their lengths gives each lexeme's offset.  The
+comments and the line ends that take in further lines are then found
+among the file's few hundred distinct lexemes, not by another pass over
+the text: a lexeme that starts with ``#`` is a comment, since a string
+starts with ``"``.  No record is kept per lexeme: a lexeme's kind is
+read from its first character (a quote starts a STRING, a decimal digit
+an INT, ``\\n`` is NEWLINE and the empty lexeme EOF; ``is_ident`` tells
+an IDENT from a symbol), and the parser builds a ``SourceSpan`` from an
+offset only where it keeps one.  A lexing error is at the first
+character, not a blank, of a gap.
 
 Expression grammar (no boolean connectives, by design):
 
@@ -134,9 +138,6 @@ _LEXEME = re.compile(
     r'|"(?:[^"\\\n]|\\.)*"'
     r"|\#[^\n]*)"
 )
-# The comments and the line ends with more lines; a string is matched
-# (and found as "") so that a ``#`` in it starts no comment.
-_SURPLUS = re.compile(r'"(?:[^"\\\n]|\\.)*"|(\#[^\n]*|\n(?:[ \t]*(?:\#[^\n]*)?\n)+)')
 
 # The symbols outside the expression grammar.
 _OTHER_SYMBOLS = frozenset({"->", "=>", "{", "}", ",", ":", "."})
@@ -162,7 +163,12 @@ class LexError(Exception):
 def tokenize(text: str) -> tuple[list[str], list[int]]:
     """The lexemes of ``text`` and their offsets, both built in C, ending
     with EOF, the empty lexeme at ``len(text)``; raise LexError where none
-    starts.  A line that holds a lexeme ends with a ``"\\n"`` lexeme."""
+    starts.  A line that holds a lexeme ends with a ``"\\n"`` lexeme.
+
+    The split yields comments, and line ends that take in the blank and
+    comment-only lines after them; both are picked out of the set of
+    distinct lexemes, and ``map`` and ``compress`` then shorten or drop
+    each of their occurrences in C."""
     parts = _LEXEME.split(text)  # gap, lexeme, gap, ..., lexeme, gap
     offsets = list(accumulate(map(len, parts), initial=0))[1::2]
     gaps = parts[::2]
@@ -176,10 +182,10 @@ def tokenize(text: str) -> tuple[list[str], list[int]]:
         line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
         raise LexError(kind, value, SourceSpan(line, column, len(value)))
     values = parts[1::2]
-    surplus = set(_SURPLUS.findall(text)) - {""}
-    if surplus:
-        # A line end with more lines becomes "\n", and a comment None.
-        fix = {lexeme: "\n" if lexeme[0] == "\n" else None for lexeme in surplus}
+    # A line end with more lines becomes "\n", and a comment None.
+    fix = {lexeme: None if lexeme[0] == "#" else "\n"
+           for lexeme in set(values) if lexeme[0] in "#\n" and lexeme != "\n"}
+    if fix:
         values = list(map(fix.get, values, values))
         if None in fix.values():
             offsets = [*compress(offsets, values), len(text)]

@@ -111,8 +111,14 @@ class _Parser:
 
     A lexeme's text fixes its kind (a STRING keeps its quotes, an INT
     starts with a decimal digit, a NEWLINE is ``"\\n"`` and EOF is
-    empty), so the parser tests symbols and keywords by value alone.  It
-    builds a span, from the lexeme's offset, only where it keeps one."""
+    empty), so the parser tests symbols and keywords by value alone, and
+    an IDENT by membership in ``self.idents``, the file's IDENTs found
+    once among its distinct lexemes (``self.names`` leaves out the stage
+    names).  The statements that fill a file (machine bodies, arcs with
+    their dotted paths, region lists, attribute blocks) are read in
+    place, with no helper call per lexeme; where one fails, it sets
+    ``self.pos`` where recovery starts.  A span is built, from the
+    lexeme's offset, only where the parser keeps one."""
 
     def __init__(self, text: str):
         self.text = normalize(text)
@@ -125,6 +131,8 @@ class _Parser:
         except LexError as exc:
             self.diagnostics.append(error("SYNTAX", str(exc), exc.span))
             self.values, self.offsets = [""], [0]
+        self.idents = set(filter(is_ident, set(self.values)))
+        self.names = self.idents.difference(_STAGE_KINDS)
         self.pos = 0
         self.top_start = 0  # diagnostics before the current top-level statement
         self.exprs = ExprTable()  # every expression of the file, parsed
@@ -145,13 +153,6 @@ class _Parser:
             self.pos += 1
         return value
 
-    def at(self, value: str) -> bool:
-        """Whether the next lexeme is this symbol or word."""
-        return self.values[self.pos] == value
-
-    def at_string(self) -> bool:
-        return self.values[self.pos][:1] == '"'
-
     def fail(self, message: str, at: int | None = None, code: str = "SYNTAX"):
         """Report an error at the lexeme at ``at`` (by default the next one)."""
         self.diagnostics.append(error(code, message, self.span(self.pos if at is None else at)))
@@ -163,32 +164,45 @@ class _Parser:
             self.fail(message or f"expected '{value}'")
         self.pos += 1
 
+    def bad_name(self, pos: int, what: str):
+        """Report the lexeme at ``pos``, where a name (an IDENT other than
+        a stage name) belongs."""
+        value = self.values[pos]
+        if value in _STAGE_KINDS:
+            self.pos = pos + 1
+            self.fail(f"'{value}' is a reserved stage name", pos)
+        self.pos = pos
+        self.fail(f"expected {what}")
+
     def expect_ident(self, what: str = "identifier") -> int:
-        """Take the next lexeme, an IDENT other than a stage name; give its position."""
+        """Take the next lexeme, a name; give its position."""
         pos = self.pos
-        if not is_ident(self.values[pos]):
-            self.fail(f"expected {what}")
-        self.pos += 1
-        if self.values[pos] in _STAGE_KINDS:
-            self.fail(f"'{self.values[pos]}' is a reserved stage name", pos)
+        if self.values[pos] not in self.names:
+            self.bad_name(pos, what)
+        self.pos = pos + 1
         return pos
 
     def ident(self, what: str) -> str:
         return self.values[self.expect_ident(what)]
+
+    def name_list(self, what: str, names: list[str]) -> None:
+        """Take ``name (',' name)*`` into ``names``, one by one, so that a
+        failure part way keeps the names before it."""
+        values, pos = self.values, self.pos
+        while True:
+            if values[pos] not in self.names:
+                self.bad_name(pos, what)
+            names.append(values[pos])
+            if values[pos + 1] != ",":
+                break
+            pos += 2
+        self.pos = pos + 1
 
     def expect_int(self, what: str) -> int:
         """Take the next lexeme, an INT; give its value."""
         if not self.values[self.pos][:1].isdecimal():
             self.fail(f"expected {what}")
         return int(self.take())
-
-    def comma_list(self, item) -> None:
-        """``item (',' item)*``; each ``item`` keeps what it parsed, so a
-        failure part way keeps the items before it."""
-        item()
-        while self.values[self.pos] == ",":
-            self.pos += 1
-            item()
 
     def skip_newlines(self):
         while self.values[self.pos] == "\n":
@@ -222,8 +236,14 @@ class _Parser:
         error that runs into the end of input closes the enclosing blocks
         without more diagnostics, and so does a missing ``}``, after which
         the top level goes on with the statement that showed it."""
-        self.skip_newlines()
-        while not (self.at("") or closed and self.at("}")):
+        values = self.values
+        while True:
+            pos = self.pos
+            while values[pos] == "\n":
+                pos += 1
+            self.pos = pos
+            if not values[pos] or closed and values[pos] == "}":
+                return
             if not closed:
                 self.top_start = len(self.diagnostics)
             try:
@@ -234,11 +254,10 @@ class _Parser:
             except _Fail:
                 before = self.pos
                 self.recover()
-                if closed and self.at(""):
+                if closed and not values[self.pos]:
                     raise
                 if self.pos == before and not closed:
                     self.take()  # a stray '}' at top level: force progress
-            self.skip_newlines()
 
     def unclosed(self, words: frozenset[str]) -> None:
         """At a statement starting with one of ``words``, this body has lost
@@ -256,44 +275,37 @@ class _Parser:
         self.expect("}")
 
     # -- shared pieces ---------------------------------------------------
-    def dotted_path(self) -> range:
-        """``IDENT ('.' IDENT)*``: the positions of the path's IDENTs."""
-        values, start = self.values, self.pos
-        if not is_ident(values[start]):
+    def stage_ref(self, machine: bool = False, sugar: bool = False) -> StageRef:
+        """Take ``IDENT ('.' IDENT)*``: a stage, named by a machine path and
+        its kind, or a machine (kind None) with ``machine``, or with
+        ``sugar`` where ``=>`` follows."""
+        values, idents, start = self.values, self.idents, self.pos
+        if values[start] not in idents:
             self.fail("expected machine or stage path")
-        pos = start
-        while values[pos + 1] == ".":
-            pos += 2
-            if not is_ident(values[pos]):
-                self.pos = pos
+        last = start
+        while values[last + 1] == ".":
+            last += 2
+            if values[last] not in idents:
+                self.pos = last
                 self.fail("expected path segment after '.'")
-        self.pos = pos + 1
-        return range(start, pos + 1, 2)
-
-    def machine_path(self, path: range) -> tuple[str, ...]:
-        values = self.values
-        for pos in path:
-            if values[pos] in _STAGE_KINDS:
-                self.fail(f"'{values[pos]}' is a reserved stage name", pos)
-        return tuple([values[pos] for pos in path])
-
-    def stage_at(self, path: range) -> StageRef:
-        """The stage a parsed dotted path names: a machine path, then a kind."""
-        last = path[-1]
-        kind = _STAGE_KINDS.get(self.values[last])
-        if kind is None:
-            self.fail(
-                f"'{self.values[last]}' is not a stage "
-                f"(one of {', '.join(k.value for k in StageKind)})",
-                last,
-                code="UNKNOWN_STAGE",
-            )
-        if len(path) == 1:
-            self.fail("stage reference needs a machine path", path[0])
-        return StageRef(self.machine_path(path[:-1]), kind)
-
-    def stage_ref(self) -> StageRef:
-        return self.stage_at(self.dotted_path())
+        self.pos = last + 1
+        path = values[start:last + 1:2]
+        kind = None
+        if not (machine or sugar and values[last + 1] == "=>"):
+            kind = _STAGE_KINDS.get(path.pop())
+            if kind is None:
+                self.fail(
+                    f"'{values[last]}' is not a stage "
+                    f"(one of {', '.join(k.value for k in StageKind)})",
+                    last,
+                    code="UNKNOWN_STAGE",
+                )
+            if not path:
+                self.fail("stage reference needs a machine path", start)
+        if not _STAGE_KINDS.keys().isdisjoint(path):
+            pos = next(pos for pos in range(start, last + 1, 2) if values[pos] in _STAGE_KINDS)
+            self.fail(f"'{values[pos]}' is a reserved stage name", pos)
+        return StageRef(tuple(path), kind)
 
     def expression(self, kind: str, ends: frozenset[str], what: str) -> str:
         """Consume an expression's lexemes, up to one in ``ends``, file its
@@ -313,45 +325,6 @@ class _Parser:
             self.fail(f"{what}: {node}", start, code="GUARD_SYNTAX")
         return text
 
-    def string_value(self) -> str:
-        return unquote(self.take())
-
-    def label_clause(self) -> str | None:
-        if not self.at("label"):
-            return None
-        self.pos += 1
-        if self.at_string():
-            return self.string_value()
-        if self.values[self.pos][:1].isdecimal():
-            return self.take()
-        self.fail("expected a string or number after 'label'")
-
-    def literal_value(self):
-        if self.at_string():
-            return self.string_value()
-        neg = self.at("-")
-        self.pos += neg
-        value = self.expect_int("an integer or string value")
-        return -value if neg else value
-
-    def attrs_block(self) -> dict[str, int | str]:
-        """`{ name = value, ... }`, newlines allowed after separators."""
-        attrs: dict[str, int | str] = {}
-        self.expect("{")
-        self.skip_newlines()
-        while not self.at("}"):
-            pos = self.expect_ident("attribute name")
-            name = self.values[pos]
-            if name in attrs:
-                self.fail(f"duplicate attribute '{name}'", pos, code="DUP_ID")
-            self.expect("=")
-            attrs[name] = self.literal_value()
-            if self.at(","):
-                self.pos += 1
-            self.skip_newlines()
-        self.expect("}")
-        return attrs
-
     def declare(self, names: set[str], pos: int, what: str):
         value = self.values[pos]
         if value in names:
@@ -370,14 +343,14 @@ class _Parser:
         def statement():
             nonlocal behavior
             word = self.values[self.pos]
-            if word == "thing":
-                things.append(self.thing_decl())
+            if word == "flow":
+                flows.append(self.arc_stmt())
             elif word == "machine":
                 machines.append(self.machine_decl())
-            elif word == "flow":
-                flows.append(self.arc_stmt())
             elif word == "trigger":
                 triggers.append(self.arc_stmt())
+            elif word == "thing":
+                things.append(self.thing_decl())
             elif word == "regions":
                 regions.extend(self.regions_block())
             elif word == "behavior":
@@ -397,7 +370,7 @@ class _Parser:
         return Document(model=model, regions=tuple(regions), behavior=behavior)
 
     def thing_decl(self) -> ThingDecl:
-        self.take()  # thing
+        self.pos += 1  # thing
         name = self.expect_ident("thing name")
         self.declare(self.thing_names, name, "thing")
         attributes: list[tuple[str, str]] = []
@@ -413,34 +386,40 @@ class _Parser:
             if self.take() not in _ATTR_KINDS:
                 self.fail("attribute kind must be 'int' or 'text'", kind)
             attributes.append((self.values[attr], self.values[kind]))
-            if self.at(","):
+            if self.values[self.pos] == ",":
                 self.pos += 1
 
-        if self.at("{"):
+        if self.values[self.pos] == "{":
             self.block(attribute)
         self.end_statement()
         return ThingDecl(self.values[name], tuple(attributes), span=self.span(name))
 
     def machine_decl(self) -> Machine:
-        self.take()  # machine
+        values = self.values
+        self.pos += 1  # machine
         id_pos = self.expect_ident("machine id")
         self.declare(self.machine_ids, id_pos, "machine id")
-        name = self.string_value() if self.at_string() else None
+        name = None
+        if values[self.pos][:1] == '"':
+            name = unquote(self.take())
         stages: list[StageKind] = []
         submachines: list[Machine] = []
 
-        def stage():
-            pos = self.pos
-            kind = _STAGE_KINDS.get(self.take())  # only an IDENT names one
-            if kind is None:
-                self.fail(f"unknown stage '{self.values[pos]}'", pos, code="UNKNOWN_STAGE")
-            stages.append(kind)
-
         def statement():
-            word = self.values[self.pos]
+            pos = self.pos
+            word = values[pos]
             if word == "stages":
-                self.pos += 1
-                self.comma_list(stage)
+                while True:
+                    pos += 1
+                    kind = _STAGE_KINDS.get(values[pos])  # only an IDENT names one
+                    if kind is None:
+                        self.pos = pos + (values[pos] != "")
+                        self.fail(f"unknown stage '{values[pos]}'", pos, code="UNKNOWN_STAGE")
+                    stages.append(kind)
+                    pos += 1
+                    if values[pos] != ",":
+                        break
+                self.pos = pos
                 self.end_statement()
             elif word == "machine":
                 submachines.append(self.machine_decl())
@@ -451,7 +430,7 @@ class _Parser:
         self.block(statement)
         self.end_statement()
         return Machine(
-            id=self.values[id_pos],
+            id=values[id_pos],
             name=name,
             stages=tuple(stages),
             submachines=tuple(submachines),
@@ -461,39 +440,49 @@ class _Parser:
     def arc_stmt(self) -> FlowArc | TriggerArc:
         """``flow`` or ``trigger``, an optional ``name:`` (otherwise a
         positional id per keyword), then the two ends."""
-        kw = self.pos
-        keyword = self.take()
+        values, kw = self.values, self.pos
+        keyword = values[kw]
         flow = keyword == "flow"
-        if is_ident(self.values[self.pos]) and self.values[self.pos + 1] == ":":
+        self.pos = kw + 1
+        if values[kw + 1] in self.idents and values[kw + 2] == ":":
             id_pos = self.expect_ident("arc id")
             self.declare(self.arc_ids, id_pos, "arc id")
             self.pos += 1  # ':'
-            arc_id, auto = self.values[id_pos], False
+            arc_id, auto = values[id_pos], False
         else:
             self.auto_ids[keyword] += 1
             arc_id, auto = f"_{keyword[0]}{self.auto_ids[keyword]}", True
         first = self.pos
-        path = self.dotted_path()
-        if flow and self.at("=>"):  # sugared: machine to machine
-            source = StageRef(self.machine_path(path), None)
+        source = self.stage_ref(sugar=flow)
+        if source.kind is None:  # sugared: machine to machine
             self.pos += 1
-            target = StageRef(self.machine_path(self.dotted_path()), None)
+            target = self.stage_ref(machine=True)
         else:
-            source = self.stage_at(path)
             self.expect("->")
             target = self.stage_ref()
         if source == target:
             self.fail(f"{keyword} source and target are the same stage", first,
                       code="SELF_LOOP")
-        thing = None
-        if flow and self.at("on"):
+        thing = guard = label = None
+        word = values[self.pos]
+        if word == "on" and flow:
             self.pos += 1
             thing = self.ident("thing name")
-        guard = None
-        if self.at("when"):
+            word = values[self.pos]
+        if word == "when":
             self.pos += 1
             guard = self.expression("guard", _GUARD_ENDS, "bad guard")
-        label = self.label_clause()
+            word = values[self.pos]
+        if word == "label":
+            self.pos += 1
+            word = values[self.pos]
+            if word[:1] == '"':
+                label = unquote(word)
+            elif word[:1].isdecimal():
+                label = word
+            else:
+                self.fail("expected a string or number after 'label'")
+            self.pos += 1
         self.end_statement()
         if flow:
             return FlowArc(arc_id, source, target, thing=thing, guard=guard,
@@ -503,7 +492,8 @@ class _Parser:
 
     # -- regions / behavior ----------------------------------------------
     def regions_block(self) -> list[Region]:
-        self.take()  # regions
+        values = self.values
+        self.pos += 1  # regions
         regions: list[Region] = []
         seen: set[str] = set()
 
@@ -511,19 +501,22 @@ class _Parser:
             self.expect("region")
             id_pos = self.expect_ident("region id")
             self.declare(seen, id_pos, "region id")
-            label = self.string_value() if self.at_string() else ""
+            label = unquote(self.take()) if values[self.pos][:1] == '"' else ""
             stages: list[StageRef] = []
             arcs: list[str] = []
 
             def statement():
-                word = self.values[self.pos]
+                word = values[self.pos]
                 if word == "stages":
                     self.pos += 1
-                    self.comma_list(lambda: stages.append(self.stage_ref()))
+                    stages.append(self.stage_ref())
+                    while values[self.pos] == ",":
+                        self.pos += 1
+                        stages.append(self.stage_ref())
                     self.end_statement()
                 elif word == "arcs":
                     self.pos += 1
-                    self.comma_list(lambda: arcs.append(self.ident("arc id")))
+                    self.name_list("arc id", arcs)
                     self.end_statement()
                 else:
                     self.fail(f"unexpected '{word}' in region body")
@@ -532,7 +525,7 @@ class _Parser:
             self.end_statement()
             regions.append(
                 Region(
-                    id=self.values[id_pos],
+                    id=values[id_pos],
                     body=Subdiagram(frozenset(stages), frozenset(arcs)),
                     label=label,
                     span=self.span(id_pos),
@@ -544,7 +537,7 @@ class _Parser:
         return regions
 
     def behavior_block(self, existing: BehaviorGraph | None) -> BehaviorGraph:
-        self.take()  # behavior
+        self.pos += 1  # behavior
         if existing is not None:
             self.fail("duplicate behavior section", self.pos - 1, code="DUP_ID")
         events: list[Event] = []
@@ -561,7 +554,7 @@ class _Parser:
                 self.expect("region", "expected 'region' in event declaration")
                 region_id = self.ident("region id")
                 interval = None
-                if self.at("interval"):
+                if self.values[self.pos] == "interval":
                     self.pos += 1
                     start = self.expect_int("interval start")
                     duration = self.expect_int("interval duration")
@@ -577,7 +570,7 @@ class _Parser:
                 edges.append((src, dst))
             elif word == "initial":
                 self.pos += 1
-                self.comma_list(lambda: initial.append(self.ident("event id")))
+                self.name_list("event id", initial)
             else:
                 self.fail(f"unexpected '{word}' in behavior body")
             self.end_statement()
@@ -587,6 +580,44 @@ class _Parser:
         return BehaviorGraph(tuple(events), tuple(edges), tuple(initial))
 
     # -- scenarios --------------------------------------------------------
+    def attrs_block(self) -> dict[str, int | str]:
+        """``{ name = value, ... }`` from its ``{``, the next lexeme;
+        newlines are allowed after separators."""
+        values, names = self.values, self.names
+        attrs: dict[str, int | str] = {}
+        pos = self.pos + 1
+        while True:
+            while values[pos] == "\n":
+                pos += 1
+            name = values[pos]
+            if name == "}":
+                break
+            if name not in names:
+                self.bad_name(pos, "attribute name")
+            if name in attrs:
+                self.pos = pos + 1
+                self.fail(f"duplicate attribute '{name}'", pos, code="DUP_ID")
+            if values[pos + 1] != "=":
+                self.pos = pos + 1
+                self.fail("expected '='")
+            value = values[pos + 2]
+            pos += 3
+            if value[:1] == '"':
+                attrs[name] = unquote(value)
+            else:
+                negative = value == "-"
+                if negative:
+                    value = values[pos]
+                    pos += 1
+                if not value[:1].isdecimal():
+                    self.pos = pos - 1
+                    self.fail("expected an integer or string value")
+                attrs[name] = -int(value) if negative else int(value)
+            if values[pos] == ",":
+                pos += 1
+        self.pos = pos + 1
+        return attrs
+
     def parse_scenario(self) -> Scenario:
         self.skip_newlines()
         self.expect("scenario")
@@ -636,7 +667,7 @@ class _Parser:
                 thing = self.ident("thing name")
                 self.expect("at")
                 at = self.stage_ref()
-                attrs = self.attrs_block() if self.at("{") else {}
+                attrs = self.attrs_block() if self.values[self.pos] == "{" else {}
                 seed_tok = TokenSeed(self.values[id_pos], thing, at, attrs)
                 if injected:
                     injections.append((step, seed_tok))
@@ -647,7 +678,7 @@ class _Parser:
                 at = self.stage_ref()
                 self.expect("of")
                 thing = self.ident("thing name")
-                attrs = self.attrs_block() if self.at("{") else {}
+                attrs = self.attrs_block() if self.values[self.pos] == "{" else {}
                 mints.append((at, thing, attrs))
             elif word == "action":
                 self.pos += 1
@@ -668,7 +699,7 @@ class _Parser:
         self.skip_newlines()
         # An earlier error accounts for input after the block: recovering
         # from it may have closed the block at an inner '}'.
-        if not (self.at("") or self.diagnostics):
+        if not (self.values[self.pos] == "" or self.diagnostics):
             self.fail(f"unexpected '{self.values[self.pos]}' after the scenario")
         return Scenario(
             name=name,
