@@ -50,7 +50,13 @@ from .diagnostics import Record, SourceSpan, _setattr
 
 
 class ExprSyntaxError(Exception):
-    pass
+    """Text that is no guard or action.  ``at``, for nesting deeper than
+    ``_MAX_NESTING``, is the position, among the lexemes parsed, of the
+    ``(`` or ``-`` that opens the level too many."""
+
+    def __init__(self, message: str, at: int | None = None):
+        super().__init__(message)
+        self.at = at
 
 
 class GuardTypeError(Exception):
@@ -139,6 +145,12 @@ _LEXEME = re.compile(
     r"|\#[^\n]*)"
 )
 
+# The deepest nesting of parentheses and unary minuses in an expression,
+# and of machines in a model: each level costs the recursive-descent
+# parsers a few Python frames, so a limit far below Python's recursion
+# limit turns a model that would exhaust the stack into a SYNTAX error.
+_MAX_NESTING = 100
+
 # The symbols outside the expression grammar.
 _OTHER_SYMBOLS = frozenset({"->", "=>", "{", "}", ",", ":", "."})
 
@@ -223,6 +235,7 @@ class _Parser:
                 self.values.append(value)
         self.values.append("")
         self.pos = 0
+        self.depth = 0  # parentheses and unary minuses open
 
     def take(self) -> str:
         value = self.values[self.pos]
@@ -248,7 +261,7 @@ class _Parser:
     def term(self) -> Expr:
         value = self.take()
         if value == "-":
-            inner = self.term()
+            inner = self.nested(self.term)
             if isinstance(inner, Lit) and isinstance(inner.value, int):
                 return Lit(-inner.value)
             return BinOp("-", Lit(0), inner)
@@ -259,10 +272,19 @@ class _Parser:
         if is_ident(value):
             return Name(value)
         if value == "(":
-            node = self.sum()
+            node = self.nested(self.sum)
             self.expect_op(")")
             return node
         raise ExprSyntaxError(f"unexpected token {value!r}")
+
+    def nested(self, parse) -> Expr:
+        """``parse`` one level deeper than the lexeme just taken."""
+        if self.depth == _MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {_MAX_NESTING} levels", self.pos - 1)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def comparison(self) -> Cmp:
         left = self.sum()

@@ -25,6 +25,7 @@ from itertools import accumulate
 from .behavior import BehaviorGraph, Event, Interval, Region, Subdiagram
 from .diagnostics import Diagnostic, Fresh, Record, SourceSpan, error
 from .exprs import (
+    _MAX_NESTING,
     ExprSyntaxError,
     ExprTable,
     LexError,
@@ -118,7 +119,12 @@ class _Parser:
     their dotted paths, region lists, attribute blocks) are read in
     place, with no helper call per lexeme; where one fails, it sets
     ``self.pos`` where recovery starts.  A span is built, from the
-    lexeme's offset, only where the parser keeps one."""
+    lexeme's offset, only where the parser keeps one.
+
+    Machines nest at most ``_MAX_NESTING`` deep, as expressions do: the
+    descent recurses once per level, and a deeper model would exhaust
+    Python's stack.  The ``machine`` that opens a deeper level gets a
+    SYNTAX error, and the parse stops there."""
 
     def __init__(self, text: str):
         self.text = normalize(text)
@@ -322,6 +328,8 @@ class _Parser:
         key = kind, text
         node = self.exprs[key] = self.exprs.get(key) or parse_lexemes(kind, values[start:end])
         if isinstance(node, ExprSyntaxError):
+            if node.at is not None:  # nested too deep
+                self.fail(str(node), start + node.at)
             self.fail(f"{what}: {node}", start, code="GUARD_SYNTAX")
         return text
 
@@ -346,7 +354,7 @@ class _Parser:
             if word == "flow":
                 flows.append(self.arc_stmt())
             elif word == "machine":
-                machines.append(self.machine_decl())
+                machines.append(self.machine_decl(0))
             elif word == "trigger":
                 triggers.append(self.arc_stmt())
             elif word == "thing":
@@ -394,8 +402,12 @@ class _Parser:
         self.end_statement()
         return ThingDecl(self.values[name], tuple(attributes), span=self.span(name))
 
-    def machine_decl(self) -> Machine:
+    def machine_decl(self, depth: int) -> Machine:
+        """A machine nested in ``depth`` others, and its body."""
         values = self.values
+        if depth == _MAX_NESTING:
+            at, self.pos = self.pos, len(values) - 1  # stop: close every open body
+            self.fail(f"nesting deeper than {_MAX_NESTING} levels", at)
         self.pos += 1  # machine
         id_pos = self.expect_ident("machine id")
         self.declare(self.machine_ids, id_pos, "machine id")
@@ -422,7 +434,7 @@ class _Parser:
                 self.pos = pos
                 self.end_statement()
             elif word == "machine":
-                submachines.append(self.machine_decl())
+                submachines.append(self.machine_decl(depth + 1))
             else:
                 self.unclosed(_MACHINE_ENDS)
                 self.fail(f"unexpected '{word}' in machine body")

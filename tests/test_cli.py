@@ -11,6 +11,7 @@ import pytest
 import tmflow
 from tmflow.behavior import enumerate_subdiagrams
 from tmflow.cli import main
+from tmflow.exprs import _MAX_NESTING
 
 from conftest import CORPUS
 
@@ -605,6 +606,74 @@ class TestLexicalErrors:
                       "flow f1: a.Create -> a.Process on job when größe > 1\n")
         assert main(["check", model]) == 0
         assert capsys.readouterr().out == "ok\n"
+
+
+def nested_model(machines: int, parentheses: int) -> str:
+    """Machines ``m0 .. m<machines-1>``, each inside the one before, and a
+    flow in the innermost one whose guard sits in ``parentheses`` pairs."""
+    lines = ["thing job { n: int }"]
+    for depth in range(machines):
+        lines.append("  " * depth + f"machine m{depth} {{ stages Create, Process")
+    lines += ["  " * depth + "}" for depth in reversed(range(machines))]
+    inner = f"m{machines - 1}"
+    guard = "(" * parentheses + "n" + ")" * parentheses
+    lines += [f"flow f: {inner}.Create -> {inner}.Process on job when {guard} < 3",
+              f"regions {{\n  region r {{ stages {inner}.Create, {inner}.Process\n    arcs f\n  }}\n}}"]
+    return "\n".join(lines) + "\n"
+
+
+def nested_scenario(machines: int, parentheses: int) -> str:
+    stop = "(" * parentheses + "n" + ")" * parentheses
+    return (f"scenario s {{\n  token t of job at m{machines - 1}.Create {{ n = 1 }}\n"
+            f"  stop when {stop} > 5\n}}\n")
+
+
+class TestNesting:
+    """Machines, parentheses and unary minuses nest at most
+    ``_MAX_NESTING`` deep; a deeper level is one SYNTAX error at the
+    lexeme that opens it, not a RecursionError."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["check", "--format", "json"], ["events"], ["events", "--bound", "2"],
+        ["behavior"], ["behavior", "--format", "json"], ["export"],
+        ["export", "--format", "json"], ["simulate", "SCENARIO"],
+        ["simulate", "SCENARIO", "--format", "json"],
+    ])
+    def test_every_command_runs_at_the_bound(self, tmp_path, capsys, argv):
+        model = write(tmp_path, "deep.tm", nested_model(_MAX_NESTING, _MAX_NESTING))
+        scenario = write(tmp_path, "deep.tms", nested_scenario(_MAX_NESTING, _MAX_NESTING))
+        argv = [argv[0], model, *(scenario if arg == "SCENARIO" else arg for arg in argv[1:])]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("machines", [_MAX_NESTING + 1, 300])
+    def test_machines_past_the_bound(self, tmp_path, capsys, machines):
+        model = write(tmp_path, "deep.tm", nested_model(machines, 1))
+        assert main(["check", model]) == 2
+        column = 2 * _MAX_NESTING + 1  # the machine that opens the level too many
+        assert capsys.readouterr().err == (
+            f"{_MAX_NESTING + 2}:{column}: error[SYNTAX]: nesting deeper than 100 levels\n")
+
+    # The guard starts at column 43; the column is that of the 101st "(" or "-".
+    @pytest.mark.parametrize("guard, column", [
+        ("(" * 101 + "n" + ")" * 101 + " < 3", 43 + 100),
+        ("(" * 2000 + "n" + ")" * 2000 + " < 3", 43 + 100),
+        ("- " * 101 + "n < 3", 43 + 2 * 100),
+        ("n < " + "(" * 50 + "- " * 51 + "1" + ")" * 50, 43 + 4 + 50 + 2 * 50),
+    ])
+    def test_guard_past_the_bound(self, tmp_path, capsys, guard, column):
+        model = write(tmp_path, "deep.tm", "machine a { stages Create, Process }\n"
+                      f"flow f: a.Create -> a.Process on job when {guard}\n")
+        assert main(["check", model]) == 2
+        assert capsys.readouterr().err == (
+            f"2:{column}: error[SYNTAX]: nesting deeper than 100 levels\n")
+
+    def test_stop_condition_past_the_bound(self, tmp_path, capsys):
+        model = write(tmp_path, "deep.tm", nested_model(1, 1))
+        scenario = write(tmp_path, "deep.tms", nested_scenario(1, 2000))
+        assert main(["simulate", model, scenario]) == 2
+        assert capsys.readouterr().err == (
+            "3:113: error[SYNTAX]: nesting deeper than 100 levels\n")
 
 
 LOAD_COMMANDS = [

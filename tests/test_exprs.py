@@ -231,6 +231,23 @@ def test_filed_text_is_the_verbatim_source():
     assert not parser.diagnostics
 
 
+_NESTED = {
+    "parentheses": ("guard", lambda depth: "(" * depth + "n" + ")" * depth + " < 1"),
+    "minuses": ("guard", lambda depth: "n < " + "- " * depth + "1"),
+    "action": ("action", lambda depth: "n := " + "(" * depth + "1" + ")" * depth),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED))
+def test_nesting_past_the_bound_is_a_syntax_error(shape):
+    """Parsed alone, as a model built by hand has it parsed, an expression
+    nested 100 deep parses, and one nested deeper is an ExprSyntaxError,
+    not a RecursionError."""
+    kind, text = _NESTED[shape]
+    assert not isinstance(from_text(kind, text(100)), str)
+    for depth in (101, 2000):
+        assert from_text(kind, text(depth)) == "nesting deeper than 100 levels"
+
 def generated_files():
     gen = perfbench_gen()
     for seed in range(1, 21):
