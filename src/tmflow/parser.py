@@ -750,10 +750,12 @@ def parse_model(text: str) -> TMModel:
 
 def parse_scenario(text: str) -> Scenario:
     parser = _Parser(text)
-    try:
-        scenario = parser.parse_scenario()
-    except _Fail:
-        scenario = None
+    scenario = None
+    if not parser.diagnostics:  # a text that fails to lex has its one diagnostic
+        try:
+            scenario = parser.parse_scenario()
+        except _Fail:
+            pass
     errors = [d for d in parser.diagnostics if d.severity == "error"]
     if errors or scenario is None:
         raise TMParseError(errors or [error("SYNTAX", "empty scenario")])

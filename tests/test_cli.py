@@ -558,6 +558,11 @@ class TestLexicalErrors:
             "2:3: error[SYNTAX]: unexpected 'bogus' in scenario\n"
         )
 
+    def test_scenario_lexing_error_is_printed_once(self, tmp_path, capsys):
+        scenario = write(tmp_path, "bad.tms", "scenario s {\n  max_steps 5 @\n}\n")
+        assert main(["simulate", corpus("mousetrap.tm"), scenario]) == 2
+        assert capsys.readouterr().err == "2:15: error[SYNTAX]: unexpected character '@'\n"
+
     def test_superscript_seed_is_a_syntax_error(self, tmp_path, capsys):
         scenario = write(tmp_path, "s.tms", "scenario s {\n  seed ³\n}\n")
         assert main(["simulate", corpus("mousetrap.tm"), scenario]) == 2

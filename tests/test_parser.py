@@ -365,6 +365,16 @@ class TestDiagnostics:
             "2:8: error[SYNTAX]: expected seed value"
         ]
 
+    @pytest.mark.parametrize("text, message", [
+        ("scenario s {\n  max_steps 5 @\n}\n", "2:15: error[SYNTAX]: unexpected character '@'"),
+        ('scenario s {\n  token t of job at a.Create { n = "x }\n}\n',
+         "2:36: error[SYNTAX]: unterminated string literal"),
+    ], ids=["unexpected", "unterminated"])
+    def test_a_scenario_that_fails_to_lex_has_one_diagnostic(self, text, message):
+        with pytest.raises(TMParseError) as exc:
+            parse_scenario(text)
+        assert [str(d) for d in exc.value.diagnostics] == [message]
+
     def test_decimal_digits_of_any_script(self):
         scenario = parse_scenario("scenario s {\n  seed \u0663\n}\n")
         assert scenario.seed == 3
