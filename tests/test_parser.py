@@ -28,6 +28,7 @@ from tmflow.diagnostics import Diagnostic, SourceSpan
 from tmflow.exprs import tokenize
 
 from conftest import (
+    CORPUS,
     MODEL_FILES,
     SCENARIO_FILES,
     corpus_text,
@@ -528,6 +529,40 @@ class TestBlankLinesAndComments:
             [moved(a.span) for a in doc.model.arcs()]
 
 
+class TestDeclarationSpans:
+    def test_every_kept_span_points_at_its_declaring_lexeme(self):
+        """Over every corpus model and sidecar and the perfbench models of
+        seeds 1-20, the text at each machine's span is its id, at each
+        thing's its name, at each arc's its keyword and at each region's
+        its id."""
+        gen = perfbench_gen()
+        texts = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.tm*"))
+                 if path.suffix != ".tms"]
+        texts += [chain(seed).model for seed in range(1, 21)
+                  for chain in (gen["static_large"], gen["sim_tokens"])]
+        checked = Counter()
+        for text in texts:
+            doc = parse(text)
+            lines = text.split("\n")
+
+            def at(span: SourceSpan) -> str:
+                return lines[span.line - 1][span.column - 1:span.column - 1 + span.length]
+
+            for _, machine in doc.model.walk():
+                assert at(machine.span) == machine.id
+            for thing in doc.model.things:
+                assert at(thing.span) == thing.name
+            for keyword, arcs in (("flow", doc.model.flows), ("trigger", doc.model.triggers)):
+                for arc in arcs:
+                    assert at(arc.span) == keyword, arc
+            for region in doc.regions:
+                assert at(region.span) == region.id
+            checked.update(machines=len(list(doc.model.walk())), things=len(doc.model.things),
+                           arcs=len(doc.model.flows) + len(doc.model.triggers),
+                           regions=len(doc.regions))
+        assert min(checked.values()) >= 40, checked
+
+
 class TestScaling:
     def test_front_end_work_grows_linearly_in_model_size(self, monkeypatch):
         """Lexemes, the parser's own calls, and StageRef constructions and
@@ -577,6 +612,33 @@ class TestScaling:
         assert all(count > 0 for count in at_n), at_n
         for count_n, count_2n in zip(at_n, at_2n):
             assert 1.8 <= count_2n / count_n <= 2.1, (at_n, at_2n)
+
+    def test_front_end_python_calls_are_counted(self):
+        """Python-level calls, over all modules, of one ``parse`` of the
+        static-large model at 2N units and of one ``parse_scenario`` of the
+        sim-tokens scenario (seed 3).  Before paths, arcs, region lists and
+        attribute blocks were read in place they were 27 762 and 12 686;
+        each stays below two thirds of that."""
+        gen = perfbench_gen()
+        model = gen["static_large"](3, 2 * gen["STATIC_N"]).model
+        scenario = gen["sim_tokens"](3).scenario
+
+        def calls(parse_text, text) -> int:
+            parse_text(text)  # once first, so that nothing is loaded or cached while counting
+            seen = Counter()
+
+            def profile(frame, event, arg):
+                seen[event] += 1
+
+            sys.setprofile(profile)
+            try:
+                parse_text(text)
+            finally:
+                sys.setprofile(None)
+            return seen["call"]
+
+        assert calls(parse, model) <= 18_500
+        assert calls(parse_scenario, scenario) <= 8_450
 
     def test_lexing_makes_no_python_call_per_lexeme(self):
         """Lexing the static-large model at 2N units makes the same Python
