@@ -351,14 +351,14 @@ class _Parser:
         def statement():
             nonlocal behavior
             word = self.values[self.pos]
-            if word == "flow":
-                flows.append(self.arc_stmt())
+            if word == "thing":
+                things.append(self.thing_decl())
             elif word == "machine":
                 machines.append(self.machine_decl(0))
+            elif word == "flow":
+                flows.append(self.arc_stmt())
             elif word == "trigger":
                 triggers.append(self.arc_stmt())
-            elif word == "thing":
-                things.append(self.thing_decl())
             elif word == "regions":
                 regions.extend(self.regions_block())
             elif word == "behavior":
@@ -378,7 +378,7 @@ class _Parser:
         return Document(model=model, regions=tuple(regions), behavior=behavior)
 
     def thing_decl(self) -> ThingDecl:
-        self.pos += 1  # thing
+        self.take()  # thing
         name = self.expect_ident("thing name")
         self.declare(self.thing_names, name, "thing")
         attributes: list[tuple[str, str]] = []
@@ -505,7 +505,7 @@ class _Parser:
     # -- regions / behavior ----------------------------------------------
     def regions_block(self) -> list[Region]:
         values = self.values
-        self.pos += 1  # regions
+        self.take()  # regions
         regions: list[Region] = []
         seen: set[str] = set()
 
@@ -549,7 +549,7 @@ class _Parser:
         return regions
 
     def behavior_block(self, existing: BehaviorGraph | None) -> BehaviorGraph:
-        self.pos += 1  # behavior
+        self.take()  # behavior
         if existing is not None:
             self.fail("duplicate behavior section", self.pos - 1, code="DUP_ID")
         events: list[Event] = []
