@@ -36,7 +36,9 @@ MODEL_COMMANDS = [
     ["check"],
     ["check", "--format", "json"],
     ["events"],
+    ["events", "--format", "json"],
     ["events", "--bound", "3"],
+    ["events", "--bound", "3", "--format", "json"],
     ["behavior"],
     ["behavior", "--format", "json"],
     ["export"],
