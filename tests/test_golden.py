@@ -10,8 +10,10 @@ that alters any output byte on the corpus fails here.
 fuzzed texts of ``conftest.fuzz_texts`` and ``conftest.mutated_models``,
 over each text's ``parse_with_diagnostics`` diagnostics (with span
 lengths), the ``serialize``d partial document, and the ``parse_scenario``
-diagnostics or scenario.  A change that alters what the parser makes of
-any of them fails here, naming the chunk.
+diagnostics or scenario.  Beside each chunk's sha256 it keeps the first 8
+hex digits of each text's own sha256.  A change that alters what the
+parser makes of any of them fails here, naming the texts that moved and
+their diagnostics now.
 
 After a change meant to alter output, regenerate both files from the
 repository root:
@@ -83,43 +85,75 @@ def test_cli_output_matches_the_golden_sweep(monkeypatch):
         assert run(entry["argv"]) == entry
 
 
-def parse_record(text: str) -> str:
-    """What the parser makes of one text, as a string."""
+def parse_parts(text: str) -> tuple[list[str], str, list[str]]:
+    """What the parser makes of one text: the file's diagnostics, the
+    serialized partial document, and the scenario or its diagnostics."""
     from tmflow import TMParseError, parse_scenario, parse_with_diagnostics, serialize
 
     def diagnostics(found) -> list[str]:
         return [f"{d}|{d.span.length if d.span else '-'}" for d in found]
 
     doc, found = parse_with_diagnostics(text)
-    parts = diagnostics(found) + [serialize(doc)]
     try:
-        parts.append(repr(parse_scenario(text)))
+        scenario = [repr(parse_scenario(text))]
     except TMParseError as exc:
-        parts += diagnostics(exc.diagnostics)
-    return "\x00".join(parts)
+        scenario = diagnostics(exc.diagnostics)
+    return diagnostics(found), serialize(doc), scenario
 
 
-def parse_sweep() -> list[str]:
-    """One sha256 per ``CHUNK`` fuzzed texts."""
+def parse_record(text: str) -> str:
+    """What the parser makes of one text, as a string."""
+    found, doc, scenario = parse_parts(text)
+    return "\x00".join([*found, doc, *scenario])
+
+
+def fuzz_inputs() -> list[str]:
     from conftest import fuzz_texts, mutated_models
 
-    texts = [*fuzz_texts(), *mutated_models()]
-    digests = []
+    return [*fuzz_texts(), *mutated_models()]
+
+
+def text_digest(record: str) -> str:
+    return hashlib.sha256(record.encode()).hexdigest()[:8]
+
+
+def chunk_digest(records: list[str]) -> str:
+    sha = hashlib.sha256()
+    for record in records:
+        sha.update(record.encode())
+        sha.update(b"\x01")
+    return sha.hexdigest()
+
+
+def parse_sweep(texts: list[str]) -> list[dict]:
+    """Per ``CHUNK`` texts, the sha256 of their records and, to name the
+    texts that moved, the first 8 hex digits of each record's sha256."""
+    chunks = []
     for start in range(0, len(texts), CHUNK):
-        sha = hashlib.sha256()
-        for text in texts[start:start + CHUNK]:
-            sha.update(parse_record(text).encode())
-            sha.update(b"\x01")
-        digests.append(sha.hexdigest())
-    return digests
+        records = [parse_record(text) for text in texts[start:start + CHUNK]]
+        chunks.append({
+            "sha256": chunk_digest(records),
+            "texts": " ".join(text_digest(record) for record in records),
+        })
+    return chunks
 
 
 def test_parser_output_matches_the_golden_sweep():
     golden = json.loads(PARSE_GOLDEN.read_text(encoding="utf-8"))
-    digests = parse_sweep()
-    assert len(digests) == len(golden)
-    for n, (digest, expected) in enumerate(zip(digests, golden)):
-        assert digest == expected, f"chunk {n}: inputs {n * CHUNK}-{(n + 1) * CHUNK - 1}"
+    texts = fuzz_inputs()
+    chunks = parse_sweep(texts)
+    assert len(chunks) == len(golden)
+    moved = []
+    for n, (chunk, expected) in enumerate(zip(chunks, golden)):
+        if chunk["sha256"] == expected["sha256"]:
+            continue
+        pairs = zip(chunk["texts"].split(), expected["texts"].split())
+        moved += [n * CHUNK + i for i, (now, was) in enumerate(pairs) if now != was]
+    assert not moved and chunks == golden, "\n".join(
+        [f"{len(moved)} texts moved: {moved}"]
+        + [f"text {i}: {parse_parts(texts[i])[0]} scenario: {parse_parts(texts[i])[2]}"
+           for i in moved[:50]]
+    )
 
 
 if __name__ == "__main__":
@@ -130,6 +164,6 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"{len(records)} commands written to {GOLDEN.relative_to(ROOT)}")
-    digests = parse_sweep()
-    PARSE_GOLDEN.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
-    print(f"{len(digests)} chunks written to {PARSE_GOLDEN.relative_to(ROOT)}")
+    chunks = parse_sweep(fuzz_inputs())
+    PARSE_GOLDEN.write_text(json.dumps(chunks, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(chunks)} chunks written to {PARSE_GOLDEN.relative_to(ROOT)}")
