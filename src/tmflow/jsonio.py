@@ -1,11 +1,22 @@
 """JSON export of models, region sets, subdiagram censuses, behavior
 graphs, reports and traces, and import of traces.  All payloads carry a
 top-level ``schema: 1`` marker; traces use JSON lines (header line, then
-one record per line)."""
+one record per line).
+
+``dumps`` writes each other payload as one document: keys sorted, two
+spaces of indent per level, ``,`` between items and ``: `` after a key,
+``[]`` and ``{}`` for empty containers, and a final newline.  These are
+the bytes ``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``,
+but ``json.dumps`` runs its pure-Python encoder whenever it indents;
+``dumps`` quotes every
+key and string with json's C function ``encode_basestring_ascii``,
+writes ints, ``None`` and bools itself, and leaves any other value,
+such as a float, to ``json.dumps``.  Keys must be strings."""
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .behavior import BehaviorGraph, Subdiagram
 from .diagnostics import ValidationReport
@@ -135,7 +146,50 @@ def report_to_obj(report: ValidationReport) -> dict:
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``obj`` as a JSON document, as laid out in the module docstring."""
+    parts: list[str] = []
+    _write(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value, indent: str, out) -> None:
+    """Append the encoding of ``value`` to ``out``.  ``indent`` is the
+    newline and spaces that end the line ``value`` starts on."""
+    if isinstance(value, str):
+        out(_quote(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out(sep + _quote(key) + ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out(indent + "}")
+    else:
+        out(json.dumps(value))
 
 
 def trace_to_jsonl(trace: Trace) -> str:
