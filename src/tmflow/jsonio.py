@@ -224,22 +224,22 @@ def trace_to_jsonl(trace: Trace) -> str:
     stages: dict[StageRef, str] = {}
     tokens: dict[str, str] = {}
     lines = [json.dumps(header, sort_keys=True)]
-    for r in trace.records:
-        arc = arcs.get(r.arc)
-        if arc is None or arc[0] is not r.source or arc[1] is not r.target:
-            for ref in (r.source, r.target):
+    for step, arc_id, token_id, source, target in trace.records:
+        arc = arcs.get(arc_id)
+        if arc is None or arc[0] is not source or arc[1] is not target:
+            for ref in (source, target):
                 if ref not in stages:
                     stages[ref] = json.dumps(_ref(ref), sort_keys=True)
-            arc = arcs[r.arc] = (
-                r.source,
-                r.target,
-                f'{{"arc": {json.dumps(r.arc)}, "source": {stages[r.source]}, "step": ',
-                f', "target": {stages[r.target]}, "token": ',
+            arc = arcs[arc_id] = (
+                source,
+                target,
+                f'{{"arc": {json.dumps(arc_id)}, "source": {stages[source]}, "step": ',
+                f', "target": {stages[target]}, "token": ',
             )
-        token = tokens.get(r.token)
+        token = tokens.get(token_id)
         if token is None:
-            token = tokens[r.token] = json.dumps(r.token)
-        lines.append(f"{arc[2]}{r.step}{arc[3]}{token}}}")
+            token = tokens[token_id] = json.dumps(token_id)
+        lines.append(f"{arc[2]}{step}{arc[3]}{token}}}")
     return "\n".join(lines) + "\n"
 
 
