@@ -7,11 +7,12 @@ one record per line).
 spaces of indent per level, ``,`` between items and ``: `` after a key,
 ``[]`` and ``{}`` for empty containers, and a final newline.  These are
 the bytes ``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``,
-but ``json.dumps`` runs its pure-Python encoder whenever it indents;
-``dumps`` quotes every
-key and string with json's C function ``encode_basestring_ascii``,
-writes ints, ``None`` and bools itself, and leaves any other value,
-such as a float, to ``json.dumps``.  Keys must be strings."""
+but ``json.dumps`` runs its pure-Python encoder whenever it indents.
+``dumps`` quotes every key and string with json's C function
+``encode_basestring_ascii``, writes ints, ``None`` and bools itself, and
+leaves any other value, such as a float, to ``json.dumps``, which raises
+json's own ``TypeError`` for a value it cannot encode.  Keys must be
+strings."""
 
 from __future__ import annotations
 
@@ -154,8 +155,8 @@ def dumps(obj: dict) -> str:
 
 
 def _write(value, indent: str, out) -> None:
-    """Append the encoding of ``value`` to ``out``.  ``indent`` is the
-    newline and spaces that end the line ``value`` starts on."""
+    """Append the encoding of ``value`` to ``out``.  ``indent`` is a
+    newline and the spaces of ``value``'s own level."""
     if isinstance(value, str):
         out(_quote(value))
     elif value is None:
@@ -246,40 +247,59 @@ def trace_to_jsonl(trace: Trace) -> str:
 # -- decoding ----------------------------------------------------------------
 
 def _ref_from(data: dict) -> StageRef:
-    kind = StageKind.from_name(data["kind"]) if data.get("kind") else None
+    kind = None
+    if data.get("kind"):
+        kind = StageKind.from_name(data["kind"])
+        if kind is None:
+            raise ValueError(f"unknown stage kind {data['kind']!r}")
     return StageRef(tuple(data["machine"]), kind)
 
 
-def trace_from_jsonl(text: str) -> Trace:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise JSONFormatError("empty trace")
-    header = json.loads(lines[0])
-    if header.get("kind") != "trace":
-        raise JSONFormatError("expected a trace payload")
-    meta = header["meta"]
-    records = []
-    for line in lines[1:]:
-        r = json.loads(line)
-        records.append(
-            TraceRecord(
-                r["step"], r["arc"], r["token"],
-                _ref_from(r["source"]), _ref_from(r["target"]),
-            )
-        )
+def _header_from(data: dict) -> tuple[tuple[Token, ...], TraceMeta]:
+    if not isinstance(data, dict) or data.get("kind") != "trace":
+        raise ValueError("expected a trace payload")
+    meta = data["meta"]
     final = tuple(
         Token(
             t["id"], t["thing"], dict(t["attrs"]),
             _ref_from(t["at"]) if t.get("at") else None,
             arrived=t.get("arrived", 0),
         )
-        for t in header["final_tokens"]
+        for t in data["final_tokens"]
     )
-    return Trace(
-        records=tuple(records),
-        final_tokens=final,
-        meta=TraceMeta(
-            meta["steps_used"], meta["step_limit_hit"],
-            meta["created"], meta["consumed"],
-        ),
+    return final, TraceMeta(
+        meta["steps_used"], meta["step_limit_hit"], meta["created"], meta["consumed"],
     )
+
+
+def _record_from(data: dict) -> TraceRecord:
+    if not isinstance(data, dict):
+        raise ValueError("expected a trace record")
+    return TraceRecord(
+        data["step"], data["arc"], data["token"],
+        _ref_from(data["source"]), _ref_from(data["target"]),
+    )
+
+
+def _read_line(number: int, line: str, read):
+    """``read`` of the JSON value on line ``number`` (1-based), with any
+    fault in it raised as a ``JSONFormatError`` that names the line."""
+    try:
+        return read(json.loads(line))
+    except json.JSONDecodeError as exc:
+        raise JSONFormatError(f"line {number}: not JSON: {exc.msg}") from exc
+    except KeyError as exc:
+        raise JSONFormatError(f"line {number}: no {exc.args[0]!r} field") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise JSONFormatError(f"line {number}: {exc}") from exc
+
+
+def trace_from_jsonl(text: str) -> Trace:
+    """The trace that ``trace_to_jsonl`` wrote as ``text``.  Text that is
+    no such trace raises ``JSONFormatError``, naming the line at fault."""
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not lines:
+        raise JSONFormatError("empty trace")
+    final, meta = _read_line(*lines[0], _header_from)
+    records = tuple(_read_line(n, line, _record_from) for n, line in lines[1:])
+    return Trace(records=records, final_tokens=final, meta=meta)
