@@ -86,6 +86,20 @@ def mutated_models():
         yield "".join(base)
 
 
+def nested_model(machines: int, parentheses: int) -> str:
+    """Machines ``m0 .. m<machines-1>``, each inside the one before, and a
+    flow in the innermost one whose guard sits in ``parentheses`` pairs."""
+    lines = ["thing job { n: int }"]
+    for depth in range(machines):
+        lines.append("  " * depth + f"machine m{depth} {{ stages Create, Process")
+    lines += ["  " * depth + "}" for depth in reversed(range(machines))]
+    inner = f"m{machines - 1}"
+    guard = "(" * parentheses + "n" + ")" * parentheses
+    lines += [f"flow f: {inner}.Create -> {inner}.Process on job when {guard} < 3",
+              f"regions {{\n  region r {{ stages {inner}.Create, {inner}.Process\n    arcs f\n  }}\n}}"]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def corpus_dir() -> Path:
     return CORPUS

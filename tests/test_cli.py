@@ -13,7 +13,7 @@ from tmflow.behavior import enumerate_subdiagrams
 from tmflow.cli import main
 from tmflow.exprs import _MAX_NESTING
 
-from conftest import CORPUS
+from conftest import CORPUS, nested_model
 
 
 @pytest.fixture(autouse=True)
@@ -611,20 +611,6 @@ class TestLexicalErrors:
                       "flow f1: a.Create -> a.Process on job when größe > 1\n")
         assert main(["check", model]) == 0
         assert capsys.readouterr().out == "ok\n"
-
-
-def nested_model(machines: int, parentheses: int) -> str:
-    """Machines ``m0 .. m<machines-1>``, each inside the one before, and a
-    flow in the innermost one whose guard sits in ``parentheses`` pairs."""
-    lines = ["thing job { n: int }"]
-    for depth in range(machines):
-        lines.append("  " * depth + f"machine m{depth} {{ stages Create, Process")
-    lines += ["  " * depth + "}" for depth in reversed(range(machines))]
-    inner = f"m{machines - 1}"
-    guard = "(" * parentheses + "n" + ")" * parentheses
-    lines += [f"flow f: {inner}.Create -> {inner}.Process on job when {guard} < 3",
-              f"regions {{\n  region r {{ stages {inner}.Create, {inner}.Process\n    arcs f\n  }}\n}}"]
-    return "\n".join(lines) + "\n"
 
 
 def nested_scenario(machines: int, parentheses: int) -> str:

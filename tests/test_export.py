@@ -14,13 +14,17 @@ from tmflow import (
     TraceMeta,
     TraceRecord,
     desugar,
+    enumerate_subdiagrams,
+    infer_behavior,
     parse,
     simulate,
 )
 from tmflow.dot import behavior_to_dot, model_to_dot
 from tmflow.jsonio import (
     JSONFormatError,
+    census_to_obj,
     dumps,
+    graph_to_obj,
     model_to_obj,
     regions_to_obj,
     report_to_obj,
@@ -29,7 +33,7 @@ from tmflow.jsonio import (
 )
 from tmflow.validate import validate
 
-from conftest import MODEL_FILES, corpus_doc, corpus_scenario
+from conftest import MODEL_FILES, corpus_doc, corpus_scenario, nested_model, perfbench_gen
 
 
 SUGAR_DOT = """digraph "pipeline" {
@@ -139,6 +143,71 @@ class TestJsonRoundTrip:
             (["a", "x"], "Process"), (["a", "x"], "Transfer"),
             (["ab"], "Create"), (["b"], "Create"),
         ]
+
+
+# ---------------------------------------------------------------------------
+# ``dumps`` writes its documents itself; they must be the bytes of
+# ``json.dumps`` with ``indent=2`` and ``sort_keys=True``, the oracle here.
+
+def json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+TEXTS = st.text() | st.text(st.sampled_from('a "\\/\x00\x1f\x7f\n\t\u00e9\u2028\u6a5f\U0001f600'))
+SCALARS = (st.none() | st.booleans() | st.floats() | TEXTS
+           | st.integers() | st.integers(-2**100, 2**100))
+VALUES = st.recursive(SCALARS, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXTS, inner, max_size=4)), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(TEXTS, VALUES, max_size=5))
+def test_dumps_matches_json_dumps(obj):
+    assert dumps(obj) == json_dumps(obj)
+
+
+def test_dumps_writes_empty_containers_and_edge_scalars():
+    obj = {"": [], "b": {}, "c": [[], {}, ()], "d": [2**64, -2**64 - 1, True, False, None],
+           "e": [0.1, -0.0, 1e300, float("inf"), float("nan")], "\u00e9\U0001f600": '"\\\x01'}
+    assert dumps(obj) == json_dumps(obj)
+    assert dumps({}) == "{}\n"
+
+
+def test_dumps_raises_json_type_error_for_a_set():
+    obj = {"a": [1, {"b": {1, 2}}]}
+    with pytest.raises(TypeError) as oracle:
+        json_dumps(obj)
+    with pytest.raises(TypeError) as raised:
+        dumps(obj)
+    assert str(raised.value) == str(oracle.value)
+
+
+def payloads(text: str) -> list[dict]:
+    """Each kind of document ``tm`` writes with ``dumps``, for one model."""
+    doc = parse(text)
+    graph = doc.behavior or infer_behavior(doc.model, doc.regions)
+    return [model_to_obj(doc.model), report_to_obj(validate(doc.model)),
+            regions_to_obj(doc.regions), census_to_obj(enumerate_subdiagrams(doc.model, 3), 3),
+            graph_to_obj(graph)]
+
+
+def generated_models() -> list[str]:
+    gen = perfbench_gen()
+    return [gen[name](seed).model for name in ("static_large", "sim_tokens")
+            for seed in range(1, 6)]
+
+
+@pytest.mark.parametrize("text", [
+    *(path.read_text(encoding="utf-8") for path in MODEL_FILES),
+    *generated_models(),
+    nested_model(100, 1),
+], ids=[*(path.name for path in MODEL_FILES),
+        *(f"{name}-{seed}" for name in ("static_large", "sim_tokens") for seed in range(1, 6)),
+        "nested-100"])
+def test_payloads_match_json_dumps(text):
+    for obj in payloads(text):
+        assert dumps(obj) == json_dumps(obj)
 
 
 # ---------------------------------------------------------------------------
