@@ -303,28 +303,28 @@ RECORD = {"step": 1, "arc": "f1", "token": "t",
           "target": {"machine": ["m"], "kind": "Release"}}
 
 
-def lines(*values) -> str:
+def jsonl(*values) -> str:
     return "\n".join(v if isinstance(v, str) else json.dumps(v) for v in values) + "\n"
 
 
 def test_well_formed_trace_reads_back():
-    trace = trace_from_jsonl(lines(HEADER, RECORD))
+    trace = trace_from_jsonl(jsonl(HEADER, RECORD))
     assert trace.records == (TraceRecord(1, "f1", "t", StageRef(("m",), StageKind.CREATE),
                                          StageRef(("m",), StageKind.RELEASE)),)
     assert trace.meta == TraceMeta(1, False, 1, 0)
 
 
 @pytest.mark.parametrize("text, message", [
-    (lines({k: v for k, v in HEADER.items() if k != "meta"}), "line 1: no 'meta' field"),
-    (lines(HEADER, RECORD, "", "{oops"), "line 4: not JSON"),
-    (lines([HEADER]), "line 1: expected a trace payload"),
-    (lines(HEADER, RECORD, {k: v for k, v in RECORD.items() if k != "arc"}),
+    (jsonl({k: v for k, v in HEADER.items() if k != "meta"}), "line 1: no 'meta' field"),
+    (jsonl(HEADER, RECORD, "", "{oops"), "line 4: not JSON"),
+    (jsonl([HEADER]), "line 1: expected a trace payload"),
+    (jsonl(HEADER, RECORD, {k: v for k, v in RECORD.items() if k != "arc"}),
      "line 3: no 'arc' field"),
-    (lines(HEADER, [RECORD]), "line 2: expected a trace record"),
-    (lines(HEADER, {**RECORD, "target": {"machine": ["m"], "kind": "Nope"}}),
+    (jsonl(HEADER, [RECORD]), "line 2: expected a trace record"),
+    (jsonl(HEADER, {**RECORD, "target": {"machine": ["m"], "kind": "Nope"}}),
      "line 2: unknown stage kind 'Nope'"),
-    (lines(HEADER, {**RECORD, "source": ["m"]}), "line 2: "),
-    (lines({**HEADER, "final_tokens": [{"id": "t", "thing": "job", "attrs": 3}]}), "line 1: "),
+    (jsonl(HEADER, {**RECORD, "source": ["m"]}), "line 2: "),
+    (jsonl({**HEADER, "final_tokens": [{"id": "t", "thing": "job", "attrs": 3}]}), "line 1: "),
 ], ids=["header-without-meta", "line-not-json", "header-array", "record-without-arc",
         "record-array", "unknown-stage-kind", "stage-array", "token-attrs-not-a-dict"])
 def test_malformed_trace_names_the_line(text, message):
