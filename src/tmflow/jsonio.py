@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .behavior import BehaviorGraph, Subdiagram
 from .diagnostics import ValidationReport
-from .model import FlowArc, Machine, StageKind, StageRef, TMModel, TriggerArc
+from .model import _STAGE_KINDS, FlowArc, Machine, StageRef, TMModel, TriggerArc
 from .simulate import Token, Trace, TraceMeta, TraceRecord
 
 SCHEMA = 1
@@ -246,13 +246,24 @@ def trace_to_jsonl(trace: Trace) -> str:
 
 # -- decoding ----------------------------------------------------------------
 
+def _field(data: dict, key: str, kind: type, *items: type):
+    """``data[key]``, whose type must be ``kind`` exactly, as JSON reads it
+    (``true`` is no integer), and each item of a list or value of a dict
+    one of ``items``."""
+    value = data[key]
+    if type(value) is not kind or (items and any(
+            type(item) not in items for item in (value.values() if kind is dict else value))):
+        raise ValueError(f"{key!r} has the wrong type: {value!r}")
+    return value
+
+
 def _ref_from(data: dict) -> StageRef:
     kind = None
     if data.get("kind"):
-        kind = StageKind.from_name(data["kind"])
+        kind = _STAGE_KINDS.get(data["kind"])
         if kind is None:
             raise ValueError(f"unknown stage kind {data['kind']!r}")
-    return StageRef(tuple(data["machine"]), kind)
+    return StageRef(tuple(_field(data, "machine", list, str)), kind)
 
 
 def _header_from(data: dict) -> tuple[tuple[Token, ...], TraceMeta]:
@@ -261,14 +272,16 @@ def _header_from(data: dict) -> tuple[tuple[Token, ...], TraceMeta]:
     meta = data["meta"]
     final = tuple(
         Token(
-            t["id"], t["thing"], dict(t["attrs"]),
+            _field(t, "id", str), _field(t, "thing", str),
+            dict(_field(t, "attrs", dict, int, str)),
             _ref_from(t["at"]) if t.get("at") else None,
-            arrived=t.get("arrived", 0),
+            arrived=_field(t, "arrived", int) if "arrived" in t else 0,
         )
         for t in data["final_tokens"]
     )
     return final, TraceMeta(
-        meta["steps_used"], meta["step_limit_hit"], meta["created"], meta["consumed"],
+        _field(meta, "steps_used", int), _field(meta, "step_limit_hit", bool),
+        _field(meta, "created", int), _field(meta, "consumed", int),
     )
 
 
@@ -276,7 +289,7 @@ def _record_from(data: dict) -> TraceRecord:
     if not isinstance(data, dict):
         raise ValueError("expected a trace record")
     return TraceRecord(
-        data["step"], data["arc"], data["token"],
+        _field(data, "step", int), _field(data, "arc", str), _field(data, "token", str),
         _ref_from(data["source"]), _ref_from(data["target"]),
     )
 

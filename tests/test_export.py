@@ -298,6 +298,8 @@ def test_corpus_trace_lines_match_json_dumps():
 
 HEADER = {"schema": 1, "kind": "trace", "final_tokens": [],
           "meta": {"steps_used": 1, "step_limit_hit": False, "created": 1, "consumed": 0}}
+TOKEN = {"id": "t", "thing": "job", "attrs": {"n": 1, "s": "x"},
+         "at": {"machine": ["m"], "kind": "Create"}, "arrived": 1}
 RECORD = {"step": 1, "arc": "f1", "token": "t",
           "source": {"machine": ["m"], "kind": "Create"},
           "target": {"machine": ["m"], "kind": "Release"}}
@@ -308,10 +310,13 @@ def jsonl(*values) -> str:
 
 
 def test_well_formed_trace_reads_back():
-    trace = trace_from_jsonl(jsonl(HEADER, RECORD))
+    trace = trace_from_jsonl(jsonl({**HEADER, "final_tokens": [TOKEN]}, RECORD))
     assert trace.records == (TraceRecord(1, "f1", "t", StageRef(("m",), StageKind.CREATE),
                                          StageRef(("m",), StageKind.RELEASE)),)
     assert trace.meta == TraceMeta(1, False, 1, 0)
+    assert trace.final_tokens == (
+        Token("t", "job", {"n": 1, "s": "x"}, StageRef(("m",), StageKind.CREATE), arrived=1),)
+    assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
 
 
 @pytest.mark.parametrize("text, message", [
@@ -325,8 +330,27 @@ def test_well_formed_trace_reads_back():
      "line 2: unknown stage kind 'Nope'"),
     (jsonl(HEADER, {**RECORD, "source": ["m"]}), "line 2: "),
     (jsonl({**HEADER, "final_tokens": [{"id": "t", "thing": "job", "attrs": 3}]}), "line 1: "),
+    *[(jsonl(HEADER, RECORD, {**RECORD, key: value}), f"line 3: {key!r} has the wrong type")
+      for key, value in [("step", "x"), ("step", True), ("step", 1.0), ("arc", 7),
+                         ("token", None)]],
+    *[(jsonl(HEADER, {**RECORD, "source": {"machine": machine, "kind": "Create"}}),
+       "line 2: 'machine' has the wrong type") for machine in ["ab", [1], None]],
+    *[(jsonl({**HEADER, "meta": {**HEADER["meta"], key: value}}),
+       f"line 1: {key!r} has the wrong type")
+      for key, value in [("steps_used", "1"), ("step_limit_hit", 0), ("created", True),
+                         ("consumed", None)]],
+    *[(jsonl({**HEADER, "final_tokens": [{**TOKEN, key: value}]}),
+       f"line 1: {key!r} has the wrong type")
+      for key, value in [("id", 5), ("thing", ["job"]), ("attrs", {"n": 1.5}),
+                         ("attrs", {"n": True}), ("attrs", {"n": None}), ("arrived", "3"),
+                         ("arrived", False)]],
 ], ids=["header-without-meta", "line-not-json", "header-array", "record-without-arc",
-        "record-array", "unknown-stage-kind", "stage-array", "token-attrs-not-a-dict"])
+        "record-array", "unknown-stage-kind", "stage-array", "token-attrs-not-a-dict",
+        "step-text", "step-bool", "step-float", "arc-int", "token-null",
+        "machine-text", "machine-of-int", "machine-null",
+        "steps-used-text", "step-limit-hit-int", "created-bool", "consumed-null",
+        "token-id-int", "thing-list", "attr-float", "attr-bool", "attr-null",
+        "arrived-text", "arrived-bool"])
 def test_malformed_trace_names_the_line(text, message):
     with pytest.raises(JSONFormatError, match="^" + message):
         trace_from_jsonl(text)
