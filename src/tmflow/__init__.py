@@ -15,12 +15,10 @@ from .behavior import (
     BoundTooLarge,
     Event,
     Interval,
-    NoInitialEvents,
     Region,
     RegionCheckFailed,
     Subdiagram,
     check_regions,
-    chronologies,
     enumerate_subdiagrams,
     infer_behavior,
     validate_behavior,
@@ -28,8 +26,6 @@ from .behavior import (
 from .diagnostics import Diagnostic, SourceSpan, ValidationReport
 from .exprs import ExprSyntaxError, GuardTypeError
 from .model import (
-    CROSS_MACHINE_FLOWS,
-    SAME_MACHINE_FLOWS,
     FlowArc,
     Machine,
     ModelError,
@@ -43,14 +39,12 @@ from .model import (
     desugar,
     flow_allowed,
     normalize_ref,
-    resolve,
 )
 from .parser import (
     Document,
     TMParseError,
     merge_documents,
     parse,
-    parse_model,
     parse_scenario,
     parse_with_diagnostics,
     serialize,
@@ -77,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BehaviorGraph",
     "BoundTooLarge",
-    "CROSS_MACHINE_FLOWS",
     "Diagnostic",
     "Document",
     "Event",
@@ -87,11 +80,9 @@ __all__ = [
     "Interval",
     "Machine",
     "ModelError",
-    "NoInitialEvents",
     "Occurrence",
     "Region",
     "RegionCheckFailed",
-    "SAME_MACHINE_FLOWS",
     "Scenario",
     "Segmentation",
     "SourceSpan",
@@ -112,7 +103,6 @@ __all__ = [
     "UnseededCreateError",
     "ValidationReport",
     "check_regions",
-    "chronologies",
     "conformance",
     "desugar",
     "enumerate_subdiagrams",
@@ -121,11 +111,9 @@ __all__ = [
     "merge_documents",
     "normalize_ref",
     "parse",
-    "parse_model",
     "parse_scenario",
     "parse_with_diagnostics",
     "reachable_stages",
-    "resolve",
     "segment",
     "serialize",
     "simulate",

@@ -3,7 +3,7 @@
 A subdiagram is a weakly connected sub-part of the diagram (stages plus
 arcs).  A region set partitions chosen sub-parts without overlap; an
 event pairs a region with an optional (start, duration) interval; the
-behavior graph orders events, and walks through it are chronologies.
+behavior graph orders events.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ class RegionCheckFailed(Exception):
     def __init__(self, report: ValidationReport):
         self.report = report
         super().__init__(str(report))
-
-
-class NoInitialEvents(Exception):
-    pass
 
 
 class BoundTooLarge(Exception):
@@ -92,10 +88,6 @@ class BehaviorGraph(Record):
         _setattr(self, "events", events)
         _setattr(self, "edges", edges)
         _setattr(self, "initial", initial)
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.events)
 
     def events_by_region(self) -> dict[str, str]:
         """region id -> event id (first declaration wins)."""
@@ -411,39 +403,6 @@ def validate_behavior(
                     f"inferred edge {pair[0]} -> {pair[1]} is not declared")
         )
     return report
-
-
-def chronologies(graph: BehaviorGraph, max_len: int) -> list[list[str]]:
-    """All maximal walks from initial vertices, up to ``max_len`` events.
-
-    A walk ends when its last vertex has no outgoing edges or the length
-    bound is reached; cycles repeat up to the bound.  Deterministic:
-    initial vertices and successors are visited in declaration order.
-    """
-    if graph.events and not graph.initial:
-        raise NoInitialEvents("behavior graph declares no initial events")
-    successors: dict[str, list[str]] = {}
-    for src, dst in graph.edges:
-        successors.setdefault(src, [])
-        if dst not in successors[src]:
-            successors[src].append(dst)
-
-    walks: list[list[str]] = []
-
-    def extend(walk: list[str]):
-        nexts = successors.get(walk[-1], [])
-        if len(walk) >= max_len or not nexts:
-            walks.append(list(walk))
-            return
-        for nxt in nexts:
-            walk.append(nxt)
-            extend(walk)
-            walk.pop()
-
-    for start in graph.initial:
-        if max_len >= 1:
-            extend([start])
-    return walks
 
 
 def enumerate_subdiagrams(

@@ -194,13 +194,6 @@ class ValidationReport(Record, frozen=False):
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == "error"]
 
-    @property
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == "warning"]
-
-    def codes(self) -> set[str]:
-        return {d.code for d in self.diagnostics}
-
     def extend(self, other: "ValidationReport") -> None:
         self.diagnostics.extend(other.diagnostics)
 

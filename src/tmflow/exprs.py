@@ -351,10 +351,6 @@ def parse_guard(text: str) -> Cmp:
     return ExprTable().ast("guard", text)
 
 
-def parse_statements(text: str) -> list[Assign]:
-    return ExprTable().ast("action", text)
-
-
 def names(node) -> set[str]:
     """All attribute names referenced by an expression, guard, or statement."""
     if isinstance(node, Name):

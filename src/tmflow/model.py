@@ -28,10 +28,6 @@ class StageKind(Enum):
     # Python-level call.
     __hash__ = object.__hash__
 
-    @classmethod
-    def from_name(cls, name: str) -> "StageKind | None":
-        return _STAGE_KINDS.get(name)
-
     def __str__(self) -> str:
         return self.value
 
@@ -39,7 +35,7 @@ class StageKind(Enum):
 _STAGE_KINDS = {kind.value: kind for kind in StageKind}
 
 # Legal (source kind, target kind) pairs for solid flow arcs.
-SAME_MACHINE_FLOWS = frozenset(
+_SAME_MACHINE_FLOWS = frozenset(
     {
         (StageKind.TRANSFER, StageKind.RECEIVE),
         (StageKind.RECEIVE, StageKind.PROCESS),
@@ -50,11 +46,11 @@ SAME_MACHINE_FLOWS = frozenset(
         (StageKind.RELEASE, StageKind.TRANSFER),
     }
 )
-CROSS_MACHINE_FLOWS = frozenset({(StageKind.TRANSFER, StageKind.TRANSFER)})
+_CROSS_MACHINE_FLOWS = frozenset({(StageKind.TRANSFER, StageKind.TRANSFER)})
 
 
 def flow_allowed(source: StageKind, target: StageKind, same_machine: bool) -> bool:
-    table = SAME_MACHINE_FLOWS if same_machine else CROSS_MACHINE_FLOWS
+    table = _SAME_MACHINE_FLOWS if same_machine else _CROSS_MACHINE_FLOWS
     return (source, target) in table
 
 
@@ -264,17 +260,6 @@ def _lookup(
             f"machine '{machine.id}' does not declare a {ref.kind.value} stage"
         )
     return path, machine, ref.kind
-
-
-def resolve(model: TMModel, ref: StageRef) -> tuple[tuple[str, ...], Machine, StageKind | None]:
-    """Resolve a (possibly suffix-addressed) StageRef against the model,
-    as linked (with the stages its sugared arcs declare).
-
-    Returns the machine's full path, the machine, and the stage kind.
-    Raises UnknownMachineError if no machine path ends with the given
-    path, StageNotDeclaredError if the machine does not declare the kind.
-    """
-    return _lookup(link(model)._index, ref)
 
 
 def normalize_ref(model: TMModel, ref: StageRef) -> StageRef:

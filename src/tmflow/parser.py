@@ -744,10 +744,6 @@ def parse(text: str) -> Document:
     return doc
 
 
-def parse_model(text: str) -> TMModel:
-    return parse(text).model
-
-
 def parse_scenario(text: str) -> Scenario:
     parser = _Parser(text)
     scenario = None

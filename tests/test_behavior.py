@@ -14,7 +14,6 @@ from tmflow import (
     Interval,
     Machine,
     ModelError,
-    NoInitialEvents,
     Region,
     RegionCheckFailed,
     SourceSpan,
@@ -25,14 +24,12 @@ from tmflow import (
     TriggerArc,
     ValidationReport,
     check_regions,
-    chronologies,
     desugar,
     enumerate_subdiagrams,
     infer_behavior,
     merge_documents,
     normalize_ref,
     parse,
-    parse_model,
     validate_behavior,
 )
 from tmflow.behavior import _bits, _connected, _stage_index
@@ -67,7 +64,7 @@ class TestRegionChecks:
             assert report.ok, str(report)
 
     def test_overlapping_regions_rejected(self):
-        model = parse_model(CHAIN)
+        model = parse(CHAIN).model
         regions = [
             region("r1", [chain_ref("create"), chain_ref("release")], ["c1"]),
             region("r2", [chain_ref("release"), chain_ref("transfer")], ["c2"]),
@@ -79,7 +76,7 @@ class TestRegionChecks:
         assert "r1" in diag.message and "r2" in diag.message
 
     def test_overlap_between_later_pair_reported(self):
-        model = parse_model(CHAIN)
+        model = parse(CHAIN).model
         regions = [
             region("r1", [chain_ref("create"), chain_ref("release")], ["c1"]),
             region("r2", [chain_ref("transfer")], []),
@@ -89,7 +86,7 @@ class TestRegionChecks:
         assert {d.code for d in report.errors} == {"OVERLAP"}
 
     def test_overlaps_listed_by_region_pair(self):
-        model = parse_model(CHAIN)
+        model = parse(CHAIN).model
         c, r, t = (chain_ref(kind) for kind in ("create", "release", "transfer"))
         regions = [
             region("r1", [c, r], ["c1"]),
@@ -115,40 +112,40 @@ class TestRegionChecks:
         assert "NOT_CONNECTED" in {d.code for d in report.errors}
 
     def test_same_machine_stages_connect_without_arcs(self):
-        model = parse_model(CHAIN)
+        model = parse(CHAIN).model
         report = check_regions(
             model, [region("r", [chain_ref("create"), chain_ref("transfer")], [])]
         )
         assert report.ok
 
     def test_dangling_stage_ref(self):
-        model = parse_model(CHAIN)
+        model = parse(CHAIN).model
         report = check_regions(
             model, [region("r", [StageRef(("ghost",), None)], [])]
         )
         assert "DANGLING_REF" in {d.code for d in report.errors}
 
     def test_machine_without_a_stage_is_dangling(self):
-        model = parse_model(CHAIN)
+        model = parse(CHAIN).model
         report = check_regions(model, [region("r", [StageRef(("a",), None)], [])])
         assert [str(d) for d in report.diagnostics] == [
             "error[DANGLING_REF]: region 'r': 'a' names a machine, not a stage"
         ]
 
     def test_dangling_arc_id(self):
-        model = parse_model(CHAIN)
+        model = parse(CHAIN).model
         report = check_regions(
             model, [region("r", [chain_ref("create")], ["nope"])]
         )
         assert "DANGLING_REF" in {d.code for d in report.errors}
 
     def test_arc_endpoint_outside_region(self):
-        model = parse_model(CHAIN)
+        model = parse(CHAIN).model
         report = check_regions(model, [region("r", [chain_ref("create")], ["c1"])])
         assert "DANGLING_REF" in {d.code for d in report.errors}
 
     def test_infer_raises_on_bad_regions(self):
-        model = parse_model(CHAIN)
+        model = parse(CHAIN).model
         regions = [
             region("r1", [chain_ref("create"), chain_ref("release")], ["c1"]),
             region("r2", [chain_ref("release"), chain_ref("transfer")], ["c2"]),
@@ -198,7 +195,7 @@ class TestInference:
 
     def test_one_event_per_region(self, stack):
         graph = infer_behavior(stack.model, stack.regions)
-        assert graph.vertices == tuple(r.id for r in stack.regions)
+        assert tuple(e.id for e in graph.events) == tuple(r.id for r in stack.regions)
 
     def test_initial_needs_an_unfed_create(self, multiple_behaviors):
         graph = infer_behavior(
@@ -214,8 +211,8 @@ class TestDeclaredBehavior:
             one_lane.model, one_lane.regions, one_lane.behavior, mode="overlap"
         )
         assert report.ok
-        assert "INTERVAL_ORDER" not in report.codes()
-        assert [d.code for d in report.warnings] == ["MISSING_EDGE"]
+        assert "INTERVAL_ORDER" not in {d.code for d in report.diagnostics}
+        assert [d.code for d in report.diagnostics] == ["MISSING_EDGE"]
 
     def test_paint_dry_overlap_ok_strict_fails(self, paint_dry):
         overlap = validate_behavior(
@@ -235,7 +232,7 @@ class TestDeclaredBehavior:
         )
         report = validate_behavior(paint_dry.model, paint_dry.regions, declared)
         assert "UNSUPPORTED_EDGE" in {d.code for d in report.errors}
-        assert "MISSING_EDGE" in {d.code for d in report.warnings}
+        assert ("warning", "MISSING_EDGE") in {(d.severity, d.code) for d in report.diagnostics}
 
     def test_unknown_region(self, paint_dry):
         declared = BehaviorGraph(
@@ -262,38 +259,6 @@ class TestDeclaredBehavior:
                 paint_dry.model, paint_dry.regions, paint_dry.behavior,
                 mode="sloppy",
             )
-
-
-class TestChronologies:
-    def test_three_branches_of_length_two(self, multiple_behaviors):
-        graph = infer_behavior(
-            multiple_behaviors.model, multiple_behaviors.regions
-        )
-        assert chronologies(graph, 2) == [
-            ["E1", "E2"], ["E1", "E3"], ["E1", "E4"]
-        ]
-
-    def test_cycle_truncates_at_bound(self, formula):
-        graph = infer_behavior(formula.model, formula.regions)
-        walks = chronologies(graph, 4)
-        assert ["add", "bump", "add", "bump"] in walks
-        assert ["add", "bump", "emit"] in walks
-        assert all(len(w) <= 4 for w in walks)
-
-    def test_walks_are_maximal(self, mousetrap):
-        graph = infer_behavior(mousetrap.model, mousetrap.regions)
-        assert chronologies(graph, 10) == [["a", "b", "c", "d"]]
-        assert chronologies(graph, 2) == [["a", "b"]]
-
-    def test_no_initial_raises(self):
-        graph = BehaviorGraph(
-            events=(Event("e", "r"),), edges=(), initial=()
-        )
-        with pytest.raises(NoInitialEvents):
-            chronologies(graph, 3)
-
-    def test_empty_graph_is_fine(self):
-        assert chronologies(BehaviorGraph((), (), ()), 3) == []
 
 
 def _oracle_parts(model):
@@ -353,7 +318,7 @@ def _connected_oracle(stages, arc_ids, all_arcs):
 
 class TestSubdiagrams:
     def test_chain_count_is_frozen(self):
-        model = parse_model(CHAIN)
+        model = parse(CHAIN).model
         subs = enumerate_subdiagrams(model, 5)
         assert len(subs) == 12
 
@@ -369,13 +334,13 @@ class TestSubdiagrams:
         )
 
     def test_bound_limits_size(self):
-        model = parse_model(CHAIN)
+        model = parse(CHAIN).model
         subs = enumerate_subdiagrams(model, 2)
         assert all(sub.size <= 2 for sub in subs)
         assert enumerate_subdiagrams(model, 2) == brute_force_subdiagrams(model, 2)
 
     def test_zero_bound_is_empty(self):
-        assert enumerate_subdiagrams(parse_model(CHAIN), 0) == []
+        assert enumerate_subdiagrams(parse(CHAIN).model, 0) == []
 
     def test_cap_raises(self, stack):
         with pytest.raises(BoundTooLarge):
@@ -467,7 +432,7 @@ class TestCensusProperties:
                                 if arcs else st.just([])))
         report = check_regions(model, [region("r", chosen, arc_ids)])
         internal = {a for a in arc_ids if set(arcs[a]) <= chosen}
-        assert ("NOT_CONNECTED" in report.codes()) == (
+        assert ("NOT_CONNECTED" in {d.code for d in report.diagnostics}) == (
             not _connected_oracle(chosen, internal, arcs)
         )
 
@@ -775,7 +740,7 @@ class TestRegionSpans:
         ]
 
     def test_an_equal_region_set_gets_its_own_spans(self):
-        model = parse_model(CHAIN)
+        model = parse(CHAIN).model
         body = region("r", [chain_ref("create")], ["zz"])
         here, there = (replace(body, span=SourceSpan(line, 1)) for line in (3, 8))
         assert here == there

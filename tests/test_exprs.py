@@ -18,6 +18,7 @@ from tmflow.exprs import (
     BinOp,
     Cmp,
     ExprSyntaxError,
+    ExprTable,
     GuardTypeError,
     LexError,
     Lit,
@@ -27,7 +28,6 @@ from tmflow.exprs import (
     eval_guard,
     is_ident,
     parse_guard,
-    parse_statements,
     tokenize,
 )
 from tmflow.parser import _Fail, _Parser
@@ -172,10 +172,10 @@ def test_generated_texts_lex_alike(text):
 
 
 def from_text(kind: str, text: str):
-    """``parse_guard`` or ``parse_statements`` of a text: its AST, or the
-    message of the ExprSyntaxError it raises."""
+    """The AST of a guard or an action text, parsed from the text alone
+    as a hand-built model's are, or the message of its ExprSyntaxError."""
     try:
-        return parse_guard(text) if kind == "guard" else parse_statements(text)
+        return ExprTable().ast(kind, text)
     except ExprSyntaxError as exc:
         return str(exc)
 
@@ -387,7 +387,7 @@ def test_ast_records_keep_the_dataclass_behaviour():
     node = parse_guard('n + 1 >= "x"')
     assert repr(node) == ("Cmp(op='>=', left=BinOp(op='+', left=Name(ident='n'), "
                           "right=Lit(value=1)), right=Lit(value='x'))")
-    assert repr(parse_statements("a := -b")) == (
+    assert repr(ExprTable().ast("action", "a := -b")) == (
         "[Assign(name='a', expr=BinOp(op='-', left=Lit(value=0), right=Name(ident='b')))]")
     assert node == Cmp(">=", BinOp("+", Name("n"), Lit(1)), Lit(value="x"))
     assert node != Cmp(">", BinOp("+", Name("n"), Lit(1)), Lit("x"))

@@ -6,7 +6,8 @@ must be read somewhere in the module (annotations count; ``__init__.py``
 is exempt, as its imports are re-exports), the modules that ``tm
 check`` runs import no output module when they load, and neither they
 nor ``simulate`` import ``dataclasses``.  Every annotation in the
-package resolves under ``typing.get_type_hints``.
+package resolves under ``typing.get_type_hints``, and every function in
+``__all__`` has a reader besides the tests.
 
 The rest run fresh interpreters: ``import tmflow`` loads ``simulate``,
 only the output formats add ``jsonio`` (with ``json``) or ``dot`` to a
@@ -20,6 +21,7 @@ import dataclasses
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -218,19 +220,20 @@ def test_simulate_with_options_loads_no_dataclasses(options):
     assert loaded & {"dataclasses", "inspect"} == set()
 
 
-# The public names, as they were when every re-export was eager.
+# The public names: the records, the errors, and the functions that
+# something besides the tests calls (see test_every_public_function_is_used).
 PUBLIC = [
-    "BehaviorGraph", "BoundTooLarge", "CROSS_MACHINE_FLOWS", "Diagnostic", "Document",
-    "Event", "ExprSyntaxError", "FlowArc", "GuardTypeError", "Interval", "Machine",
-    "ModelError", "NoInitialEvents", "Occurrence", "Region", "RegionCheckFailed",
-    "SAME_MACHINE_FLOWS", "Scenario", "Segmentation", "SourceSpan", "StageKind",
-    "StageNotDeclaredError", "StageRef", "Subdiagram", "ThingDecl", "TMModel",
-    "TMParseError", "Token", "TokenSeed", "Trace", "TraceMeta", "TraceRecord",
-    "TriggerArc", "UnknownMachineError", "UnseededCreateError", "ValidationReport",
-    "check_regions", "chronologies", "conformance", "desugar", "enumerate_subdiagrams",
-    "flow_allowed", "infer_behavior", "merge_documents", "normalize_ref", "parse",
-    "parse_model", "parse_scenario", "parse_with_diagnostics", "reachable_stages",
-    "resolve", "segment", "serialize", "simulate", "validate", "validate_behavior",
+    "BehaviorGraph", "BoundTooLarge", "Diagnostic", "Document", "Event",
+    "ExprSyntaxError", "FlowArc", "GuardTypeError", "Interval", "Machine", "ModelError",
+    "Occurrence", "Region", "RegionCheckFailed", "Scenario", "Segmentation",
+    "SourceSpan", "StageKind", "StageNotDeclaredError", "StageRef", "Subdiagram",
+    "ThingDecl", "TMModel", "TMParseError", "Token", "TokenSeed", "Trace", "TraceMeta",
+    "TraceRecord", "TriggerArc", "UnknownMachineError", "UnseededCreateError",
+    "ValidationReport", "check_regions", "conformance", "desugar",
+    "enumerate_subdiagrams", "flow_allowed", "infer_behavior", "merge_documents",
+    "normalize_ref", "parse", "parse_scenario", "parse_with_diagnostics",
+    "reachable_stages", "segment", "serialize", "simulate", "validate",
+    "validate_behavior",
 ]
 
 # Imports tmflow one way first, then checks the public API; prints "ok".
@@ -282,6 +285,40 @@ def test_public_api_in_this_process():
     assert callable(tmflow.simulate)
     with pytest.raises(AttributeError, match="^module 'tmflow' has no attribute 'nope'$"):
         tmflow.nope
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a Python source reads, as a name, an attribute or an import."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_every_public_function_is_used():
+    """Each function in ``__all__`` is read by a package module other than
+    its own, by the benchmark, or as ``tmflow.name`` in the README: a
+    function that only tests call is no public API."""
+    perfbench = set().union(*(referenced_names(path.read_text(encoding="utf-8"))
+                              for path in (ROOT / "perfbench").glob("*.py")))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    readme = set(re.findall(r"\btmflow\.(\w+)", readme))
+    by_module = {f"tmflow.{path.stem}": referenced_names(path.read_text(encoding="utf-8"))
+                 for path in MODULES}
+    unused = []
+    for name in tmflow.__all__:
+        function = getattr(tmflow, name)
+        if not isinstance(function, types.FunctionType):
+            continue
+        others = (names for module, names in by_module.items() if module != function.__module__)
+        if name not in perfbench | readme and not any(name in names for names in others):
+            unused.append(name)
+    assert unused == []
 
 
 def test_every_dataclass_has_a_docstring():

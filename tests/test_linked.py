@@ -13,7 +13,6 @@ from tmflow import (
     StageRef,
     TMModel,
     UnknownMachineError,
-    parse_model,
 )
 from tmflow.cli import main
 from tmflow.dot import model_to_dot
@@ -34,12 +33,12 @@ trigger t1: a.Process -> b.Create
 
 class TestLinked:
     def test_arcs_are_rewritten_to_full_paths(self):
-        model = parse_model(
+        model = tmflow.parse(
             "machine outer { stages Create, Process\n"
             "  machine inner { stages Create, Process } }\n"
             "flow f1: inner.Create -> inner.Process\n"
             "trigger t1: outer.Process -> inner.Create\n"
-        )
+        ).model
         linked = link(model)
         inner = ("outer", "inner")
         assert [(a.source, a.target) for a in linked.arcs()] == [
@@ -59,7 +58,7 @@ class TestLinked:
             StageRef(("receiver",), StageKind.RECEIVE)
 
     def test_unresolved_arcs_are_set_aside_in_order(self):
-        linked = link(parse_model(BROKEN))
+        linked = link(tmflow.parse(BROKEN).model)
         assert [(arc.id, str(exc)) for arc, exc in linked.unresolved] == [
             ("g", "no machine matches path 'nowhere'"),
             ("f2", "no machine matches path 'ghost'"),
@@ -70,32 +69,32 @@ class TestLinked:
 
     def test_require_raises_the_first_unresolved_arc(self):
         with pytest.raises(UnknownMachineError, match="'nowhere'"):
-            link(parse_model(BROKEN)).require()
+            link(tmflow.parse(BROKEN).model).require()
 
     def test_link_is_kept_on_the_model(self):
-        model = parse_model(BROKEN)
-        twin = parse_model(BROKEN)
+        model = tmflow.parse(BROKEN).model
+        twin = tmflow.parse(BROKEN).model
         assert link(model) is link(model)
         assert twin == model and link(twin) is not link(model)
 
     def test_guards_are_parsed_once_per_text(self):
-        model = parse_model(
+        model = tmflow.parse(
             "thing job { n: int }\n"
             "machine a { stages Create, Process, Release }\n"
             "flow f1: a.Create -> a.Process on job when n > 1\n"
             "flow f2: a.Process -> a.Release on job when n > 1\n"
             "trigger t1: a.Process -> a.Create when n = 0\n"
-        )
+        ).model
         exprs = link(model).model._exprs
         assert exprs is model._exprs
         assert list(exprs) == [("guard", "n > 1"), ("guard", "n = 0")]
         assert exprs["guard", "n = 0"] == tmflow.exprs.parse_guard("n = 0")
 
     def test_normalize_matches_public_resolution(self):
-        model = parse_model(
+        model = tmflow.parse(
             "machine x { stages Create\n  machine y { stages Create } }\n"
             "machine z { machine y2 { stages Create } }\n"
-        )
+        ).model
         linked = link(model)
         for ref in (StageRef(("y",), StageKind.CREATE),
                     StageRef(("x", "y"), StageKind.CREATE),
@@ -113,7 +112,7 @@ class TestLinked:
 
 class TestUnresolvedPolicy:
     def test_validate_reports_unresolved_before_other_errors(self):
-        report = tmflow.validate(parse_model(BROKEN))
+        report = tmflow.validate(tmflow.parse(BROKEN).model)
         assert [d.code for d in report.errors] == \
             ["UNRESOLVED", "UNRESOLVED", "UNRESOLVED", "ADJACENCY"]
         assert [d.message for d in report.errors[:3]] == [
@@ -131,7 +130,7 @@ class TestUnresolvedPolicy:
     ])
     def test_other_analyses_raise_the_first(self, analysis):
         with pytest.raises(UnknownMachineError, match="'nowhere'"):
-            analysis(parse_model(BROKEN))
+            analysis(tmflow.parse(BROKEN).model)
 
     def test_a_trigger_end_without_a_stage_is_unresolved(self):
         """A trigger built by hand to a machine, not a stage, is set aside
@@ -262,9 +261,10 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def count_guard_parses(monkeypatch, name="parse_guard"):
-    """Count calls of ``exprs.parse_guard`` (or of the ``exprs`` parser
-    ``name``) through every tmflow module that imported it."""
+def count_guard_parses(monkeypatch, name="parse_lexemes"):
+    """Count calls of ``exprs.parse_lexemes``, which parses every guard,
+    action and stop condition (or of the ``exprs`` function ``name``),
+    through every tmflow module that imported it."""
     calls = count_calls(monkeypatch, tmflow.exprs, name)
     for module in list(sys.modules.values()):
         if module.__name__.startswith("tmflow.") and hasattr(module, name):
@@ -311,31 +311,31 @@ class TestLinkOnce:
         model_text, scenario_text = chain(6)
         scenario_text = scenario_text[:-2] + "  stop when hop > 99\n}\n"
         doc = tmflow.parse(model_text)
-        assert tmflow.validate(doc.model).ok  # links and parses the arc guards
-        guards = count_guard_parses(monkeypatch)
-        statements = count_guard_parses(monkeypatch, "parse_statements")
         scenario = tmflow.parse_scenario(scenario_text)
         assert scenario.stop == "hop > 99" and len(scenario.actions) == 6
+        parses = count_guard_parses(monkeypatch)
+        assert tmflow.validate(doc.model).ok
         for run in (scenario, replace(scenario, seed=3)):
             trace = tmflow.simulate(doc.model, run)
             assert trace.final_tokens[0].attrs["hop"] == 6
-        assert (statements[0], guards[0]) == (0, 0)
+        assert parses[0] == 0
 
     def test_each_file_is_lexed_once(self, monkeypatch):
-        """parse and parse_scenario lex their file once, guards and
-        actions included; validate and simulate lex nothing."""
+        """parse and parse_scenario lex their file once, guards, actions
+        and the stop condition included; validate and simulate lex and
+        parse nothing."""
         model_text, scenario_text = chain(6)
+        scenario_text = scenario_text[:-2] + "  stop when hop > 99\n}\n"
         lexes = count_guard_parses(monkeypatch, "tokenize")
         doc = tmflow.parse(model_text)
         assert lexes[0] == 1
         scenario = tmflow.parse_scenario(scenario_text)
         assert lexes[0] == 2
-        counts = [count_guard_parses(monkeypatch, name)
-                  for name in ("parse_guard", "parse_statements")]
+        parses = count_guard_parses(monkeypatch)
         assert tmflow.validate(doc.model).ok
         trace = tmflow.simulate(doc.model, scenario)
         assert trace.final_tokens[0].attrs["hop"] == 6
-        assert [lexes[0]] + [count[0] for count in counts] == [2, 0, 0]
+        assert (lexes[0], parses[0]) == (2, 0)
 
     def test_hand_built_model_parses_each_guard_text_once(self, monkeypatch):
         job = StageRef(("a",), StageKind.CREATE)

@@ -11,7 +11,6 @@ from tmflow import (
     desugar,
     flow_allowed,
     normalize_ref,
-    resolve,
 )
 
 C, P, R, V, T = (
@@ -73,35 +72,36 @@ class TestResolve:
 
     def test_unknown_machine_raises(self):
         with pytest.raises(UnknownMachineError):
-            resolve(nested_model(), StageRef(("nosuch",), C))
+            normalize_ref(nested_model(), StageRef(("nosuch",), C))
 
     def test_undeclared_stage_raises(self):
         with pytest.raises(StageNotDeclaredError):
-            resolve(nested_model(), StageRef(("bait",), T))
+            normalize_ref(nested_model(), StageRef(("bait",), T))
 
     def test_ambiguous_suffix_raises(self):
         twin_a = Machine("a", submachines=(Machine("x", stages=(C,)),))
         twin_b = Machine("b", submachines=(Machine("x", stages=(C,)),))
         model = TMModel(machines=(twin_a, twin_b))
         with pytest.raises(UnknownMachineError, match="ambiguous"):
-            resolve(model, StageRef(("x",), C))
+            normalize_ref(model, StageRef(("x",), C))
 
     def test_empty_path_raises(self):
         with pytest.raises(UnknownMachineError):
-            resolve(nested_model(), StageRef((), C))
+            normalize_ref(nested_model(), StageRef((), C))
 
     def test_a_sugared_model_resolves_its_auto_declared_stages(self):
         a = Machine("a", stages=(C,))
         b = Machine("outer", submachines=(Machine("b", stages=(P,)),))
         route = FlowArc("route", StageRef(("a",), None), StageRef(("b",), None))
         model = TMModel(machines=(a, b), flows=(route,))
-        path, machine, kind = resolve(model, StageRef(("b",), V))
-        assert (path, kind) == (("outer", "b"), V)
-        assert machine.stages == (P, T, V)
+        assert normalize_ref(model, StageRef(("b",), V)) == StageRef(("outer", "b"), V)
+        expanded_a, expanded_outer = desugar(model).machines
+        assert expanded_a.stages == (C, R, T)
+        assert expanded_outer.submachines[0].stages == (P, T, V)
         assert normalize_ref(model, StageRef(("a",), T)) == StageRef(("a",), T)
         assert normalize_ref(model, StageRef(("b",), T)) == StageRef(("outer", "b"), T)
         with pytest.raises(StageNotDeclaredError):
-            resolve(model, StageRef(("a",), P))
+            normalize_ref(model, StageRef(("a",), P))
 
 
 class TestDesugar:

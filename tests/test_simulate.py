@@ -26,7 +26,6 @@ from tmflow import (
     desugar,
     infer_behavior,
     parse,
-    parse_model,
     parse_scenario,
     segment,
     simulate,
@@ -116,12 +115,12 @@ class TestFrozenTraces:
 
 class TestStepSemantics:
     def test_transfer_without_outgoing_flow_consumes_token(self):
-        model = parse_model(
+        model = parse(
             "thing t\n"
             "machine a { stages Create, Release, Transfer }\n"
             "flow a.Create -> a.Release on t\n"
             "flow a.Release -> a.Transfer on t\n"
-        )
+        ).model
         scenario = Scenario(
             tokens=(TokenSeed("x", "t", StageRef(("a",), StageKind.CREATE)),)
         )
@@ -131,10 +130,10 @@ class TestStepSemantics:
         assert trace.meta.consumed == 1
 
     def test_non_transfer_dead_end_keeps_token(self):
-        model = parse_model(
+        model = parse(
             "thing t\nmachine a { stages Create, Process }\n"
             "flow a.Create -> a.Process on t\n"
-        )
+        ).model
         scenario = Scenario(
             tokens=(TokenSeed("x", "t", StageRef(("a",), StageKind.CREATE)),)
         )
@@ -154,7 +153,7 @@ class TestStepSemantics:
     )
 
     def test_trigger_gated_stage_waits_without_enablement(self):
-        model = parse_model(self.GATED)
+        model = parse(self.GATED).model
         scenario = Scenario(
             tokens=(TokenSeed("x", "t", StageRef(("g",), StageKind.CREATE)),),
             max_steps=20,
@@ -165,7 +164,7 @@ class TestStepSemantics:
         assert "gr" not in [r.arc for r in trace.records]
 
     def test_trigger_enables_gated_stage_for_next_step(self):
-        model = parse_model(self.GATED)
+        model = parse(self.GATED).model
         scenario = Scenario(
             tokens=(TokenSeed("x", "t", StageRef(("g",), StageKind.CREATE)),),
             injections=(
@@ -182,11 +181,11 @@ class TestStepSemantics:
         )
 
     def test_process_stage_holds_one_extra_step(self):
-        model = parse_model(
+        model = parse(
             "thing t\nmachine a { stages Create, Process, Release }\n"
             "flow p1: a.Create -> a.Process on t\n"
             "flow p2: a.Process -> a.Release on t\n"
-        )
+        ).model
         scenario = Scenario(
             tokens=(TokenSeed("x", "t", StageRef(("a",), StageKind.CREATE)),)
         )
@@ -247,14 +246,14 @@ class TestStepSemantics:
     def test_action_runs_on_a_token_created_at_its_stage(self):
         """A ``token``, an ``inject`` and a mint each create a token at a
         stage with an action: it runs on the new token, once."""
-        model = parse_model(
+        model = parse(
             "thing job { n: int }\n"
             "machine a { stages Create, Process }\n"
             "machine b { stages Create, Process }\n"
             "flow fa: a.Create -> a.Process on job\n"
             "flow fb: b.Create -> b.Process on job\n"
             "trigger t: a.Process -> b.Create\n"
-        )
+        ).model
         scenario = parse_scenario(
             "scenario s {\n"
             "  token j of job at a.Create { n = 0 }\n"
@@ -276,7 +275,7 @@ class TestStepSemantics:
     def test_stop_condition_that_fails_on_a_token_does_not_stop_the_run(self):
         """``m > 3`` raises GuardTypeError on a token with no ``m``: that
         token does not stop the run, and the next token is still tested."""
-        model = parse_model(self.THREE_STAGES)
+        model = parse(self.THREE_STAGES).model
         x = "  token x of job at a.Create { n = 1 }\n"
         y = "  token y of job at a.Create { n = 2, m = 5 }\n"
 
@@ -296,7 +295,7 @@ class TestStepSemantics:
     def test_limit_hit_only_when_the_last_step_moved(self, max_steps, inject, hit):
         scenario = parse_scenario(f"scenario s {{\n  max_steps {max_steps}\n"
                                   f"  token x of job at a.Create {{ n = 1 }}\n{inject}}}\n")
-        trace = simulate(parse_model(self.THREE_STAGES), scenario)
+        trace = simulate(parse(self.THREE_STAGES).model, scenario)
         assert [(r.step, r.arc) for r in trace.records] == [(1, "f1"), (3, "f2")]
         assert trace.meta.steps_used == max_steps
         assert trace.meta.step_limit_hit is hit
@@ -311,7 +310,7 @@ class TestStepSemantics:
     ], ids=["token", "inject", "mint"])
     def test_undeclared_thing_is_refused_before_the_first_step(self, placement, message,
                                                                monkeypatch):
-        model = parse_model(JOB_MODEL)
+        model = parse(JOB_MODEL).model
         scenario = parse_scenario(f"scenario s {{\n  {placement}\n}}\n")
         counts = counting_compiles(monkeypatch)
         with pytest.raises(ModelError, match=f"^{message}$"):
@@ -319,7 +318,7 @@ class TestStepSemantics:
         assert counts["calls"] == 0
 
     def test_unresolved_stage_is_reported_before_the_thing(self):
-        model = parse_model(JOB_MODEL)
+        model = parse(JOB_MODEL).model
         scenario = parse_scenario("scenario s {\n"
                                   "  token j of job at a.Create\n"
                                   "  inject 5 token t of ghost at nowhere.Create\n}\n")
@@ -327,7 +326,7 @@ class TestStepSemantics:
             simulate(model, scenario)
 
     def test_a_model_without_things_runs_tokens_of_any_thing(self):
-        model = parse_model(JOB_MODEL.replace("thing job { n: int }\n", ""))
+        model = parse(JOB_MODEL.replace("thing job { n: int }\n", "")).model
         scenario = parse_scenario("scenario s {\n"
                                   "  token t of ghost at a.Create { n = 1 }\n"
                                   "  mint a.Create of phantom\n}\n")
@@ -350,7 +349,7 @@ class TestStepSemantics:
     def test_held_and_waiting_tokens_fire_once_per_arrival(self):
         """A token held at a Process stage, or waiting at a gated stage,
         fires each outgoing trigger only the step after it arrives."""
-        model = parse_model(self.HELD)
+        model = parse(self.HELD).model
         create = StageRef(("a",), StageKind.CREATE)
         scenario = Scenario(
             tokens=(TokenSeed("x", "t", create),),
@@ -386,7 +385,7 @@ class TestStepSemantics:
         """Injections due by the same loop step enter by their declared
         step, then as declared: ``inject 1`` before ``inject 0`` enters
         second, as if declared in step order."""
-        model = parse_model(self.FORK)
+        model = parse(self.FORK).model
         create = StageRef(("a",), StageKind.CREATE)
         a, b = TokenSeed("a", "t", create), TokenSeed("b", "t", create)
 
@@ -408,12 +407,12 @@ class TestStepSemantics:
             "  inject 0 token b of t at a.Create\n"
             "}\n"
         )
-        trace = simulate(parse_model(self.FORK), scenario)
+        trace = simulate(parse(self.FORK).model, scenario)
         assert [r.token for r in trace.records if r.step == 2] == ["b", "a"]
         assert [token.id for token in trace.final_tokens] == ["b", "a"]
 
     def test_deterministic_policy_picks_first_declared_flow(self):
-        model = parse_model(
+        model = parse(
             "thing t { n: int }\n"
             "machine a { stages Create, Release, Transfer }\n"
             "machine b { stages Transfer }\n"
@@ -422,7 +421,7 @@ class TestStepSemantics:
             "flow a.Release -> a.Transfer on t\n"
             "flow left: a.Transfer -> b.Transfer on t\n"
             "flow right: a.Transfer -> c.Transfer on t\n"
-        )
+        ).model
         scenario = Scenario(
             tokens=(TokenSeed("x", "t", StageRef(("a",), StageKind.CREATE)),)
         )
@@ -448,7 +447,7 @@ class TestDeterminism:
         assert first == second
 
     def test_seeded_random_policy_is_reproducible(self):
-        model = parse_model(
+        model = parse(
             "thing t\n"
             "machine a { stages Create, Release, Transfer }\n"
             "machine b { stages Transfer }\n"
@@ -457,7 +456,7 @@ class TestDeterminism:
             "flow a.Release -> a.Transfer on t\n"
             "flow left: a.Transfer -> b.Transfer on t\n"
             "flow right: a.Transfer -> c.Transfer on t\n"
-        )
+        ).model
 
         def once(seed):
             scenario = Scenario(

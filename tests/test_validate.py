@@ -8,14 +8,14 @@ from tmflow import (
     ThingDecl,
     TMModel,
     UnknownMachineError,
-    parse_model,
+    parse,
     reachable_stages,
     validate,
 )
 
 
 def check(text):
-    return validate(parse_model(text))
+    return validate(parse(text).model)
 
 
 class TestErrors:
@@ -64,18 +64,18 @@ class TestErrors:
         report = check(
             "machine a { stages Create, Process }\nflow a.Create -> ghost.Process"
         )
-        assert "UNRESOLVED" in report.codes()
+        assert "UNRESOLVED" in {d.code for d in report.diagnostics}
 
     def test_unresolved_stage(self):
         report = check(
             "machine a { stages Create }\nmachine b { stages Process }\n"
             "flow a.Create -> b.Release"
         )
-        assert "UNRESOLVED" in report.codes()
+        assert "UNRESOLVED" in {d.code for d in report.diagnostics}
 
     def test_unresolved_sugared_endpoint(self):
         report = check("machine a { stages Create }\nflow a => ghost")
-        assert "UNRESOLVED" in report.codes()
+        assert "UNRESOLVED" in {d.code for d in report.diagnostics}
 
     def test_self_trigger(self):
         # Suffix and full path of the same stage: caught after normalization.
@@ -83,7 +83,7 @@ class TestErrors:
             "machine outer { stages Create\n machine inner { stages Process } }\n"
             "trigger inner.Process -> outer.inner.Process"
         )
-        assert "SELF_TRIGGER" in report.codes()
+        assert "SELF_TRIGGER" in {d.code for d in report.diagnostics}
 
     def test_undeclared_attr_with_typed_thing(self):
         report = check(
@@ -111,7 +111,7 @@ class TestErrors:
             "flow b.Create -> b.Process on t\n"
             "trigger a.Process -> b.Create when bogus = 1"
         )
-        assert "UNDECLARED_ATTR" in report.codes()
+        assert "UNDECLARED_ATTR" in {d.code for d in report.diagnostics}
 
     def test_sugared_arcs_expand_before_checking(self):
         report = check(
@@ -150,7 +150,7 @@ class TestErrors:
             f"flow f1: a.Create -> a.Process when {guard}\n"
             f"flow f2: a.Create -> a.Process on t when {guard}\n"
         )
-        assert "GUARD_TYPE" not in report.codes()
+        assert "GUARD_TYPE" not in {d.code for d in report.diagnostics}
 
 
 class TestWarnings:
@@ -167,7 +167,7 @@ class TestWarnings:
             "flow b.Transfer -> a.Transfer on car\n"
         )
         assert report.ok
-        [diag] = [d for d in report.warnings if d.code == "OPPOSING_FLOWS"]
+        [diag] = [d for d in report.diagnostics if d.code == "OPPOSING_FLOWS"]
         assert "'a'" in diag.message and "'b'" in diag.message
 
     def test_one_direction_only_is_silent(self):
@@ -181,20 +181,20 @@ class TestWarnings:
             "flow b.Transfer -> b.Receive on car\n"
             "flow b.Receive -> b.Process on car\n"
         )
-        assert "OPPOSING_FLOWS" not in report.codes()
+        assert "OPPOSING_FLOWS" not in {d.code for d in report.diagnostics}
 
     def test_unreachable_stage_warning(self):
         report = check(
             "machine a { stages Create, Process, Release }\n"
             "flow a.Create -> a.Process\n"
         )
-        [diag] = [d for d in report.warnings if d.code == "UNREACHABLE_STAGE"]
+        [diag] = [d for d in report.diagnostics if d.code == "UNREACHABLE_STAGE"]
         assert "a.Release" in diag.message
         assert report.ok
 
     def test_create_is_never_unreachable(self):
         report = check("machine a { stages Create, Process }\nflow a.Create -> a.Process")
-        assert "UNREACHABLE_STAGE" not in report.codes()
+        assert "UNREACHABLE_STAGE" not in {d.code for d in report.diagnostics}
 
     def test_zero_arc_model_yields_exactly_the_no_arcs_warning(self):
         report = check("machine lonely { stages Create }")
@@ -203,7 +203,7 @@ class TestWarnings:
 
     def test_machines_touched_by_arcs_not_flagged(self, mousetrap):
         report = validate(mousetrap.model)
-        assert "NO_ARCS" not in report.codes()
+        assert "NO_ARCS" not in {d.code for d in report.diagnostics}
 
 
 class TestCorpusIsClean:
@@ -226,7 +226,7 @@ class TestCorpusIsClean:
         doc = request.getfixturevalue(fixture_name)
         report = validate(doc.model)
         assert report.ok, str(report)
-        assert {d.code for d in report.warnings} == expected_warnings
+        assert {d.code for d in report.diagnostics} == expected_warnings
 
 
 class TestReachability:
