@@ -8,6 +8,8 @@ behavior graph orders events.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .diagnostics import Record, SourceSpan, ValidationReport, _setattr, error, warning
 from .model import Linked, ModelError, StageKind, StageRef, TMModel, link
 
@@ -98,52 +100,54 @@ class BehaviorGraph(Record):
 
 
 class _StageIndex:
-    """A linked model's stages and arcs as the bits of one int.  Stage ``i``
-    of ``stages`` (in ``StageRef.sort_key`` order) is bit ``i``, and arc
-    ``j`` of ``arc_ids`` (in id order) is bit ``len(stages) + j``, so a
-    mask is a subdiagram, and its bits in ascending order are its stages
-    and arcs in ``Subdiagram.sort_key`` order.
+    """A linked model's stages and arcs, numbered by small-int ranks.  Stage
+    ``i`` of ``stages`` (in ``StageRef.sort_key`` order) has rank ``i``, and
+    arc ``j`` of ``arc_ids`` (in id order) rank ``len(stages) + j``, so the
+    sorted ranks of a subdiagram are its stages, then its arcs, in
+    ``Subdiagram.sort_key`` order.
 
-    ``rank`` and ``bit`` give the bit of a full-path stage ref and of an
-    arc id; ``arc_ends`` holds the (source, target) stage bits of every
-    linked arc, repeated ids included, and ``arcs`` those of each arc id
+    ``rank`` and ``arc_rank`` give the rank of a full-path stage ref and of
+    an arc id; ``arc_ends`` holds the (source, target) stage ranks of every
+    linked arc, repeated ids included, and ``ends[j]`` those of arc ``j``
     (a repeated id keeps its last arc, as an id -> arc dict does);
-    ``near[i]`` is the mask of stage ``i``'s machine mates (itself
-    included) and incident arcs, and ``ends[j]`` that of arc ``j``'s end
-    stages.  ``region_link`` keeps the last region set linked over the
-    index (see ``_linked_regions``)."""
+    ``near[i]`` holds the ranks of stage ``i``'s machine mates (itself
+    included) and incident arcs, so each entry is as long as one stage's
+    or arc's own adjacency, not as wide as the model.  ``region_link``
+    keeps the last region set linked over the index (see
+    ``_linked_regions``)."""
 
-    __slots__ = ("stages", "rank", "arc_ends", "arcs", "arc_ids", "bit", "all_stages", "near",
-                 "ends", "region_link")
+    __slots__ = ("stages", "rank", "arc_ids", "arc_rank", "arc_ends", "ends", "near",
+                 "region_link")
 
     def __init__(self, linked: Linked):
         rank = dict.fromkeys(linked.model.stage_instances())
         self.stages = stages = sorted(rank, key=StageRef.sort_key)
         n = len(stages)
-        self.all_stages = (1 << n) - 1
-        machines: dict[tuple[str, ...], int] = {}
+        machines: dict[tuple[str, ...], list[int]] = {}
         for i, ref in enumerate(stages):
             rank[ref] = i
-            machines[ref.machine] = machines.get(ref.machine, 0) | 1 << i
+            machines.setdefault(ref.machine, []).append(i)
         self.rank: dict[StageRef, int] = rank
-        self.near = near = [machines[ref.machine] for ref in stages]
         self.arc_ends = [(rank[arc.source], rank[arc.target]) for arc in linked.arcs()]
-        self.arcs = arcs = dict(zip([arc.id for arc in linked.arcs()], self.arc_ends))
+        arcs = dict(zip([arc.id for arc in linked.arcs()], self.arc_ends))
         self.arc_ids = sorted(arcs)
-        self.bit: dict[str, int] = {}
-        self.ends: list[int] = []
-        for bit, arc_id in enumerate(self.arc_ids, n):
-            self.bit[arc_id] = bit
-            source, target = arcs[arc_id]
-            self.ends.append(1 << source | 1 << target)
-            near[source] |= 1 << bit
-            near[target] |= 1 << bit
+        self.arc_rank: dict[str, int] = {}
+        self.ends: list[tuple[int, int]] = []
+        incident: list[list[int]] = [[] for _ in stages]
+        for j, arc_id in enumerate(self.arc_ids, n):
+            self.arc_rank[arc_id] = j
+            source, target = ends = arcs[arc_id]
+            self.ends.append(ends)
+            incident[source].append(j)
+            if target != source:
+                incident[target].append(j)
+        self.near = [(*machines[ref.machine], *incident[i]) for i, ref in enumerate(stages)]
         self.region_link: tuple | None = None
 
-    def name(self, bit: int) -> str:
-        """The stage ref or arc id at ``bit``, as text."""
+    def name(self, rank: int) -> str:
+        """The stage ref or arc id of ``rank``, as text."""
         n = len(self.stages)
-        return str(self.stages[bit]) if bit < n else self.arc_ids[bit - n]
+        return str(self.stages[rank]) if rank < n else self.arc_ids[rank - n]
 
 
 def _stage_index(linked: Linked) -> _StageIndex:
@@ -153,34 +157,26 @@ def _stage_index(linked: Linked) -> _StageIndex:
     return linked.stage_index
 
 
-def _bits(mask: int):
-    """The positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _connected(index: _StageIndex, body: int) -> bool:
-    """Weak connectivity of the stages of ``body``, a mask over ``index``.
-    Two stages are adjacent when an arc of ``body`` joins them or when they
-    belong to the same machine (stages are parts of a single machine node,
-    so they touch through it).  A flood fill over the index's masks from
-    the lowest stage."""
-    stages = body & index.all_stages
+def _connected(index: _StageIndex, body: set[int]) -> bool:
+    """Weak connectivity of the stages of ``body``, a set of ranks over
+    ``index``.  Two stages are adjacent when an arc of ``body`` joins them
+    or when they belong to the same machine (stages are parts of a single
+    machine node, so they touch through it).  A search over the members of
+    ``body`` only, from one of its stages."""
+    n = len(index.stages)
+    stages = [rank for rank in body if rank < n]
     if not stages:
         return False
-    n = len(index.stages)
     near, ends = index.near, index.ends
-    reached = todo = stages & -stages
+    reached = {stages[0]}
+    todo = [stages[0]]
     while todo:
-        low = todo & -todo
-        todo ^= low
-        bit = low.bit_length() - 1
-        new = (near[bit] if bit < n else ends[bit - n]) & body & ~reached
-        reached |= new
-        todo |= new
-    return (reached & stages) == stages
+        rank = todo.pop()
+        for other in near[rank] if rank < n else ends[rank - n]:
+            if other in body and other not in reached:
+                reached.add(other)
+                todo.append(other)
+    return reached.issuperset(stages)
 
 
 def _link_regions(
@@ -190,12 +186,14 @@ def _link_regions(
     errors, the boundary edges (region order) and the initial regions.  A
     repeated region id is reported and its later region left out.  Stages
     and arcs are visited sorted, so the diagnostics do not depend on set
-    iteration order; each region's body becomes a mask over the model's
-    ``_StageIndex``, and each of its stages records the region's place."""
+    iteration order; each region's body becomes a set of ranks over the
+    model's ``_StageIndex``, and each of its stages records the region's
+    place."""
     report = ValidationReport()
     index = _stage_index(linked)
+    n = len(index.stages)
     unresolved = {arc.id: f"arc '{arc.id}': {exc}" for arc, exc in linked.unresolved}
-    owner: list[int | None] = [None] * len(index.stages)
+    owner: list[int | None] = [None] * n
 
     resolved = []
     region_ids: set[str] = set()
@@ -206,7 +204,7 @@ def _link_regions(
             )
             continue
         region_ids.add(region.id)
-        body = 0
+        body = set()
         dangling = []
         for ref in sorted(region.body.stages, key=StageRef.sort_key):
             try:
@@ -217,11 +215,11 @@ def _link_regions(
             if rank is None:
                 dangling.append(f"'{ref}' names a machine, not a stage")
             else:
-                body |= 1 << rank
+                body.add(rank)
                 owner[rank] = place
         for arc_id in sorted(region.body.arcs):
-            if arc_id in index.bit:
-                body |= 1 << index.bit[arc_id]
+            if arc_id in index.arc_rank:
+                body.add(index.arc_rank[arc_id])
             else:
                 dangling.append(unresolved.get(arc_id, f"unknown arc '{arc_id}'"))
         for why in dangling:
@@ -233,8 +231,8 @@ def _link_regions(
 
     for region, body in resolved:
         for arc_id in sorted(region.body.arcs):
-            for rank in index.arcs[arc_id]:
-                if not body >> rank & 1:
+            for rank in index.ends[index.arc_rank[arc_id] - n]:
+                if rank not in body:
                     report.diagnostics.append(
                         error(
                             "DANGLING_REF",
@@ -250,16 +248,23 @@ def _link_regions(
             )
 
     # Overlaps via the regions holding each stage and arc, not by
-    # intersecting every pair of regions.
-    holders: dict[int, list[int]] = {}
+    # intersecting every pair of regions: the first holder of each rank,
+    # and a list of the later ones only where two regions share it, so a
+    # valid region set builds no list per stage or arc (on a large model,
+    # enough of those set off a full collection).
+    first: list[int | None] = [None] * (n + len(index.arc_ids))
+    later: dict[int, list[int]] = {}
     shared: dict[tuple[int, int], list[int]] = {}
     for j, (_, body) in enumerate(resolved):
-        for bit in _bits(body):
-            for i in holders.setdefault(bit, []):
-                shared.setdefault((i, j), []).append(bit)
-            holders[bit].append(j)
-    for (i, j), bits in sorted(shared.items()):
-        what = ", ".join(index.name(bit) for bit in bits)
+        for rank in body:
+            if first[rank] is None:
+                first[rank] = j
+                continue
+            for i in (first[rank], *later.get(rank, ())):
+                shared.setdefault((i, j), []).append(rank)
+            later.setdefault(rank, []).append(j)
+    for (i, j), ranks in sorted(shared.items()):
+        what = ", ".join(index.name(rank) for rank in sorted(ranks))
         report.diagnostics.append(
             error("OVERLAP", f"regions '{resolved[i][0].id}' and "
                              f"'{resolved[j][0].id}' overlap on {what}", resolved[j][0].span)
@@ -270,18 +275,18 @@ def _link_regions(
     # Every region resolved, so a stage's owner is its region's place.  An
     # arc between two regions is a boundary edge, and feeds its target.
     crossing: set[tuple[int, int]] = set()
-    fed = 0
+    fed: set[int] = set()
     for source, target in index.arc_ends:
         i, j = owner[source], owner[target]
         if i is not None and j is not None and i != j:
             crossing.add((i, j))
-            fed |= 1 << target
+            fed.add(target)
     edges = tuple((regions[i].id, regions[j].id) for i, j in sorted(crossing))
     # Initial: a region holding a Create stage that no other region feeds.
     initial = tuple(
         region.id for region, body in resolved
-        if any(index.stages[bit].kind is StageKind.CREATE
-               for bit in _bits(body & index.all_stages & ~fed))
+        if any(rank < n and rank not in fed and index.stages[rank].kind is StageKind.CREATE
+               for rank in body)
     )
     return report, edges, initial
 
@@ -415,46 +420,54 @@ def enumerate_subdiagrams(
     by size, then stage refs, then arc ids.  Raises BoundTooLarge once
     more than ``cap`` subdiagrams accumulate.
 
-    Each candidate is a mask over the model's ``_StageIndex``: one grows
-    from a single stage by a machine mate or an incident arc (with its
-    ends), repeats drop out of a set of ints, and ``Subdiagram`` records
-    are built for the answer only.
+    Each candidate is the sorted tuple of its ranks over the model's
+    ``_StageIndex``.  It grows from its lowest stage, the seed, by a
+    machine mate or an incident arc (with its other end) ranked no lower
+    than the seed, so each subdiagram is found from one seed only, as in
+    Wernicke's ESU ("Efficient detection of network motifs", 2006), and
+    repeats drop out of that seed's own set.  ``Subdiagram`` records are
+    built for the answer only.
     """
     index = _stage_index(link(model).require())
-    n, near, ends, all_stages = len(index.stages), index.near, index.ends, index.all_stages
-    seen = {1 << i for i in range(n)} if max_elements >= 1 else set()
-    if seen and len(seen) > cap:
-        raise BoundTooLarge(f"subdiagram enumeration exceeded cap of {cap}")
-    frontier = list(seen)
-    while frontier:
-        current = frontier.pop()
-        if current.bit_count() >= max_elements:
-            continue
-        grow, stages = 0, current & all_stages
-        while stages:
-            low = stages & -stages
-            grow |= near[low.bit_length() - 1]
-            stages ^= low
-        grow &= ~current
-        while grow:
-            low = grow & -grow
-            grow ^= low
-            bit = low.bit_length() - 1
-            sub = current | low if bit < n else current | low | ends[bit - n]
-            if sub not in seen and sub.bit_count() <= max_elements:
-                seen.add(sub)
-                if len(seen) > cap:
-                    raise BoundTooLarge(f"subdiagram enumeration exceeded cap of {cap}")
-                frontier.append(sub)
-
+    n, near, ends = len(index.stages), index.near, index.ends
+    # low[rank]: the lowest stage that growing by that stage or arc brings in.
+    low = [*range(n), *map(min, ends)]
     keys = []
-    for sub in seen:
-        bits = tuple(_bits(sub))
-        k = (sub & all_stages).bit_count()
-        keys.append((len(bits), bits[:k], bits[k:]))
+    for seed in range(n if max_elements >= 1 else 0):
+        seen = {(seed,)}
+        todo = [(seed,)]
+        while todo:
+            if len(keys) + len(seen) > cap:
+                raise BoundTooLarge(f"subdiagram enumeration exceeded cap of {cap}")
+            current = todo.pop()
+            if len(current) >= max_elements:
+                continue
+            grow = set()
+            for rank in current:
+                if rank >= n:
+                    break
+                grow.update(near[rank])
+            grow.difference_update(current)
+            for rank in grow:
+                if low[rank] < seed:
+                    continue
+                if rank < n:
+                    sub = tuple(sorted((*current, rank)))
+                else:
+                    sub = (*current, rank, *[end for end in ends[rank - n] if end not in current])
+                    if len(sub) > max_elements:
+                        continue
+                    sub = tuple(sorted(sub))
+                if sub not in seen:
+                    seen.add(sub)
+                    todo.append(sub)
+        for sub in seen:
+            k = bisect_left(sub, n)
+            keys.append((len(sub), sub[:k], sub[k:]))
     keys.sort()
+    element = [*index.stages, *index.arc_ids]
     return [
-        Subdiagram(frozenset([index.stages[bit] for bit in stages]),
-                   frozenset([index.arc_ids[bit - n] for bit in arcs]))
+        Subdiagram(frozenset(map(element.__getitem__, stages)),
+                   frozenset(map(element.__getitem__, arcs)))
         for _, stages, arcs in keys
     ]

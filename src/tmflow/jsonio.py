@@ -218,9 +218,11 @@ def trace_to_jsonl(trace: Trace) -> str:
     # bytes of ``json.dumps`` of the record's dict with ``sort_keys=True``.
     # An arc's fragments (its id and stages) are built once and found by
     # its id while the record's stages are the same objects, as records
-    # share their arc's stages and hashing a StageRef costs more than the
-    # rest of the line.  Building them encodes each stage once, found by
-    # value, as arcs share stages; each token id is encoded once.
+    # share their arc's stages.  Two identity checks cost less than a key of
+    # the id and both stages, whose hash walks both machine paths: that key
+    # makes this loop about a fifth slower on perfbench's sim-tokens trace.
+    # Building them encodes each stage once, found by value, as arcs share
+    # stages; each token id is encoded once.
     arcs: dict[str, tuple[StageRef, StageRef, str, str]] = {}
     stages: dict[StageRef, str] = {}
     tokens: dict[str, str] = {}
@@ -257,31 +259,44 @@ def _field(data: dict, key: str, kind: type, *items: type):
     return value
 
 
+def _count(data: dict, key: str) -> int:
+    """``data[key]``, an integer that must not be negative."""
+    value = _field(data, key, int)
+    if value < 0:
+        raise ValueError(f"{key!r} is negative: {value}")
+    return value
+
+
 def _ref_from(data: dict) -> StageRef:
+    machine = _field(data, "machine", list, str)
+    if not machine:
+        raise ValueError("'machine' is empty")
     kind = None
-    if data.get("kind"):
+    if data["kind"]:  # required; null for a ref without one, as ``_ref`` writes
         kind = _STAGE_KINDS.get(data["kind"])
         if kind is None:
             raise ValueError(f"unknown stage kind {data['kind']!r}")
-    return StageRef(tuple(_field(data, "machine", list, str)), kind)
+    return StageRef(tuple(machine), kind)
 
 
 def _header_from(data: dict) -> tuple[tuple[Token, ...], TraceMeta]:
     if not isinstance(data, dict) or data.get("kind") != "trace":
         raise ValueError("expected a trace payload")
+    if _field(data, "schema", int) != SCHEMA:
+        raise ValueError(f"unknown schema {data['schema']} (expected {SCHEMA})")
     meta = data["meta"]
     final = tuple(
         Token(
             _field(t, "id", str), _field(t, "thing", str),
             dict(_field(t, "attrs", dict, int, str)),
             _ref_from(t["at"]) if t.get("at") else None,
-            arrived=_field(t, "arrived", int) if "arrived" in t else 0,
+            arrived=_count(t, "arrived") if "arrived" in t else 0,
         )
         for t in data["final_tokens"]
     )
     return final, TraceMeta(
-        _field(meta, "steps_used", int), _field(meta, "step_limit_hit", bool),
-        _field(meta, "created", int), _field(meta, "consumed", int),
+        _count(meta, "steps_used"), _field(meta, "step_limit_hit", bool),
+        _count(meta, "created"), _count(meta, "consumed"),
     )
 
 
@@ -289,7 +304,7 @@ def _record_from(data: dict) -> TraceRecord:
     if not isinstance(data, dict):
         raise ValueError("expected a trace record")
     return TraceRecord(
-        _field(data, "step", int), _field(data, "arc", str), _field(data, "token", str),
+        _count(data, "step"), _field(data, "arc", str), _field(data, "token", str),
         _ref_from(data["source"]), _ref_from(data["target"]),
     )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .diagnostics import Fresh, Record, SourceSpan, _setattr
 from .exprs import ExprTable
@@ -66,30 +66,29 @@ class StageNotDeclaredError(ModelError):
     pass
 
 
-class StageRef(Record):
+class StageRef(NamedTuple):
     """Address of one stage instance: a machine path plus a stage kind.
 
     The path may be any unambiguous suffix of the machine's full path
     from the root (machine ids are unique model-wide, so the last
     component alone is enough).  ``kind`` is None only on the endpoints
     of sugared machine-to-machine arcs.
+
+    A named tuple, as ``simulate.TraceRecord`` is: stage refs are the
+    keys of every stage map, and a tuple is built, hashed and compared in
+    C.  It keeps a record's ``repr``, immutability
+    (``FrozenInstanceError``) and ``dataclasses`` view; as a tuple it also
+    unpacks into its two fields and compares equal to the plain tuple of
+    them.  Two refs of one machine do not order, as ``StageKind`` does not.
     """
 
-    __slots__ = ("machine", "kind")
+    machine: tuple[str, ...]
+    kind: StageKind | None
 
-    def __init__(self, machine: tuple[str, ...], kind: StageKind | None):
-        _setattr(self, "machine", machine)
-        _setattr(self, "kind", kind)
-
-    # Spelled out, not read through ``Record._key``: stage refs are the
-    # keys of every stage map, so these run thousands of times a check.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.machine, self.kind) == (other.machine, other.kind)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.machine, self.kind))
+    __dataclass_fields__ = vars(Record)["__dataclass_fields__"]
+    __dataclass_params__ = vars(Record)["__dataclass_params__"]
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     def __str__(self) -> str:
         path = ".".join(self.machine)

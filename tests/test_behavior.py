@@ -32,7 +32,7 @@ from tmflow import (
     parse,
     validate_behavior,
 )
-from tmflow.behavior import _bits, _connected, _stage_index
+from tmflow.behavior import _connected, _stage_index
 from tmflow.diagnostics import error, warning
 from tmflow.model import link
 
@@ -490,9 +490,33 @@ class TestCensusWork:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # About 160 bytes per held candidate; a Subdiagram of two
-        # frozensets costs over 700.
+        # About 200 bytes per held candidate, a sorted tuple of ranks; a
+        # Subdiagram of two frozensets costs over 700.
         assert peak < 400 * cap, peak
+
+    def test_index_bytes_grow_linearly_in_model_size(self):
+        """The stage index holds about as many bytes per stage or arc
+        (``tracemalloc``) on the static-large model at 960 units as at 120.
+        An index of masks as wide as the model held 264 bytes per stage or
+        arc at 120 units and 1 457 at 1 920."""
+        gen = perfbench_gen()
+
+        def per_element(units):
+            linked = link(parse(gen["static_large"](3, units).model).model).require()
+            # Tuples of fewer than 20 items are reused from free lists (2 000
+            # of each length), which tracemalloc does not see: empty them.
+            spare = [tuple(range(length)) for length in range(1, 20) for _ in range(2000)]
+            tracemalloc.start()
+            try:
+                index = _stage_index(linked)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            del spare
+            return held / (len(index.stages) + len(index.arc_ids))
+
+        at_120, at_960 = per_element(120), per_element(960)
+        assert at_960 <= 1.5 * at_120, (at_120, at_960)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +541,7 @@ def reference_region_link(linked, regions):
             )
             continue
         region_ids.add(region.id)
-        body = 0
+        body = set()
         ok = True
         for ref in sorted(region.body.stages, key=StageRef.sort_key):
             try:
@@ -526,15 +550,15 @@ def reference_region_link(linked, regions):
                 why = str(exc)
             else:
                 if rank is not None:
-                    body |= 1 << rank
+                    body.add(rank)
                     continue
                 why = f"'{ref}' names a machine, not a stage"
             report.diagnostics.append(
                 error("DANGLING_REF", f"region '{region.id}': {why}", region.span))
             ok = False
         for arc_id in sorted(region.body.arcs):
-            if arc_id in index.bit:
-                body |= 1 << index.bit[arc_id]
+            if arc_id in index.arc_rank:
+                body.add(index.arc_rank[arc_id])
                 continue
             why = unresolved.get(arc_id, f"unknown arc '{arc_id}'")
             report.diagnostics.append(
@@ -549,7 +573,7 @@ def reference_region_link(linked, regions):
         for arc_id in sorted(region.body.arcs):
             arc = arcs[arc_id]
             for ref in (arc.source, arc.target):
-                if not body >> index.rank[ref] & 1:
+                if index.rank[ref] not in body:
                     report.diagnostics.append(
                         error(
                             "DANGLING_REF",
@@ -563,13 +587,13 @@ def reference_region_link(linked, regions):
                 error("NOT_CONNECTED",
                       f"region '{region.id}' is not weakly connected", region.span)
             )
-        for bit in _bits(body & index.all_stages):
+        for bit in (bit for bit in body if bit < len(index.stages)):
             stage_map[index.stages[bit]] = region.id
 
     holders = {}
     shared = {}
     for j, (_, body) in enumerate(resolved):
-        for bit in _bits(body):
+        for bit in sorted(body):
             for i in holders.setdefault(bit, []):
                 shared.setdefault((i, j), []).append(bit)
             holders[bit].append(j)

@@ -344,13 +344,27 @@ def test_well_formed_trace_reads_back():
       for key, value in [("id", 5), ("thing", ["job"]), ("attrs", {"n": 1.5}),
                          ("attrs", {"n": True}), ("attrs", {"n": None}), ("arrived", "3"),
                          ("arrived", False)]],
+    (jsonl({**HEADER, "schema": 2}), "line 1: unknown schema 2 \\(expected 1\\)"),
+    (jsonl({k: v for k, v in HEADER.items() if k != "schema"}), "line 1: no 'schema' field"),
+    (jsonl(HEADER, RECORD, {**RECORD, "step": -1}), "line 3: 'step' is negative: -1"),
+    *[(jsonl({**HEADER, "meta": {**HEADER["meta"], key: -2}}), f"line 1: {key!r} is negative: -2")
+      for key in ["steps_used", "created", "consumed"]],
+    (jsonl({**HEADER, "final_tokens": [{**TOKEN, "arrived": -1}]}),
+     "line 1: 'arrived' is negative: -1"),
+    (jsonl(HEADER, {**RECORD, "source": {"machine": [], "kind": "Create"}}),
+     "line 2: 'machine' is empty"),
+    (jsonl({**HEADER, "final_tokens": [{**TOKEN, "at": {"machine": [], "kind": "Create"}}]}),
+     "line 1: 'machine' is empty"),
+    (jsonl(HEADER, {**RECORD, "target": {"machine": ["m"]}}), "line 2: no 'kind' field"),
 ], ids=["header-without-meta", "line-not-json", "header-array", "record-without-arc",
         "record-array", "unknown-stage-kind", "stage-array", "token-attrs-not-a-dict",
         "step-text", "step-bool", "step-float", "arc-int", "token-null",
         "machine-text", "machine-of-int", "machine-null",
         "steps-used-text", "step-limit-hit-int", "created-bool", "consumed-null",
         "token-id-int", "thing-list", "attr-float", "attr-bool", "attr-null",
-        "arrived-text", "arrived-bool"])
+        "arrived-text", "arrived-bool", "schema-other", "schema-missing", "step-negative",
+        "steps-used-negative", "created-negative", "consumed-negative", "arrived-negative",
+        "record-machine-empty", "token-machine-empty", "record-stage-without-kind"])
 def test_malformed_trace_names_the_line(text, message):
     with pytest.raises(JSONFormatError, match="^" + message):
         trace_from_jsonl(text)

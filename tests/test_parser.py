@@ -577,17 +577,17 @@ class TestScaling:
             lexed.append(len(values))
             return values, offsets
 
-        def counting_init(self, *args, **kwargs):
+        def counting_new(cls, *args, **kwargs):
             built.append(1)
-            init(self, *args, **kwargs)
+            return new(cls, *args, **kwargs)
 
         def counting_hash(self):
             hashed.append(1)
             return hash_(self)
 
-        init, hash_ = StageRef.__init__, StageRef.__hash__
+        new, hash_ = StageRef.__new__, StageRef.__hash__
         monkeypatch.setattr(parser_module, "tokenize", counting_tokenize)
-        monkeypatch.setattr(StageRef, "__init__", counting_init)
+        monkeypatch.setattr(StageRef, "__new__", counting_new)
         monkeypatch.setattr(StageRef, "__hash__", counting_hash)
 
         def work(units):
