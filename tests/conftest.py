@@ -2,11 +2,14 @@ import importlib
 import pkgutil
 import random
 import runpy
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import tmflow
+from tmflow.behavior import _stage_index
+from tmflow.model import link
 
 # Every submodule, loaded once per session before any test: only
 # ``jsonio`` and ``dot`` load on demand, and a helper that patches a name
@@ -27,6 +30,24 @@ def perfbench_gen() -> dict:
     model and scenario generator."""
     return runpy.run_path(str(CORPUS.parent / "perfbench" / "gen.py"),
                           run_name="perfbench_gen")
+
+
+def index_bytes(text: str) -> tuple[int, int]:
+    """Bytes held by the stage index of the model of ``text`` (its link
+    built first, untraced, by ``tracemalloc``), and its number of stages
+    and arcs."""
+    linked = link(tmflow.parse(text).model).require()
+    # Tuples of fewer than 20 items are reused from free lists (2 000 of
+    # each length), which tracemalloc does not see: empty them.
+    spare = [tuple(range(length)) for length in range(1, 20) for _ in range(2000)]
+    tracemalloc.start()
+    try:
+        index = _stage_index(linked)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del spare
+    return held, len(index.stages) + len(index.arc_ids)
 
 
 def corpus_text(name: str) -> str:

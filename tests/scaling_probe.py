@@ -1,9 +1,10 @@
 """Large-N probe of the static analyses on perfbench's static-large model.
 
-    PYTHONPATH=src python tests/scaling_probe.py [--sizes 480,1920] [--seed 3] [--reps 5]
+    PYTHONPATH=src python tests/scaling_probe.py
 
-For each size N (units; the model text grows about 4x from N = 480 to
-N = 1 920) it prints, best of ``--reps`` runs on a freshly parsed model:
+For seed 3 and each size N of ``SIZES`` (units; the model text grows
+about 4x from N = 480 to N = 1 920) it prints, best of ``REPS`` runs on
+a freshly parsed model:
 
 * ``check``: ``cli._full_check`` less parse, the work of ``tm check``
   once the document is parsed;
@@ -25,19 +26,17 @@ not collect it.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import runpy
 import time
-import tracemalloc
-from pathlib import Path
 
 import tmflow
-from tmflow.behavior import _stage_index
 from tmflow.cli import _full_check
-from tmflow.model import link
 
-GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+from conftest import index_bytes, perfbench_gen
+
+SIZES = (480, 1920)
+SEED = 3
+REPS = 7
 BOUND = 3
 
 
@@ -73,48 +72,25 @@ def one_run(n: int, text: str) -> dict[str, float]:
     return figures
 
 
-def index_bytes(text: str) -> tuple[int, int]:
-    """Bytes held by the stage index of the model of ``text`` (its link
-    built first, untraced), and its number of stages and arcs."""
-    linked = link(tmflow.parse(text).model).require()
-    # Tuples of fewer than 20 items are reused from free lists (2 000 of
-    # each length), which tracemalloc does not see: empty them.
-    spare = [tuple(range(length)) for length in range(1, 20) for _ in range(2000)]
-    tracemalloc.start()
-    try:
-        index = _stage_index(linked)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    del spare
-    return held, len(index.stages) + len(index.arc_ids)
-
-
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="480,1920")
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--reps", type=int, default=5)
-    args = parser.parse_args()
-    sizes = [int(size) for size in args.sizes.split(",")]
-    gen = runpy.run_path(str(GEN), run_name="perfbench_gen")
-    texts = {n: gen["static_large"](args.seed, n).model for n in sizes}
-    rows: dict[int, dict[str, float]] = {n: {"text_kb": len(texts[n]) / 1e3} for n in sizes}
+    gen = perfbench_gen()
+    texts = {n: gen["static_large"](SEED, n).model for n in SIZES}
+    rows: dict[int, dict[str, float]] = {n: {"text_kb": len(texts[n]) / 1e3} for n in SIZES}
     # The sizes take turns, so that a slow spell of a shared machine
     # falls on each of them.
-    for _ in range(args.reps):
-        for n in sizes:
+    for _ in range(REPS):
+        for n in SIZES:
             for name, value in one_run(n, texts[n]).items():
                 rows[n][name] = min(rows[n].get(name, value), value)
-    for n in sizes:
+    for n in SIZES:
         held, elements = index_bytes(texts[n])
         rows[n].update(index_mb=held / 1e6, index_b_per_elem=held / elements)
-    names = list(rows[sizes[0]])
-    print(f"static_large seed {args.seed}, census bound {BOUND}, best of {args.reps}")
+    names = list(rows[SIZES[0]])
+    print(f"static_large seed {SEED}, census bound {BOUND}, best of {REPS}")
     print(f"{'N':>7} " + " ".join(f"{name:>17}" for name in names))
     for n, row in rows.items():
         print(f"{n:>7} " + " ".join(f"{row[name]:>17.2f}" for name in names))
-    first, last = rows[sizes[0]], rows[sizes[-1]]
+    first, last = rows[SIZES[0]], rows[SIZES[-1]]
     print(f"{'growth':>7} " + " ".join(f"{last[name] / first[name]:>16.2f}x" for name in names))
 
 

@@ -36,7 +36,7 @@ from tmflow.behavior import _connected, _stage_index
 from tmflow.diagnostics import error, warning
 from tmflow.model import link
 
-from conftest import corpus_doc, perfbench_gen
+from conftest import corpus_doc, index_bytes, perfbench_gen
 
 
 def region(rid, stages, arcs):
@@ -502,18 +502,8 @@ class TestCensusWork:
         gen = perfbench_gen()
 
         def per_element(units):
-            linked = link(parse(gen["static_large"](3, units).model).model).require()
-            # Tuples of fewer than 20 items are reused from free lists (2 000
-            # of each length), which tracemalloc does not see: empty them.
-            spare = [tuple(range(length)) for length in range(1, 20) for _ in range(2000)]
-            tracemalloc.start()
-            try:
-                index = _stage_index(linked)
-                held = tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-            del spare
-            return held / (len(index.stages) + len(index.arc_ids))
+            held, elements = index_bytes(gen["static_large"](3, units).model)
+            return held / elements
 
         at_120, at_960 = per_element(120), per_element(960)
         assert at_960 <= 1.5 * at_120, (at_120, at_960)
