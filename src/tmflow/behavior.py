@@ -33,17 +33,6 @@ class Subdiagram(Record):
         _setattr(self, "stages", stages)
         _setattr(self, "arcs", arcs)
 
-    @property
-    def size(self) -> int:
-        return len(self.stages) + len(self.arcs)
-
-    def sort_key(self) -> tuple:
-        return (
-            self.size,
-            tuple(sorted(r.sort_key() for r in self.stages)),
-            tuple(sorted(self.arcs)),
-        )
-
 
 class Region(Record, uncompared=("span",), unshown=("span",)):
     """A named subdiagram: the part of the model one event runs in.
@@ -103,8 +92,8 @@ class _StageIndex:
     """A linked model's stages and arcs, numbered by small-int ranks.  Stage
     ``i`` of ``stages`` (in ``StageRef.sort_key`` order) has rank ``i``, and
     arc ``j`` of ``arc_ids`` (in id order) rank ``len(stages) + j``, so the
-    sorted ranks of a subdiagram are its stages, then its arcs, in
-    ``Subdiagram.sort_key`` order.
+    sorted ranks of a subdiagram are its stages, then its arcs, in the
+    census order (see ``enumerate_subdiagrams``).
 
     ``rank`` and ``arc_rank`` give the rank of a full-path stage ref and of
     an arc id; ``arc_ends`` holds the (source, target) stage ranks of every
@@ -187,17 +176,15 @@ def _link_regions(
     repeated region id is reported and its later region left out.  Stages
     and arcs are visited sorted, so the diagnostics do not depend on set
     iteration order; each region's body becomes a set of ranks over the
-    model's ``_StageIndex``, and each of its stages records the region's
-    place."""
+    model's ``_StageIndex``."""
     report = ValidationReport()
     index = _stage_index(linked)
     n = len(index.stages)
     unresolved = {arc.id: f"arc '{arc.id}': {exc}" for arc, exc in linked.unresolved}
-    owner: list[int | None] = [None] * n
 
     resolved = []
     region_ids: set[str] = set()
-    for place, region in enumerate(regions):
+    for region in regions:
         if region.id in region_ids:
             report.diagnostics.append(
                 error("DUP_ID", f"duplicate region id '{region.id}'", region.span)
@@ -216,7 +203,6 @@ def _link_regions(
                 dangling.append(f"'{ref}' names a machine, not a stage")
             else:
                 body.add(rank)
-                owner[rank] = place
         for arc_id in sorted(region.body.arcs):
             if arc_id in index.arc_rank:
                 body.add(index.arc_rank[arc_id])
@@ -272,12 +258,13 @@ def _link_regions(
     if not report.ok:
         return report, (), ()
 
-    # Every region resolved, so a stage's owner is its region's place.  An
-    # arc between two regions is a boundary edge, and feeds its target.
+    # No errors: every region resolved and none overlap, so ``first`` maps
+    # each held stage to its one region's place in ``regions``.  An arc
+    # between two regions is a boundary edge, and feeds its target.
     crossing: set[tuple[int, int]] = set()
     fed: set[int] = set()
     for source, target in index.arc_ends:
-        i, j = owner[source], owner[target]
+        i, j = first[source], first[target]
         if i is not None and j is not None and i != j:
             crossing.add((i, j))
             fed.add(target)
@@ -410,15 +397,16 @@ def validate_behavior(
     return report
 
 
-def enumerate_subdiagrams(
-    model: TMModel, max_elements: int, cap: int = 10**6
-) -> list[Subdiagram]:
+_CAP = 10**6
+
+
+def enumerate_subdiagrams(model: TMModel, max_elements: int) -> list[Subdiagram]:
     """All weakly connected subdiagrams with |stages| + |arcs| <= bound.
 
     Connectivity follows the same adjacency as regions: through an arc,
     or through shared membership in one machine.  Deterministic order:
     by size, then stage refs, then arc ids.  Raises BoundTooLarge once
-    more than ``cap`` subdiagrams accumulate.
+    more than ``_CAP`` subdiagrams accumulate.
 
     Each candidate is the sorted tuple of its ranks over the model's
     ``_StageIndex``.  It grows from its lowest stage, the seed, by a
@@ -428,6 +416,7 @@ def enumerate_subdiagrams(
     repeats drop out of that seed's own set.  ``Subdiagram`` records are
     built for the answer only.
     """
+    cap = _CAP
     index = _stage_index(link(model).require())
     n, near, ends = len(index.stages), index.near, index.ends
     # low[rank]: the lowest stage that growing by that stage or arc brings in.

@@ -99,6 +99,13 @@ def _load_document(path_text: str) -> tuple[Document | None, ValidationReport]:
             return None, report
         part, diagnostics = parse_with_diagnostics(text)
         report.diagnostics.extend(diagnostics)
+        if doc is not None:  # a sidecar: merge_documents keeps its regions and behavior only
+            model = part.model
+            for item in sorted((*model.things, *model.machines, *model.flows, *model.triggers),
+                               key=lambda item: (item.span.line, item.span.column)):
+                report.diagnostics.append(error(
+                    "SYNTAX", f"'{source}': a .tmb sidecar holds only regions and behavior",
+                    item.span))
         if not report.ok:
             return None, report
         doc = part if doc is None else merge_documents(doc, part)

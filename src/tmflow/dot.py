@@ -57,8 +57,8 @@ def model_to_dot(model: TMModel, name: str = "model") -> str:
     return "\n".join(out) + "\n"
 
 
-def behavior_to_dot(graph: BehaviorGraph, name: str = "behavior") -> str:
-    out = [f"digraph {quote(name)} {{", "  node [shape=ellipse]"]
+def behavior_to_dot(graph: BehaviorGraph) -> str:
+    out = ['digraph "behavior" {', "  node [shape=ellipse]"]
     initial = set(graph.initial)
     for event in graph.events:
         attrs = []

@@ -400,12 +400,7 @@ def _compile_expr(node: Expr) -> Callable[[dict[str, Value]], Value]:
             except KeyError:
                 raise _missing(ident) from None
         return name
-    if isinstance(node, BinOp):
-        return _compile_sum(node)
-
-    def unknown(attrs):
-        raise GuardTypeError(f"cannot evaluate {node!r}")
-    return unknown
+    return _compile_sum(node)
 
 
 def _compile_sum(node: BinOp) -> Callable[[dict[str, Value]], int]:

@@ -28,9 +28,6 @@ class StageKind(Enum):
     # Python-level call.
     __hash__ = object.__hash__
 
-    def __str__(self) -> str:
-        return self.value
-
 
 _STAGE_KINDS = {kind.value: kind for kind in StageKind}
 
@@ -172,9 +169,6 @@ class ThingDecl(Record, uncompared=("span",)):
         _setattr(self, "attributes", attributes)  # (name, "int" | "text")
         _setattr(self, "span", span)
 
-    def attribute_names(self) -> set[str]:
-        return {name for name, _ in self.attributes}
-
 
 class TMModel(Record, uncompared=("_exprs",), unshown=("_exprs",)):
     """A static model: machines, flow and trigger arcs, and things."""
@@ -210,12 +204,6 @@ class TMModel(Record, uncompared=("_exprs",), unshown=("_exprs",)):
     def arcs(self) -> Iterator[FlowArc | TriggerArc]:
         yield from self.flows
         yield from self.triggers
-
-    def thing_by_name(self, name: str) -> ThingDecl | None:
-        for thing in self.things:
-            if thing.name == name:
-                return thing
-        return None
 
     def stage_instances(self) -> list[StageRef]:
         """Every declared stage, as a fully-qualified StageRef, in tree order."""

@@ -824,10 +824,8 @@ def behavior_lines(graph: BehaviorGraph) -> list[str]:
     return lines
 
 
-def serialize(doc: Document | TMModel) -> str:
+def serialize(doc: Document) -> str:
     """Render a document in canonical form; parse(serialize(d)) == d."""
-    if isinstance(doc, TMModel):
-        doc = Document(model=doc)
     model = doc.model
     sections: list[list[str]] = []
     if model.things:

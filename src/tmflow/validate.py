@@ -58,7 +58,23 @@ def _check_duplicates(model: TMModel, report: ValidationReport) -> None:
         seen_arcs.add(arc.id)
 
 
-def _check_guard(linked: Linked, arc, report: ValidationReport) -> None:
+_Scopes = dict[str | None, tuple[dict[str, str | None], str]]
+
+
+def _guard_scopes(model: TMModel) -> _Scopes:
+    """What a guard may name, by the thing its arc carries: the attribute
+    kinds of the thing's first declaration, and the scope as a message
+    names it.  Under ``None``, for an arc of no declared thing, every
+    thing's attributes, of no known kind."""
+    anywhere: dict[str, str | None] = {}
+    scopes: _Scopes = {None: (anywhere, "any declared thing")}
+    for thing in model.things:
+        anywhere.update(dict.fromkeys(name for name, _ in thing.attributes))
+        scopes.setdefault(thing.name, (dict(thing.attributes), f"thing '{thing.name}'"))
+    return scopes
+
+
+def _check_guard(linked: Linked, arc, scopes: _Scopes, report: ValidationReport) -> None:
     if arc.guard is None:
         return
     guard = linked.model._exprs["guard", arc.guard]
@@ -67,17 +83,8 @@ def _check_guard(linked: Linked, arc, report: ValidationReport) -> None:
             error("GUARD_SYNTAX", f"arc '{arc.id}': {guard}", arc.span)
         )
         return
-    thing = getattr(arc, "thing", None)
-    decl = linked.model.thing_by_name(thing) if thing else None
-    if decl is not None:
-        declared = decl.attribute_names()
-        scope = f"thing '{decl.name}'"
-    else:
-        declared = set()
-        for t in linked.model.things:
-            declared |= t.attribute_names()
-        scope = "any declared thing"
-    for name in sorted(names(guard) - declared):
+    kinds, scope = scopes.get(getattr(arc, "thing", None), scopes[None])
+    for name in sorted(names(guard).difference(kinds)):
         report.diagnostics.append(
             error(
                 "UNDECLARED_ATTR",
@@ -87,7 +94,7 @@ def _check_guard(linked: Linked, arc, report: ValidationReport) -> None:
             )
         )
     mixed: list[str] = []
-    _kind(guard, dict(decl.attributes) if decl is not None else {}, mixed)
+    _kind(guard, kinds, mixed)
     for op in mixed:
         report.diagnostics.append(
             error("GUARD_TYPE",
@@ -96,7 +103,7 @@ def _check_guard(linked: Linked, arc, report: ValidationReport) -> None:
         )
 
 
-def _kind(node, kinds: dict[str, str], mixed: list[str]) -> str | None:
+def _kind(node, kinds: dict[str, str | None], mixed: list[str]) -> str | None:
     """The kind ("int" or "text") of an expression when it is known: for a
     literal, an attribute in ``kinds``, or a sum of ints.  Each ordering or
     arithmetic operator with an int and a text operand goes to ``mixed``."""
@@ -121,6 +128,7 @@ def validate(model: TMModel) -> ValidationReport:
     report = ValidationReport()
     _check_duplicates(model, report)
     linked = link(model)
+    scopes = _guard_scopes(model)
 
     for arc, exc in linked.unresolved:
         report.diagnostics.append(unresolved_diagnostic(arc, exc))
@@ -138,7 +146,7 @@ def validate(model: TMModel) -> ValidationReport:
                     arc.span,
                 )
             )
-        _check_guard(linked, arc, report)
+        _check_guard(linked, arc, scopes, report)
 
     for arc in linked.triggers:
         if arc.source == arc.target:
@@ -149,7 +157,7 @@ def validate(model: TMModel) -> ValidationReport:
                     arc.span,
                 )
             )
-        _check_guard(linked, arc, report)
+        _check_guard(linked, arc, scopes, report)
 
     _warn_opposing_flows(linked.flows, report)
     _warn_unreachable(linked, report)

@@ -3,6 +3,7 @@ import pkgutil
 import random
 import runpy
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -32,21 +33,30 @@ def perfbench_gen() -> dict:
                           run_name="perfbench_gen")
 
 
+@contextmanager
+def tracing_memory():
+    """Trace allocations with ``tracemalloc`` inside the block.  Tuples of
+    fewer than 20 items are reused from free lists (2 000 of each length),
+    which tracemalloc does not see: they are emptied first, and their
+    tuples held until tracing stops, so that a reading does not depend on
+    what ran before."""
+    spare = [tuple(range(length)) for length in range(1, 20) for _ in range(2000)]
+    tracemalloc.start()
+    try:
+        yield
+    finally:
+        tracemalloc.stop()
+        del spare
+
+
 def index_bytes(text: str) -> tuple[int, int]:
     """Bytes held by the stage index of the model of ``text`` (its link
     built first, untraced, by ``tracemalloc``), and its number of stages
     and arcs."""
     linked = link(tmflow.parse(text).model).require()
-    # Tuples of fewer than 20 items are reused from free lists (2 000 of
-    # each length), which tracemalloc does not see: empty them.
-    spare = [tuple(range(length)) for length in range(1, 20) for _ in range(2000)]
-    tracemalloc.start()
-    try:
+    with tracing_memory():
         index = _stage_index(linked)
         held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    del spare
     return held, len(index.stages) + len(index.arc_ids)
 
 

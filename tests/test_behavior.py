@@ -32,11 +32,12 @@ from tmflow import (
     parse,
     validate_behavior,
 )
+import tmflow.behavior as behavior
 from tmflow.behavior import _connected, _stage_index
 from tmflow.diagnostics import error, warning
 from tmflow.model import link
 
-from conftest import corpus_doc, index_bytes, perfbench_gen
+from conftest import corpus_doc, index_bytes, perfbench_gen, tracing_memory
 
 
 def region(rid, stages, arcs):
@@ -291,7 +292,16 @@ def brute_force_subdiagrams(model, bound):
                         found.add(
                             Subdiagram(frozenset(chosen), frozenset(arc_set))
                         )
-    return sorted(found, key=Subdiagram.sort_key)
+    return sorted(found, key=census_key)
+
+
+def census_key(sub):
+    """The census order: by size, then stage refs, then arc ids."""
+    return (
+        len(sub.stages) + len(sub.arcs),
+        tuple(sorted(r.sort_key() for r in sub.stages)),
+        tuple(sorted(sub.arcs)),
+    )
 
 
 def _connected_oracle(stages, arc_ids, all_arcs):
@@ -336,21 +346,22 @@ class TestSubdiagrams:
     def test_bound_limits_size(self):
         model = parse(CHAIN).model
         subs = enumerate_subdiagrams(model, 2)
-        assert all(sub.size <= 2 for sub in subs)
+        assert all(len(sub.stages) + len(sub.arcs) <= 2 for sub in subs)
         assert enumerate_subdiagrams(model, 2) == brute_force_subdiagrams(model, 2)
 
     def test_zero_bound_is_empty(self):
         assert enumerate_subdiagrams(parse(CHAIN).model, 0) == []
 
-    def test_cap_raises(self, stack):
+    def test_cap_raises(self, monkeypatch, stack):
+        monkeypatch.setattr(behavior, "_CAP", 100)
         with pytest.raises(BoundTooLarge):
-            enumerate_subdiagrams(stack.model, 40, cap=100)
+            enumerate_subdiagrams(stack.model, 40)
 
     def test_deterministic_order(self, paint_dry):
         first = enumerate_subdiagrams(paint_dry.model, 6)
         second = enumerate_subdiagrams(paint_dry.model, 6)
         assert first == second
-        sizes = [sub.size for sub in first]
+        sizes = [len(sub.stages) + len(sub.arcs) for sub in first]
         assert sizes == sorted(sizes)
 
 
@@ -412,14 +423,17 @@ class TestCensusProperties:
         full = brute_force_subdiagrams(model, top)
         for bound in range(top + 1):
             # The oracle filters by size, so its list at ``bound`` is this.
-            expected = [sub for sub in full if sub.size <= bound]
+            expected = [sub for sub in full if len(sub.stages) + len(sub.arcs) <= bound]
             assert enumerate_subdiagrams(model, bound) == expected
         n = len(full)
-        assert enumerate_subdiagrams(model, top, cap=n) == full
-        if n:
-            with pytest.raises(BoundTooLarge) as exc:
-                enumerate_subdiagrams(model, top, cap=n - 1)
-            assert str(exc.value) == f"subdiagram enumeration exceeded cap of {n - 1}"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(behavior, "_CAP", n)
+            assert enumerate_subdiagrams(model, top) == full
+            if n:
+                patch.setattr(behavior, "_CAP", n - 1)
+                with pytest.raises(BoundTooLarge) as exc:
+                    enumerate_subdiagrams(model, top)
+                assert str(exc.value) == f"subdiagram enumeration exceeded cap of {n - 1}"
 
     @settings(max_examples=100, deadline=None)
     @given(small_models(), st.data())
@@ -452,8 +466,9 @@ class TestCensusWork:
         subs = enumerate_subdiagrams(stack.model, 4)
         assert len(built) == len(subs) > 100
         del built[:]
+        monkeypatch.setattr(behavior, "_CAP", len(subs) - 1)
         with pytest.raises(BoundTooLarge):
-            enumerate_subdiagrams(stack.model, 4, cap=len(subs) - 1)
+            enumerate_subdiagrams(stack.model, 4)
         assert built == []
 
     def test_stage_hashes_grow_linearly_in_model_size(self, monkeypatch):
@@ -478,19 +493,17 @@ class TestCensusWork:
         assert subs_2n > subs_n > 0
         assert 0 < at_2n <= 2.1 * at_n, (at_n, at_2n)
 
-    def test_held_candidates_are_ints(self):
+    def test_held_candidates_are_small(self, monkeypatch):
         gen = perfbench_gen()
         doc = parse(gen["static_large"](3, gen["STATIC_N"]).model)
         enumerate_subdiagrams(doc.model, 1)  # link and index outside the trace
         cap = 2000
-        tracemalloc.start()
-        try:
+        monkeypatch.setattr(behavior, "_CAP", cap)
+        with tracing_memory():
             with pytest.raises(BoundTooLarge):
-                enumerate_subdiagrams(doc.model, 8, cap=cap)
+                enumerate_subdiagrams(doc.model, 8)
             peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # About 200 bytes per held candidate, a sorted tuple of ranks; a
+        # About 220 bytes per held candidate, a sorted tuple of ranks; a
         # Subdiagram of two frozensets costs over 700.
         assert peak < 400 * cap, peak
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tmflow
-from tmflow.behavior import enumerate_subdiagrams
+import tmflow.behavior as behavior
 from tmflow.cli import main
 from tmflow.exprs import _MAX_NESTING
 
@@ -119,10 +119,7 @@ class TestEvents:
         assert lines == text
 
     def test_bound_over_the_cap_exits_one(self, monkeypatch, capsys):
-        def capped(model, max_elements):
-            return enumerate_subdiagrams(model, max_elements, cap=5)
-
-        monkeypatch.setattr("tmflow.cli.enumerate_subdiagrams", capped)
+        monkeypatch.setattr(behavior, "_CAP", 5)
         assert main(["events", corpus("multiple_behaviors.tm"), "--bound", "2"]) == 1
         assert capsys.readouterr() == (
             "", "error[BOUND]: subdiagram enumeration exceeded cap of 5\n")
@@ -324,6 +321,25 @@ class TestSidecar:
             (CORPUS / "paint_dry_strict.tmb").read_text()
         )
         assert main(["check", str(model), "--mode", "strict"]) == 0
+
+    def test_model_statements_in_a_sidecar_are_syntax_errors(self, tmp_path, capsys):
+        model = write(tmp_path, "stack.tm", (CORPUS / "stack.tm").read_text())
+        sidecar = write(tmp_path, "stack.tmb",
+                        "regions {\n  region r { stages extra.Create }\n}\n"
+                        "machine extra { stages Create, Release }\n"
+                        "flow extra.Create -> extra.Release\n"
+                        "thing extra_job\n"
+                        "trigger extra.Release -> extra.Create\n")
+        why = f"error[SYNTAX]: '{sidecar}': a .tmb sidecar holds only regions and behavior"
+        expected = [f"{where}: {why}" for where in ("4:9", "5:1", "6:7", "7:1")]
+        assert main(["check", model]) == 2
+        assert capsys.readouterr() == ("", "\n".join(expected) + "\n")
+        assert main(["check", model, "--format", "json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert [(d["code"], d["span"]["line"]) for d in report["diagnostics"]] == [
+            ("SYNTAX", 4), ("SYNTAX", 5), ("SYNTAX", 6), ("SYNTAX", 7)]
+        assert main(["export", model, "--format", "json"]) == 2
+        assert capsys.readouterr() == ("", "\n".join(expected) + "\n")
 
     @pytest.mark.parametrize("where", ["in-file", "sidecar"])
     def test_repeated_region_id_fails_check(self, tmp_path, capsys, where):

@@ -7,7 +7,8 @@ is exempt, as its imports are re-exports), the modules that ``tm
 check`` runs import no output module when they load, and neither they
 nor ``simulate`` import ``dataclasses``.  Every annotation in the
 package resolves under ``typing.get_type_hints``, and every function in
-``__all__`` has a reader besides the tests.
+``__all__`` has a reader besides the tests, and each of its defaulted
+parameters a caller that passes it.
 
 The rest run fresh interpreters: ``import tmflow`` loads ``simulate``,
 only the output formats add ``jsonio`` (with ``json``) or ``dot`` to a
@@ -19,6 +20,7 @@ was imported first.
 import ast
 import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -300,24 +302,46 @@ def referenced_names(source: str) -> set[str]:
     return found
 
 
+def passed_keywords(source: str) -> set[tuple[str, str]]:
+    """Each (function name, parameter name) that a Python source passes
+    as ``name=`` in a call of a plain or dotted name."""
+    found: set[tuple[str, str]] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            called = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            found.update((called, keyword.arg) for keyword in node.keywords)
+    return found
+
+
 def test_every_public_function_is_used():
     """Each function in ``__all__`` is read by a package module other than
-    its own, by the benchmark, or as ``tmflow.name`` in the README: a
-    function that only tests call is no public API."""
-    perfbench = set().union(*(referenced_names(path.read_text(encoding="utf-8"))
-                              for path in (ROOT / "perfbench").glob("*.py")))
+    its own, by the benchmark, or as ``tmflow.name`` in the README, and
+    each of its defaulted parameters is passed as ``name=`` by one of
+    them: a function, or an option, that only tests use is no public API."""
+    sources = {f"tmflow.{path.stem}": path.read_text(encoding="utf-8") for path in MODULES}
+    reads = {module: referenced_names(source) for module, source in sources.items()}
+    passes = {module: passed_keywords(source) for module, source in sources.items()}
+    bench = [path.read_text(encoding="utf-8") for path in (ROOT / "perfbench").glob("*.py")]
+    bench_reads = set().union(*map(referenced_names, bench))
+    bench_passes = set().union(*map(passed_keywords, bench))
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    readme = set(re.findall(r"\btmflow\.(\w+)", readme))
-    by_module = {f"tmflow.{path.stem}": referenced_names(path.read_text(encoding="utf-8"))
-                 for path in MODULES}
+    readme_reads = set(re.findall(r"\btmflow\.(\w+)", readme))
     unused = []
     for name in tmflow.__all__:
         function = getattr(tmflow, name)
         if not isinstance(function, types.FunctionType):
             continue
-        others = (names for module, names in by_module.items() if module != function.__module__)
-        if name not in perfbench | readme and not any(name in names for names in others):
+        others = [module for module in sources if module != function.__module__]
+        if name not in bench_reads | readme_reads and not any(
+                name in reads[module] for module in others):
             unused.append(name)
+        passed = bench_passes.union(*(passes[module] for module in others))
+        for parameter in inspect.signature(function).parameters.values():
+            if (parameter.default is not parameter.empty
+                    and (name, parameter.name) not in passed
+                    and not re.search(rf"\b{name}\([^)]*\b{parameter.name}=", readme)):
+                unused.append(f"{name}({parameter.name}=)")
     assert unused == []
 
 

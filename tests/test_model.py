@@ -26,6 +26,7 @@ class TestFlowAdjacency:
     @pytest.mark.parametrize(
         "src,tgt",
         [(T, V), (V, P), (V, R), (C, P), (C, R), (P, R), (R, T)],
+        ids=lambda kind: kind.value,
     )
     def test_legal_same_machine_pairs(self, src, tgt):
         assert flow_allowed(src, tgt, same_machine=True)

@@ -60,6 +60,28 @@ class TestErrors:
             "error[DUP_ID]: duplicate arc id 'f'",
         ]
 
+    def test_guard_scope_of_repeated_and_empty_things(self):
+        """A guard on a thing declared twice is checked against its first
+        declaration, and one on a thing without attributes against none."""
+        create, process = StageKind.CREATE, StageKind.PROCESS
+        a, b = StageRef(("a",), create), StageRef(("a",), process)
+        model = TMModel(
+            machines=(Machine("a", stages=(create, process)),),
+            flows=(FlowArc("f1", a, b, thing="job", guard='k = "x"'),
+                   FlowArc("f2", a, b, thing="job", guard='n < "x"'),
+                   FlowArc("f3", a, b, thing="empty", guard="n < 1")),
+            things=(ThingDecl("job", (("n", "int"),)), ThingDecl("job", (("k", "text"),)),
+                    ThingDecl("empty")),
+        )
+        assert [str(d) for d in validate(model).errors] == [
+            "error[DUP_ID]: duplicate thing 'job'",
+            "error[UNDECLARED_ATTR]: arc 'f1': guard references attribute 'k' "
+            "not declared by thing 'job'",
+            "error[GUARD_TYPE]: arc 'f2': operator '<' mixes int and text operands",
+            "error[UNDECLARED_ATTR]: arc 'f3': guard references attribute 'n' "
+            "not declared by thing 'empty'",
+        ]
+
     def test_unresolved_machine(self):
         report = check(
             "machine a { stages Create, Process }\nflow a.Create -> ghost.Process"
