@@ -9,8 +9,10 @@ Subcommands::
     tm export MODEL       DOT or JSON rendering of the model
 
 Exit codes: 0 success (warnings allowed), 1 semantic failure, 2 syntax
-failure.  A ``MODEL.tmb`` sidecar next to ``MODEL.tm`` is merged
-automatically.  Set ``TM_COLOR=never`` to disable ANSI colors.
+failure.  Every fault is a diagnostic line on stderr, tinted on a terminal
+unless ``TM_COLOR=never``.  ``simulate`` reads its seed and step limit from
+the scenario and exits 1 on a nonconformant trace in either format.  A
+``MODEL.tmb`` sidecar next to ``MODEL.tm`` is merged automatically.
 
 The output formats load on demand: ``jsonio`` (and ``json``) only for
 ``--format json``, and ``dot`` only for DOT output.
@@ -31,7 +33,7 @@ from .behavior import (
     infer_behavior,
     validate_behavior,
 )
-from .diagnostics import ValidationReport, error
+from .diagnostics import Diagnostic, ValidationReport, error
 from .exprs import ExprSyntaxError, GuardTypeError
 from .model import ModelError, StageRef, link
 from .parser import (
@@ -42,7 +44,7 @@ from .parser import (
     parse_scenario,
     parse_with_diagnostics,
 )
-from .simulate import Scenario, UnseededCreateError, conformance, segment, simulate
+from .simulate import UnseededCreateError, conformance, segment, simulate
 from .validate import unresolved_diagnostic, validate
 
 EXIT_OK = 0
@@ -68,6 +70,12 @@ def _report_lines(report: ValidationReport, color: bool) -> list[str]:
 def _print_report(report: ValidationReport, stream) -> None:
     for line in _report_lines(report, _use_color(stream)):
         print(line, file=stream)
+
+
+def _stop(code: int, *diagnostics: Diagnostic) -> int:
+    """Print ``diagnostics`` to stderr and return the exit ``code``."""
+    _print_report(ValidationReport(list(diagnostics)), sys.stderr)
+    return code
 
 
 class _CannotWrite(Exception):
@@ -147,13 +155,11 @@ def _cmd_check(args, doc: Document | None, report: ValidationReport) -> int:
 def _cmd_events(args, doc: Document, report: ValidationReport) -> int:
     if args.bound is not None:
         if args.bound < 0:
-            print("error[SYNTAX]: --bound must be >= 0", file=sys.stderr)
-            return EXIT_SYNTAX
+            return _stop(EXIT_SYNTAX, error("SYNTAX", "--bound must be >= 0"))
         try:
             subs = enumerate_subdiagrams(doc.model, args.bound)
         except BoundTooLarge as exc:
-            print(f"error[BOUND]: {exc}", file=sys.stderr)
-            return EXIT_SEMANTIC
+            return _stop(EXIT_SEMANTIC, error("BOUND", str(exc)))
         if args.format == "json":
             from . import jsonio
             _write_output(jsonio.dumps(jsonio.census_to_obj(subs, args.bound)), args.out)
@@ -190,8 +196,7 @@ def _cmd_events(args, doc: Document, report: ValidationReport) -> int:
 
 def _cmd_behavior(args, doc: Document, report: ValidationReport) -> int:
     if not doc.regions:
-        print("error[NO_REGIONS]: model declares no regions", file=sys.stderr)
-        return EXIT_SEMANTIC
+        return _stop(EXIT_SEMANTIC, error("NO_REGIONS", "model declares no regions"))
 
     try:
         if doc.behavior is not None:
@@ -202,8 +207,7 @@ def _cmd_behavior(args, doc: Document, report: ValidationReport) -> int:
         else:
             graph = infer_behavior(doc.model, doc.regions)
     except RegionCheckFailed as exc:
-        _print_report(exc.report, sys.stderr)
-        return EXIT_SEMANTIC
+        return _stop(EXIT_SEMANTIC, *exc.report.diagnostics)
 
     _print_report(report, sys.stderr)
     if args.format == "dot":
@@ -221,33 +225,35 @@ def _cmd_simulate(args, doc: Document, report: ValidationReport) -> int:
     try:
         scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error[SYNTAX]: cannot read '{args.scenario}': {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
+        return _stop(EXIT_SYNTAX, error("SYNTAX", f"cannot read '{args.scenario}': {exc}"))
     except TMParseError as exc:
-        _print_report(ValidationReport(exc.diagnostics), sys.stderr)
-        return EXIT_SYNTAX
-
-    if args.max_steps is not None and args.max_steps < 1:
-        print("error[SYNTAX]: --max-steps must be >= 1", file=sys.stderr)
-        return EXIT_SYNTAX
-    fields = {name: getattr(scenario, name) for name in Scenario._fields}
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if args.max_steps is not None:
-        fields["max_steps"] = args.max_steps
-    scenario = Scenario(**fields)
-
+        return _stop(EXIT_SYNTAX, *exc.diagnostics)
     try:
         trace = simulate(doc.model, scenario)
     except (ModelError, UnseededCreateError, GuardTypeError, ExprSyntaxError) as exc:
-        print(f"error[SIMULATION]: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
+        return _stop(EXIT_SEMANTIC, error("SIMULATION", str(exc)))
+
+    # The verdict is reached once, whatever the format renders.
+    seg = verdict = None
+    if doc.regions:
+        seg = segment(trace, doc.regions)
+        try:  # the declared graph, else the inferred one; none when regions fail
+            verdict = conformance(seg.occurrences,
+                                  doc.behavior or infer_behavior(doc.model, doc.regions))
+        except RegionCheckFailed:
+            pass
 
     if args.format == "json":
         from . import jsonio
         _write_output(jsonio.trace_to_jsonl(trace), args.out)
+    else:
+        _write_output("\n".join(_trace_lines(trace, seg, verdict)) + "\n", args.out)
+    if verdict is None or verdict.ok:
         return EXIT_OK
+    return _stop(EXIT_SEMANTIC, *verdict.diagnostics)
 
+
+def _trace_lines(trace, seg, verdict) -> list[str]:
     # Each arc's text around the token id is built once and found by the
     # arc's id while the record's stages are that arc's own objects, as in
     # ``jsonio.trace_to_jsonl``: rendering two stages (``StageRef.__str__``
@@ -261,37 +267,16 @@ def _cmd_simulate(args, doc: Document, report: ValidationReport) -> int:
             arc = arcs[r.arc] = (r.source, r.target, f": {r.arc} [",
                                  f"] {r.source} -> {r.target}")
         lines.append(f"step {r.step}{arc[2]}{r.token}{arc[3]}")
-    lines.append(
-        f"steps={trace.meta.steps_used} created={trace.meta.created} "
-        f"consumed={trace.meta.consumed} "
-        f"limit_hit={'yes' if trace.meta.step_limit_hit else 'no'}"
-    )
-    if doc.regions:
-        seg = segment(trace, doc.regions)
-        lines.append(
-            "occurrences: "
-            + " ".join(
-                f"{o.region}@{o.interval.start}+{o.interval.duration}"
-                for o in seg.occurrences
-            )
-        )
-        graph = doc.behavior
-        if graph is None:
-            try:
-                graph = infer_behavior(doc.model, doc.regions)
-            except RegionCheckFailed:
-                graph = None
-        if graph is not None:
-            verdict = conformance(seg.occurrences, graph)
-            if verdict.ok:
-                lines.append("conformance: ok")
-            else:
-                lines.append("conformance: " + "; ".join(str(d) for d in verdict.errors))
-                _write_output("\n".join(lines) + "\n", args.out)
-                _print_report(verdict, sys.stderr)
-                return EXIT_SEMANTIC
-    _write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    meta = trace.meta
+    lines.append(f"steps={meta.steps_used} created={meta.created} consumed={meta.consumed} "
+                 f"limit_hit={'yes' if meta.step_limit_hit else 'no'}")
+    if seg is not None:
+        lines.append("occurrences: " + " ".join(
+            f"{o.region}@{o.interval.start}+{o.interval.duration}" for o in seg.occurrences))
+    if verdict is not None:
+        lines.append("conformance: " + ("ok" if verdict.ok else
+                                        "; ".join(str(d) for d in verdict.errors)))
+    return lines
 
 
 def _cmd_export(args, doc: Document, report: ValidationReport) -> int:
@@ -334,9 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a scenario and print the trace")
     common(p)
     p.add_argument("scenario", help="scenario file (.tms)")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
-    p.add_argument("--max-steps", type=int, dest="max_steps",
-                   help="override the scenario step limit")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("export", help="render the model as DOT or JSON")
@@ -352,16 +334,12 @@ def main(argv: list[str] | None = None) -> int:
         # A model that does not load is reported once, here; only `check`
         # gets it, to report in its own --format.
         if doc is None and args.func is not _cmd_check:
-            _print_report(report, sys.stderr)
-            return EXIT_SYNTAX
+            return _stop(EXIT_SYNTAX, *report.diagnostics)
         return args.func(args, doc, report)
     except ModelError:  # an arc that does not resolve: the line `tm check` prints
-        arc, exc = link(doc.model).unresolved[0]
-        print(unresolved_diagnostic(arc, exc), file=sys.stderr)
-        return EXIT_SEMANTIC
+        return _stop(EXIT_SEMANTIC, unresolved_diagnostic(*link(doc.model).unresolved[0]))
     except _CannotWrite as exc:
-        print(f"error[SYNTAX]: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
+        return _stop(EXIT_SYNTAX, error("SYNTAX", str(exc)))
     except BrokenPipeError:
         return EXIT_OK
 

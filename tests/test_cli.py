@@ -1,4 +1,6 @@
+import argparse
 import inspect
+import io
 import json
 import os
 import re
@@ -10,7 +12,8 @@ import pytest
 
 import tmflow
 import tmflow.behavior as behavior
-from tmflow.cli import main
+from tmflow import jsonio
+from tmflow.cli import build_parser, main
 from tmflow.exprs import _MAX_NESTING
 
 from conftest import CORPUS, nested_model
@@ -143,12 +146,13 @@ class TestSimulate:
         assert header["kind"] == "trace"
         assert header["final_tokens"][0]["attrs"]["sum"] == 6
 
-    def test_max_steps_override(self, capsys):
-        assert main(["simulate", corpus("formula.tm"), corpus("formula.tms"),
-                     "--max-steps", "5"]) == 0
+    def test_max_steps_override(self, tmp_path, capsys):
+        text = (CORPUS / "formula.tms").read_text(encoding="utf-8")
+        scenario = write(tmp_path, "short.tms", text.replace("max_steps 50", "max_steps 5"))
+        assert main(["simulate", corpus("formula.tm"), scenario]) == 0
         assert "limit_hit=yes" in capsys.readouterr().out
 
-    def test_seed_option_runs_the_scenario_with_that_seed(self, tmp_path, capsys):
+    def test_each_scenario_seed_chooses_its_own_trace(self, tmp_path, capsys):
         model = write(tmp_path, "choice.tm",
                       "thing t\n"
                       "machine a { stages Create, Release, Transfer }\n"
@@ -170,17 +174,31 @@ class TestSimulate:
 
         in_file = {seed: output(scenario(seed)) for seed in (1, 2, 3)}
         assert len(set(in_file.values())) == 3  # each seed chooses differently
-        for seed, expected in in_file.items():
-            assert output(scenario(0), "--seed", str(seed)) == expected
 
-    def test_nonconformant_trace_exits_one_after_its_verdict(self, tmp_path, capsys):
-        scenario = write(tmp_path, "late.tms",
-                         "scenario late {\n  token c of coat at dry.Transfer\n}\n")
-        assert main(["simulate", corpus("paint_dry.tm"), scenario]) == 1
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nonconformant_trace_exits_one_after_its_verdict(self, tmp_path, capsys, fmt):
+        text = "scenario late {\n  token c of coat at dry.Transfer\n}\n"
+        scenario = write(tmp_path, "late.tms", text)
+        assert main(["simulate", corpus("paint_dry.tm"), scenario, "--format", fmt]) == 1
         out, err = capsys.readouterr()
         verdict = "error[NOT_INITIAL]: trace starts at non-initial event 'dry' (steps 1..2)"
         assert err == verdict + "\n"
-        assert out.splitlines()[-1] == "conformance: " + verdict
+        if fmt == "text":
+            assert out.splitlines()[-1] == "conformance: " + verdict
+        else:  # stdout is the trace's JSON lines alone
+            model = tmflow.parse((CORPUS / "paint_dry.tm").read_text(encoding="utf-8")).model
+            assert out == jsonio.trace_to_jsonl(tmflow.simulate(model, tmflow.parse_scenario(text)))
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_behavior_without_regions_gets_no_verdict(self, tmp_path, capsys, fmt):
+        text = (CORPUS / "paint_dry.tm").read_text(encoding="utf-8")
+        model = write(tmp_path, "no_regions.tm",
+                      text[: text.index("regions {")] + text[text.index("behavior {"):])
+        assert main(["simulate", model, corpus("paint_dry.tms"), "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.count("limit_hit=no" if fmt == "text" else '"kind": "trace"') == 1
+        assert "occurrences" not in out and "conformance" not in out
 
     def test_missing_scenario_exits_two(self, capsys):
         assert main(["simulate", corpus("formula.tm"), corpus("nope.tms")]) == 2
@@ -501,11 +519,11 @@ class TestSugaredArcs:
 
 
 class TestArgumentChecks:
-    def test_max_steps_below_one_exits_two(self, capsys):
-        assert main(["simulate", corpus("formula.tm"), corpus("formula.tms"),
-                     "--max-steps", "0"]) == 2
+    def test_max_steps_below_one_exits_two(self, tmp_path, capsys):
+        scenario = write(tmp_path, "zero.tms", "scenario s {\n  max_steps 0\n}\n")
+        assert main(["simulate", corpus("formula.tm"), scenario]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error[SYNTAX]: --max-steps must be >= 1\n"
+        assert captured.err == "2:13: error[SYNTAX]: max_steps must be >= 1\n"
         assert captured.out == ""
 
     def test_negative_bound_exits_two(self, capsys):
@@ -564,6 +582,32 @@ def test_region_diagnostics_do_not_depend_on_hash_seed(tmp_path):
         f"warning[OPPOSING_FLOWS]: opposing flows between '{a}' and '{b}' "
         "(statically legal; resolved dynamically by events)" for a, b in ("ad", "bc")
     ] + ["ok (with warnings)"]
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+@pytest.mark.parametrize("command, code", [
+    (["events", corpus("multiple_behaviors.tm"), "--bound", "-1"], 2),
+    (["simulate", corpus("mousetrap.tm"), "MISSING"], 2),
+    (["simulate", "MODEL", "GHOST"], 1),
+    (["export", corpus("stack.tm"), "--out", "NO_DIR"], 2),
+], ids=["bound", "unreadable scenario", "simulation", "unwritable out"])
+def test_every_fault_is_tinted_on_a_terminal(tmp_path, monkeypatch, command, code):
+    paths = {
+        "MODEL": write(tmp_path, "job.tm", "thing job\nmachine a { stages Create, Process }\n"
+                                           "flow f1: a.Create -> a.Process on job\n"),
+        "GHOST": write(tmp_path, "ghost.tms", "scenario s {\n  token t of ghost at a.Create\n}\n"),
+        "MISSING": str(tmp_path / "nope.tms"),
+        "NO_DIR": str(tmp_path / "no" / "stack.dot"),
+    }
+    monkeypatch.delenv("TM_COLOR")
+    monkeypatch.setattr(sys, "stderr", _Terminal())
+    assert main([paths.get(arg, arg) for arg in command]) == code
+    [line] = sys.stderr.getvalue().splitlines()
+    assert line.startswith("\x1b[31merror[") and line.endswith("\x1b[0m")
 
 
 class TestLexicalErrors:
@@ -762,3 +806,17 @@ def test_every_diagnostic_code_is_named_in_another_test():
     text = text.replace(own, "")
     assert sorted(code for code in emitted_codes()
                   if not re.search(rf"\b{code}\b", text)) == []
+
+
+def test_every_tm_option_is_documented():
+    """Every option of a ``tm`` subcommand appears in the README, as every
+    defaulted parameter of the API is passed somewhere
+    (``test_imports.py::test_every_public_function_is_used``)."""
+    readme = (Path(tmflow.__file__).resolve().parent.parent.parent
+              / "README.md").read_text(encoding="utf-8")
+    [commands] = [action.choices for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    options = {option for command in commands.values() for action in command._actions
+               for option in action.option_strings if option not in ("-h", "--help")}
+    assert {"--format", "--out"} <= options  # the walk reaches the subcommands
+    assert sorted(option for option in options if option not in readme) == []
