@@ -10,9 +10,12 @@ Subcommands::
 
 Exit codes: 0 success (warnings allowed), 1 semantic failure, 2 syntax
 failure.  Every fault is a diagnostic line on stderr, tinted on a terminal
-unless ``TM_COLOR=never``.  ``simulate`` reads its seed and step limit from
-the scenario and exits 1 on a nonconformant trace in either format.  A
-``MODEL.tmb`` sidecar next to ``MODEL.tm`` is merged automatically.
+unless ``TM_COLOR=never``.  ``behavior`` and ``simulate`` start from
+``check``'s verdict: on a model it rejects they print what it prints and
+exit 1.  ``simulate`` reads its seed and step limit from the scenario,
+warns of an injection after the step limit, and exits 1 on a
+nonconformant trace in either format.  A ``MODEL.tmb`` sidecar next to
+``MODEL.tm`` is merged automatically.
 
 The output formats load on demand: ``jsonio`` (and ``json``) only for
 ``--format json``, and ``dot`` only for DOT output.
@@ -27,14 +30,13 @@ from pathlib import Path
 
 from .behavior import (
     BoundTooLarge,
-    RegionCheckFailed,
     check_regions,
     enumerate_subdiagrams,
     infer_behavior,
     validate_behavior,
 )
-from .diagnostics import Diagnostic, ValidationReport, error
-from .exprs import ExprSyntaxError, GuardTypeError
+from .diagnostics import Diagnostic, ValidationReport, error, warning
+from .exprs import GuardTypeError
 from .model import ModelError, StageRef, link
 from .parser import (
     Document,
@@ -195,21 +197,13 @@ def _cmd_events(args, doc: Document, report: ValidationReport) -> int:
 
 
 def _cmd_behavior(args, doc: Document, report: ValidationReport) -> int:
-    if not doc.regions:
-        return _stop(EXIT_SEMANTIC, error("NO_REGIONS", "model declares no regions"))
-
-    try:
-        if doc.behavior is not None:
-            graph = doc.behavior
-            report.extend(
-                validate_behavior(doc.model, doc.regions, graph, mode=args.mode)
-            )
-        else:
-            graph = infer_behavior(doc.model, doc.regions)
-    except RegionCheckFailed as exc:
-        return _stop(EXIT_SEMANTIC, *exc.report.diagnostics)
-
+    report.extend(_full_check(doc, args.mode))
+    if report.ok and not doc.regions:
+        report.diagnostics.append(error("NO_REGIONS", "model declares no regions"))
     _print_report(report, sys.stderr)
+    if not report.ok:
+        return EXIT_SEMANTIC
+    graph = doc.behavior or infer_behavior(doc.model, doc.regions)
     if args.format == "dot":
         from . import dot
         _write_output(dot.behavior_to_dot(graph), args.out)
@@ -218,30 +212,35 @@ def _cmd_behavior(args, doc: Document, report: ValidationReport) -> int:
         _write_output(jsonio.dumps(jsonio.graph_to_obj(graph)), args.out)
     else:
         _write_output("\n".join(behavior_lines(graph)) + "\n", args.out)
-    return EXIT_OK if report.ok else EXIT_SEMANTIC
+    return EXIT_OK
 
 
 def _cmd_simulate(args, doc: Document, report: ValidationReport) -> int:
+    report.extend(_full_check(doc, "overlap"))
+    if not report.ok:
+        return _stop(EXIT_SEMANTIC, *report.diagnostics)
     try:
         scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         return _stop(EXIT_SYNTAX, error("SYNTAX", f"cannot read '{args.scenario}': {exc}"))
     except TMParseError as exc:
         return _stop(EXIT_SYNTAX, *exc.diagnostics)
+    _print_report(ValidationReport([
+        warning("LATE_INJECTION", f"token '{seed.id}' is injected at step {step}, "
+                f"after max_steps {scenario.max_steps}, and never enters")
+        for step, seed in scenario.injections if step > scenario.max_steps]), sys.stderr)
     try:
         trace = simulate(doc.model, scenario)
-    except (ModelError, UnseededCreateError, GuardTypeError, ExprSyntaxError) as exc:
+    except (ModelError, UnseededCreateError, GuardTypeError) as exc:
         return _stop(EXIT_SEMANTIC, error("SIMULATION", str(exc)))
 
-    # The verdict is reached once, whatever the format renders.
+    # The verdict is reached once, whatever the format renders, against
+    # the declared graph, else the inferred one.
     seg = verdict = None
     if doc.regions:
         seg = segment(trace, doc.regions)
-        try:  # the declared graph, else the inferred one; none when regions fail
-            verdict = conformance(seg.occurrences,
-                                  doc.behavior or infer_behavior(doc.model, doc.regions))
-        except RegionCheckFailed:
-            pass
+        verdict = conformance(seg.occurrences,
+                              doc.behavior or infer_behavior(doc.model, doc.regions))
 
     if args.format == "json":
         from . import jsonio

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import inspect
 import io
 import json
@@ -191,14 +192,27 @@ class TestSimulate:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_behavior_without_regions_gets_no_verdict(self, tmp_path, capsys, fmt):
-        text = (CORPUS / "paint_dry.tm").read_text(encoding="utf-8")
-        model = write(tmp_path, "no_regions.tm",
-                      text[: text.index("regions {")] + text[text.index("behavior {"):])
-        assert main(["simulate", model, corpus("paint_dry.tms"), "--format", fmt]) == 0
-        out, err = capsys.readouterr()
-        assert err == ""
-        assert out.count("limit_hit=no" if fmt == "text" else '"kind": "trace"') == 1
-        assert "occurrences" not in out and "conformance" not in out
+        # `tm check` rejects the model, so nothing runs: no trace, no verdict.
+        model = write(tmp_path, "no_regions.tm", PAINT_DRY_WITHOUT_REGIONS)
+        assert main(["simulate", model, corpus("paint_dry.tms"), "--format", fmt]) == 1
+        assert capsys.readouterr() == (
+            "", "error[NO_REGIONS]: behavior section present but no regions declared\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_late_injection_is_a_warning(self, tmp_path, capsys, fmt):
+        text = (CORPUS / "formula.tms").read_text(encoding="utf-8")
+        text = text.replace("max_steps 50", "max_steps 5")
+        on_time = write(tmp_path, "on_time.tms", text)
+        late = write(tmp_path, "late.tms", text.replace(
+            "  action", "  inject 9 token k of acc at F.Create { sum = 0, i = 1, n = 3 }\n"
+            "  action", 1))
+        assert main(["simulate", corpus("formula.tm"), on_time, "--format", fmt]) == 0
+        trace = capsys.readouterr()
+        assert trace.err == ""
+        assert main(["simulate", corpus("formula.tm"), late, "--format", fmt]) == 0
+        assert capsys.readouterr() == (trace.out, (
+            "warning[LATE_INJECTION]: token 'k' is injected at step 9, "
+            "after max_steps 5, and never enters\n"))
 
     def test_missing_scenario_exits_two(self, capsys):
         assert main(["simulate", corpus("formula.tm"), corpus("nope.tms")]) == 2
@@ -457,7 +471,11 @@ class TestUnresolvedArcs:
         model = write(tmp_path, "m.tm", UNKNOWN_MACHINE_TM)
         assert main([argv[0], model, *argv[1:]]) == 1
         err = capsys.readouterr().err
-        assert err == "4:1: error[UNRESOLVED]: flow 'f2': no machine matches path 'nosuch'\n"
+        expected = "4:1: error[UNRESOLVED]: flow 'f2': no machine matches path 'nosuch'\n"
+        if argv[0] == "behavior":  # the whole report of `tm check`, warnings too
+            expected += ("warning[UNREACHABLE_STAGE]: stage a.Release has no incoming arc\n"
+                         "warning[UNREACHABLE_STAGE]: stage a.Transfer has no incoming arc\n")
+        assert err == expected
 
     def test_region_naming_unresolved_arc_is_dangling(self, tmp_path, capsys):
         text = UNKNOWN_MACHINE_TM.replace("arcs f1 }", "arcs f1, f2 }")
@@ -478,8 +496,23 @@ class TestUnresolvedArcs:
                          "scenario g {\n  token j of job at a.Create { n = 1 }\n}\n")
         assert main(["simulate", model, scenario]) == 1
         assert capsys.readouterr().err == (
-            "error[SIMULATION]: cannot order int against str\n"
+            "3:1: error[GUARD_TYPE]: arc 'f1': operator '>=' mixes int and "
+            "text operands\n"
         )
+
+    def test_simulate_run_time_type_error_is_a_diagnostic(self, tmp_path, capsys):
+        # The model checks clean; only the seed's text value meets the int guard.
+        model = write(tmp_path, "g.tm",
+                      "thing job { n: int }\n"
+                      "machine a { stages Create, Process }\n"
+                      "flow f1: a.Create -> a.Process on job when n >= 1\n")
+        scenario = write(tmp_path, "g.tms",
+                         'scenario g {\n  token j of job at a.Create { n = "x" }\n}\n')
+        assert main(["check", model]) == 0
+        capsys.readouterr()
+        assert main(["simulate", model, scenario]) == 1
+        assert capsys.readouterr() == (
+            "", "error[SIMULATION]: cannot order str against int\n")
 
 
     def test_check_reports_guard_type(self, tmp_path, capsys):
@@ -492,6 +525,55 @@ class TestUnresolvedArcs:
             "3:1: error[GUARD_TYPE]: arc 'f1': operator '>=' mixes int and "
             "text operands\n"
         )
+
+
+PAINT_DRY = (CORPUS / "paint_dry.tm").read_text(encoding="utf-8")
+PAINT_DRY_WITHOUT_REGIONS = (PAINT_DRY[: PAINT_DRY.index("regions {")]
+                             + PAINT_DRY[PAINT_DRY.index("behavior {"):])
+JOB_TMS = "scenario s {\n  token j of job at a.Create { n = 1 }\n}\n"
+
+# Models that `tm check` rejects, each with a scenario that would run on it.
+REJECTED = {
+    "ADJACENCY": ("thing job { n: int }\n"
+                  "machine a { stages Create, Transfer }\n"
+                  "machine b { stages Process }\n"
+                  "flow f1: a.Create -> a.Transfer on job\n"
+                  "flow f2: a.Transfer -> b.Process on job\n"
+                  "flow f3: b.Process -> a.Create on job\n", JOB_TMS),
+    "UNRESOLVED": (UNKNOWN_MACHINE_TM, JOB_TMS),
+    "NO_REGIONS": (PAINT_DRY_WITHOUT_REGIONS,
+                   (CORPUS / "paint_dry.tms").read_text(encoding="utf-8")),
+    "GUARD_TYPE": ("thing job { n: int }\n"
+                   "machine a { stages Create, Process }\n"
+                   'flow f1: a.Create -> a.Process on job when n >= "x"\n', JOB_TMS),
+    "OVERLAP": ("thing job { n: int }\n"
+                "machine a { stages Create, Process, Release }\n"
+                "flow f1: a.Create -> a.Process on job\n"
+                "flow f2: a.Process -> a.Release on job\n"
+                "regions {\n"
+                "  region first { stages a.Create, a.Process\n    arcs f1 }\n"
+                "  region second { stages a.Process, a.Release\n    arcs f2 }\n"
+                "}\n", JOB_TMS),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["behavior"], ["behavior", "--format", "json"],
+    ["simulate", "SCENARIO"], ["simulate", "SCENARIO", "--format", "json"],
+], ids=" ".join)
+@pytest.mark.parametrize("code", sorted(REJECTED))
+def test_a_model_check_rejects_goes_no_further(tmp_path, capsys, code, command):
+    """``behavior`` and ``simulate`` start from ``check``'s verdict: on a
+    model it rejects they print exactly what it prints, and exit 1."""
+    text, scenario_text = REJECTED[code]
+    model = write(tmp_path, "m.tm", text)
+    scenario = write(tmp_path, "s.tms", scenario_text)
+    assert main(["check", model]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"error[{code}]" in err
+    rest = [scenario if arg == "SCENARIO" else arg for arg in command[1:]]
+    assert main([command[0], model, *rest]) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 class TestSugaredArcs:
@@ -695,7 +777,12 @@ class TestNesting:
         scenario = write(tmp_path, "deep.tms", nested_scenario(_MAX_NESTING, _MAX_NESTING))
         argv = [argv[0], model, *(scenario if arg == "SCENARIO" else arg for arg in argv[1:])]
         assert main(argv) == 0
-        assert capsys.readouterr().err == ""
+        err = capsys.readouterr().err
+        if argv[0] == "behavior":  # the warnings `tm check` prints
+            assert main(["check", model]) == 0
+            assert err == capsys.readouterr().out.removesuffix("ok (with warnings)\n")
+        else:
+            assert err == ""
 
     @pytest.mark.parametrize("machines", [_MAX_NESTING + 1, 300])
     def test_machines_past_the_bound(self, tmp_path, capsys, machines):
@@ -776,14 +863,32 @@ class TestLoadFailures:
 
 
 def emitted_codes() -> set[str]:
-    """The diagnostic codes ``src`` can emit: each ``error("CODE"``,
-    ``warning("CODE"``, ``code="CODE"`` and ``error[CODE]``."""
-    pattern = re.compile(r'\b(?:error|warning)\(\s*"([A-Z_]+)"'
-                         r'|\bcode="([A-Z_]+)"|error\[([A-Z_]+)\]')
+    """The diagnostic codes ``src`` can emit, read from its syntax trees:
+    the first argument of each ``error(...)`` and ``warning(...)`` call,
+    each ``code=`` keyword, and each default of a parameter named
+    ``code``.  A code that is none of these literals would be computed;
+    only the name of such a parameter may pass one on."""
     package = Path(tmflow.__file__).resolve().parent
-    return {next(filter(None, match.groups()))
-            for path in package.glob("*.py")
-            for match in pattern.finditer(path.read_text(encoding="utf-8"))}
+    codes = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                found = [*(node.args[:1] if name in ("error", "warning") else []),
+                         *(keyword.value for keyword in node.keywords if keyword.arg == "code")]
+            elif isinstance(node, ast.arguments):
+                params = [*node.posonlyargs, *node.args]
+                pairs = [*zip(params[::-1], node.defaults[::-1]),
+                         *zip(node.kwonlyargs, node.kw_defaults)]
+                found = [default for arg, default in pairs if arg.arg == "code" and default]
+            else:
+                continue
+            for value in found:
+                if isinstance(value, ast.Name) and value.id == "code":
+                    continue
+                assert isinstance(value, ast.Constant), f"{path.name}:{value.lineno}"
+                codes.add(value.value)
+    return codes
 
 
 def test_readme_lists_every_diagnostic_code():
@@ -793,7 +898,7 @@ def test_readme_lists_every_diagnostic_code():
     readme = (Path(tmflow.__file__).resolve().parent.parent.parent
               / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Diagnostics\n", 1)[1].split("\n## ", 1)[0]
-    assert len(codes) >= 26
+    assert len(codes) >= 27
     assert sorted(code for code in codes if f"`{code}`" not in section) == []
 
 

@@ -81,8 +81,12 @@ def test_cli_output_matches_the_golden_sweep(monkeypatch):
     monkeypatch.setenv("TM_COLOR", "never")
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert [entry["argv"] for entry in golden] == sweep()
-    for entry in golden:
-        assert run(entry["argv"]) == entry
+    records = [run(entry["argv"]) for entry in golden]
+    moved = [" ".join(entry["argv"]) + ": " + ", ".join(
+                 key for key in ("exit", "stdout", "stderr") if now[key] != entry[key])
+             for now, entry in zip(records, golden) if now != entry]
+    assert not moved and records == golden, "\n".join(
+        [f"{len(moved)} commands moved:", *moved])
 
 
 def parse_parts(text: str) -> tuple[list[str], str, list[str]]:
