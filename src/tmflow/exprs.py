@@ -7,18 +7,23 @@ with ``\\"`` and ``\\\\`` escapes.  An integer is a run of decimal digits.
 An identifier is a run of letters, digits and ``_`` that does not start
 with a decimal digit.  Symbols are listed in ``_LEXEME``.
 
-``tokenize`` lexes a text in two passes made in C: one ``split`` over
-``_LEXEME`` gives the lexemes, with the gaps between them, and one
-``accumulate`` over their lengths gives each lexeme's offset.  The
-comments and the line ends that take in further lines are then found
-among the file's few hundred distinct lexemes, not by another pass over
-the text: a lexeme that starts with ``#`` is a comment, since a string
-starts with ``"``.  No record is kept per lexeme: a lexeme's kind is
-read from its first character (a quote starts a STRING, a decimal digit
-an INT, ``\\n`` is NEWLINE and the empty lexeme EOF; ``is_ident`` tells
-an IDENT from a symbol), and the parser builds a ``SourceSpan`` from an
-offset only where it keeps one.  A lexing error is at the first
-character, not a blank, of a gap.
+``tokenize`` lexes a text in two passes made in C: one ``findall`` over
+``_LEXEME``, from the end of the text's lead (the blanks, comments and
+line ends before its first lexeme), gives every lexeme with the blanks
+after it, and one ``accumulate`` over the matches' lengths gives each
+lexeme's offset.  Each distinct match, among the file's few hundred, is
+then cut to its lexeme once, not once per occurrence: a match that
+starts with ``#`` is a comment and is dropped, since a string starts
+with ``"``, and one that starts with a line end takes in the blank and
+comment-only lines after it.  No record is kept per lexeme: a lexeme's
+kind is read from its first character (a quote starts a STRING, a
+decimal digit an INT, ``\\n`` is NEWLINE and the empty lexeme EOF;
+``is_ident`` tells an IDENT from a symbol), and the parser builds a
+``SourceSpan`` from an offset only where it keeps one.  A lexing error
+is at the first character, not a blank, that no match holds.  An
+integer literal longer than Python converts to ``int``
+(``sys.get_int_max_str_digits()``, a setting of the whole process that
+is left as it is) is a syntax error at the literal.
 
 Expression grammar (no boolean connectives, by design):
 
@@ -29,30 +34,37 @@ Expression grammar (no boolean connectives, by design):
     stmt    := IDENT ":=" sum
     stmts   := stmt (";" stmt)*
 
-Expressions are parsed from lexemes, which a file's parser hands over
-from its one lex of the file.  ``compile_guard`` and ``compile_actions``
-turn a parsed guard or action list into one Python callable over a
-token's attributes, built from closures (no source text is generated);
-a caller compiles each expression once and calls it per evaluation.
-Identifiers name attributes of the token under evaluation.  Values are
-integers or text; mixing the two in an operator raises GuardTypeError,
-as does referencing an attribute the token does not carry.
+Parentheses, unary minuses and the ``+``/``-`` of a sum each open a
+level, and an expression nests at most ``_MAX_NESTING`` levels: a sum
+nests its operands one BinOp deeper per operator, so that every pass
+that walks an AST recurses at most that deep.  Expressions are parsed
+from lexemes, which a file's parser hands over from its one lex of the
+file.  ``compile_guard`` and ``compile_actions`` turn a parsed guard or
+action list into one Python callable over a token's attributes, built
+from closures (no source text is generated); a caller compiles each
+expression once and calls it per evaluation.  Identifiers name
+attributes of the token under evaluation.  Values are integers or text;
+mixing the two in an operator raises GuardTypeError, as does referencing
+an attribute the token does not carry.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from itertools import accumulate, compress
+import sys
+from itertools import accumulate, compress, repeat
 from typing import Callable
 
 from .diagnostics import Record, SourceSpan, _setattr
 
 
 class ExprSyntaxError(Exception):
-    """Text that is no guard or action.  ``at``, for nesting deeper than
-    ``_MAX_NESTING``, is the position, among the lexemes parsed, of the
-    ``(`` or ``-`` that opens the level too many."""
+    """Text that is no guard or action.  ``at`` is the position, among the
+    lexemes parsed, of the lexeme a file's diagnostic points at where that
+    is not the first: the ``(``, unary ``-`` or sum's ``+``/``-`` that
+    opens a level deeper than ``_MAX_NESTING``, or an integer literal too
+    long to convert."""
 
     def __init__(self, message: str, at: int | None = None):
         super().__init__(message)
@@ -129,27 +141,41 @@ class Assign(_Node):
 # ---------------------------------------------------------------------------
 # Lexer
 
-# One ``split`` finds every lexeme of a text as the group of this pattern;
-# what lies between two lexemes must be blanks.  The first five kinds
-# start with distinct characters, so they are tried most frequent first.
-# A line end takes in the blank and comment-only lines after it, and a
-# comment is a lexeme of its own: ``tokenize`` shortens the one, drops
-# the other and drops a line end before the first lexeme.  (Written
-# without re.VERBOSE, which costs more to compile at import.)
+# After the text's leading blanks, comments and line ends, one
+# ``findall`` finds every lexeme, each with the blanks after it.  A
+# lexeme is the first of these kinds that matches: ASCII identifiers, the
+# most frequent, come first, and the alternatives that start with a rarer
+# character last.  A line end takes in the blank and comment-only lines
+# after it and the blanks that indent the next, so that no match is
+# followed by a blank: only text where no lexeme starts lies outside every
+# match.  A comment after a lexeme is a lexeme of its own, which
+# ``tokenize`` drops.  (Written without re.VERBOSE, which costs more to
+# compile at import.)
 _LEXEME = re.compile(
-    r"([^\W\d]\w*"
-    r"|->|=>|:=|<=|>=|!=|[{}(),;:.=<>+\-]"
-    r"|\n(?:[ \t]*(?:\#[^\n]*)?\n)*"
-    r"|\d+"
-    r'|"(?:[^"\\\n]|\\.)*"'
-    r"|\#[^\n]*)"
+    r"(?:[a-zA-Z_]\w*+"
+    r"|[{}(),;.+]|[-=]>?|[:<>]=?"
+    r"|\n(?:[ \t]*+(?:\#[^\n]*+)?\n)*+"
+    r"|\d++"
+    r'|"(?:[^"\\\n]++|\\.)*+"'
+    r"|[^\W\d]\w*+|!=|\#[^\n]*+"
+    r")[ \t]*+"
 )
 
-# The deepest nesting of parentheses and unary minuses in an expression,
-# and of machines in a model: each level costs the recursive-descent
-# parsers a few Python frames, so a limit far below Python's recursion
-# limit turns a model that would exhaust the stack into a SYNTAX error.
+# The deepest nesting of parentheses, unary minuses and the operators of
+# a sum in an expression, and of machines in a model: each level costs
+# the recursive-descent parsers, or each pass that walks an AST, a few
+# Python frames, so a limit far below Python's recursion limit turns a
+# model that would exhaust the stack into a SYNTAX error.
 _MAX_NESTING = 100
+
+_TOO_DEEP = f"nesting deeper than {_MAX_NESTING} levels"
+
+
+def too_long() -> str:
+    """The message for an integer literal longer than Python converts to
+    ``int``: its limit is a setting of the whole process, left as it is."""
+    return f"integer literal longer than {sys.get_int_max_str_digits()} digits"
+
 
 # The symbols outside the expression grammar.
 _OTHER_SYMBOLS = frozenset({"->", "=>", "{", "}", ",", ":", "."})
@@ -177,35 +203,49 @@ def tokenize(text: str) -> tuple[list[str], list[int]]:
     with EOF, the empty lexeme at ``len(text)``; raise LexError where none
     starts.  A line that holds a lexeme ends with a ``"\\n"`` lexeme.
 
-    The split yields comments, and line ends that take in the blank and
-    comment-only lines after them; both are picked out of the set of
-    distinct lexemes, and ``map`` and ``compress`` then shorten or drop
-    each of their occurrences in C."""
-    parts = _LEXEME.split(text)  # gap, lexeme, gap, ..., lexeme, gap
-    offsets = list(accumulate(map(len, parts), initial=0))[1::2]
-    gaps = parts[::2]
-    if "".join(gaps).strip(" \t"):
-        # At the first character, not a blank, of the first gap holding one.
-        gap, end = next((gap, end) for gap, end in zip(gaps, offsets) if gap.strip(" \t"))
-        rest = gap.lstrip(" \t")
-        offset = end - len(rest)
-        kind = "UNTERMINATED" if rest[0] == '"' else "UNEXPECTED"
-        value = text[offset:].split("\n", 1)[0] if kind == "UNTERMINATED" else rest[0]
-        line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
-        raise LexError(kind, value, SourceSpan(line, column, len(value)))
-    values = parts[1::2]
-    # A line end with more lines becomes "\n", and a comment None.
-    fix = {lexeme: None if lexeme[0] == "#" else "\n"
-           for lexeme in set(values) if lexeme[0] in "#\n" and lexeme != "\n"}
-    if fix:
-        values = list(map(fix.get, values, values))
-        if None in fix.values():
-            offsets = [*compress(offsets, values), len(text)]
-            values = list(compress(values, values))
-    if values[:1] == ["\n"]:
-        del values[0], offsets[0]
+    The matches add up to the text after its lead unless some text lies
+    outside them.  Each distinct match is cut to its lexeme once, a
+    comment to None, and one ``map`` then gives each occurrence its
+    lexeme; ``compress`` drops the comments, if any."""
+    start = len(text) - len(text.lstrip(" \t"))
+    while text[start:start + 1] in ("#", "\n"):  # the lead: no lexeme yet
+        start = _LEXEME.match(text, start).end()
+    matches = _LEXEME.findall(text, start)
+    offsets = list(accumulate(map(len, matches), initial=start))
+    if offsets[-1] != len(text):
+        _lex_error(text, start)
+    distinct = set(matches)
+    lexemes = dict(zip(distinct, map(str.rstrip, distinct, repeat(" \t"))))
+    comments = False
+    for match in distinct:
+        if match[0] == "\n":
+            lexemes[match] = "\n"
+        elif match[0] == "#":
+            lexemes[match] = None
+            comments = True
+    values = list(map(lexemes.__getitem__, matches))
+    if comments:
+        offsets = [*compress(offsets, values), len(text)]
+        values = list(compress(values, values))
     values.append("")
     return values, offsets
+
+
+def _lex_error(text: str, start: int):
+    """Raise the LexError of a text where some text after ``start`` lies
+    outside the matches: at the first character, not a blank, of the
+    first gap between them that holds one."""
+    end = start
+    for match in _LEXEME.finditer(text, start):
+        if text[end:match.start()].strip(" \t"):
+            break
+        end = match.end()
+    rest = text[end:].lstrip(" \t")
+    offset = len(text) - len(rest)
+    kind = "UNTERMINATED" if rest[0] == '"' else "UNEXPECTED"
+    value = rest.split("\n", 1)[0] if kind == "UNTERMINATED" else rest[0]
+    line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    raise LexError(kind, value, SourceSpan(line, column, len(value)))
 
 
 def quote(text: str) -> str:
@@ -222,20 +262,28 @@ def unquote(literal: str) -> str:
 # Expressions
 
 class _Parser:
+    """One expression's recursive descent.  ``depth`` counts the levels
+    open where the next lexeme is read: parentheses, unary minuses, and in
+    a sum the height of its operands so far, which each ``+`` or ``-``
+    nests one level deeper under a BinOp.  ``height`` is the height of
+    the expression parsed last, so that no AST is deeper than the
+    bound."""
+
     def __init__(self, lexemes: list[str]):
         # Line ends dropped, ``->``/``=>`` read as ``-``/``=`` then ``>``,
         # and any other symbol the expression grammar lacks refused.
-        self.values: list[str] = []
+        self.values = values = []
         for value in lexemes:
             if value in _OTHER_SYMBOLS:
                 if value not in ("->", "=>"):
                     raise ExprSyntaxError(f"unexpected character in expression: {value[0]!r}")
-                self.values += (value[0], ">")
+                values += (value[0], ">")
             elif value != "\n":
-                self.values.append(value)
-        self.values.append("")
+                values.append(value)
+        values.append("")
         self.pos = 0
-        self.depth = 0  # parentheses and unary minuses open
+        self.depth = 0
+        self.height = 0
 
     def take(self) -> str:
         value = self.values[self.pos]
@@ -244,33 +292,45 @@ class _Parser:
         self.pos += 1
         return value
 
-    def at(self, *symbols: str) -> bool:
-        return self.values[self.pos] in symbols
-
     def expect_op(self, op: str) -> None:
         value = self.take()
         if value != op:
             raise ExprSyntaxError(f"expected '{op}', found {value!r}")
 
     def sum(self) -> Expr:
+        values, base = self.values, self.depth
         node = self.term()
-        while self.at("+", "-"):
-            node = BinOp(self.take(), node, self.term())
+        height = self.height
+        while values[self.pos] in ("+", "-"):
+            if base + height == _MAX_NESTING:
+                raise ExprSyntaxError(_TOO_DEEP, self.pos)
+            op = values[self.pos]
+            self.pos += 1
+            self.depth = base + height + 1
+            node = BinOp(op, node, self.term())
+            height = max(height, self.height) + 1
+        self.depth, self.height = base, height
         return node
 
     def term(self) -> Expr:
         value = self.take()
-        if value == "-":
-            inner = self.nested(self.term)
-            if isinstance(inner, Lit) and isinstance(inner.value, int):
-                return Lit(-inner.value)
-            return BinOp("-", Lit(0), inner)
+        self.height = 0
         if value[0].isdecimal():
-            return Lit(int(value))
+            try:
+                return Lit(int(value))
+            except ValueError:
+                raise ExprSyntaxError(too_long(), self.pos - 1) from None
         if value[0] == '"':
             return Lit(unquote(value))
         if is_ident(value):
             return Name(value)
+        if value == "-":
+            inner = self.nested(self.term)
+            if isinstance(inner, Lit) and isinstance(inner.value, int):
+                self.height = 0
+                return Lit(-inner.value)
+            self.height += 1
+            return BinOp("-", Lit(0), inner)
         if value == "(":
             node = self.nested(self.sum)
             self.expect_op(")")
@@ -280,7 +340,7 @@ class _Parser:
     def nested(self, parse) -> Expr:
         """``parse`` one level deeper than the lexeme just taken."""
         if self.depth == _MAX_NESTING:
-            raise ExprSyntaxError(f"nesting deeper than {_MAX_NESTING} levels", self.pos - 1)
+            raise ExprSyntaxError(_TOO_DEEP, self.pos - 1)
         self.depth += 1
         node = parse()
         self.depth -= 1
@@ -315,8 +375,8 @@ def parse_lexemes(kind: str, lexemes: list[str]) -> Cmp | list[Assign] | ExprSyn
             node = parser.comparison()
         else:
             node = [parser.assignment()]
-            while parser.at(";"):
-                parser.take()
+            while parser.values[parser.pos] == ";":
+                parser.pos += 1
                 node.append(parser.assignment())
         parser.done()
         return node

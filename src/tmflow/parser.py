@@ -3,14 +3,14 @@
 File layout is line oriented: one declaration per line, nested blocks in
 braces.  After ``normalize``, ``exprs.tokenize`` lexes a file once into
 lexeme strings and their offsets, which the parser reads by index; it
-builds a span only where it keeps one.  Guards, actions and stop
-conditions are parsed by ``exprs`` from those lexemes, each distinct
-text once, into the ``ExprTable`` handed over with the model or
-scenario; the text stays verbatim.  Solid arcs use ``flow``,
-dashed arcs use ``trigger``, and a machine-to-machine shorthand
-``A => B`` stands for the Release/Transfer/Transfer/Receive chain
-(kept as written here; it is expanded when the model is linked, once
-per model).
+builds a span only where it keeps one, and a stage ref once per distinct
+path of the file.  Guards, actions and stop conditions are parsed by
+``exprs`` from those lexemes, each distinct text once, into the
+``ExprTable`` handed over with the model or scenario; the text stays
+verbatim.  Solid arcs use ``flow``, dashed arcs use ``trigger``, and a
+machine-to-machine shorthand ``A => B`` stands for the
+Release/Transfer/Transfer/Receive chain (kept as written here; it is
+expanded when the model is linked, once per model).
 
 The same grammar also covers ``regions`` and ``behavior`` sections
 (inline in a ``.tm`` file or alone in a ``.tmb`` sidecar) and scenario
@@ -26,6 +26,7 @@ from .behavior import BehaviorGraph, Event, Interval, Region, Subdiagram
 from .diagnostics import Diagnostic, Fresh, Record, SourceSpan, error
 from .exprs import (
     _MAX_NESTING,
+    _TOO_DEEP,
     ExprSyntaxError,
     ExprTable,
     LexError,
@@ -33,6 +34,7 @@ from .exprs import (
     parse_lexemes,
     quote,
     tokenize,
+    too_long,
     unquote,
 )
 from .model import (
@@ -119,7 +121,9 @@ class _Parser:
     their dotted paths, region lists, attribute blocks) are read in
     place, with no helper call per lexeme; where one fails, it sets
     ``self.pos`` where recovery starts.  A span is built, from the
-    lexeme's offset, only where the parser keeps one.
+    lexeme's offset, only where the parser keeps one.  A dotted path is
+    checked and its ``StageRef`` built the first time its text is read;
+    every later occurrence in the file shares that ref.
 
     Machines nest at most ``_MAX_NESTING`` deep, as expressions do: the
     descent recurses once per level, and a deeper model would exhaust
@@ -137,7 +141,11 @@ class _Parser:
         except LexError as exc:
             self.diagnostics.append(error("SYNTAX", str(exc), exc.span))
             self.values, self.offsets = [""], [0]
-        self.idents = set(filter(is_ident, set(self.values)))
+        # Most IDENTs are Python identifiers, which ``str.isidentifier``
+        # tells in C; ``is_ident`` tells the rest (``²x``).
+        distinct = set(self.values)
+        self.idents = set(filter(str.isidentifier, distinct))
+        self.idents.update(filter(is_ident, distinct.difference(self.idents)))
         self.names = self.idents.difference(_STAGE_KINDS)
         self.pos = 0
         self.top_start = 0  # diagnostics before the current top-level statement
@@ -146,12 +154,16 @@ class _Parser:
         self.thing_names: set[str] = set()
         self.arc_ids: set[str] = set()
         self.auto_ids = {"flow": 0, "trigger": 0}  # positional ids, per keyword
+        # Each distinct path's ref, by the path's text: a stage's, and a
+        # machine's (the ends of a sugared arc).
+        self.stage_refs: dict[str, StageRef] = {}
+        self.machine_refs: dict[str, StageRef] = {}
 
     # -- lexeme helpers --------------------------------------------------
     def span(self, pos: int) -> SourceSpan:
         offset, lines = self.offsets[pos], self.lines
         line = bisect_right(lines, offset)
-        return SourceSpan(line, offset - lines[line - 1] + 1, max(1, len(self.values[pos])))
+        return SourceSpan(line, offset - lines[line - 1] + 1, len(self.values[pos]) or 1)
 
     def take(self) -> str:
         value = self.values[self.pos]
@@ -180,16 +192,14 @@ class _Parser:
         self.pos = pos
         self.fail(f"expected {what}")
 
-    def expect_ident(self, what: str = "identifier") -> int:
-        """Take the next lexeme, a name; give its position."""
+    def ident(self, what: str) -> str:
+        """Take the next lexeme, a name."""
         pos = self.pos
-        if self.values[pos] not in self.names:
+        value = self.values[pos]
+        if value not in self.names:
             self.bad_name(pos, what)
         self.pos = pos + 1
-        return pos
-
-    def ident(self, what: str) -> str:
-        return self.values[self.expect_ident(what)]
+        return value
 
     def name_list(self, what: str, names: list[str]) -> None:
         """Take ``name (',' name)*`` into ``names``, one by one, so that a
@@ -206,9 +216,15 @@ class _Parser:
 
     def expect_int(self, what: str) -> int:
         """Take the next lexeme, an INT; give its value."""
-        if not self.values[self.pos][:1].isdecimal():
+        value = self.values[self.pos]
+        if not value[:1].isdecimal():
             self.fail(f"expected {what}")
-        return int(self.take())
+        try:
+            number = int(value)
+        except ValueError:
+            self.fail(too_long())
+        self.pos += 1
+        return number
 
     def skip_newlines(self):
         while self.values[self.pos] == "\n":
@@ -284,7 +300,9 @@ class _Parser:
     def stage_ref(self, machine: bool = False, sugar: bool = False) -> StageRef:
         """Take ``IDENT ('.' IDENT)*``: a stage, named by a machine path and
         its kind, or a machine (kind None) with ``machine``, or with
-        ``sugar`` where ``=>`` follows."""
+        ``sugar`` where ``=>`` follows.  Each distinct path's ref is
+        checked and built the first time it is read, and looked up by
+        its text after that: the same text holds the same lexemes."""
         values, idents, start = self.values, self.idents, self.pos
         if values[start] not in idents:
             self.fail("expected machine or stage path")
@@ -295,9 +313,22 @@ class _Parser:
                 self.pos = last
                 self.fail("expected path segment after '.'")
         self.pos = last + 1
+        offsets = self.offsets
+        path = self.text[offsets[start]:offsets[last] + len(values[last])]
+        refs = self.machine_refs if machine or sugar and values[last + 1] == "=>" else self.stage_refs
+        ref = refs.get(path)
+        if ref is None:
+            ref = refs[path] = self.new_ref(start, last, refs is self.machine_refs)
+        return ref
+
+    def new_ref(self, start: int, last: int, machine: bool) -> StageRef:
+        """The ref of the path of IDENTs from ``start`` to ``last``, a
+        machine's with ``machine``; fail at a lexeme that names no stage,
+        or names one where a machine belongs."""
+        values = self.values
         path = values[start:last + 1:2]
         kind = None
-        if not (machine or sugar and values[last + 1] == "=>"):
+        if not machine:
             kind = _STAGE_KINDS.get(path.pop())
             if kind is None:
                 self.fail(
@@ -326,18 +357,26 @@ class _Parser:
         self.pos = end
         text = self.text[self.offsets[start]:self.offsets[end - 1] + len(values[end - 1])]
         key = kind, text
-        node = self.exprs[key] = self.exprs.get(key) or parse_lexemes(kind, values[start:end])
+        node = self.exprs.get(key)
+        if node is None:
+            node = self.exprs[key] = parse_lexemes(kind, values[start:end])
         if isinstance(node, ExprSyntaxError):
-            if node.at is not None:  # nested too deep
-                self.fail(str(node), start + node.at)
-            self.fail(f"{what}: {node}", start, code="GUARD_SYNTAX")
+            if str(node) == _TOO_DEEP:
+                self.fail(_TOO_DEEP, start + node.at)
+            self.fail(f"{what}: {node}", start + (node.at or 0), code="GUARD_SYNTAX")
         return text
 
-    def declare(self, names: set[str], pos: int, what: str):
+    def declare(self, pos: int, names: set[str], what: str, noun: str = "") -> str:
+        """Take the lexeme at ``pos``, a name (``expected {what}``) not yet
+        in ``names`` (``duplicate {noun or what}``), into ``names``."""
         value = self.values[pos]
+        if value not in self.names:
+            self.bad_name(pos, what)
+        self.pos = pos + 1
         if value in names:
-            self.fail(f"duplicate {what} '{value}'", pos, code="DUP_ID")
+            self.fail(f"duplicate {noun or what} '{value}'", pos, code="DUP_ID")
         names.add(value)
+        return value
 
     # -- model items -----------------------------------------------------
     def parse_document(self) -> Document:
@@ -378,39 +417,36 @@ class _Parser:
         return Document(model=model, regions=tuple(regions), behavior=behavior)
 
     def thing_decl(self) -> ThingDecl:
-        self.take()  # thing
-        name = self.expect_ident("thing name")
-        self.declare(self.thing_names, name, "thing")
+        name_pos = self.pos + 1  # after 'thing'
+        name = self.declare(name_pos, self.thing_names, "thing name", "thing")
         attributes: list[tuple[str, str]] = []
         seen: set[str] = set()
 
         def attribute():
             if self.values[self.pos + 1] != ":":
                 self.unclosed(_THING_ENDS)
-            attr = self.expect_ident("attribute name")
-            self.declare(seen, attr, "attribute")
+            attr = self.declare(self.pos, seen, "attribute name", "attribute")
             self.expect(":")
             kind = self.pos
             if self.take() not in _ATTR_KINDS:
                 self.fail("attribute kind must be 'int' or 'text'", kind)
-            attributes.append((self.values[attr], self.values[kind]))
+            attributes.append((attr, self.values[kind]))
             if self.values[self.pos] == ",":
                 self.pos += 1
 
         if self.values[self.pos] == "{":
             self.block(attribute)
         self.end_statement()
-        return ThingDecl(self.values[name], tuple(attributes), span=self.span(name))
+        return ThingDecl(name, tuple(attributes), self.span(name_pos))
 
     def machine_decl(self, depth: int) -> Machine:
         """A machine nested in ``depth`` others, and its body."""
         values = self.values
         if depth == _MAX_NESTING:
             at, self.pos = self.pos, len(values) - 1  # stop: close every open body
-            self.fail(f"nesting deeper than {_MAX_NESTING} levels", at)
-        self.pos += 1  # machine
-        id_pos = self.expect_ident("machine id")
-        self.declare(self.machine_ids, id_pos, "machine id")
+            self.fail(_TOO_DEEP, at)
+        id_pos = self.pos + 1  # after 'machine'
+        machine_id = self.declare(id_pos, self.machine_ids, "machine id")
         name = None
         if values[self.pos][:1] == '"':
             name = unquote(self.take())
@@ -441,13 +477,7 @@ class _Parser:
 
         self.block(statement)
         self.end_statement()
-        return Machine(
-            id=values[id_pos],
-            name=name,
-            stages=tuple(stages),
-            submachines=tuple(submachines),
-            span=self.span(id_pos),
-        )
+        return Machine(machine_id, name, tuple(stages), tuple(submachines), self.span(id_pos))
 
     def arc_stmt(self) -> FlowArc | TriggerArc:
         """``flow`` or ``trigger``, an optional ``name:`` (otherwise a
@@ -455,52 +485,62 @@ class _Parser:
         values, kw = self.values, self.pos
         keyword = values[kw]
         flow = keyword == "flow"
-        self.pos = kw + 1
-        if values[kw + 1] in self.idents and values[kw + 2] == ":":
-            id_pos = self.expect_ident("arc id")
-            self.declare(self.arc_ids, id_pos, "arc id")
-            self.pos += 1  # ':'
-            arc_id, auto = values[id_pos], False
+        arc_id = values[kw + 1]
+        if arc_id in self.idents and values[kw + 2] == ":":
+            self.declare(kw + 1, self.arc_ids, "arc id")
+            self.pos, auto = kw + 3, False
         else:
             self.auto_ids[keyword] += 1
             arc_id, auto = f"_{keyword[0]}{self.auto_ids[keyword]}", True
+            self.pos = kw + 1
         first = self.pos
         source = self.stage_ref(sugar=flow)
         if source.kind is None:  # sugared: machine to machine
             self.pos += 1
             target = self.stage_ref(machine=True)
         else:
-            self.expect("->")
+            if values[self.pos] != "->":
+                self.fail("expected '->'")
+            self.pos += 1
             target = self.stage_ref()
         if source == target:
             self.fail(f"{keyword} source and target are the same stage", first,
                       code="SELF_LOOP")
         thing = guard = label = None
-        word = values[self.pos]
+        pos = self.pos
+        word = values[pos]
         if word == "on" and flow:
-            self.pos += 1
-            thing = self.ident("thing name")
-            word = values[self.pos]
+            thing = values[pos + 1]
+            if thing not in self.names:
+                self.bad_name(pos + 1, "thing name")
+            pos += 2
+            word = values[pos]
         if word == "when":
-            self.pos += 1
+            self.pos = pos + 1
             guard = self.expression("guard", _GUARD_ENDS, "bad guard")
-            word = values[self.pos]
+            pos = self.pos
+            word = values[pos]
         if word == "label":
-            self.pos += 1
-            word = values[self.pos]
+            pos += 1
+            word = values[pos]
             if word[:1] == '"':
                 label = unquote(word)
             elif word[:1].isdecimal():
                 label = word
             else:
+                self.pos = pos
                 self.fail("expected a string or number after 'label'")
-            self.pos += 1
-        self.end_statement()
+            pos += 1
+            word = values[pos]
+        if word == "\n":
+            pos += 1
+        elif word and word != "}":
+            self.pos = pos
+            self.fail(f"unexpected trailing input '{word}'")
+        self.pos = pos
         if flow:
-            return FlowArc(arc_id, source, target, thing=thing, guard=guard,
-                           label=label, auto_id=auto, span=self.span(kw))
-        return TriggerArc(arc_id, source, target, guard=guard, label=label,
-                          auto_id=auto, span=self.span(kw))
+            return FlowArc(arc_id, source, target, thing, guard, label, auto, self.span(kw))
+        return TriggerArc(arc_id, source, target, guard, label, auto, self.span(kw))
 
     # -- regions / behavior ----------------------------------------------
     def regions_block(self) -> list[Region]:
@@ -511,8 +551,8 @@ class _Parser:
 
         def region():
             self.expect("region")
-            id_pos = self.expect_ident("region id")
-            self.declare(seen, id_pos, "region id")
+            id_pos = self.pos
+            region_id = self.declare(id_pos, seen, "region id")
             label = unquote(self.take()) if values[self.pos][:1] == '"' else ""
             stages: list[StageRef] = []
             arcs: list[str] = []
@@ -525,24 +565,17 @@ class _Parser:
                     while values[self.pos] == ",":
                         self.pos += 1
                         stages.append(self.stage_ref())
-                    self.end_statement()
                 elif word == "arcs":
                     self.pos += 1
                     self.name_list("arc id", arcs)
-                    self.end_statement()
                 else:
                     self.fail(f"unexpected '{word}' in region body")
+                self.end_statement()
 
             self.block(statement)
             self.end_statement()
-            regions.append(
-                Region(
-                    id=values[id_pos],
-                    body=Subdiagram(frozenset(stages), frozenset(arcs)),
-                    label=label,
-                    span=self.span(id_pos),
-                )
-            )
+            regions.append(Region(region_id, Subdiagram(frozenset(stages), frozenset(arcs)),
+                                  label, self.span(id_pos)))
 
         self.block(region)
         self.end_statement()
@@ -560,9 +593,7 @@ class _Parser:
         def statement():
             word = self.values[self.pos]
             if word == "event":
-                self.pos += 1
-                id_pos = self.expect_ident("event id")
-                self.declare(seen, id_pos, "event id")
+                event_id = self.declare(self.pos + 1, seen, "event id")
                 self.expect("region", "expected 'region' in event declaration")
                 region_id = self.ident("region id")
                 interval = None
@@ -573,7 +604,7 @@ class _Parser:
                     if duration < 1:
                         self.fail("interval duration must be >= 1", self.pos - 1)
                     interval = Interval(start, duration)
-                events.append(Event(self.values[id_pos], region_id, interval))
+                events.append(Event(event_id, region_id, interval))
             elif word == "edge":
                 self.pos += 1
                 src = self.ident("event id")
@@ -624,7 +655,11 @@ class _Parser:
                 if not value[:1].isdecimal():
                     self.pos = pos - 1
                     self.fail("expected an integer or string value")
-                attrs[name] = -int(value) if negative else int(value)
+                try:
+                    attrs[name] = -int(value) if negative else int(value)
+                except ValueError:
+                    self.pos = pos - 1
+                    self.fail(too_long())
             if values[pos] == ",":
                 pos += 1
         self.pos = pos + 1
@@ -673,14 +708,13 @@ class _Parser:
                 if injected:
                     step = self.expect_int("injection step")
                     self.expect("token")
-                id_pos = self.expect_ident("token id")
-                self.declare(token_ids, id_pos, "token id")
+                token_id = self.declare(self.pos, token_ids, "token id")
                 self.expect("of")
                 thing = self.ident("thing name")
                 self.expect("at")
                 at = self.stage_ref()
                 attrs = self.attrs_block() if self.values[self.pos] == "{" else {}
-                seed_tok = TokenSeed(self.values[id_pos], thing, at, attrs)
+                seed_tok = TokenSeed(token_id, thing, at, attrs)
                 if injected:
                     injections.append((step, seed_tok))
                 else:

@@ -6,6 +6,8 @@ For seed 3 and each size N of ``SIZES`` (units; the model text grows
 about 4x from N = 480 to N = 1 920) it prints, best of ``REPS`` runs on
 a freshly parsed model:
 
+* ``parse``: ``tmflow.parse`` of the text, in ms and in MB of text per
+  second, the front end that every analysis starts from;
 * ``check``: ``cli._full_check`` less parse, the work of ``tm check``
   once the document is parsed;
 * ``behavior``: ``infer_behavior`` less parse;
@@ -15,11 +17,12 @@ a freshly parsed model:
   in all and per stage or arc;
 
 then the growth ratio of each figure from the first size to the last.
-Linear work grows about as the text does.  The three timings are taken
-with the cyclic collector off, so that they show the analyses' own work;
-``check`` and ``behavior`` are also shown with it on (``+gc``), as ``tm``
-runs them: a full collection that falls at one size and not at the other
-can move those figures far more than the analyses' own work does.  No
+Linear work grows about as the text does, and a linear parse keeps its
+MB/s.  The timings are taken with the cyclic collector off, so that they
+show the analyses' own work; ``parse``, ``check`` and ``behavior`` are
+also shown with it on (``+gc``), as ``tm`` runs them: a full collection
+that falls at one size and not at the other can move those figures far
+more than the analyses' own work does.  No
 figure here is a gate: the file has no ``test_`` prefix, so pytest does
 not collect it.
 """
@@ -58,6 +61,9 @@ def one_run(n: int, text: str) -> dict[str, float]:
     """One timing of each figure on fresh parses of ``text`` (parse
     untimed)."""
     figures = {}
+    for suffix, collect in [("_ms", False), ("+gc_ms", True)]:
+        taken, _ = seconds(tmflow.parse, text, collect)
+        figures["parse" + suffix] = taken * 1e3
     for name, work in [("check", lambda doc: _full_check(doc, "overlap")),
                        ("behavior", lambda doc: tmflow.infer_behavior(doc.model, doc.regions))]:
         for suffix, collect in [("_ms", False), ("+gc_ms", True)]:
@@ -84,14 +90,16 @@ def main() -> None:
                 rows[n][name] = min(rows[n].get(name, value), value)
     for n in SIZES:
         held, elements = index_bytes(texts[n])
-        rows[n].update(index_mb=held / 1e6, index_b_per_elem=held / elements)
-    names = list(rows[SIZES[0]])
+        mb = len(texts[n].encode()) / 1e6
+        rows[n].update(parse_mb_s=mb / rows[n]["parse_ms"] * 1e3,
+                       parse_gc_mb_s=mb / rows[n]["parse+gc_ms"] * 1e3,
+                       index_mb=held / 1e6, index_b_per_elem=held / elements)
     print(f"static_large seed {SEED}, census bound {BOUND}, best of {REPS}")
-    print(f"{'N':>7} " + " ".join(f"{name:>17}" for name in names))
-    for n, row in rows.items():
-        print(f"{n:>7} " + " ".join(f"{row[name]:>17.2f}" for name in names))
+    print(f"{'N':>18} " + " ".join(f"{n:>10}" for n in SIZES) + f" {'growth':>10}")
     first, last = rows[SIZES[0]], rows[SIZES[-1]]
-    print(f"{'growth':>7} " + " ".join(f"{last[name] / first[name]:>16.2f}x" for name in names))
+    for name in first:
+        print(f"{name:>18} " + " ".join(f"{rows[n][name]:>10.2f}" for n in SIZES)
+              + f" {last[name] / first[name]:>9.2f}x")
 
 
 if __name__ == "__main__":

@@ -746,6 +746,42 @@ class TestLexicalErrors:
         assert err.startswith("6:29: error[SYNTAX]: expected interval start\n")
         assert "Traceback" not in err
 
+    # An integer literal longer than Python converts to ``int`` (4 300
+    # digits unless the process sets another limit) is a diagnostic at the
+    # literal, at each of the three places an INT is read.
+    LONG = "9" * 5000
+
+    def long_literal(self) -> str:
+        return f"integer literal longer than {sys.get_int_max_str_digits()} digits"
+
+    def test_long_integer_in_a_guard(self, tmp_path, capsys):
+        model = write(tmp_path, "g.tm", "thing job { n: int }\n"
+                      "machine a { stages Create, Process }\n"
+                      f"flow f: a.Create -> a.Process on job when n > {self.LONG}\n")
+        assert main(["check", model]) == 2
+        assert capsys.readouterr().err == (
+            f"3:47: error[GUARD_SYNTAX]: bad guard: {self.long_literal()}\n")
+
+    @pytest.mark.parametrize("model, scenario, at", [
+        ("machine a { stages Create }\nregions {\n  region r { stages a.Create }\n}\n"
+         f"behavior {{\n  event e region r interval 1 {LONG}\n}}\n", None, "6:31"),
+        ("thing job { n: int }\nmachine a { stages Create }\n",
+         f"scenario s {{\n  max_steps {LONG}\n  token t of job at a.Create\n}}\n", "2:13"),
+    ], ids=["interval", "max_steps"])
+    def test_long_integer_after_a_keyword(self, tmp_path, capsys, model, scenario, at):
+        argv = ["check", write(tmp_path, "k.tm", model)]
+        if scenario is not None:
+            argv = ["simulate", argv[1], write(tmp_path, "k.tms", scenario)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"{at}: error[SYNTAX]: {self.long_literal()}\n"
+
+    def test_long_integer_in_token_attributes(self, tmp_path, capsys):
+        model = write(tmp_path, "t.tm", "thing job { n: int }\nmachine a { stages Create }\n")
+        scenario = write(tmp_path, "t.tms", "scenario s {\n"
+                         f"  token t of job at a.Create {{ n = -{self.LONG} }}\n}}\n")
+        assert main(["simulate", model, scenario]) == 2
+        assert capsys.readouterr().err == f"2:37: error[SYNTAX]: {self.long_literal()}\n"
+
     def test_guard_over_non_ascii_attribute(self, tmp_path, capsys):
         model = write(tmp_path, "u.tm",
                       "thing job { größe: int }\n"
@@ -761,17 +797,41 @@ def nested_scenario(machines: int, parentheses: int) -> str:
             f"  stop when {stop} > 5\n}}\n")
 
 
-class TestNesting:
-    """Machines, parentheses and unary minuses nest at most
-    ``_MAX_NESTING`` deep; a deeper level is one SYNTAX error at the
-    lexeme that opens it, not a RecursionError."""
+# Every command, once in each format; SCENARIO stands for the scenario file.
+EVERY_COMMAND = [
+    ["check"], ["check", "--format", "json"], ["events"], ["events", "--bound", "2"],
+    ["behavior"], ["behavior", "--format", "json"], ["export"],
+    ["export", "--format", "json"], ["simulate", "SCENARIO"],
+    ["simulate", "SCENARIO", "--format", "json"],
+]
 
-    @pytest.mark.parametrize("argv", [
-        ["check"], ["check", "--format", "json"], ["events"], ["events", "--bound", "2"],
-        ["behavior"], ["behavior", "--format", "json"], ["export"],
-        ["export", "--format", "json"], ["simulate", "SCENARIO"],
-        ["simulate", "SCENARIO", "--format", "json"],
-    ])
+
+def chain(op: str, operators: int) -> str:
+    return "n" + f" {op} n" * operators
+
+
+def chain_model(operators: int) -> str:
+    """One machine and a flow whose guard, a sum of ``operators``
+    operators, holds for ``n = 1``."""
+    return ("thing job { n: int }\nmachine m0 { stages Create, Process }\n"
+            f"flow f: m0.Create -> m0.Process on job when {chain('-', operators)} < 3\n"
+            "regions {\n  region r { stages m0.Create, m0.Process\n    arcs f\n  }\n}\n")
+
+
+def chain_scenario(operators: int) -> str:
+    """A token with ``n = 1``, an action that sets ``n`` to a sum of
+    ``operators`` operators, and a stop condition that is one too."""
+    return (f"scenario s {{\n  token t of job at m0.Create {{ n = 1 }}\n"
+            f"  action m0.Process {{ n := {chain('+', operators)} }}\n"
+            f"  stop when {chain('+', operators)} > 5\n}}\n")
+
+
+class TestNesting:
+    """Machines, parentheses, unary minuses and the operators of a sum nest
+    at most ``_MAX_NESTING`` deep; a deeper level is one SYNTAX error at
+    the lexeme that opens it, not a RecursionError."""
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND)
     def test_every_command_runs_at_the_bound(self, tmp_path, capsys, argv):
         model = write(tmp_path, "deep.tm", nested_model(_MAX_NESTING, _MAX_NESTING))
         scenario = write(tmp_path, "deep.tms", nested_scenario(_MAX_NESTING, _MAX_NESTING))
@@ -805,6 +865,37 @@ class TestNesting:
         assert main(["check", model]) == 2
         assert capsys.readouterr().err == (
             f"2:{column}: error[SYNTAX]: nesting deeper than 100 levels\n")
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND)
+    def test_every_command_runs_at_the_chain_bound(self, tmp_path, capsys, argv):
+        """A guard, an action and a stop condition that are sums of 100
+        operators, each one level deeper than the one before it."""
+        model = write(tmp_path, "chain.tm", chain_model(_MAX_NESTING))
+        scenario = write(tmp_path, "chain.tms", chain_scenario(_MAX_NESTING))
+        argv = [argv[0], model, *(scenario if arg == "SCENARIO" else arg for arg in argv[1:])]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if argv[0] == "simulate":  # the token moved, ran the action and met the stop condition
+            assert '"n": 101' in out if "json" in argv else "steps=1 " in out
+
+    # The guard starts at column 45, and its k-th operator is 4k - 2
+    # columns on; the column is that of the operator that opens level 101.
+    @pytest.mark.parametrize("operators, column", [(101, 45 + 4 * 101 - 2), (2000, 45 + 4 * 101 - 2)])
+    def test_chain_past_the_bound(self, tmp_path, capsys, operators, column):
+        model = write(tmp_path, "chain.tm", chain_model(operators))
+        for argv in (["check", model], ["behavior", model],
+                     ["simulate", model, write(tmp_path, "chain.tms", chain_scenario(1))]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"3:{column}: error[SYNTAX]: nesting deeper than 100 levels\n")
+
+    def test_action_chain_past_the_bound(self, tmp_path, capsys):
+        model = write(tmp_path, "chain.tm", chain_model(1))
+        scenario = write(tmp_path, "chain.tms", chain_scenario(2000))
+        assert main(["simulate", model, scenario]) == 2
+        assert capsys.readouterr().err == (
+            f"3:{28 + 4 * 101 - 2}: error[SYNTAX]: nesting deeper than 100 levels\n")
 
     def test_stop_condition_past_the_bound(self, tmp_path, capsys):
         model = write(tmp_path, "deep.tm", nested_model(1, 1))

@@ -5,6 +5,7 @@ gives; and their compiled forms give what the AST interpreter below
 gives."""
 
 import re
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 import pytest
@@ -171,6 +172,82 @@ def test_generated_texts_lex_alike(text):
     assert lexed(split_tokens, text) == lexed(reference_tokenize, text)
 
 
+# ---------------------------------------------------------------------------
+# tokenize against the split lexer it replaced: one ``re.split`` over the
+# pattern below gave every lexeme with the gap before it, and passes in C
+# over all of them gave the offsets, checked the gaps and dropped the
+# comments.
+
+_SPLIT_LEXEME = re.compile(
+    r"([^\W\d]\w*"
+    r"|->|=>|:=|<=|>=|!=|[{}(),;:.=<>+\-]"
+    r"|\n(?:[ \t]*(?:\#[^\n]*)?\n)*"
+    r"|\d+"
+    r'|"(?:[^"\\\n]|\\.)*"'
+    r"|\#[^\n]*)"
+)
+
+
+def split_tokenize(text: str) -> tuple[list[str], list[int]]:
+    parts = _SPLIT_LEXEME.split(text)  # gap, lexeme, gap, ..., lexeme, gap
+    offsets = list(accumulate(map(len, parts), initial=0))[1::2]
+    gaps = parts[::2]
+    if "".join(gaps).strip(" \t"):
+        # At the first character, not a blank, of the first gap holding one.
+        gap, end = next((gap, end) for gap, end in zip(gaps, offsets) if gap.strip(" \t"))
+        rest = gap.lstrip(" \t")
+        offset = end - len(rest)
+        kind = "UNTERMINATED" if rest[0] == '"' else "UNEXPECTED"
+        value = text[offset:].split("\n", 1)[0] if kind == "UNTERMINATED" else rest[0]
+        line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+        raise LexError(kind, value, SourceSpan(line, column, len(value)))
+    values = parts[1::2]
+    # A line end with more lines becomes "\n", and a comment None.
+    fix = {lexeme: None if lexeme[0] == "#" else "\n"
+           for lexeme in set(values) if lexeme[0] in "#\n" and lexeme != "\n"}
+    if fix:
+        values = list(map(fix.get, values, values))
+        if None in fix.values():
+            offsets = [*compress(offsets, values), len(text)]
+            values = list(compress(values, values))
+    if values[:1] == ["\n"]:
+        del values[0], offsets[0]
+    values.append("")
+    return values, offsets
+
+
+# Pieces of text the drawn texts are made of: line ends of each kind, blank
+# and comment-only lines, a byte-order mark, tabs, strings with escapes,
+# non-ASCII identifiers and digits, every symbol, characters no lexeme
+# starts with, and strings left open.
+_PIECES = [
+    "\n", "\r\n", "\r", "\n\n", "\n  \n", "\n\t# only a comment\n", "# note", "#", " ", "\t",
+    "  ", "\ufeff", '"a"', '"a\\"b"', '"\\\\"', '"# kept"', '"é\\t"', '"open', '"\\', "x",
+    "_y1", "größe", "²x", "ü_", "7", "12", "٣", "1²", "->", "=>", ":=", "<=", ">=", "!=", "=",
+    "<", ">", "-", "+", ".", ",", ";", ":", "{", "}", "(", ")", "!", "@", "$", "\f", "\x0b",
+    "\u00a0", "\\",
+]
+
+
+def lex_result(tokenize_text, text: str):
+    """The lexemes and offsets, or the kind and span of the LexError."""
+    try:
+        return tokenize_text(text)
+    except LexError as exc:
+        return exc.kind, exc.span
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES) | st.text(max_size=2), max_size=40).map("".join))
+def test_tokenize_matches_the_split_lexer(text):
+    assert lex_result(tokenize, text) == lex_result(split_tokenize, text)
+
+
+def test_tokenize_matches_the_split_lexer_on_every_input():
+    for text in lexer_inputs():
+        assert lex_result(tokenize, text) == lex_result(split_tokenize, text), text
+
+
 def from_text(kind: str, text: str):
     """The AST of a guard or an action text, parsed from the text alone
     as a hand-built model's are, or the message of its ExprSyntaxError."""
@@ -235,6 +312,7 @@ _NESTED = {
     "parentheses": ("guard", lambda depth: "(" * depth + "n" + ")" * depth + " < 1"),
     "minuses": ("guard", lambda depth: "n < " + "- " * depth + "1"),
     "action": ("action", lambda depth: "n := " + "(" * depth + "1" + ")" * depth),
+    "chain": ("guard", lambda depth: "n" + " + n - 1" * (depth // 2) + " + n" * (depth % 2) + " > 0"),
 }
 
 
@@ -247,6 +325,35 @@ def test_nesting_past_the_bound_is_a_syntax_error(shape):
     assert not isinstance(from_text(kind, text(100)), str)
     for depth in (101, 2000):
         assert from_text(kind, text(depth)) == "nesting deeper than 100 levels"
+
+def height(node) -> int:
+    """The levels of BinOp and Cmp nodes above an expression's deepest leaf."""
+    if isinstance(node, (BinOp, Cmp)):
+        return 1 + max(height(node.left), height(node.right))
+    return 0
+
+
+def test_chains_in_parentheses_nest_no_deeper_than_the_bound():
+    """A sum's operators nest its operands under one BinOp each, also
+    where every operand is a parenthesized sum of its own: such a guard
+    parses to an AST at most 100 BinOps deep, which compiles and runs, or
+    is the nesting error; it is never a RecursionError."""
+    parsed = refused = 0
+    for levels in range(1, 60, 4):
+        for operators in range(1, 60, 4):
+            text = "n"
+            for _ in range(levels):
+                text = "(" + text + " + n" * operators + ")"
+            for guard in (text + " < 1", "n < - " + text, "n < 1 - " + text):
+                node = from_text("guard", guard)
+                if node == "nesting deeper than 100 levels":
+                    refused += 1
+                    continue
+                assert height(node.right if guard[0] == "n" else node.left) <= 100, guard
+                compile_guard(node)({"n": 1})
+                parsed += 1
+    assert parsed > 100 and refused > 100
+
 
 def generated_files():
     gen = perfbench_gen()
