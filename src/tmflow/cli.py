@@ -8,6 +8,15 @@ Subcommands::
     tm simulate MODEL SCENARIO   run a scenario, print the trace
     tm export MODEL       DOT or JSON rendering of the model
 
+The command line is read from one table, ``_COMMANDS``: each command's
+positionals, its options and the function that runs it.  An option goes
+before, between or after the positionals, as ``--opt value`` or
+``--opt=value``; given twice, its last value wins.  ``tm -h`` and
+``tm CMD -h`` print the usage built from the table and exit 0; every
+other fault of the command line (no or an unknown command, an unknown
+option, a missing or invalid value, too few or too many positionals) is
+one ``error[SYNTAX]`` line, exit 2, read before any file.
+
 Exit codes: 0 success (warnings allowed), 1 semantic failure, 2 syntax
 failure.  Every fault is a diagnostic line on stderr, tinted on a terminal
 unless ``TM_COLOR=never``.  ``behavior`` and ``simulate`` start from
@@ -23,10 +32,11 @@ The output formats load on demand: ``jsonio`` (and ``json``) only for
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .behavior import (
     BoundTooLarge,
@@ -80,8 +90,9 @@ def _stop(code: int, *diagnostics: Diagnostic) -> int:
     return code
 
 
-class _CannotWrite(Exception):
-    """An ``--out`` file that cannot be written."""
+class _Unusable(Exception):
+    """A command line that ``_COMMANDS`` does not accept, or an ``--out``
+    file that cannot be written: one ``error[SYNTAX]`` line, exit 2."""
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -91,7 +102,7 @@ def _write_output(text: str, out: str | None) -> None:
     try:
         Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise _CannotWrite(f"cannot write '{out}': {exc}") from exc
+        raise _Unusable(f"cannot write '{out}': {exc}") from exc
 
 
 def _load_document(path_text: str) -> tuple[Document | None, ValidationReport]:
@@ -155,9 +166,8 @@ def _cmd_check(args, doc: Document | None, report: ValidationReport) -> int:
 
 
 def _cmd_events(args, doc: Document, report: ValidationReport) -> int:
+    link(doc.model).require()
     if args.bound is not None:
-        if args.bound < 0:
-            return _stop(EXIT_SYNTAX, error("SYNTAX", "--bound must be >= 0"))
         try:
             subs = enumerate_subdiagrams(doc.model, args.bound)
         except BoundTooLarge as exc:
@@ -279,6 +289,7 @@ def _trace_lines(trace, seg, verdict) -> list[str]:
 
 
 def _cmd_export(args, doc: Document, report: ValidationReport) -> int:
+    link(doc.model).require()
     if args.format == "json":
         from . import jsonio
         _write_output(jsonio.dumps(jsonio.model_to_obj(doc.model)), args.out)
@@ -288,47 +299,117 @@ def _cmd_export(args, doc: Document, report: ValidationReport) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tm", description="Flow-machine model toolkit."
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line, one entry per command: the function that runs it, its
+# positionals, its options and a summary.  An option takes one value, of
+# one of three kinds: one of a tuple of choices (the first is its
+# default), a non-negative int (``int``) or any text (``str``); the last
+# two default to None.
+_TEXT_JSON = ("text", "json")
+_MODES = ("overlap", "strict")
+_COMMANDS = {
+    "check": (_cmd_check, ("model",),
+              {"--format": _TEXT_JSON, "--out": str, "--mode": _MODES},
+              "parse and statically validate a model"),
+    "events": (_cmd_events, ("model",),
+               {"--format": _TEXT_JSON, "--out": str, "--bound": int},
+               "summarize regions, or enumerate subdiagrams of at most N elements"),
+    "behavior": (_cmd_behavior, ("model",),
+                 {"--format": ("text", "json", "dot"), "--out": str, "--mode": _MODES},
+                 "infer or validate the behavior graph"),
+    "simulate": (_cmd_simulate, ("model", "scenario"),
+                 {"--format": _TEXT_JSON, "--out": str},
+                 "run a scenario and print the trace"),
+    "export": (_cmd_export, ("model",),
+               {"--format": ("dot", "json"), "--out": str},
+               "render the model as DOT or JSON"),
+}
+_HELP = ("-h", "--help")
+# A word that starts with '-' but is a value, as argparse reads it.
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
-    def common(p, formats=("text", "json")):
-        p.add_argument("model", help="model file (.tm)")
-        p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--out", help="write output to a file instead of stdout")
 
-    p = sub.add_parser("check", help="parse and statically validate a model")
-    common(p)
-    p.add_argument("--mode", choices=("overlap", "strict"), default="overlap")
-    p.set_defaults(func=_cmd_check)
+def _is_option(word: str) -> bool:
+    return word[:1] == "-" and word != "-" and not _NEGATIVE_NUMBER.match(word)
 
-    p = sub.add_parser("events", help="summarize regions or enumerate subdiagrams")
-    common(p)
-    p.add_argument("--bound", type=int,
-                   help="enumerate subdiagrams up to this element count")
-    p.set_defaults(func=_cmd_events)
 
-    p = sub.add_parser("behavior", help="infer or validate the behavior graph")
-    common(p, formats=("text", "json", "dot"))
-    p.add_argument("--mode", choices=("overlap", "strict"), default="overlap")
-    p.set_defaults(func=_cmd_behavior)
+def _synopsis(command: str) -> str:
+    _, positionals, options, _ = _COMMANDS[command]
+    return " ".join([f"tm {command}", *map(str.upper, positionals), *(
+        f"[{option} " + ("|".join(kind) if isinstance(kind, tuple) else
+                         "N" if kind is int else "FILE") + "]"
+        for option, kind in options.items())])
 
-    p = sub.add_parser("simulate", help="run a scenario and print the trace")
-    common(p)
-    p.add_argument("scenario", help="scenario file (.tms)")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("export", help="render the model as DOT or JSON")
-    common(p, formats=("dot", "json"))
-    p.set_defaults(func=_cmd_export)
-    return parser
+def _usage(command: str | None = None) -> str:
+    """The usage of one command, or of them all."""
+    if command:
+        return f"usage: {_synopsis(command)}\n  {_COMMANDS[command][3]}\n"
+    return ("usage: tm COMMAND ARGUMENTS [OPTIONS]  (tm COMMAND -h for one command)\n\n"
+            "Flow-machine model toolkit.  An option goes before, between or after the\n"
+            "arguments, as --option VALUE or --option=VALUE; given twice, the last wins.\n"
+            "A choice's first value is its default.\n\n"
+            + "".join(f"  {_synopsis(command)}\n      {summary}\n"
+                      for command, (*_, summary) in _COMMANDS.items()))
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | str:
+    """The arguments of a ``tm`` command line, read by ``_COMMANDS``, or
+    the usage text that ``-h`` asks for.  Raises ``_Unusable`` on any
+    other fault."""
+    if not argv:
+        raise _Unusable("tm: no command; expected one of " + ", ".join(_COMMANDS))
+    command = argv[0]
+    if command in _HELP:
+        return _usage()
+    if command not in _COMMANDS:
+        raise _Unusable(f"tm: unknown command '{command}'; expected one of "
+                        + ", ".join(_COMMANDS))
+    func, positionals, options, _ = _COMMANDS[command]
+    args = SimpleNamespace(func=func, **{
+        option[2:]: kind[0] if isinstance(kind, tuple) else None
+        for option, kind in options.items()})
+    given = []
+    words = iter(argv[1:])
+    for word in words:
+        if not _is_option(word):
+            given.append(word)
+            continue
+        if word in _HELP:
+            return _usage(command)
+        option, eq, value = word.partition("=")
+        kind = options.get(option)
+        if kind is None:
+            raise _Unusable(f"tm {command}: unknown option '{option}'")
+        if not eq:
+            value = next(words, None)
+            if value is None or _is_option(value):
+                raise _Unusable(f"tm {command}: {option} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _Unusable(f"tm {command}: {option} must be an int, not '{value}'"
+                                ) from None
+            if value < 0:
+                raise _Unusable(f"{option} must be >= 0")
+        elif kind is not str and value not in kind:
+            raise _Unusable(f"tm {command}: {option} must be one of "
+                            f"{', '.join(kind)}, not '{value}'")
+        setattr(args, option[2:], value)
+    if len(given) > len(positionals):
+        raise _Unusable(f"tm {command}: unexpected argument '{given[len(positionals)]}'")
+    if len(given) < len(positionals):
+        raise _Unusable(f"tm {command}: missing {positionals[len(given)].upper()}")
+    vars(args).update(zip(positionals, given))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return EXIT_OK
         doc, report = _load_document(args.model)
         # A model that does not load is reported once, here; only `check`
         # gets it, to report in its own --format.
@@ -337,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, doc, report)
     except ModelError:  # an arc that does not resolve: the line `tm check` prints
         return _stop(EXIT_SEMANTIC, unresolved_diagnostic(*link(doc.model).unresolved[0]))
-    except _CannotWrite as exc:
+    except _Unusable as exc:
         return _stop(EXIT_SYNTAX, error("SYNTAX", str(exc)))
     except BrokenPipeError:
         return EXIT_OK

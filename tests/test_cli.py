@@ -1,5 +1,6 @@
 import argparse
 import ast
+import contextlib
 import inspect
 import io
 import json
@@ -10,11 +11,23 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import tmflow
 import tmflow.behavior as behavior
 from tmflow import jsonio
-from tmflow.cli import build_parser, main
+from tmflow.cli import (
+    _COMMANDS,
+    _Unusable,
+    _cmd_behavior,
+    _cmd_check,
+    _cmd_events,
+    _cmd_export,
+    _cmd_simulate,
+    _read_argv,
+    main,
+)
 from tmflow.exprs import _MAX_NESTING
 
 from conftest import CORPUS, nested_model
@@ -466,6 +479,7 @@ def write(tmp_path, name, text):
 class TestUnresolvedArcs:
     @pytest.mark.parametrize("argv", [
         ["behavior"], ["export"], ["events", "--bound", "2"],
+        ["export", "--format", "json"], ["events"], ["events", "--format", "json"],
     ])
     def test_unknown_machine_is_a_diagnostic(self, tmp_path, capsys, argv):
         model = write(tmp_path, "m.tm", UNKNOWN_MACHINE_TM)
@@ -612,6 +626,28 @@ class TestArgumentChecks:
         assert main(["events", corpus("multiple_behaviors.tm"), "--bound", "-1"]) == 2
         assert capsys.readouterr() == ("", "error[SYNTAX]: --bound must be >= 0\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        ([], "tm: no command; expected one of check, events, behavior, simulate, export"),
+        (["run", "m.tm"], "tm: unknown command 'run'; "
+                          "expected one of check, events, behavior, simulate, export"),
+        (["check", "m.tm", "--bound", "3"], "tm check: unknown option '--bound'"),
+        (["check", "m.tm", "--form=json"], "tm check: unknown option '--form'"),
+        (["check", "m.tm", "--out"], "tm check: --out needs a value"),
+        (["check", "--out", "--mode", "strict", "m.tm"], "tm check: --out needs a value"),
+        (["export", "m.tm", "--format", "text"],
+         "tm export: --format must be one of dot, json, not 'text'"),
+        (["events", "m.tm", "--bound=3x"], "tm events: --bound must be an int, not '3x'"),
+        (["simulate", "m.tm"], "tm simulate: missing SCENARIO"),
+        (["check"], "tm check: missing MODEL"),
+        (["behavior", "m.tm", "--", "x.tm"], "tm behavior: unknown option '--'"),
+        (["events", "m.tm", "s.tms"], "tm events: unexpected argument 's.tms'"),
+    ])
+    def test_usage_fault_is_one_diagnostic(self, capsys, argv, message):
+        """Every fault of the command line is read before the model, and
+        names the command and the argument."""
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error[SYNTAX]: {message}\n")
+
     @pytest.mark.parametrize("after", ["token x of coat at paint.Create",
                                        "scenario t {\n}", "s"],
                              ids=["token", "second scenario", "stray word"])
@@ -676,7 +712,8 @@ class _Terminal(io.StringIO):
     (["simulate", corpus("mousetrap.tm"), "MISSING"], 2),
     (["simulate", "MODEL", "GHOST"], 1),
     (["export", corpus("stack.tm"), "--out", "NO_DIR"], 2),
-], ids=["bound", "unreadable scenario", "simulation", "unwritable out"])
+    (["export", corpus("stack.tm"), "--format", "xml"], 2),
+], ids=["bound", "unreadable scenario", "simulation", "unwritable out", "usage"])
 def test_every_fault_is_tinted_on_a_terminal(tmp_path, monkeypatch, command, code):
     paths = {
         "MODEL": write(tmp_path, "job.tm", "thing job\nmachine a { stages Create, Process }\n"
@@ -1010,9 +1047,145 @@ def test_every_tm_option_is_documented():
     (``test_imports.py::test_every_public_function_is_used``)."""
     readme = (Path(tmflow.__file__).resolve().parent.parent.parent
               / "README.md").read_text(encoding="utf-8")
-    [commands] = [action.choices for action in build_parser()._actions
-                  if isinstance(action, argparse._SubParsersAction)]
-    options = {option for command in commands.values() for action in command._actions
-               for option in action.option_strings if option not in ("-h", "--help")}
-    assert {"--format", "--out"} <= options  # the walk reaches the subcommands
+    options = {option for _, _, command_options, _ in _COMMANDS.values()
+               for option in command_options}
+    assert {"--format", "--out", "--mode", "--bound"} <= options
     assert sorted(option for option in options if option not in readme) == []
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], *([name, "-h"] for name in _COMMANDS),
+                                  ["simulate", "m.tm", "--format", "json", "--help"]],
+                         ids=" ".join)
+def test_help_names_every_option(capsys, argv):
+    """``tm -h`` and ``tm CMD -h`` print the usage built from the command
+    table to stdout, naming every option of the command (of all of them
+    for ``tm -h``), and exit 0."""
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    commands = [argv[0]] if argv[0] in _COMMANDS else list(_COMMANDS)
+    for name in commands:
+        _, positionals, options, _ = _COMMANDS[name]
+        assert f"tm {name} " + " ".join(positional.upper() for positional in positionals) in out
+        assert [option for option in options if option not in out] == []
+    assert err == ""
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``tm`` read its command line with before
+    ``cli._COMMANDS``, kept as the reference that the reader is held to."""
+    parser = argparse.ArgumentParser(
+        prog="tm", description="Flow-machine model toolkit."
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, formats=("text", "json")):
+        p.add_argument("model", help="model file (.tm)")
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("--out", help="write output to a file instead of stdout")
+
+    p = sub.add_parser("check", help="parse and statically validate a model")
+    common(p)
+    p.add_argument("--mode", choices=("overlap", "strict"), default="overlap")
+    p.set_defaults(func=_cmd_check)
+
+    p = sub.add_parser("events", help="summarize regions or enumerate subdiagrams")
+    common(p)
+    p.add_argument("--bound", type=int,
+                   help="enumerate subdiagrams up to this element count")
+    p.set_defaults(func=_cmd_events)
+
+    p = sub.add_parser("behavior", help="infer or validate the behavior graph")
+    common(p, formats=("text", "json", "dot"))
+    p.add_argument("--mode", choices=("overlap", "strict"), default="overlap")
+    p.set_defaults(func=_cmd_behavior)
+
+    p = sub.add_parser("simulate", help="run a scenario and print the trace")
+    common(p)
+    p.add_argument("scenario", help="scenario file (.tms)")
+    p.set_defaults(func=_cmd_simulate)
+
+    p = sub.add_parser("export", help="render the model as DOT or JSON")
+    common(p, formats=("dot", "json"))
+    p.set_defaults(func=_cmd_export)
+    return parser
+
+
+# The words the drawn command lines are made of: the commands and one
+# unknown one, paths (one of them '-', one a negative number), every
+# option of every command and one unknown option, each with values valid
+# and invalid for its kind.  Prefixes of options, '--' and '-h' are left
+# out: the reader drops the first two, and prints usage on the third, as
+# argparse did.
+_ARGV_COMMANDS = [*_COMMANDS, "run"]
+_ARGV_PATHS = ["m.tm", "s.tms", "-", "-1"]
+_ARGV_VALUES = {
+    "--format": ["text", "json", "dot", "xml", "-1", ""],
+    "--mode": ["overlap", "strict", "lax"],
+    "--bound": ["0", "3", "-1", "+2", " 4", "x", ""],
+    "--out": ["o.txt", "-", "-2", ""],
+    "--zzz": ["x"],
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A ``tm`` command line: a command, then 0-3 positionals and 0-5
+    options, each as ``--opt value``, ``--opt=value`` or a bare
+    ``--opt``, in shuffled order.  Half the options are the command's
+    own, and up to two are drawn again, so that a line the reference
+    accepts often repeats one."""
+    command = draw(st.sampled_from(_ARGV_COMMANDS))
+    own = sorted(_COMMANDS[command][2]) if command in _COMMANDS else ["--zzz"]
+    words = [[path] for path in draw(st.lists(st.sampled_from(_ARGV_PATHS), max_size=3))]
+    options = draw(st.lists(st.sampled_from(own) | st.sampled_from(sorted(_ARGV_VALUES)),
+                            max_size=3))
+    options += draw(st.lists(st.sampled_from(options), max_size=2)) if options else []
+    for option in options:
+        value = draw(st.sampled_from(_ARGV_VALUES[option]))
+        form = draw(st.sampled_from(["space", "space", "=", "bare"]))
+        words.append([option, value] if form == "space" else
+                     [f"{option}={value}"] if form == "=" else [option])
+    words = draw(st.permutations(words))
+    return [command, *(word for group in words for word in group)]
+
+
+def negative_bounds(argv: list[str]) -> list[str]:
+    """The negative values that a command line argparse accepted gives
+    ``--bound``, in either form, the repeated ones too."""
+    values = [value for word, value in zip(argv, argv[1:]) if word == "--bound"]
+    values += [word[len("--bound="):] for word in argv if word.startswith("--bound=")]
+    return [value for value in values if int(value) < 0]
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(["events", "m.tm", "--bound", "-1", "--bound", "3"])
+@example(["check", "--format", "json", "m.tm", "--format=text"])
+@given(command_lines())
+def test_the_reader_matches_argparse(argv):
+    """Where argparse accepted a command line the reader gives the same
+    values; where it exited 2, ``main`` prints one ``error[SYNTAX]`` line
+    and nothing on stdout, and exits 2.  A negative ``--bound``, which
+    argparse accepted and ``_cmd_events`` refused, now stops ``main``
+    with the same line, also where a later ``--bound`` overrides it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            expected = vars(reference_parser().parse_args(argv))
+        except SystemExit as exc:
+            assert exc.code == 2
+            expected = None
+    if expected is not None and not negative_bounds(argv):
+        del expected["command"]
+        got = vars(_read_argv(argv))
+        assert {**got, "func": got["func"].__name__} == {
+            **expected, "func": expected["func"].__name__}
+        return
+    with pytest.raises(_Unusable) as raised:
+        _read_argv(argv)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", f"error[SYNTAX]: {raised.value}\n")
+    if expected is not None:
+        assert str(raised.value) == "--bound must be >= 0"

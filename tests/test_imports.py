@@ -12,9 +12,10 @@ parameters a caller that passes it.
 
 The rest run fresh interpreters: ``import tmflow`` loads ``simulate``,
 only the output formats add ``jsonio`` (with ``json``) or ``dot`` to a
-``tm`` command, no command loads ``dataclasses`` or ``inspect``, and the
-package's ``simulate`` stays the function, not the submodule, whatever
-was imported first.
+``tm`` command, no command loads ``dataclasses`` or ``inspect``, nor
+``argparse``, ``gettext`` or ``locale`` (``cli`` reads its command line
+from its own table), and the package's ``simulate`` stays the function,
+not the submodule, whatever was imported first.
 """
 
 import ast
@@ -186,6 +187,11 @@ print("\\n".join(sorted(sys.modules)), file=sys.__stdout__)
 """
 
 
+# What no `tm` command loads: `dataclasses` (and, through it, `inspect`),
+# and `argparse` with the `gettext` and `locale` it brings.
+NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+
+
 def loaded_by(*argv: str) -> set[str]:
     return set(fresh(FOOTPRINT, *argv).split())
 
@@ -198,27 +204,27 @@ def test_model_commands_load_simulate_but_no_json(command, model):
     loaded = loaded_by(command[0], model, *command[1:])
     assert {"tmflow.cli", "tmflow.validate", "tmflow.simulate"} <= loaded
     assert loaded & {"tmflow.jsonio", "json"} == set()
-    assert loaded & {"dataclasses", "inspect"} == set()
+    assert loaded & NEVER_LOADED == set()
 
 
 def test_check_as_json_loads_jsonio_and_no_dataclasses():
     loaded = loaded_by("check", "corpus/mousetrap.tm", "--format", "json")
     assert {"tmflow.jsonio", "json", "tmflow.simulate"} <= loaded
-    assert loaded & {"dataclasses", "inspect"} == set()
+    assert loaded & NEVER_LOADED == set()
 
 
 def test_simulate_as_text_loads_no_json_or_dot():
     loaded = loaded_by("simulate", "corpus/mousetrap.tm", "corpus/mousetrap.tms")
     assert "tmflow.simulate" in loaded
     assert loaded & {"json", "tmflow.jsonio", "tmflow.dot"} == set()
-    assert loaded & {"dataclasses", "inspect"} == set()
+    assert loaded & NEVER_LOADED == set()
 
 
 @pytest.mark.parametrize("options", [["--format", "json"]], ids=" ".join)
 def test_simulate_with_options_loads_no_dataclasses(options):
     loaded = loaded_by("simulate", "corpus/mousetrap.tm", "corpus/mousetrap.tms", *options)
     assert "tmflow.simulate" in loaded
-    assert loaded & {"dataclasses", "inspect"} == set()
+    assert loaded & NEVER_LOADED == set()
 
 
 # The public names: the records, the errors, and the functions that
