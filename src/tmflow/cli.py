@@ -14,8 +14,14 @@ before, between or after the positionals, as ``--opt value`` or
 ``--opt=value``; given twice, its last value wins.  ``tm -h`` and
 ``tm CMD -h`` print the usage built from the table and exit 0; every
 other fault of the command line (no or an unknown command, an unknown
-option, a missing or invalid value, too few or too many positionals) is
-one ``error[SYNTAX]`` line, exit 2, read before any file.
+option, a missing or invalid value, an ``--out`` that is ``-`` or empty,
+too few or too many positionals) is one ``error[SYNTAX]`` line, exit 2,
+read before any file.
+
+``tm`` (the console script and ``python -m tmflow.cli``) is ``run``: it
+ends without interpreter teardown once its output is flushed and the
+``atexit`` handlers have run.  A caller that embeds tmflow calls
+``main(argv)``, which returns the exit code and never ends the process.
 
 Exit codes: 0 success (warnings allowed), 1 semantic failure, 2 syntax
 failure.  Every fault is a diagnostic line on stderr, tinted on a terminal
@@ -32,11 +38,13 @@ The output formats load on demand: ``jsonio`` (and ``json``) only for
 
 from __future__ import annotations
 
+import atexit
 import os
 import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NoReturn
 
 from .behavior import (
     BoundTooLarge,
@@ -302,8 +310,8 @@ def _cmd_export(args, doc: Document, report: ValidationReport) -> int:
 # The command line, one entry per command: the function that runs it, its
 # positionals, its options and a summary.  An option takes one value, of
 # one of three kinds: one of a tuple of choices (the first is its
-# default), a non-negative int (``int``) or any text (``str``); the last
-# two default to None.
+# default), a non-negative int (``int``) or a file name (``str``), which
+# is neither empty nor '-'; the last two default to None.
 _TEXT_JSON = ("text", "json")
 _MODES = ("overlap", "strict")
 _COMMANDS = {
@@ -392,7 +400,10 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | str:
                                 ) from None
             if value < 0:
                 raise _Unusable(f"{option} must be >= 0")
-        elif kind is not str and value not in kind:
+        elif kind is str:
+            if value in ("", "-"):
+                raise _Unusable(f"tm {command}: {option} needs a file name, not '{value}'")
+        elif value not in kind:
             raise _Unusable(f"tm {command}: {option} must be one of "
                             f"{', '.join(kind)}, not '{value}'")
         setattr(args, option[2:], value)
@@ -424,5 +435,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
 
+def run() -> NoReturn:
+    """The ``tm`` process: ``main`` on ``sys.argv``, then the ``atexit``
+    handlers, a flush of stdout and then stderr, and ``os._exit`` with
+    ``main``'s code.  The interpreter's own teardown (a last collection,
+    freeing every module and object) would only add to the wait.  An
+    exception from ``main`` propagates, and the interpreter ends as usual."""
+    code = main()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except BrokenPipeError:  # as in main: the reader has all it wanted
+                code = EXIT_OK
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -641,6 +641,10 @@ class TestArgumentChecks:
         (["check"], "tm check: missing MODEL"),
         (["behavior", "m.tm", "--", "x.tm"], "tm behavior: unknown option '--'"),
         (["events", "m.tm", "s.tms"], "tm events: unexpected argument 's.tms'"),
+        (["check", "m.tm", "--out", "-"], "tm check: --out needs a file name, not '-'"),
+        (["export", "--out=", "m.tm"], "tm export: --out needs a file name, not ''"),
+        (["simulate", "m.tm", "s.tms", "--out", ""],
+         "tm simulate: --out needs a file name, not ''"),
     ])
     def test_usage_fault_is_one_diagnostic(self, capsys, argv, message):
         """Every fault of the command line is read before the model, and
@@ -1149,25 +1153,37 @@ def command_lines(draw):
     return [command, *(word for group in words for word in group)]
 
 
-def negative_bounds(argv: list[str]) -> list[str]:
-    """The negative values that a command line argparse accepted gives
-    ``--bound``, in either form, the repeated ones too."""
-    values = [value for word, value in zip(argv, argv[1:]) if word == "--bound"]
-    values += [word[len("--bound="):] for word in argv if word.startswith("--bound=")]
-    return [value for value in values if int(value) < 0]
+def option_values(argv: list[str], option: str) -> list[str]:
+    """The values that a command line argparse accepted gives ``option``,
+    in either form, the repeated ones too."""
+    values = [value for word, value in zip(argv, argv[1:]) if word == option]
+    return values + [word[len(option) + 1:] for word in argv
+                     if word.startswith(option + "=")]
+
+
+def divergences(argv: list[str]) -> set[str]:
+    """The faults the reader finds in a command line that argparse
+    accepted: a negative ``--bound``, which ``_cmd_events`` refused, and
+    an ``--out`` of '-' or '', which wrote a file named '-' or to stdout."""
+    return ({"--bound must be >= 0"
+             for value in option_values(argv, "--bound") if int(value) < 0}
+            | {f"tm {argv[0]}: --out needs a file name, not '{value}'"
+               for value in option_values(argv, "--out") if value in ("", "-")})
 
 
 @settings(max_examples=600, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example(["events", "m.tm", "--bound", "-1", "--bound", "3"])
 @example(["check", "--format", "json", "m.tm", "--format=text"])
+@example(["check", "--out=-", "m.tm", "--out", "o.txt"])
 @given(command_lines())
 def test_the_reader_matches_argparse(argv):
     """Where argparse accepted a command line the reader gives the same
     values; where it exited 2, ``main`` prints one ``error[SYNTAX]`` line
     and nothing on stdout, and exits 2.  A negative ``--bound``, which
-    argparse accepted and ``_cmd_events`` refused, now stops ``main``
-    with the same line, also where a later ``--bound`` overrides it."""
+    argparse accepted and ``_cmd_events`` refused, and an ``--out`` of
+    '-' or '', now stop ``main`` with the same line, also where a later
+    value of the option overrides it."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -1175,7 +1191,7 @@ def test_the_reader_matches_argparse(argv):
         except SystemExit as exc:
             assert exc.code == 2
             expected = None
-    if expected is not None and not negative_bounds(argv):
+    if expected is not None and not divergences(argv):
         del expected["command"]
         got = vars(_read_argv(argv))
         assert {**got, "func": got["func"].__name__} == {
@@ -1188,4 +1204,4 @@ def test_the_reader_matches_argparse(argv):
         assert main(argv) == 2
     assert (out.getvalue(), err.getvalue()) == ("", f"error[SYNTAX]: {raised.value}\n")
     if expected is not None:
-        assert str(raised.value) == "--bound must be >= 0"
+        assert str(raised.value) in divergences(argv)

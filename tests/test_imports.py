@@ -5,7 +5,8 @@ module's syntax tree: a name bound by ``import`` or ``from ... import``
 must be read somewhere in the module (annotations count; ``__init__.py``
 is exempt, as its imports are re-exports), the modules that ``tm
 check`` runs import no output module when they load, and neither they
-nor ``simulate`` import ``dataclasses``.  Every annotation in the
+nor ``simulate`` import ``dataclasses``.  The ``tm`` console script and
+``python -m tmflow.cli`` call the same function.  Every annotation in the
 package resolves under ``typing.get_type_hints``, and every function in
 ``__all__`` has a reader besides the tests, and each of its defaulted
 parameters a caller that passes it.
@@ -111,6 +112,25 @@ def test_check_path_defers_output_and_simulation(name):
 def test_records_load_no_dataclasses(name):
     source = (SRC / f"{name}.py").read_text(encoding="utf-8")
     assert "dataclasses" not in module_level_imports(source)
+
+
+def main_block(source: str) -> str:
+    """The source of a module's ``if __name__ == "__main__":`` block."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                and getattr(node.test.left, "id", None) == "__name__"):
+            return "\n".join(map(ast.unparse, node.body))
+    raise LookupError("no __main__ block")
+
+
+def test_both_ways_of_starting_tm_call_one_function():
+    """``tm``, the console script that ``pyproject.toml`` declares, names
+    the function that ``python -m tmflow.cli`` calls, and nothing else."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    module, _, function = project["scripts"]["tm"].partition(":")
+    assert module == "tmflow.cli"
+    assert main_block((SRC / "cli.py").read_text(encoding="utf-8")) == f"{function}()"
 
 
 def package_functions():
