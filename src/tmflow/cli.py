@@ -25,11 +25,12 @@ ends without interpreter teardown once its output is flushed and the
 
 Exit codes: 0 success (warnings allowed), 1 semantic failure, 2 syntax
 failure.  Every fault is a diagnostic line on stderr, tinted on a terminal
-unless ``TM_COLOR=never``.  ``behavior`` and ``simulate`` start from
-``check``'s verdict: on a model it rejects they print what it prints and
-exit 1.  ``simulate`` reads its seed and step limit from the scenario,
-warns of an injection after the step limit, and exits 1 on a
-nonconformant trace in either format.  A ``MODEL.tmb`` sidecar next to
+unless ``TM_COLOR=never``.  Every command but ``export`` starts from
+``check``'s verdict, reached once in ``main``: on a model it rejects they
+print what it prints and exit 1, and each command only renders.
+``export`` renders any model whose arcs resolve.  ``simulate`` reads its
+seed and step limit from the scenario, warns of an injection after the
+step limit, and exits 1 on a nonconformant trace in either format.  A ``MODEL.tmb`` sidecar next to
 ``MODEL.tm`` is merged automatically.
 
 The output formats load on demand: ``jsonio`` (and ``json``) only for
@@ -157,10 +158,7 @@ def _full_check(doc: Document, mode: str) -> ValidationReport:
 
 
 def _cmd_check(args, doc: Document | None, report: ValidationReport) -> int:
-    code = EXIT_SYNTAX
-    if doc is not None:
-        report.extend(_full_check(doc, args.mode))
-        code = EXIT_OK if report.ok else EXIT_SEMANTIC
+    code = EXIT_SYNTAX if doc is None else EXIT_OK if report.ok else EXIT_SEMANTIC
     if args.format == "json":
         from . import jsonio
         _write_output(jsonio.dumps(jsonio.report_to_obj(report)), args.out)
@@ -174,7 +172,6 @@ def _cmd_check(args, doc: Document | None, report: ValidationReport) -> int:
 
 
 def _cmd_events(args, doc: Document, report: ValidationReport) -> int:
-    link(doc.model).require()
     if args.bound is not None:
         try:
             subs = enumerate_subdiagrams(doc.model, args.bound)
@@ -194,33 +191,25 @@ def _cmd_events(args, doc: Document, report: ValidationReport) -> int:
         _write_output("\n".join(lines) + "\n", args.out)
         return EXIT_OK
 
-    region_report = check_regions(doc.model, doc.regions)
-    report.extend(region_report)
     if args.format == "json":
         from . import jsonio
         payload = jsonio.regions_to_obj(doc.regions)
         payload["report"] = jsonio.report_to_obj(report)
         _write_output(jsonio.dumps(payload), args.out)
     else:
-        if report.ok:
-            lines = _report_lines(report, not args.out and _use_color(sys.stdout))
-        else:
-            _print_report(report, sys.stderr)
-            lines = []
+        lines = _report_lines(report, not args.out and _use_color(sys.stdout))
         lines += [f"region {region.id}: "
                   f"{len(region.body.stages)} stages, {len(region.body.arcs)} arcs"
                   for region in doc.regions] or ["no regions declared"]
         _write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if report.ok else EXIT_SEMANTIC
+    return EXIT_OK
 
 
 def _cmd_behavior(args, doc: Document, report: ValidationReport) -> int:
-    report.extend(_full_check(doc, args.mode))
-    if report.ok and not doc.regions:
-        report.diagnostics.append(error("NO_REGIONS", "model declares no regions"))
+    if not doc.regions:
+        return _stop(EXIT_SEMANTIC, *report.diagnostics,
+                     error("NO_REGIONS", "model declares no regions"))
     _print_report(report, sys.stderr)
-    if not report.ok:
-        return EXIT_SEMANTIC
     graph = doc.behavior or infer_behavior(doc.model, doc.regions)
     if args.format == "dot":
         from . import dot
@@ -234,9 +223,6 @@ def _cmd_behavior(args, doc: Document, report: ValidationReport) -> int:
 
 
 def _cmd_simulate(args, doc: Document, report: ValidationReport) -> int:
-    report.extend(_full_check(doc, "overlap"))
-    if not report.ok:
-        return _stop(EXIT_SEMANTIC, *report.diagnostics)
     try:
         scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
@@ -297,7 +283,9 @@ def _trace_lines(trace, seg, verdict) -> list[str]:
 
 
 def _cmd_export(args, doc: Document, report: ValidationReport) -> int:
-    link(doc.model).require()
+    unresolved = link(doc.model).unresolved
+    if unresolved:  # the first of them, as `tm check` prints it
+        return _stop(EXIT_SEMANTIC, unresolved_diagnostic(*unresolved[0]))
     if args.format == "json":
         from . import jsonio
         _write_output(jsonio.dumps(jsonio.model_to_obj(doc.model)), args.out)
@@ -399,7 +387,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | str:
                 raise _Unusable(f"tm {command}: {option} must be an int, not '{value}'"
                                 ) from None
             if value < 0:
-                raise _Unusable(f"{option} must be >= 0")
+                raise _Unusable(f"tm {command}: {option} must be >= 0")
         elif kind is str:
             if value in ("", "-"):
                 raise _Unusable(f"tm {command}: {option} needs a file name, not '{value}'")
@@ -422,13 +410,13 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(args)
             return EXIT_OK
         doc, report = _load_document(args.model)
-        # A model that does not load is reported once, here; only `check`
-        # gets it, to report in its own --format.
-        if doc is None and args.func is not _cmd_check:
-            return _stop(EXIT_SYNTAX, *report.diagnostics)
+        # The one gate: every command but `export` starts from `check`'s
+        # verdict, and only `check` renders a failing one, in its own --format.
+        if doc is not None and args.func is not _cmd_export:
+            report.extend(_full_check(doc, vars(args).get("mode", "overlap")))
+        if not report.ok and args.func is not _cmd_check:
+            return _stop(EXIT_SYNTAX if doc is None else EXIT_SEMANTIC, *report.diagnostics)
         return args.func(args, doc, report)
-    except ModelError:  # an arc that does not resolve: the line `tm check` prints
-        return _stop(EXIT_SEMANTIC, unresolved_diagnostic(*link(doc.model).unresolved[0]))
     except _Unusable as exc:
         return _stop(EXIT_SYNTAX, error("SYNTAX", str(exc)))
     except BrokenPipeError:

@@ -19,6 +19,7 @@ import tmflow.behavior as behavior
 from tmflow import jsonio
 from tmflow.cli import (
     _COMMANDS,
+    _TEXT_JSON,
     _Unusable,
     _cmd_behavior,
     _cmd_check,
@@ -30,7 +31,7 @@ from tmflow.cli import (
 )
 from tmflow.exprs import _MAX_NESTING
 
-from conftest import CORPUS, nested_model
+from conftest import CORPUS, SCENARIO_FILES, mutated_models, nested_model
 
 
 @pytest.fixture(autouse=True)
@@ -486,7 +487,7 @@ class TestUnresolvedArcs:
         assert main([argv[0], model, *argv[1:]]) == 1
         err = capsys.readouterr().err
         expected = "4:1: error[UNRESOLVED]: flow 'f2': no machine matches path 'nosuch'\n"
-        if argv[0] == "behavior":  # the whole report of `tm check`, warnings too
+        if argv[0] != "export":  # the whole report of `tm check`, warnings too
             expected += ("warning[UNREACHABLE_STAGE]: stage a.Release has no incoming arc\n"
                          "warning[UNREACHABLE_STAGE]: stage a.Transfer has no incoming arc\n")
         assert err == expected
@@ -572,13 +573,15 @@ REJECTED = {
 
 
 @pytest.mark.parametrize("command", [
+    ["events"], ["events", "--format", "json"], ["events", "--bound", "2"],
     ["behavior"], ["behavior", "--format", "json"],
     ["simulate", "SCENARIO"], ["simulate", "SCENARIO", "--format", "json"],
 ], ids=" ".join)
 @pytest.mark.parametrize("code", sorted(REJECTED))
 def test_a_model_check_rejects_goes_no_further(tmp_path, capsys, code, command):
-    """``behavior`` and ``simulate`` start from ``check``'s verdict: on a
-    model it rejects they print exactly what it prints, and exit 1."""
+    """``events``, ``behavior`` and ``simulate`` start from ``check``'s
+    verdict: on a model it rejects they print exactly what it prints to
+    stderr, nothing on stdout, and exit 1."""
     text, scenario_text = REJECTED[code]
     model = write(tmp_path, "m.tm", text)
     scenario = write(tmp_path, "s.tms", scenario_text)
@@ -588,6 +591,62 @@ def test_a_model_check_rejects_goes_no_further(tmp_path, capsys, code, command):
     rest = [scenario if arg == "SCENARIO" else arg for arg in command[1:]]
     assert main([command[0], model, *rest]) == 1
     assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_export_renders_any_model_whose_arcs_resolve(tmp_path, capsys, fmt):
+    """``export`` does not start from ``check``'s verdict: it renders each
+    model ``check`` rejects, but stops at the first arc that does not
+    resolve with the one line ``check`` prints for it."""
+    for code, (text, _) in sorted(REJECTED.items()):
+        model = write(tmp_path, f"{code}.tm", text)
+        assert main(["check", model]) == 1
+        check_err = capsys.readouterr().err
+        if code == "UNRESOLVED":
+            assert main(["export", model, "--format", fmt]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.splitlines() == [
+                line for line in check_err.splitlines() if "error[UNRESOLVED]" in line]
+        else:
+            assert main(["export", model, "--format", fmt]) == 0, code
+            out, err = capsys.readouterr()
+            assert out and err == "", code
+
+
+def every_command_form() -> list[list[str]]:
+    """Each command in each of its formats, and the census in both; the
+    word ``scenario`` stands for the scenario file of ``simulate``."""
+    forms = [[command, *positionals[1:], "--format", fmt]
+             for command, (_, positionals, options, _) in _COMMANDS.items()
+             for fmt in options["--format"]]
+    return forms + [["events", "--bound", "2", "--format", fmt] for fmt in _TEXT_JSON]
+
+
+def test_no_model_gets_a_traceback(tmp_path):
+    """Every command form, on each fuzzed corpus model that parses and on
+    each model ``check`` rejects, ends with an exit code of 0, 1 or 2 and
+    no exception: ``main`` catches no ``ModelError``, so nothing after its
+    gate, or in ``export``, may raise one."""
+    texts = [text for text in mutated_models()
+             if all(d.severity != "error" for d in tmflow.parse_with_diagnostics(text)[1])]
+    texts += [text for text, _ in REJECTED.values()]
+    scenarios = [str(path) for path in SCENARIO_FILES]
+    forms = every_command_form()
+    sink = io.StringIO()
+    for number, text in enumerate(texts):
+        model = write(tmp_path, f"m{number}.tm", text)
+        scenario = scenarios[number % len(scenarios)]
+        for form in forms:
+            argv = [form[0], model, *(scenario if arg == "scenario" else arg
+                                      for arg in form[1:])]
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                try:
+                    code = main(argv)
+                except Exception as exc:
+                    raise AssertionError(f"tm {' '.join(argv)} raised {exc!r}") from exc
+            assert code in (0, 1, 2), argv
+            sink.seek(0)
+            sink.truncate()
 
 
 class TestSugaredArcs:
@@ -624,7 +683,8 @@ class TestArgumentChecks:
 
     def test_negative_bound_exits_two(self, capsys):
         assert main(["events", corpus("multiple_behaviors.tm"), "--bound", "-1"]) == 2
-        assert capsys.readouterr() == ("", "error[SYNTAX]: --bound must be >= 0\n")
+        assert capsys.readouterr() == (
+            "", "error[SYNTAX]: tm events: --bound must be >= 0\n")
 
     @pytest.mark.parametrize("argv, message", [
         ([], "tm: no command; expected one of check, events, behavior, simulate, export"),
@@ -1165,7 +1225,7 @@ def divergences(argv: list[str]) -> set[str]:
     """The faults the reader finds in a command line that argparse
     accepted: a negative ``--bound``, which ``_cmd_events`` refused, and
     an ``--out`` of '-' or '', which wrote a file named '-' or to stdout."""
-    return ({"--bound must be >= 0"
+    return ({f"tm {argv[0]}: --bound must be >= 0"
              for value in option_values(argv, "--bound") if int(value) < 0}
             | {f"tm {argv[0]}: --out needs a file name, not '{value}'"
                for value in option_values(argv, "--out") if value in ("", "-")})
