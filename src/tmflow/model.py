@@ -331,6 +331,9 @@ class Linked:
     expanded, and ``flows``/``triggers`` rewritten to full-path refs
     through one suffix index.  ``link`` builds one per model and keeps it
     on the model, which is frozen, so it stays valid while the model lives.
+    ``normalize`` resolves each distinct stage reference once and keeps
+    its full-path form here, keyed by value, for every later call: the
+    arcs, regions, scenario and ``normalize_ref`` all read that one table.
     Arcs that do not resolve are left out and kept with their error in
     ``unresolved`` (sugared arcs, then flows, then triggers); ``validate``
     and ``check_regions`` report them, every other analysis calls
@@ -350,6 +353,7 @@ class Linked:
                             model._exprs)
         self.model = model
         self._index = index
+        self._resolved: dict[StageRef, StageRef] = {}  # see ``normalize``
         self.flows: tuple[FlowArc, ...] = self._link(model.flows)
         self.triggers: tuple[TriggerArc, ...] = self._link(model.triggers)
         self.stage_index = None  # see behavior._stage_index
@@ -361,10 +365,16 @@ class Linked:
         return self
 
     def normalize(self, ref: StageRef) -> StageRef:
-        """The full-path form of ``ref`` (``ref`` itself if it has the full
-        path); raises ModelError if it does not resolve."""
-        path, _, kind = _lookup(self._index, ref)
-        return ref if len(path) == len(ref.machine) else StageRef(path, kind)
+        """The full-path form of ``ref`` (``ref``, or the first ref equal to
+        it, if it has the full path); raises ModelError if it does not
+        resolve.  Each distinct ref is looked up once; one that does not
+        resolve is not kept, so it raises again on every call."""
+        full = self._resolved.get(ref)
+        if full is None:
+            path, _, kind = _lookup(self._index, ref)
+            full = ref if len(path) == len(ref.machine) else StageRef(path, kind)
+            self._resolved[ref] = full
+        return full
 
     def arcs(self) -> Iterator[FlowArc | TriggerArc]:
         yield from self.flows

@@ -28,6 +28,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tomllib
 import types
 import typing
 from functools import cached_property
@@ -126,7 +127,6 @@ def main_block(source: str) -> str:
 def test_both_ways_of_starting_tm_call_one_function():
     """``tm``, the console script that ``pyproject.toml`` declares, names
     the function that ``python -m tmflow.cli`` calls, and nothing else."""
-    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     module, _, function = project["scripts"]["tm"].partition(":")
     assert module == "tmflow.cli"

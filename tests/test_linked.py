@@ -18,7 +18,7 @@ from tmflow.cli import main
 from tmflow.dot import model_to_dot
 from tmflow.model import Linked, link
 
-from conftest import CORPUS, corpus_text
+from conftest import CORPUS, corpus_text, perfbench_gen
 
 BROKEN = """\
 machine a { stages Create, Process, Release, Transfer }
@@ -108,6 +108,50 @@ class TestLinked:
                     linked.normalize(ref)
             else:
                 assert linked.normalize(ref) == expected
+
+    def test_a_ref_that_fails_is_looked_up_again(self, monkeypatch):
+        linked = link(tmflow.parse(
+            "machine x { stages Create\n  machine y { stages Create } }\n").model)
+        lookups = count_calls(monkeypatch, tmflow.model, "_lookup")
+        for ref, error, message in (
+            (StageRef(("ghost",), StageKind.CREATE), UnknownMachineError,
+             "no machine matches path 'ghost'"),
+            (StageRef(("y",), StageKind.PROCESS), StageNotDeclaredError,
+             "machine 'y' does not declare a Process stage"),
+        ):
+            for _ in range(2):
+                with pytest.raises(error) as raised:
+                    linked.normalize(ref)
+                assert type(raised.value) is error and str(raised.value) == message
+        assert lookups[0] == 4
+
+    def test_equal_refs_built_apart_resolve_alike(self, monkeypatch):
+        linked = link(tmflow.parse(
+            "machine x { stages Create\n  machine y { stages Create } }\n").model)
+        lookups = count_calls(monkeypatch, tmflow.model, "_lookup")
+        suffix = [StageRef(tuple(["y"]), StageKind.CREATE) for _ in range(2)]
+        full = [StageRef(tuple(["x", "y"]), StageKind.CREATE) for _ in range(2)]
+        assert suffix[0] is not suffix[1] and full[0] is not full[1]
+        assert [linked.normalize(ref) for ref in suffix + full] == \
+            [StageRef(("x", "y"), StageKind.CREATE)] * 4
+        assert lookups[0] == 2
+        assert tmflow.normalize_ref(linked.model, suffix[1]) == full[0]
+
+    def test_each_region_naming_an_unknown_machine_is_reported(self):
+        doc = tmflow.parse(
+            "machine a { stages Create, Process }\n"
+            "flow f1: a.Create -> a.Process\n"
+            "regions {\n"
+            "  region R1 { stages a.Create, ghost.Process }\n"
+            "  region R2 { stages ghost.Process, a.Process }\n"
+            "}\n"
+        )
+        report = tmflow.check_regions(doc.model, doc.regions)
+        assert [(d.code, d.message) for d in report.errors
+                if d.code == "DANGLING_REF"] == [
+            ("DANGLING_REF", "region 'R1': no machine matches path 'ghost'"),
+            ("DANGLING_REF", "region 'R2': no machine matches path 'ghost'"),
+        ]
 
 
 class TestUnresolvedPolicy:
@@ -261,6 +305,12 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def model_refs(doc) -> set[StageRef]:
+    """The distinct stage refs that the arcs and regions of ``doc`` name."""
+    refs = {ref for arc in doc.model.arcs() for ref in (arc.source, arc.target)}
+    return refs.union(*(region.body.stages for region in doc.regions))
+
+
 def count_guard_parses(monkeypatch, name="parse_lexemes"):
     """Count calls of ``exprs.parse_lexemes``, which parses every guard,
     action and stop condition (or of the ``exprs`` function ``name``),
@@ -379,6 +429,41 @@ class TestLinkOnce:
         overlapping = regions + (regions[0],)
         assert not tmflow.check_regions(model, overlapping).ok
         assert tmflow.check_regions(model, regions).ok
+
+    def test_check_and_behavior_look_up_each_ref_once(self, tmp_path, monkeypatch, capsys):
+        """`tm check` and `tm behavior` resolve each distinct stage ref of
+        the model text once, though arcs and regions name it again."""
+        doc_text = perfbench_gen()["static_large"](3).model
+        (tmp_path / "m.tm").write_text(doc_text)
+        doc = tmflow.parse(doc_text)
+        refs = model_refs(doc)
+        mentions = (2 * (len(doc.model.flows) + len(doc.model.triggers))
+                    + sum(len(region.body.stages) for region in doc.regions))
+        assert mentions > 2 * len(refs)
+        for command in ("check", "behavior"):
+            lookups = count_calls(monkeypatch, tmflow.model, "_lookup")
+            assert main([command, str(tmp_path / "m.tm")]) == 0
+            capsys.readouterr()
+            assert lookups[0] == len(refs)
+
+    def test_simulate_looks_up_each_ref_once(self, tmp_path, monkeypatch, capsys):
+        """`tm simulate` resolves each distinct stage ref of the model and
+        scenario texts at most once: tokens, injections, mints and actions
+        read the model's table."""
+        made = perfbench_gen()["sim_tokens"](3)
+        (tmp_path / "m.tm").write_text(made.model)
+        (tmp_path / "m.tms").write_text(made.scenario)
+        scenario = tmflow.parse_scenario(made.scenario)
+        named = [seed.at for seed in scenario.tokens]
+        named += [seed.at for _, seed in scenario.injections]
+        named += [ref for ref, _, _ in scenario.mints]
+        named += [ref for ref, _ in scenario.actions]
+        refs = model_refs(tmflow.parse(made.model)) | set(named)
+        assert scenario.injections and scenario.mints
+        lookups = count_calls(monkeypatch, tmflow.model, "_lookup")
+        assert main(["simulate", str(tmp_path / "m.tm"), str(tmp_path / "m.tms")]) == 0
+        assert capsys.readouterr().out.endswith("conformance: ok\n")
+        assert lookups[0] <= len(refs)
 
     def test_export_and_census_parse_no_guard(self, monkeypatch):
         doc = tmflow.parse(chain(4)[0])
