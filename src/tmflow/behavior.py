@@ -109,7 +109,7 @@ class _StageIndex:
                  "region_link")
 
     def __init__(self, linked: Linked):
-        rank = dict.fromkeys(linked.model.stage_instances())
+        rank = dict.fromkeys(linked.stages)
         self.stages = stages = sorted(rank, key=StageRef.sort_key)
         n = len(stages)
         machines: dict[tuple[str, ...], list[int]] = {}

@@ -214,27 +214,14 @@ class TMModel(Record, uncompared=("_exprs",), unshown=("_exprs",)):
         return refs
 
 
-# Machine id -> (full path, machine) for every machine with that id.
-_SuffixIndex = dict[str, list[tuple[tuple[str, ...], Machine]]]
-
-
-def _suffix_index(model: TMModel) -> _SuffixIndex:
-    index: _SuffixIndex = {}
-    for path, machine in model.walk():
-        index.setdefault(machine.id, []).append((path, machine))
-    return index
-
-
-def _lookup(
-    index: _SuffixIndex, ref: StageRef
-) -> tuple[tuple[str, ...], Machine, StageKind | None]:
+def _lookup(machines: list[tuple[tuple[str, ...], Machine]], index: dict[str, list[int]],
+            ref: StageRef) -> tuple[str, ...]:
+    """The full path of the one machine of ``machines`` whose path ends
+    with ``ref.machine``; ``index`` maps a machine id to its places there."""
     if not ref.machine:
         raise UnknownMachineError("empty machine path")
-    matches = [
-        (path, machine)
-        for path, machine in index.get(ref.machine[-1], ())
-        if path[-len(ref.machine):] == ref.machine
-    ]
+    matches = [machines[place] for place in index.get(ref.machine[-1], ())
+               if machines[place][0][-len(ref.machine):] == ref.machine]
     if not matches:
         raise UnknownMachineError(f"no machine matches path '{'.'.join(ref.machine)}'")
     if len(matches) > 1:
@@ -246,18 +233,12 @@ def _lookup(
         raise StageNotDeclaredError(
             f"machine '{machine.id}' does not declare a {ref.kind.value} stage"
         )
-    return path, machine, ref.kind
+    return path
 
 
 def normalize_ref(model: TMModel, ref: StageRef) -> StageRef:
     """Rewrite a StageRef to use the machine's full path from the root."""
     return link(model).normalize(ref)
-
-
-# Stages auto-declared while expanding a sugared arc, in the order they
-# are appended to the owning machine's stage list.
-_SUGAR_SOURCE_STAGES = (StageKind.RELEASE, StageKind.TRANSFER)
-_SUGAR_TARGET_STAGES = (StageKind.TRANSFER, StageKind.RECEIVE)
 
 
 def desugar(model: TMModel) -> TMModel:
@@ -276,51 +257,6 @@ def desugar(model: TMModel) -> TMModel:
     return linked.model
 
 
-def _desugar(model: TMModel, index: _SuffixIndex, unresolved: list) -> TMModel:
-    needed: dict[tuple[str, ...], list[StageKind]] = {}
-
-    def add_stages(path: tuple[str, ...], machine: Machine, kinds: tuple[StageKind, ...]):
-        pending = needed.setdefault(path, [])
-        for kind in kinds:
-            if kind not in machine.stages and kind not in pending:
-                pending.append(kind)
-
-    flows: list[FlowArc] = []
-    for arc in model.flows:
-        if not arc.sugared:
-            flows.append(arc)
-            continue
-        try:
-            src_path, src_machine, _ = _lookup(index, arc.source)
-            tgt_path, tgt_machine, _ = _lookup(index, arc.target)
-        except ModelError as exc:
-            unresolved.append((arc, exc))
-            continue
-        add_stages(src_path, src_machine, _SUGAR_SOURCE_STAGES)
-        add_stages(tgt_path, tgt_machine, _SUGAR_TARGET_STAGES)
-        rel = StageRef(arc.source.machine, StageKind.RELEASE)
-        src_tx = StageRef(arc.source.machine, StageKind.TRANSFER)
-        tgt_tx = StageRef(arc.target.machine, StageKind.TRANSFER)
-        rcv = StageRef(arc.target.machine, StageKind.RECEIVE)
-        flows += [
-            FlowArc(f"{arc.id}__rel", rel, src_tx, thing=arc.thing, span=arc.span),
-            FlowArc(f"{arc.id}__x", src_tx, tgt_tx, arc.thing, arc.guard, arc.label,
-                    span=arc.span),
-            FlowArc(f"{arc.id}__rcv", tgt_tx, rcv, thing=arc.thing, span=arc.span),
-        ]
-
-    def rebuild(machine: Machine, prefix: tuple[str, ...]) -> Machine:
-        path = prefix + (machine.id,)
-        extra = tuple(needed.get(path, ()))
-        subs = tuple(rebuild(sub, path) for sub in machine.submachines)
-        if not extra and subs == machine.submachines:
-            return machine
-        return Machine(machine.id, machine.name, machine.stages + extra, subs, machine.span)
-
-    machines = tuple(rebuild(root, ()) for root in model.machines)
-    return TMModel(machines, tuple(flows), model.triggers, model.things, model._exprs)
-
-
 def link(model: TMModel) -> "Linked":
     """The one ``Linked`` of ``model``, built on first use."""
     return model._linked
@@ -328,35 +264,93 @@ def link(model: TMModel) -> "Linked":
 
 class Linked:
     """A model linked once for analysis: ``model`` with its sugared arcs
-    expanded, and ``flows``/``triggers`` rewritten to full-path refs
-    through one suffix index.  ``link`` builds one per model and keeps it
-    on the model, which is frozen, so it stays valid while the model lives.
-    ``normalize`` resolves each distinct stage reference once and keeps
-    its full-path form here, keyed by value, for every later call: the
-    arcs, regions, scenario and ``normalize_ref`` all read that one table.
-    Arcs that do not resolve are left out and kept with their error in
-    ``unresolved`` (sugared arcs, then flows, then triggers); ``validate``
-    and ``check_regions`` report them, every other analysis calls
-    ``require``.  ``model`` shares the original's parsed guards
-    (``_exprs``), and ``stage_index`` keeps its stages and arcs as integer
-    ranks, once an analysis has built them."""
+    expanded, and ``flows``/``triggers`` rewritten to full-path refs.
+    ``link`` builds one per model and keeps it on the model, which is
+    frozen, so it stays valid while the model lives.  Only it walks the
+    machine tree, once: ``machines`` holds the linked model's (full path,
+    machine) pairs in tree order, and ``stages`` (built on first read) its
+    declared stages as full-path refs, in tree order.  ``normalize``
+    resolves each distinct stage reference once, through an index of
+    machine ids into ``machines``, and keeps its full-path form, keyed by
+    value, for every later call: the sugared ends, arcs, regions, scenario
+    and ``normalize_ref`` all read that one table.  Arcs that do not
+    resolve are left out and kept with their error in ``unresolved``
+    (sugared arcs, then flows, then triggers); ``validate`` and
+    ``check_regions`` report them, every other analysis calls ``require``.
+    ``model`` shares the original's parsed guards (``_exprs``), and
+    ``stage_index`` keeps its stages and arcs as integer ranks, once an
+    analysis has built them."""
 
     def __init__(self, model: TMModel):
-        index = _suffix_index(model)
+        self.machines = list(model.walk())
+        self._index: dict[str, list[int]] = {}  # machine id -> places in ``machines``
+        for place, (_, machine) in enumerate(self.machines):
+            self._index.setdefault(machine.id, []).append(place)
+        self._resolved: dict[StageRef, StageRef] = {}  # see ``normalize``
         self.unresolved: list[tuple[FlowArc | TriggerArc, ModelError]] = []
         if any(arc.sugared for arc in model.flows):
-            model = _desugar(model, index, self.unresolved)
-            index = _suffix_index(model)  # desugaring declared new stages
+            model = self._desugar(model)
         else:
             # A copy: the model holds this, so no cycle.
             model = TMModel(model.machines, model.flows, model.triggers, model.things,
                             model._exprs)
         self.model = model
-        self._index = index
-        self._resolved: dict[StageRef, StageRef] = {}  # see ``normalize``
         self.flows: tuple[FlowArc, ...] = self._link(model.flows)
         self.triggers: tuple[TriggerArc, ...] = self._link(model.triggers)
         self.stage_index = None  # see behavior._stage_index
+
+    def _desugar(self, model: TMModel) -> TMModel:
+        """``model`` with each sugared arc expanded, its ends resolved by
+        ``normalize``.  The machines that gain stages, and their ancestors,
+        are rebuilt, and replace their entries in ``machines``: desugaring
+        declares no machine, so every place there holds."""
+        needed: dict[tuple[str, ...], list[StageKind]] = {}
+        flows: list[FlowArc] = []
+        for arc in model.flows:
+            if not arc.sugared:
+                flows.append(arc)
+                continue
+            try:
+                source = self.normalize(arc.source).machine
+                target = self.normalize(arc.target).machine
+            except ModelError as exc:
+                self.unresolved.append((arc, exc))
+                continue
+            # Declared where missing, in this order, after the machine's own.
+            needed.setdefault(source, []).extend((StageKind.RELEASE, StageKind.TRANSFER))
+            needed.setdefault(target, []).extend((StageKind.TRANSFER, StageKind.RECEIVE))
+            rel = StageRef(arc.source.machine, StageKind.RELEASE)
+            src_tx = StageRef(arc.source.machine, StageKind.TRANSFER)
+            tgt_tx = StageRef(arc.target.machine, StageKind.TRANSFER)
+            rcv = StageRef(arc.target.machine, StageKind.RECEIVE)
+            flows += [
+                FlowArc(f"{arc.id}__rel", rel, src_tx, thing=arc.thing, span=arc.span),
+                FlowArc(f"{arc.id}__x", src_tx, tgt_tx, arc.thing, arc.guard, arc.label,
+                        span=arc.span),
+                FlowArc(f"{arc.id}__rcv", tgt_tx, rcv, thing=arc.thing, span=arc.span),
+            ]
+
+        places = iter(range(len(self.machines)))
+
+        def rebuild(machine: Machine) -> Machine:
+            place = next(places)  # tree order, as ``walk``
+            path = self.machines[place][0]
+            subs = tuple(map(rebuild, machine.submachines))
+            extra = tuple(kind for kind in dict.fromkeys(needed.get(path, ()))
+                          if kind not in machine.stages)
+            if extra or any(new is not old for new, old in zip(subs, machine.submachines)):
+                machine = Machine(machine.id, machine.name, machine.stages + extra, subs,
+                                  machine.span)
+                self.machines[place] = (path, machine)
+            return machine
+
+        machines = tuple(map(rebuild, model.machines))
+        return TMModel(machines, tuple(flows), model.triggers, model.things, model._exprs)
+
+    @cached_property
+    def stages(self) -> list[StageRef]:
+        return [StageRef(path, kind) for path, machine in self.machines
+                for kind in machine.stages]
 
     def require(self) -> "Linked":
         """This linked form; raises the first unresolved arc's ModelError."""
@@ -371,8 +365,8 @@ class Linked:
         resolve is not kept, so it raises again on every call."""
         full = self._resolved.get(ref)
         if full is None:
-            path, _, kind = _lookup(self._index, ref)
-            full = ref if len(path) == len(ref.machine) else StageRef(path, kind)
+            path = _lookup(self.machines, self._index, ref)
+            full = ref if len(path) == len(ref.machine) else StageRef(path, ref.kind)
             self._resolved[ref] = full
         return full
 

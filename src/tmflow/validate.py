@@ -24,9 +24,10 @@ from .model import (
 )
 
 
-def _check_duplicates(model: TMModel, report: ValidationReport) -> None:
+def _check_duplicates(model: TMModel, linked: Linked, report: ValidationReport) -> None:
+    """Machines as linked, things and arcs as declared (a sugared arc once)."""
     seen_machines: set[str] = set()
-    for _, machine in model.walk():
+    for _, machine in linked.machines:
         if machine.id in seen_machines:
             report.diagnostics.append(
                 error("DUP_ID", f"duplicate machine id '{machine.id}'",
@@ -126,8 +127,8 @@ def unresolved_diagnostic(arc: FlowArc | TriggerArc, exc: ModelError) -> Diagnos
 def validate(model: TMModel) -> ValidationReport:
     """Full static check; never raises, returns a report."""
     report = ValidationReport()
-    _check_duplicates(model, report)
     linked = link(model)
+    _check_duplicates(model, linked, report)
     scopes = _guard_scopes(model)
 
     for arc, exc in linked.unresolved:
@@ -189,7 +190,7 @@ def _warn_opposing_flows(flows: tuple[FlowArc, ...], report: ValidationReport) -
 
 def _warn_unreachable(linked: Linked, report: ValidationReport) -> None:
     targets = {arc.target for arc in linked.arcs()}
-    for ref in linked.model.stage_instances():
+    for ref in linked.stages:
         if ref.kind != StageKind.CREATE and ref not in targets:
             report.diagnostics.append(
                 warning("UNREACHABLE_STAGE",
@@ -202,7 +203,7 @@ def _warn_no_arcs(linked: Linked, report: ValidationReport) -> None:
     for arc in linked.arcs():
         touched.add(arc.source.machine)
         touched.add(arc.target.machine)
-    for path, machine in linked.model.walk():
+    for path, machine in linked.machines:
         if machine.stages and path not in touched:
             report.diagnostics.append(
                 warning("NO_ARCS",

@@ -105,16 +105,38 @@ def fuzz_texts():
         yield text
 
 
+def mutate(rng: random.Random, text: str) -> str:
+    """``text`` with 1 to 5 characters replaced by printable ones."""
+    chars = list(text)
+    for _ in range(rng.randrange(1, 6)):
+        chars[rng.randrange(len(chars))] = chr(rng.randrange(32, 127))
+    return "".join(chars)
+
+
 def mutated_models():
     """2 000 seeded corpus models, each with a few printable characters
     replaced."""
     rng = random.Random(7)
     seeds = [p.read_text(encoding="utf-8") for p in MODEL_FILES]
     for _ in range(2_000):
-        base = list(rng.choice(seeds))
-        for _ in range(rng.randrange(1, 6)):
-            base[rng.randrange(len(base))] = chr(rng.randrange(32, 127))
-        yield "".join(base)
+        yield mutate(rng, rng.choice(seeds))
+
+
+def scenario_model(path: Path) -> Path:
+    """The corpus model that the corpus scenario ``path`` runs against:
+    the one with the longest name that starts the scenario's."""
+    return max((model for model in MODEL_FILES if path.stem.startswith(model.stem)),
+               key=lambda model: len(model.stem))
+
+
+def mutated_scenarios(count: int = 1_000):
+    """``count`` seeded corpus scenarios, each with a few printable
+    characters replaced, each with the corpus model it runs against."""
+    rng = random.Random(11)
+    seeds = [(scenario_model(p), p.read_text(encoding="utf-8")) for p in SCENARIO_FILES]
+    for _ in range(count):
+        model, text = rng.choice(seeds)
+        yield model, mutate(rng, text)
 
 
 def nested_model(machines: int, parentheses: int) -> str:

@@ -451,6 +451,19 @@ class TestCensusProperties:
         )
 
 
+class TestLinkProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(small_models())
+    def test_link_holds_the_tree_of_its_model(self, model):
+        """``machines`` and ``stages`` are those of the linked model, sugar
+        included: each machine that desugaring rebuilt took its place."""
+        linked = link(model)
+        tree = list(linked.model.walk())
+        assert linked.machines == tree
+        assert all(ours is theirs for (_, ours), (_, theirs) in zip(linked.machines, tree))
+        assert linked.stages == linked.model.stage_instances()
+
+
 class TestCensusWork:
     """Counts, not timings, which are too noisy on a shared machine."""
 

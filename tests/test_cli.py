@@ -31,7 +31,7 @@ from tmflow.cli import (
 )
 from tmflow.exprs import _MAX_NESTING
 
-from conftest import CORPUS, SCENARIO_FILES, mutated_models, nested_model
+from conftest import CORPUS, SCENARIO_FILES, mutated_models, mutated_scenarios, nested_model
 
 
 @pytest.fixture(autouse=True)
@@ -639,6 +639,24 @@ def test_no_model_gets_a_traceback(tmp_path):
         for form in forms:
             argv = [form[0], model, *(scenario if arg == "scenario" else arg
                                       for arg in form[1:])]
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                try:
+                    code = main(argv)
+                except Exception as exc:
+                    raise AssertionError(f"tm {' '.join(argv)} raised {exc!r}") from exc
+            assert code in (0, 1, 2), argv
+            sink.seek(0)
+            sink.truncate()
+
+
+def test_no_scenario_gets_a_traceback(tmp_path):
+    """Each fuzzed corpus scenario, run with its own model in both
+    formats, ends with an exit code of 0, 1 or 2 and no exception."""
+    sink = io.StringIO()
+    for number, (model, text) in enumerate(mutated_scenarios()):
+        scenario = write(tmp_path, f"s{number}.tms", text)
+        for fmt in _TEXT_JSON:
+            argv = ["simulate", str(model), scenario, "--format", fmt]
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 try:
                     code = main(argv)

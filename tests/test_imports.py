@@ -9,7 +9,8 @@ nor ``simulate`` import ``dataclasses``.  The ``tm`` console script and
 ``python -m tmflow.cli`` call the same function.  Every annotation in the
 package resolves under ``typing.get_type_hints``, and every function in
 ``__all__`` has a reader besides the tests, and each of its defaulted
-parameters a caller that passes it.
+parameters a caller that passes it.  No module but ``model`` walks the
+machine tree or resolves a stage path itself.
 
 The rest run fresh interpreters: ``import tmflow`` loads ``simulate``,
 only the output formats add ``jsonio`` (with ``json``) or ``dot`` to a
@@ -368,6 +369,30 @@ def test_every_public_function_is_used():
                     and not re.search(rf"\b{name}\([^)]*\b{parameter.name}=", readme)):
                 unused.append(f"{name}({parameter.name}=)")
     assert unused == []
+
+
+# What reads the machine tree or resolves a stage path on its own: only
+# ``model`` may, where ``Linked`` walks the tree once and resolves every
+# ref through ``normalize``'s table.
+TREE_READERS = {"walk", "stage_instances", "_lookup"}
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "model.py"],
+                         ids=lambda p: p.name)
+def test_only_the_link_reads_the_machine_tree(path):
+    """Every other module reads ``Linked.machines``, ``Linked.stages`` and
+    ``Linked.normalize``."""
+    assert referenced_names(path.read_text(encoding="utf-8")) & TREE_READERS == set()
+
+
+def test_the_check_sees_a_tree_read():
+    for source in ("for path, machine in model.walk(): pass\n",
+                   "refs = link(model).model.stage_instances()\n",
+                   "from .model import _lookup\n",
+                   "path = model._lookup(machines, index, ref)\n"):
+        assert referenced_names(source) & TREE_READERS, source
+    assert referenced_names("for path, machine in linked.machines: pass\n"
+                            "refs = linked.stages\n") & TREE_READERS == set()
 
 
 def test_every_dataclass_has_a_docstring():

@@ -3,6 +3,7 @@ guards and the unresolved-arc policy shared by every analysis."""
 
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -260,36 +261,27 @@ def chain(n: int) -> tuple[str, str]:
 
 
 def test_walks_do_not_grow_with_model_size(monkeypatch):
-    """Each analysis walks the machine tree a fixed number of times, so
-    no analysis re-resolves suffix paths per arc (which made them
+    """Linking walks the machine tree once, and the analyses read the
+    link, so no analysis re-resolves suffix paths per arc (which made them
     quadratic in model size)."""
-    walk = TMModel.walk
-    count = 0
+    walks = count_calls(monkeypatch, TMModel, "walk")
 
-    def counting_walk(self):
-        nonlocal count
-        count += 1
-        return walk(self)
-
-    monkeypatch.setattr(TMModel, "walk", counting_walk)
-
-    def walks(n):
-        nonlocal count
+    def counts(n):
         model_text, scenario_text = chain(n)
         doc = tmflow.parse(model_text)
         scenario = tmflow.parse_scenario(scenario_text)
-        counts = []
+        found = []
         for run in (lambda: tmflow.validate(doc.model),
                     lambda: tmflow.infer_behavior(doc.model, doc.regions),
                     lambda: tmflow.simulate(doc.model, scenario)):
-            count = 0
+            walks[0] = 0
             result = run()
-            counts.append(count)
+            found.append(walks[0])
         assert tmflow.validate(doc.model).ok
         assert result.final_tokens[0].attrs["hop"] == n
-        return counts
+        return found
 
-    assert walks(20) == walks(40)
+    assert counts(20) == counts(40) == [1, 0, 0]
 
 
 def count_calls(monkeypatch, owner, name):
@@ -471,3 +463,45 @@ class TestLinkOnce:
         model_to_dot(doc.model)
         tmflow.enumerate_subdiagrams(doc.model, 2)
         assert parses[0] == 0
+
+
+def walk_once_models(tmp_path) -> list[tuple[Path, Path]]:
+    """``sugar_pipeline.tm`` and perfbench's static-large seed 3, each
+    written with a scenario."""
+    made = perfbench_gen()["static_large"](3)
+    files = []
+    for name, model, scenario in (
+            ("sugar", corpus_text("sugar_pipeline.tm"), SUGAR_PIPELINE_TMS),
+            ("large", made.model, made.scenario)):
+        (tmp_path / f"{name}.tm").write_text(model)
+        (tmp_path / f"{name}.tms").write_text(scenario)
+        files.append((tmp_path / f"{name}.tm", tmp_path / f"{name}.tms"))
+    return files
+
+
+class TestWalkOnce:
+    @pytest.mark.parametrize("command", ["check", "events", "behavior", "simulate", "export"])
+    def test_each_command_walks_the_tree_once(self, command, tmp_path, monkeypatch, capsys):
+        walks = count_calls(monkeypatch, TMModel, "walk")
+        for model, scenario in walk_once_models(tmp_path):
+            walks[0] = 0
+            argv = [command, str(model)] + ([str(scenario)] if command == "simulate" else [])
+            # sugar_pipeline.tm declares no regions, so `tm behavior` fails on it.
+            no_regions = command == "behavior" and model.name == "sugar.tm"
+            assert main(argv) == (1 if no_regions else 0)
+            capsys.readouterr()
+            assert walks[0] == 1, model.name
+
+    def test_link_looks_up_each_distinct_ref_once(self, monkeypatch):
+        """The sugared ends resolve through ``normalize``'s table with the
+        other refs: the expanded chain's, and the 2 ends of `route`."""
+        text = corpus_text("sugar_pipeline.tm")
+        model = tmflow.parse(text).model
+        expanded = tmflow.desugar(tmflow.parse(text).model)
+        refs = {ref for arcs in (model.arcs(), expanded.arcs()) for arc in arcs
+                for ref in (arc.source, arc.target)}
+        walks = count_calls(monkeypatch, TMModel, "walk")
+        lookups = count_calls(monkeypatch, tmflow.model, "_lookup")
+        linked = link(model)
+        assert (walks[0], lookups[0], len(refs)) == (1, 8, 8)
+        assert set(linked._resolved) == refs
