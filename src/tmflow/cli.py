@@ -324,8 +324,13 @@ _HELP = ("-h", "--help")
 _NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-def _is_option(word: str) -> bool:
-    return word[:1] == "-" and word != "-" and not _NEGATIVE_NUMBER.match(word)
+def _is_option(word: str, options: dict) -> bool:
+    """Whether argparse read ``word`` as an option of a command with
+    ``options``: it starts with '-' but is neither '-' nor a negative
+    number, and a word with a space in it is a value unless one of
+    ``options`` and '=' start it."""
+    return (word[:1] == "-" and word != "-" and not _NEGATIVE_NUMBER.match(word)
+            and (" " not in word or word.partition("=")[0] in options))
 
 
 def _synopsis(command: str) -> str:
@@ -367,7 +372,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | str:
     given = []
     words = iter(argv[1:])
     for word in words:
-        if not _is_option(word):
+        if not _is_option(word, options):
             given.append(word)
             continue
         if word in _HELP:
@@ -378,7 +383,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | str:
             raise _Unusable(f"tm {command}: unknown option '{option}'")
         if not eq:
             value = next(words, None)
-            if value is None or _is_option(value):
+            if value is None or _is_option(value, options):
                 raise _Unusable(f"tm {command}: {option} needs a value")
         if kind is int:
             try:

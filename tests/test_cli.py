@@ -1254,6 +1254,9 @@ def divergences(argv: list[str]) -> set[str]:
 @example(["events", "m.tm", "--bound", "-1", "--bound", "3"])
 @example(["check", "--format", "json", "m.tm", "--format=text"])
 @example(["check", "--out=-", "m.tm", "--out", "o.txt"])
+@example(["check", "--bound= 4"])
+@example(["export", "--out", "--bound= 4", "m.tm"])
+@example(["events", "m.tm", "--bound= 4"])
 @given(command_lines())
 def test_the_reader_matches_argparse(argv):
     """Where argparse accepted a command line the reader gives the same
