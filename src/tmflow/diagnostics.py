@@ -19,9 +19,6 @@ class Fresh:
     def __init__(self, make):
         self.make = make
 
-    def __repr__(self) -> str:
-        return "<factory>"
-
 
 def _key_getter(names: tuple[str, ...]):
     """The function that gives the tuple of a record's ``names`` fields."""
@@ -32,21 +29,17 @@ def _key_getter(names: tuple[str, ...]):
 
 
 class _DataclassView:
-    """``__dataclass_fields__`` or ``__dataclass_params__`` of a record
-    class, so that ``dataclasses.fields``, ``replace``, ``asdict`` and
-    ``is_dataclass`` take records.  Read from a dataclass with the same
-    fields, defaults and flags, made on first use and kept on the class;
-    only a caller that has imported ``dataclasses`` reads it.
-
-    A ``NamedTuple`` class that holds these views is read as a frozen
+    """``__dataclass_fields__`` of a record class, so that
+    ``dataclasses.fields``, ``replace``, ``asdict`` and ``is_dataclass``
+    take records: those functions read no other attribute.  Read from a
+    dataclass with the same fields and defaults, made on first use and
+    kept on the class; only a caller that has imported ``dataclasses``
+    reads it.  A ``NamedTuple`` class that holds this view is read as a
     dataclass of its fields, each compared and shown."""
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
 
     def __get__(self, record, cls):
         if not cls._fields:  # Record and the abstract bases: no dataclass
-            raise AttributeError(self.name)
+            raise AttributeError("__dataclass_fields__")
         shadow = cls.__dict__.get("_shadow")
         if shadow is None:
             from dataclasses import field, make_dataclass
@@ -54,12 +47,11 @@ class _DataclassView:
             if issubclass(cls, tuple):
                 defaults, types = cls._field_defaults, cls.__annotations__
                 compared = shown = cls._fields
-                frozen = True
             else:
                 init = cls.__init__
                 defaults = dict(zip(reversed(cls._fields), reversed(init.__defaults__ or ())))
                 types = init.__annotations__
-                compared, shown, frozen = cls._compared, cls._shown, cls._frozen
+                compared, shown = cls._compared, cls._shown
             specs = []
             for name in cls._fields:
                 flags = {"compare": name in compared, "repr": name in shown}
@@ -70,9 +62,9 @@ class _DataclassView:
                 else:
                     spec = field(default=defaults[name], **flags)
                 specs.append((name, types.get(name, "object"), spec))
-            shadow = make_dataclass(cls.__name__, specs, frozen=frozen)
+            shadow = make_dataclass(cls.__name__, specs)
             cls._shadow = shadow
-        return getattr(shadow, self.name)
+        return shadow.__dataclass_fields__
 
 
 class Record:
@@ -93,7 +85,6 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _frozen = True
 
     def __init_subclass__(cls, frozen: bool = True, uncompared=(), unshown=(), **kwargs):
         super().__init_subclass__(**kwargs)
@@ -104,7 +95,6 @@ class Record:
             cls._compared = tuple(n for n in cls._fields if n not in uncompared)
             cls._shown = tuple(n for n in cls._fields if n not in unshown)
             cls._key = staticmethod(_key_getter(cls._compared))
-        cls._frozen = frozen
         if not frozen:
             cls.__setattr__ = object.__setattr__
             cls.__delattr__ = object.__delattr__
@@ -112,7 +102,6 @@ class Record:
                 cls.__hash__ = None
 
     __dataclass_fields__ = _DataclassView()
-    __dataclass_params__ = _DataclassView()
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

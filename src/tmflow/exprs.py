@@ -412,13 +412,11 @@ def parse_guard(text: str) -> Cmp:
 
 
 def names(node) -> set[str]:
-    """All attribute names referenced by an expression, guard, or statement."""
+    """All attribute names referenced by an expression or guard."""
     if isinstance(node, Name):
         return {node.ident}
     if isinstance(node, (BinOp, Cmp)):
         return names(node.left) | names(node.right)
-    if isinstance(node, Assign):
-        return {node.name} | names(node.expr)
     return set()
 
 

@@ -117,10 +117,9 @@ class TraceRecord(NamedTuple):
 
     A named tuple, so that the step loop builds each record with
     ``tuple.__new__`` and no call of its own, and its fields read in C.
-    It keeps the behaviour of the frozen dataclass it replaced: its
-    ``repr``, ``==`` and ``hash`` between records, immutability
-    (``FrozenInstanceError``), and ``dataclasses.fields``, ``replace``
-    and ``asdict``.  As a tuple it also unpacks into its five fields,
+    Its ``repr`` names each field, as a record's does; ``_replace``,
+    ``_fields`` and ``_asdict`` are its record API, and assignment raises
+    ``AttributeError``.  As a tuple it also unpacks into its five fields,
     orders by them, and compares equal to the plain tuple of them.
     """
 
@@ -129,11 +128,6 @@ class TraceRecord(NamedTuple):
     token: str
     source: StageRef
     target: StageRef
-
-    __dataclass_fields__ = vars(Record)["__dataclass_fields__"]
-    __dataclass_params__ = vars(Record)["__dataclass_params__"]
-    __setattr__ = Record.__setattr__
-    __delattr__ = Record.__delattr__
 
 
 class TraceMeta(Record):

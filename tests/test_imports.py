@@ -10,7 +10,9 @@ nor ``simulate`` import ``dataclasses``.  The ``tm`` console script and
 package resolves under ``typing.get_type_hints``, and every function in
 ``__all__`` has a reader besides the tests, and each of its defaulted
 parameters a caller that passes it.  No module but ``model`` walks the
-machine tree or resolves a stage path itself.
+machine tree or resolves a stage path itself.  Every name that
+``perfbench`` imports from the package, or reads off one of its modules,
+resolves.
 
 The rest run fresh interpreters: ``import tmflow`` loads ``simulate``,
 only the output formats add ``jsonio`` (with ``json``) or ``dot`` to a
@@ -371,6 +373,63 @@ def test_every_public_function_is_used():
     assert unused == []
 
 
+def tmflow_reads(source: str) -> set[tuple[str, str]]:
+    """Each (module, name) that a Python source imports from ``tmflow``
+    or reads as an attribute of a module of the package it imported:
+    ``from tmflow.exprs import names`` gives ("tmflow.exprs", "names"),
+    and ``from tmflow import cli`` then ``cli.main`` gives ("tmflow",
+    "cli") and ("tmflow.cli", "main")."""
+    tree = ast.parse(source)
+    modules: dict[str, str] = {}  # local name -> module of the package
+    found: set[tuple[str, str]] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names
+                           if alias.name.partition(".")[0] == "tmflow")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tmflow"):
+            for alias in node.names:
+                found.add((node.module, alias.name))
+                if (node.module == "tmflow" and (SRC / f"{alias.name}.py").exists()
+                        and alias.name not in tmflow.__all__):  # not the function simulate
+                    modules[alias.asname or alias.name] = f"tmflow.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.add((modules[node.value.id], node.attr))
+    return found
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    """``from module import name`` succeeds for each name that
+    ``perfbench`` imports from the package or reads off it: the benchmark
+    stops at its import of the package if one is missing, and a renamed
+    function fails it later."""
+    missing = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for module, name in sorted(tmflow_reads(path.read_text(encoding="utf-8"))):
+            try:
+                exec(f"from {module} import {name}", {})
+            except ImportError as exc:
+                missing.append(f"{path.name}: {exc}")
+    assert missing == []
+
+
+def test_the_check_sees_what_the_benchmark_reads():
+    source = ("import tmflow\n"
+              "from tmflow import cli, dot as d\n"
+              "from tmflow.exprs import names\n"
+              "def f(doc):\n"
+              "    cli.main([])\n"
+              "    d.model_to_dot(doc.model)\n"
+              "    names = [doc.cli]  # a local name, not the function\n"
+              "    names.append(tmflow.StageKind.CREATE)\n"
+              "    return tmflow.validate(doc.model)\n")
+    assert tmflow_reads(source) == {
+        ("tmflow", "cli"), ("tmflow", "dot"), ("tmflow.exprs", "names"),
+        ("tmflow.cli", "main"), ("tmflow.dot", "model_to_dot"),
+        ("tmflow", "validate"), ("tmflow", "StageKind")}
+
+
 # What reads the machine tree or resolves a stage path on its own: only
 # ``model`` may, where ``Linked`` walks the tree once and resolves every
 # ref through ``normalize``'s table.
@@ -397,7 +456,7 @@ def test_the_check_sees_a_tree_read():
 
 def test_every_dataclass_has_a_docstring():
     """Every record class, which ``dataclasses.is_dataclass`` matches
-    through its ``_DataclassView`` (a ``Record`` or the ``TraceRecord``
+    through its ``_DataclassView`` (a ``Record`` or the ``StageRef``
     named tuple), carries its own docstring, not one made from its
     field names."""
     undocumented = []

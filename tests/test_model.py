@@ -142,6 +142,12 @@ class TestDesugar:
         assert mid.label == "hop"
         assert rel.label is None and rcv.label is None
 
+    def test_unknown_sugared_end_raises(self):
+        model = TMModel(machines=(Machine("a", stages=(C,)),), flows=(
+            FlowArc("x", StageRef(("a",), None), StageRef(("ghost",), None)),))
+        with pytest.raises(UnknownMachineError, match="^no machine matches path 'ghost'$"):
+            desugar(model)
+
     def test_idempotent(self):
         once = desugar(self.sugared_model())
         assert desugar(once) == once

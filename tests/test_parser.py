@@ -101,6 +101,13 @@ class TestGrammar:
         assert model.flows[0].guard == "n  <=  3"
         assert model.flows[0].label == "go"
 
+    def test_a_number_label_is_text(self):
+        doc = parse("machine a { stages Create, Process }\n"
+                    "flow f: a.Create -> a.Process label 3\n")
+        assert doc.model.flows[0].label == "3"
+        assert 'flow f: a.Create -> a.Process label "3"\n' in serialize(doc)
+        assert parse(serialize(doc)) == doc
+
     def test_sugared_arc_keeps_machine_refs(self):
         model = parse(
             "machine a { stages Create }\nmachine b { stages Process }\n"
@@ -146,6 +153,11 @@ class TestGrammar:
         assert scenario.injections[0][0] == 4
         assert scenario.mints[0][1] == "t"
         assert scenario.stop == "n > 5"
+
+    def test_the_last_policy_wins(self):
+        scenario = parse_scenario(
+            "scenario s {\n  policy seeded-random\n  policy deterministic\n}\n")
+        assert scenario.policy == "deterministic"
 
 
 class TestDiagnostics:
@@ -245,6 +257,18 @@ class TestDiagnostics:
             "behavior {\n  event e region r interval \u00b2 1\n}\n"
         )
         assert str(diags[0]) == "3:29: error[SYNTAX]: expected interval start"
+
+    def test_second_behavior_section(self):
+        diags = self.diags("machine a { stages Create }\n"
+                           "behavior {\n}\nbehavior {\n}\n")
+        assert str(diags[0]) == "4:1: error[DUP_ID]: duplicate behavior section"
+
+    def test_interval_of_no_duration(self):
+        diags = self.diags("machine a { stages Create }\n"
+                           "behavior {\n  event e region r interval 0 0\n}\n")
+        assert [str(d) for d in diags] == [
+            "3:31: error[SYNTAX]: interval duration must be >= 1"
+        ]
 
     def test_errors_inside_blocks_recover_per_statement(self):
         """An error inside a block skips to the block's next statement, so

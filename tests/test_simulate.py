@@ -1,6 +1,6 @@
 import sys
 from collections import Counter
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -868,17 +868,17 @@ class TestCompiledPlans:
         assert guards_2n == guards_n
 
 
-def test_trace_record_is_a_slotted_frozen_dataclass():
+def test_trace_record_is_a_slotted_frozen_named_tuple():
     other = StageRef(("m", "n"), StageKind.TRANSFER)
     record = TraceRecord(1, "f", "t", REF, other)
     twin = TraceRecord(1, "f", "t", StageRef(("m",), StageKind.CREATE), other)
     assert record == twin and hash(record) == hash(twin)
-    assert record != replace(record, step=2)
-    assert replace(record, token="u") == TraceRecord(1, "f", "u", REF, other)
-    assert [f.name for f in fields(record)] == ["step", "arc", "token", "source", "target"]
+    assert record != record._replace(step=2)
+    assert record._replace(token="u") == TraceRecord(1, "f", "u", REF, other)
+    assert TraceRecord._fields == ("step", "arc", "token", "source", "target")
     assert repr(record) == (f"TraceRecord(step=1, arc='f', token='t', "
                             f"source={REF!r}, target={other!r})")
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         record.step = 2
     assert not hasattr(record, "__dict__")
 

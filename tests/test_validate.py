@@ -82,6 +82,23 @@ class TestErrors:
             "not declared by thing 'empty'",
         ]
 
+    @pytest.mark.parametrize("guard, message", [
+        ("n >", "unexpected end of expression"),
+        ("n > $", "unexpected character in expression: '$'"),
+    ])
+    def test_guard_syntax_of_a_hand_built_model(self, guard, message):
+        """The parser files a parse fault of each guard it reads;
+        ``validate`` parses a guard of a model built without it."""
+        create, process = StageKind.CREATE, StageKind.PROCESS
+        model = TMModel(
+            machines=(Machine("a", stages=(create, process)),),
+            flows=(FlowArc("f", StageRef(("a",), create), StageRef(("a",), process),
+                           guard=guard),),
+        )
+        assert [str(d) for d in validate(model).diagnostics] == [
+            f"error[GUARD_SYNTAX]: arc 'f': {message}"
+        ]
+
     def test_unresolved_machine(self):
         report = check(
             "machine a { stages Create, Process }\nflow a.Create -> ghost.Process"
