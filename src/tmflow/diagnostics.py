@@ -19,6 +19,9 @@ class Fresh:
     def __init__(self, make):
         self.make = make
 
+    def __repr__(self) -> str:  # as a dataclass shows a factory in a signature
+        return "<factory>"
+
 
 def _key_getter(names: tuple[str, ...]):
     """The function that gives the tuple of a record's ``names`` fields."""
@@ -29,17 +32,22 @@ def _key_getter(names: tuple[str, ...]):
 
 
 class _DataclassView:
-    """``__dataclass_fields__`` of a record class, so that
-    ``dataclasses.fields``, ``replace``, ``asdict`` and ``is_dataclass``
-    take records: those functions read no other attribute.  Read from a
-    dataclass with the same fields and defaults, made on first use and
-    kept on the class; only a caller that has imported ``dataclasses``
-    reads it.  A ``NamedTuple`` class that holds this view is read as a
-    dataclass of its fields, each compared and shown."""
+    """``__dataclass_fields__`` or ``__dataclass_params__`` of a record
+    class, so that ``dataclasses.fields``, ``replace``, ``asdict`` and
+    ``is_dataclass`` take records, and ``pprint``, which reads
+    ``__dataclass_params__.repr`` of any dataclass wider than its line,
+    prints them.  Read from a dataclass with the same fields, defaults
+    and flags, made on first use and kept on the class; only a caller
+    that has imported ``dataclasses`` reads it.  A ``NamedTuple`` class
+    that holds these views is read as a frozen dataclass of its fields,
+    each compared and shown."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
 
     def __get__(self, record, cls):
         if not cls._fields:  # Record and the abstract bases: no dataclass
-            raise AttributeError("__dataclass_fields__")
+            raise AttributeError(self.name)
         shadow = cls.__dict__.get("_shadow")
         if shadow is None:
             from dataclasses import field, make_dataclass
@@ -47,11 +55,13 @@ class _DataclassView:
             if issubclass(cls, tuple):
                 defaults, types = cls._field_defaults, cls.__annotations__
                 compared = shown = cls._fields
+                frozen = True
             else:
                 init = cls.__init__
                 defaults = dict(zip(reversed(cls._fields), reversed(init.__defaults__ or ())))
                 types = init.__annotations__
                 compared, shown = cls._compared, cls._shown
+                frozen = cls.__setattr__ is not object.__setattr__
             specs = []
             for name in cls._fields:
                 flags = {"compare": name in compared, "repr": name in shown}
@@ -62,9 +72,9 @@ class _DataclassView:
                 else:
                     spec = field(default=defaults[name], **flags)
                 specs.append((name, types.get(name, "object"), spec))
-            shadow = make_dataclass(cls.__name__, specs)
+            shadow = make_dataclass(cls.__name__, specs, frozen=frozen)
             cls._shadow = shadow
-        return shadow.__dataclass_fields__
+        return getattr(shadow, self.name)
 
 
 class Record:
@@ -102,6 +112,7 @@ class Record:
                 cls.__hash__ = None
 
     __dataclass_fields__ = _DataclassView()
+    __dataclass_params__ = _DataclassView()
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

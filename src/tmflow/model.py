@@ -73,17 +73,18 @@ class StageRef(NamedTuple):
 
     A named tuple, as ``simulate.TraceRecord`` is: stage refs are the
     keys of every stage map, and a tuple is built, hashed and compared in
-    C.  It keeps a record's ``repr`` and ``__dataclass_fields__``, so
-    that ``dataclasses.replace`` takes it; as a tuple it also unpacks into
-    its two fields, compares equal to the plain tuple of them, and raises
-    ``AttributeError`` on assignment.  Two refs of one machine do not
-    order, as ``StageKind`` does not.
+    C.  It keeps a record's ``repr`` and ``dataclasses`` view, so that
+    ``dataclasses.replace`` takes it and ``pprint`` prints it; as a tuple
+    it also unpacks into its two fields, compares equal to the plain
+    tuple of them, and raises ``AttributeError`` on assignment.  Two refs
+    of one machine do not order, as ``StageKind`` does not.
     """
 
     machine: tuple[str, ...]
     kind: StageKind | None
 
     __dataclass_fields__ = vars(Record)["__dataclass_fields__"]
+    __dataclass_params__ = vars(Record)["__dataclass_params__"]
 
     def __str__(self) -> str:
         path = ".".join(self.machine)

@@ -3,8 +3,9 @@ without ``dataclasses`` but keep the dataclass behaviour of the
 definitions they replaced.  Those definitions are kept below, under the
 same names, as the reference: on generated field values each record
 must match its reference in ``repr``, ``==``, ``hash``, ``fields``,
-``replace``, ``asdict``, defaults and immutability (``StageRef``, a
-named tuple, raises its own ``AttributeError`` on assignment).
+``replace``, ``asdict``, ``__dataclass_params__``, defaults and
+immutability (``StageRef``, a named tuple, raises its own
+``AttributeError`` on assignment).
 ``simulate.TraceRecord`` is a plain named tuple, with no reference and
 no ``dataclasses`` hook: it is checked on its own, at the end."""
 
@@ -13,7 +14,9 @@ from __future__ import annotations
 import copy
 import dataclasses
 import importlib
+import inspect
 import pickle
+import pprint
 from dataclasses import FrozenInstanceError, asdict, dataclass, field, fields, replace
 
 import pytest
@@ -275,6 +278,7 @@ def test_fields_and_params_are_the_references(new, ref):
                 for f in fields(cls)]
 
     assert dataclasses.is_dataclass(new) and described(new) == described(ref)
+    assert repr(new.__dataclass_params__) == repr(ref.__dataclass_params__)
     assert new.__match_args__ == ref.__match_args__
     assert (new.__hash__ is None) == (ref.__hash__ is None)
 
@@ -338,6 +342,28 @@ def test_defaults_are_the_references_and_factories_are_fresh(new, ref):
             assert type(made).__name__ == type(ref_made).__name__
             assert made is not getattr(two, f.name)
             assert made is not f.default_factory  # a made object, not the factory
+
+
+@pytest.mark.parametrize("new, ref", PAIRS, ids=IDS)
+def test_pprint_shows_a_wide_record_as_its_repr(new, ref):
+    """``pprint`` reads ``__dataclass_params__.repr`` of every object that
+    ``is_dataclass`` matches once its ``repr`` is wider than the line."""
+    wide = new(**{f.name: "v" * 90 for f in fields(ref)})
+    assert len(repr(wide)) > 80
+    assert pprint.pformat(wide) == repr(wide)
+    assert pprint.pformat([wide, wide]) == f"[{wide!r},\n {wide!r}]"
+
+
+def test_pprint_shows_a_deep_stage_ref_and_a_wide_trace_record_as_their_repr():
+    ref = model.StageRef(tuple(f"machine{i}" for i in range(12)), StageKind.TRANSFER)
+    record = simulate.TraceRecord(1, "f" * 40, "t", ref, ref)
+    for wide in (ref, record):
+        assert len(repr(wide)) > 80 and pprint.pformat(wide) == repr(wide)
+
+
+def test_a_fresh_default_shows_as_a_dataclass_factory():
+    assert repr(diagnostics.Fresh(list)) == "<factory>"
+    assert "= <factory>" in str(inspect.signature(parser.Document))
 
 
 def test_a_new_stage_ref_sits_in_a_set_beside_its_reference_twin():
