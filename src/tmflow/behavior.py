@@ -195,14 +195,9 @@ def _link_regions(
         dangling = []
         for ref in sorted(region.body.stages, key=StageRef.sort_key):
             try:
-                rank = index.rank.get(linked.normalize(ref))
+                body.add(index.rank[linked.stage(ref)])
             except ModelError as exc:
                 dangling.append(str(exc))
-                continue
-            if rank is None:
-                dangling.append(f"'{ref}' names a machine, not a stage")
-            else:
-                body.add(rank)
         for arc_id in sorted(region.body.arcs):
             if arc_id in index.arc_rank:
                 body.add(index.arc_rank[arc_id])

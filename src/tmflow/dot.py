@@ -36,7 +36,7 @@ def _edge_label(thing: str | None, label: str | None) -> str | None:
 def model_to_dot(model: TMModel, name: str = "model") -> str:
     linked = link(model).require()
     out = [f"digraph {quote(name)} {{", "  compound=true", "  node [shape=box]"]
-    for machine in linked.model.machines:
+    for machine in linked.roots:
         _emit_machine(machine, (), out, 0)
     for arc in linked.flows:
         attrs = []

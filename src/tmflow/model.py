@@ -245,15 +245,16 @@ def desugar(model: TMModel) -> TMModel:
 
     A sugared arc A => B becomes the chain
     A.Release -> A.Transfer -> B.Transfer -> B.Receive, auto-declaring
-    the four stages when absent.  Idempotent: a model without sugared
-    arcs is returned unchanged (structurally equal).
+    the four stages when absent.  Built from the link's ``roots`` and
+    ``expanded``; raises the first unresolved sugared arc's ModelError.
+    Idempotent: a model without sugared arcs is returned unchanged.
     """
-    if not any(arc.sugared for arc in model.flows):
-        return model
     linked = link(model)
+    if linked.expanded is None:
+        return model
     if linked.unresolved and linked.unresolved[0][0].sugared:
         raise linked.unresolved[0][1]
-    return linked.model
+    return TMModel(linked.roots, linked.expanded, model.triggers, model.things, model._exprs)
 
 
 def link(model: TMModel) -> "Linked":
@@ -262,23 +263,22 @@ def link(model: TMModel) -> "Linked":
 
 
 class Linked:
-    """A model linked once for analysis: ``model`` with its sugared arcs
-    expanded, and ``flows``/``triggers`` rewritten to full-path refs.
-    ``link`` builds one per model and keeps it on the model, which is
-    frozen, so it stays valid while the model lives.  Only it walks the
-    machine tree, once: ``machines`` holds the linked model's (full path,
-    machine) pairs in tree order, and ``stages`` (built on first read) its
-    declared stages as full-path refs, in tree order.  ``normalize``
-    resolves each distinct stage reference once, through an index of
-    machine ids into ``machines``, and keeps its full-path form, keyed by
-    value, for every later call: the sugared ends, arcs, regions, scenario
-    and ``normalize_ref`` all read that one table.  Arcs that do not
-    resolve are left out and kept with their error in ``unresolved``
-    (sugared arcs, then flows, then triggers); ``validate`` and
-    ``check_regions`` report them, every other analysis calls ``require``.
-    ``model`` shares the original's parsed guards (``_exprs``), and
-    ``stage_index`` keeps its stages and arcs as integer ranks, once an
-    analysis has built them."""
+    """A model linked once for analysis: ``roots``, its top-level machines
+    rebuilt where desugaring declared stages, and ``expanded``, its flows
+    with each sugared arc expanded (``None`` if it has none), from which
+    ``desugar`` builds its model; ``flows``/``triggers`` rewritten to
+    full-path refs.  ``link`` builds one per model and keeps it on the
+    model, which is frozen, so it stays valid while the model lives.  Only
+    it walks the machine tree, once: ``machines`` holds the expanded
+    tree's (full path, machine) pairs in tree order, and ``stages`` (built
+    on first read) its declared stages as full-path refs.  ``normalize``
+    resolves each distinct reference once, through an index of machine ids
+    into ``machines``, and keeps its full-path form, keyed by value; every
+    arc end, region and scenario stage goes through ``stage``, which also
+    refuses a machine.  Arcs that do not resolve are left out and kept
+    with their error in ``unresolved`` (sugared arcs, then flows, then
+    triggers); ``validate`` and ``check_regions`` report them, every other
+    analysis calls ``require``.  ``stage_index`` ranks the stages and arcs."""
 
     def __init__(self, model: TMModel):
         self.machines = list(model.walk())
@@ -287,29 +287,29 @@ class Linked:
             self._index.setdefault(machine.id, []).append(place)
         self._resolved: dict[StageRef, StageRef] = {}  # see ``normalize``
         self.unresolved: list[tuple[FlowArc | TriggerArc, ModelError]] = []
-        if any(arc.sugared for arc in model.flows):
-            model = self._desugar(model)
-        else:
-            # A copy: the model holds this, so no cycle.
-            model = TMModel(model.machines, model.flows, model.triggers, model.things,
-                            model._exprs)
-        self.model = model
-        self.flows: tuple[FlowArc, ...] = self._link(model.flows)
+        self.roots: tuple[Machine, ...] = model.machines
+        self.expanded: tuple[FlowArc, ...] | None = None
+        flows = model.flows
+        if any(arc.sugared for arc in flows):
+            flows = self.expanded = self._desugar(flows)
+        self.flows: tuple[FlowArc, ...] = self._link(flows)
         self.triggers: tuple[TriggerArc, ...] = self._link(model.triggers)
         self.stage_index = None  # see behavior._stage_index
 
-    def _desugar(self, model: TMModel) -> TMModel:
-        """``model`` with each sugared arc expanded, its ends resolved by
+    def _desugar(self, arcs: tuple[FlowArc, ...]) -> tuple[FlowArc, ...]:
+        """``arcs`` with each sugared arc expanded, its ends resolved by
         ``normalize``.  The machines that gain stages, and their ancestors,
-        are rebuilt, and replace their entries in ``machines``: desugaring
+        are rebuilt into ``roots`` and in place in ``machines``: desugaring
         declares no machine, so every place there holds."""
         needed: dict[tuple[str, ...], list[StageKind]] = {}
         flows: list[FlowArc] = []
-        for arc in model.flows:
+        for arc in arcs:
             if not arc.sugared:
                 flows.append(arc)
                 continue
             try:
+                if arc.source.kind or arc.target.kind:
+                    raise ModelError("'=>' joins two machines, not a machine and a stage")
                 source = self.normalize(arc.source).machine
                 target = self.normalize(arc.target).machine
             except ModelError as exc:
@@ -343,8 +343,8 @@ class Linked:
                 self.machines[place] = (path, machine)
             return machine
 
-        machines = tuple(map(rebuild, model.machines))
-        return TMModel(machines, tuple(flows), model.triggers, model.things, model._exprs)
+        self.roots = tuple(map(rebuild, self.roots))
+        return tuple(flows)
 
     @cached_property
     def stages(self) -> list[StageRef]:
@@ -369,6 +369,13 @@ class Linked:
             self._resolved[ref] = full
         return full
 
+    def stage(self, ref: StageRef) -> StageRef:
+        """``normalize(ref)``; raises ModelError also if it names a machine."""
+        full = self.normalize(ref)
+        if full.kind is None:
+            raise ModelError(f"'{ref}' names a machine, not a stage")
+        return full
+
     def arcs(self) -> Iterator[FlowArc | TriggerArc]:
         yield from self.flows
         yield from self.triggers
@@ -377,12 +384,8 @@ class Linked:
         linked = []
         for arc in arcs:
             try:
-                source = self.normalize(arc.source)
-                target = self.normalize(arc.target)
-                # Only a sugared flow, expanded by now, may end at a machine.
-                for end in (source, target):
-                    if end.kind is None:
-                        raise ModelError(f"'{end}' names a machine, not a stage")
+                source = self.stage(arc.source)
+                target = self.stage(arc.target)
             except ModelError as exc:
                 self.unresolved.append((arc, exc))
                 continue

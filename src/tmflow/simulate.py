@@ -207,13 +207,13 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
     ``max_steps``, or after the stop condition ends the run, never enters.
 
     Sugared arcs are expanded first; raises ModelError if an arc or a
-    scenario stage does not resolve, or if the model declares things and
-    a scenario token or mint is of none of them."""
+    scenario stage does not resolve to a stage, or if the model declares
+    things and a scenario token or mint is of none of them."""
     linked = link(model).require()
     guards: dict[str, Guard] = {}
     for arc in linked.arcs():
         if arc.guard is not None and arc.guard not in guards:
-            guards[arc.guard] = compile_guard(linked.model._exprs.ast("guard", arc.guard))
+            guards[arc.guard] = compile_guard(model._exprs.ast("guard", arc.guard))
 
     plans = _Plans()
     for arc in linked.flows:
@@ -224,7 +224,7 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
         target = plans[arc.target]
         target.gated = arc.target.kind != StageKind.CREATE
         plans[arc.source].triggers.append((arc, guards.get(arc.guard), target))
-    run = _Run(scenario, *_bind(linked, scenario, plans))
+    run = _Run(scenario, *_bind(linked, model, scenario, plans))
 
     run.admit(0)
     quiet = False  # whether the last step admitted and recorded nothing
@@ -362,7 +362,7 @@ class _Run:
         return Trace(tuple(self.records), final, meta)
 
 
-def _bind(linked: Linked, scenario: Scenario, plans: _Plans
+def _bind(linked: Linked, model: TMModel, scenario: Scenario, plans: _Plans
           ) -> tuple[Guard | None, list[tuple[int, TokenSeed, _Stage]]]:
     """Resolve each stage the scenario names once, onto its plan, where
     the mint seed and the compiled action list go.  Returns the compiled
@@ -373,21 +373,21 @@ def _bind(linked: Linked, scenario: Scenario, plans: _Plans
     things, for a token or mint of another thing; ExprSyntaxError for an
     action or stop condition that does not parse."""
     for ref, thing, attrs in scenario.mints:
-        plans[linked.normalize(ref)].mint = (thing, dict(attrs))
+        plans[linked.stage(ref)].mint = (thing, dict(attrs))
     statements: dict[_Stage, list] = {}
     for ref, text in scenario.actions:
-        statements.setdefault(plans[linked.normalize(ref)], []).extend(
+        statements.setdefault(plans[linked.stage(ref)], []).extend(
             scenario._exprs.ast("action", text))
     for stage, stmts in statements.items():
         stage.actions = compile_actions(stmts)
     stop_guard = (compile_guard(scenario._exprs.ast("guard", scenario.stop))
                   if scenario.stop else None)
-    arrivals = [(0, seed, plans[linked.normalize(seed.at)]) for seed in scenario.tokens]
-    injections = [(step, seed, plans[linked.normalize(seed.at)])
+    arrivals = [(0, seed, plans[linked.stage(seed.at)]) for seed in scenario.tokens]
+    injections = [(step, seed, plans[linked.stage(seed.at)])
                   for step, seed in scenario.injections]
     injections.sort(key=lambda arrival: arrival[0])  # stable: as declared within a step
     arrivals += [(max(step, 1), seed, stage) for step, seed, stage in injections]
-    things = {decl.name for decl in linked.model.things}  # empty: tokens are untyped
+    things = {decl.name for decl in model.things}  # empty: tokens are untyped
     placed = [(f"token '{seed.id}'", seed.thing) for seed in scenario.tokens]
     placed += [(f"token '{seed.id}'", seed.thing) for _, seed in scenario.injections]
     placed += [(f"mint at {ref}", thing) for ref, thing, _ in scenario.mints]

@@ -75,10 +75,10 @@ def _guard_scopes(model: TMModel) -> _Scopes:
     return scopes
 
 
-def _check_guard(linked: Linked, arc, scopes: _Scopes, report: ValidationReport) -> None:
+def _check_guard(model: TMModel, arc, scopes: _Scopes, report: ValidationReport) -> None:
     if arc.guard is None:
         return
-    guard = linked.model._exprs["guard", arc.guard]
+    guard = model._exprs["guard", arc.guard]
     if isinstance(guard, ExprSyntaxError):
         report.diagnostics.append(
             error("GUARD_SYNTAX", f"arc '{arc.id}': {guard}", arc.span)
@@ -147,7 +147,7 @@ def validate(model: TMModel) -> ValidationReport:
                     arc.span,
                 )
             )
-        _check_guard(linked, arc, scopes, report)
+        _check_guard(model, arc, scopes, report)
 
     for arc in linked.triggers:
         if arc.source == arc.target:
@@ -158,7 +158,7 @@ def validate(model: TMModel) -> ValidationReport:
                     arc.span,
                 )
             )
-        _check_guard(linked, arc, scopes, report)
+        _check_guard(model, arc, scopes, report)
 
     _warn_opposing_flows(linked.flows, report)
     _warn_unreachable(linked, report)
@@ -216,11 +216,12 @@ def reachable_stages(
 ) -> set[StageRef]:
     """Forward closure over flow and trigger arcs from the given stages.
 
-    The roots and every arc must resolve; raises UnknownMachineError /
-    StageNotDeclaredError otherwise.  Returned refs are fully qualified.
+    The roots and every arc must resolve to stages; raises
+    UnknownMachineError / StageNotDeclaredError otherwise, and ModelError
+    for a root that names a machine.  Returned refs are fully qualified.
     """
     linked = link(model).require()
-    frontier = [linked.normalize(ref) for ref in roots]
+    frontier = [linked.stage(ref) for ref in roots]
     edges: dict[StageRef, list[StageRef]] = {}
     for arc in linked.arcs():
         edges.setdefault(arc.source, []).append(arc.target)

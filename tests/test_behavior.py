@@ -458,10 +458,26 @@ class TestLinkProperties:
         """``machines`` and ``stages`` are those of the linked model, sugar
         included: each machine that desugaring rebuilt took its place."""
         linked = link(model)
-        tree = list(linked.model.walk())
+        desugared = desugar(model)
+        tree = list(desugared.walk())
         assert linked.machines == tree
         assert all(ours is theirs for (_, ours), (_, theirs) in zip(linked.machines, tree))
-        assert linked.stages == linked.model.stage_instances()
+        assert linked.stages == desugared.stage_instances()
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_models())
+    def test_desugar_rebuilds_the_model_the_link_saw(self, model):
+        """``desugar`` builds its model from the link's ``roots`` and
+        ``expanded``: linking that model again gives the same tree, arcs
+        and unresolved arcs, and desugaring it again changes nothing."""
+        def seen(linked):
+            return (linked.machines, linked.stages,
+                    [(arc.id, arc.source, arc.target) for arc in linked.flows],
+                    [(arc.id, arc.source, arc.target) for arc in linked.triggers],
+                    [(arc.id, str(exc)) for arc, exc in linked.unresolved])
+
+        assert seen(link(desugar(model))) == seen(link(model))
+        assert desugar(desugar(model)) == desugar(model)
 
 
 class TestCensusWork:

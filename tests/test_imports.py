@@ -454,6 +454,25 @@ def test_the_check_sees_a_tree_read():
                             "refs = linked.stages\n") & TREE_READERS == set()
 
 
+def read_attributes(source: str) -> set[str]:
+    """Every attribute a Python source reads, as in ``obj.name``."""
+    return {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "model.py"],
+                         ids=lambda p: p.name)
+def test_every_stage_reference_goes_through_the_link(path):
+    """Only ``model`` calls ``Linked.normalize``, which lets a machine
+    through; every other module asks ``Linked.stage``, which refuses one."""
+    assert "normalize" not in read_attributes(path.read_text(encoding="utf-8"))
+
+
+def test_the_check_sees_a_normalize_call():
+    assert "normalize" in read_attributes("full = linked.normalize(ref)\n")
+    assert "normalize" not in read_attributes("def normalize(text): pass\n"
+                                              "text = normalize(text)\n")
+
+
 def test_every_dataclass_has_a_docstring():
     """Every record class, which ``dataclasses.is_dataclass`` matches
     through its ``_DataclassView`` (a ``Record`` or the ``StageRef``

@@ -46,14 +46,16 @@ class TestLinked:
             (StageRef(inner, StageKind.CREATE), StageRef(inner, StageKind.PROCESS)),
             (StageRef(("outer",), StageKind.PROCESS), StageRef(inner, StageKind.CREATE)),
         ]
-        assert linked.model == model  # nothing to expand
+        assert linked.roots is model.machines and linked.expanded is None  # nothing to expand
+        assert tmflow.desugar(model) is model
         assert linked.normalize(StageRef(("inner",), StageKind.CREATE)) == \
             StageRef(inner, StageKind.CREATE)
 
     def test_sugar_is_expanded_once(self, sugar_pipeline):
         linked = link(sugar_pipeline.model)
-        assert linked.model == tmflow.desugar(sugar_pipeline.model)
-        assert [a.id for a in linked.flows] == \
+        desugared = tmflow.desugar(sugar_pipeline.model)
+        assert desugared.machines is linked.roots and desugared.flows is linked.expanded
+        assert [a.id for a in linked.flows] == [a.id for a in linked.expanded] == \
             ["s1", "route__rel", "route__x", "route__rcv", "r1"]
         assert linked.normalize(StageRef(("receiver",), StageKind.RECEIVE)) == \
             StageRef(("receiver",), StageKind.RECEIVE)
@@ -86,8 +88,8 @@ class TestLinked:
             "flow f2: a.Process -> a.Release on job when n > 1\n"
             "trigger t1: a.Process -> a.Create when n = 0\n"
         ).model
-        exprs = link(model).model._exprs
-        assert exprs is model._exprs
+        exprs = model._exprs
+        assert tmflow.validate(model).ok
         assert list(exprs) == [("guard", "n > 1"), ("guard", "n = 0")]
         assert exprs["guard", "n = 0"] == tmflow.exprs.parse_guard("n = 0")
 
@@ -127,8 +129,8 @@ class TestLinked:
         assert lookups[0] == 4
 
     def test_equal_refs_built_apart_resolve_alike(self, monkeypatch):
-        linked = link(tmflow.parse(
-            "machine x { stages Create\n  machine y { stages Create } }\n").model)
+        model = tmflow.parse("machine x { stages Create\n  machine y { stages Create } }\n").model
+        linked = link(model)
         lookups = count_calls(monkeypatch, tmflow.model, "_lookup")
         suffix = [StageRef(tuple(["y"]), StageKind.CREATE) for _ in range(2)]
         full = [StageRef(tuple(["x", "y"]), StageKind.CREATE) for _ in range(2)]
@@ -136,7 +138,7 @@ class TestLinked:
         assert [linked.normalize(ref) for ref in suffix + full] == \
             [StageRef(("x", "y"), StageKind.CREATE)] * 4
         assert lookups[0] == 2
-        assert tmflow.normalize_ref(linked.model, suffix[1]) == full[0]
+        assert tmflow.normalize_ref(model, suffix[1]) == full[0]
 
     def test_each_region_naming_an_unknown_machine_is_reported(self):
         doc = tmflow.parse(
@@ -199,6 +201,58 @@ class TestUnresolvedPolicy:
                          lambda m: tmflow.enumerate_subdiagrams(m, 2),
                          lambda m: tmflow.simulate(m, tmflow.Scenario()),
                          model_to_dot):
+            with pytest.raises(tmflow.ModelError, match=why):
+                analysis(model)
+
+
+class TestOneResolver:
+    """Every reference where a stage belongs goes through ``Linked.stage``,
+    which refuses a machine with one message, naming the ref as written."""
+
+    MODEL = TMModel(
+        machines=(tmflow.Machine("x", stages=(StageKind.CREATE, StageKind.PROCESS),
+                                 submachines=(tmflow.Machine("y", stages=(StageKind.CREATE,)),)),),
+        flows=(tmflow.FlowArc("f1", StageRef(("x",), StageKind.CREATE),
+                              StageRef(("x",), StageKind.PROCESS)),),
+    )
+    CREATE = StageRef(("x",), StageKind.CREATE)
+
+    def run(self, place, at):
+        if place == "root":
+            return tmflow.reachable_stages(self.MODEL, [self.CREATE, at])
+        seed = tmflow.TokenSeed("j", "job", self.CREATE)
+        scenario = {
+            "token": tmflow.Scenario(tokens=(replace(seed, at=at),)),
+            "injection": tmflow.Scenario(injections=((1, replace(seed, at=at)),)),
+            "mint": tmflow.Scenario(tokens=(seed,), mints=((at, "job", {}),)),
+            "action": tmflow.Scenario(tokens=(seed,), actions=((at, "n := 1"),)),
+        }[place]
+        return tmflow.simulate(self.MODEL, scenario)
+
+    @pytest.mark.parametrize("at, written", [(StageRef(("x",), None), "x"),
+                                             (StageRef(("y",), None), "y")])
+    @pytest.mark.parametrize("place", ["token", "injection", "mint", "action", "root"])
+    def test_each_entry_point_refuses_a_machine(self, place, at, written):
+        with pytest.raises(tmflow.ModelError) as raised:
+            self.run(place, at)
+        assert str(raised.value) == f"'{written}' names a machine, not a stage"
+
+    def test_a_sugared_arc_with_a_stage_end_is_unresolved(self):
+        """``=>`` joins two machines: a hand-built sugared arc that ends at
+        a stage is set aside, not expanded with the stage dropped."""
+        model = TMModel(
+            machines=(tmflow.Machine("a"), tmflow.Machine("b", stages=(StageKind.PROCESS,))),
+            flows=(tmflow.FlowArc("g", StageRef(("a",), None),
+                                  StageRef(("b",), StageKind.PROCESS)),),
+        )
+        why = "'=>' joins two machines, not a machine and a stage"
+        assert [(arc.id, str(exc)) for arc, exc in link(model).unresolved] == [("g", why)]
+        assert link(model).flows == ()
+        assert [(d.code, d.message) for d in tmflow.validate(model).errors] == \
+            [("UNRESOLVED", f"arc 'g': {why}")]
+        for analysis in (tmflow.desugar,
+                         lambda m: tmflow.simulate(m, tmflow.Scenario()),
+                         lambda m: tmflow.infer_behavior(m, ())):
             with pytest.raises(tmflow.ModelError, match=why):
                 analysis(model)
 

@@ -384,7 +384,7 @@ def test_the_record_bases_are_not_dataclasses():
 def test_the_model_keeps_its_linked_form_beside_its_slots():
     built = model.TMModel()
     assert model.link(built) is model.link(built)
-    assert model.link(built).model == built and replace(built) == built
+    assert model.link(built).roots is built.machines and replace(built) == built
     assert "_linked" not in vars(replace(built))
 
 
