@@ -27,8 +27,6 @@ class BoundTooLarge(Exception):
 class Subdiagram(Record):
     """A set of stages and arcs of a model."""
 
-    __slots__ = ("stages", "arcs")
-
     def __init__(self, stages: frozenset[StageRef], arcs: frozenset[str]):
         _setattr(self, "stages", stages)
         _setattr(self, "arcs", arcs)
@@ -37,8 +35,6 @@ class Subdiagram(Record):
 class Region(Record, uncompared=("span",), unshown=("span",)):
     """A named subdiagram: the part of the model one event runs in.
     ``span`` is where its id was read, for the region checks' diagnostics."""
-
-    __slots__ = ("id", "body", "label", "span")
 
     def __init__(self, id: str, body: Subdiagram, label: str = "",
                  span: SourceSpan | None = None):
@@ -51,8 +47,6 @@ class Region(Record, uncompared=("span",), unshown=("span",)):
 class Interval(Record):
     """A start step and a duration (at least 1) of an event."""
 
-    __slots__ = ("start", "duration")
-
     def __init__(self, start: int, duration: int):
         _setattr(self, "start", start)
         _setattr(self, "duration", duration)  # >= 1
@@ -60,8 +54,6 @@ class Interval(Record):
 
 class Event(Record):
     """A behavior-graph vertex: a region, with an optional interval."""
-
-    __slots__ = ("id", "region", "interval")
 
     def __init__(self, id: str, region: str, interval: Interval | None = None):
         _setattr(self, "id", id)
@@ -71,8 +63,6 @@ class Event(Record):
 
 class BehaviorGraph(Record):
     """Events, the edges between them, and the initial events."""
-
-    __slots__ = ("events", "edges", "initial")
 
     def __init__(self, events: tuple[Event, ...], edges: tuple[tuple[str, str], ...],
                  initial: tuple[str, ...]):

@@ -77,39 +77,48 @@ class _DataclassView:
         return getattr(shadow, self.name)
 
 
-class Record:
+class _RecordType(type):
+    """The class of every record.  From the parameters of a class's own
+    ``__init__`` and from its class keywords, it sets the record's fields,
+    a slot for each (ahead of any slot the body lists), and what ``==``,
+    ``hash`` and ``repr`` read."""
+
+    def __new__(mcls, name, bases, ns, frozen: bool = True, uncompared=(), unshown=()):
+        init = ns.get("__init__")
+        if init is not None:
+            code = init.__code__
+            fields = ns["_fields"] = ns["__match_args__"] = (
+                code.co_varnames[1:code.co_argcount])
+            ns["__slots__"] = fields + ns.get("__slots__", ())
+            ns["_compared"] = tuple(n for n in fields if n not in uncompared)
+            ns["_shown"] = tuple(n for n in fields if n not in unshown)
+            ns["_key"] = staticmethod(_key_getter(ns["_compared"]))
+        if not frozen:
+            ns["__setattr__"] = object.__setattr__
+            ns["__delattr__"] = object.__delattr__
+            ns.setdefault("__hash__", None)
+        return super().__new__(mcls, name, bases, ns)
+
+
+class Record(metaclass=_RecordType):
     """A value record, shown, compared, hashed and frozen as a dataclass
     is, and taken by ``dataclasses.fields``, ``replace`` and ``asdict``,
     but defined without ``dataclasses``: importing that module and
     compiling each class's methods from text at every ``tm`` start cost
     about half of what ``tm check`` takes.
 
-    A subclass's fields are the parameters of its ``__init__``, in order
-    and with their defaults (a ``Fresh`` default is made anew for each
-    record); it lists them in ``__slots__``, and a frozen record's
-    ``__init__`` sets them with ``object.__setattr__``.  Class keywords:
-    ``frozen=False`` makes a mutable, unhashable record; ``uncompared``
-    and ``unshown`` name the fields left out of ``==``/``hash`` and of
-    ``repr``.
+    A subclass states its fields once, as the parameters of its
+    ``__init__``, in order and with their defaults (a ``Fresh`` default
+    is made anew for each record); each gets a slot, and a frozen
+    record's ``__init__`` sets them with ``object.__setattr__``.  Its
+    ``__slots__``, if any, lists only slots that are not fields.  Class
+    keywords: ``frozen=False`` makes a mutable, unhashable record;
+    ``uncompared`` and ``unshown`` name the fields left out of
+    ``==``/``hash`` and of ``repr``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, frozen: bool = True, uncompared=(), unshown=(), **kwargs):
-        super().__init_subclass__(**kwargs)
-        init = cls.__dict__.get("__init__")
-        if init is not None:
-            code = init.__code__
-            cls._fields = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
-            cls._compared = tuple(n for n in cls._fields if n not in uncompared)
-            cls._shown = tuple(n for n in cls._fields if n not in unshown)
-            cls._key = staticmethod(_key_getter(cls._compared))
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            if "__hash__" not in cls.__dict__:
-                cls.__hash__ = None
 
     __dataclass_fields__ = _DataclassView()
     __dataclass_params__ = _DataclassView()
@@ -143,8 +152,6 @@ class Record:
 class SourceSpan(Record):
     """1-based position of a piece of source text."""
 
-    __slots__ = ("line", "column", "length")
-
     def __init__(self, line: int, column: int, length: int = 1):
         _setattr(self, "line", line)
         _setattr(self, "column", column)
@@ -153,8 +160,6 @@ class SourceSpan(Record):
 
 class Diagnostic(Record):
     """One error or warning, with its code and optional source span."""
-
-    __slots__ = ("severity", "code", "message", "span")
 
     def __init__(self, severity: str, code: str, message: str,
                  span: SourceSpan | None = None):
@@ -180,8 +185,6 @@ def warning(code: str, message: str, span: SourceSpan | None = None) -> Diagnost
 
 class ValidationReport(Record, frozen=False):
     """The diagnostics of one check, in the order found."""
-
-    __slots__ = ("diagnostics",)
 
     def __init__(self, diagnostics: list[Diagnostic] = Fresh(list)):
         self.diagnostics = diagnostics.make() if isinstance(diagnostics, Fresh) else diagnostics

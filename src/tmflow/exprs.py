@@ -88,8 +88,6 @@ class _Node(Record):
 class Lit(_Node):
     """A literal: an int or a text."""
 
-    __slots__ = ("value",)
-
     def __init__(self, value: Value):
         _setattr(self, "value", value)
 
@@ -97,16 +95,12 @@ class Lit(_Node):
 class Name(_Node):
     """An attribute of the token."""
 
-    __slots__ = ("ident",)
-
     def __init__(self, ident: str):
         _setattr(self, "ident", ident)
 
 
 class BinOp(_Node):
     """``left + right`` or ``left - right``."""
-
-    __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: Expr, right: Expr):
         _setattr(self, "op", op)  # "+" | "-"
@@ -116,8 +110,6 @@ class BinOp(_Node):
 
 class Cmp(_Node):
     """A comparison: the whole of a guard."""
-
-    __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: Expr, right: Expr):
         _setattr(self, "op", op)  # "=" "!=" "<" "<=" ">" ">="
@@ -130,8 +122,6 @@ Expr = Lit | Name | BinOp
 
 class Assign(_Node):
     """``name := expr``: one statement of an action."""
-
-    __slots__ = ("name", "expr")
 
     def __init__(self, name: str, expr: Expr):
         _setattr(self, "name", name)

@@ -97,8 +97,6 @@ class StageRef(NamedTuple):
 class Machine(Record, uncompared=("span",)):
     """A machine: its stages and nested submachines."""
 
-    __slots__ = ("id", "name", "stages", "submachines", "span")
-
     def __init__(self, id: str, name: str | None = None, stages: tuple[StageKind, ...] = (),
                  submachines: tuple[Machine, ...] = (), span: SourceSpan | None = None):
         _setattr(self, "id", id)
@@ -110,8 +108,6 @@ class Machine(Record, uncompared=("span",)):
 
 class FlowArc(Record, uncompared=("auto_id", "span")):
     """A solid arc: a thing flowing from one stage to another."""
-
-    __slots__ = ("id", "source", "target", "thing", "guard", "label", "auto_id", "span")
 
     def __init__(self, id: str, source: StageRef, target: StageRef, thing: str | None = None,
                  guard: str | None = None, label: str | None = None, auto_id: bool = False,
@@ -138,8 +134,6 @@ class FlowArc(Record, uncompared=("auto_id", "span")):
 class TriggerArc(Record, uncompared=("auto_id", "span")):
     """A dashed arc: a stage triggering another stage."""
 
-    __slots__ = ("id", "source", "target", "guard", "label", "auto_id", "span")
-
     def __init__(self, id: str, source: StageRef, target: StageRef, guard: str | None = None,
                  label: str | None = None, auto_id: bool = False,
                  span: SourceSpan | None = None):
@@ -160,8 +154,6 @@ class TriggerArc(Record, uncompared=("auto_id", "span")):
 class ThingDecl(Record, uncompared=("span",)):
     """A declared thing and its typed attributes."""
 
-    __slots__ = ("name", "attributes", "span")
-
     def __init__(self, name: str, attributes: tuple[tuple[str, str], ...] = (),
                  span: SourceSpan | None = None):
         _setattr(self, "name", name)
@@ -172,8 +164,7 @@ class ThingDecl(Record, uncompared=("span",)):
 class TMModel(Record, uncompared=("_exprs",), unshown=("_exprs",)):
     """A static model: machines, flow and trigger arcs, and things."""
 
-    # ``__dict__`` holds the cached ``_linked``.
-    __slots__ = ("machines", "flows", "triggers", "things", "_exprs", "__dict__")
+    __slots__ = ("__dict__",)  # holds the cached ``_linked``, beside the field slots
 
     def __init__(self, machines: tuple[Machine, ...] = (), flows: tuple[FlowArc, ...] = (),
                  triggers: tuple[TriggerArc, ...] = (), things: tuple[ThingDecl, ...] = (),

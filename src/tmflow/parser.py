@@ -59,8 +59,6 @@ class TMParseError(Exception):
 class Document(Record, frozen=False):
     """A parsed model file: the static model plus optional dynamic sections."""
 
-    __slots__ = ("model", "regions", "behavior")
-
     def __init__(self, model: TMModel = Fresh(TMModel), regions: tuple[Region, ...] = (),
                  behavior: BehaviorGraph | None = None):
         self.model = model.make() if isinstance(model, Fresh) else model

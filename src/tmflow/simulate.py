@@ -58,8 +58,6 @@ class UnseededCreateError(Exception):
 class TokenSeed(Record):
     """A token a scenario places at a stage, with its attributes."""
 
-    __slots__ = ("id", "thing", "at", "attrs")
-
     def __init__(self, id: str, thing: str, at: StageRef,
                  attrs: dict[str, Value] = Fresh(dict)):
         _setattr(self, "id", id)
@@ -74,8 +72,6 @@ class TokenSeed(Record):
 class Token(Record, frozen=False):
     """A token left at the end of a run: its thing, attributes, stage and arrival step."""
 
-    __slots__ = ("id", "thing", "attrs", "at", "arrived")
-
     def __init__(self, id: str, thing: str, attrs: dict[str, Value],
                  at: StageRef | None, arrived: int = 0):
         self.id = id
@@ -87,9 +83,6 @@ class Token(Record, frozen=False):
 
 class Scenario(Record, uncompared=("_exprs",), unshown=("_exprs",)):
     """What a run starts from and how it chooses, steps and stops."""
-
-    __slots__ = ("name", "policy", "seed", "max_steps", "tokens", "injections",
-                 "mints", "actions", "stop", "_exprs")
 
     def __init__(self, name: str = "scenario", policy: str = "deterministic",
                  seed: int = 0, max_steps: int = 100,
@@ -134,8 +127,6 @@ class TraceMeta(Record):
     """How a run ended: steps used, whether the limit cut it, and the
     tokens created and consumed."""
 
-    __slots__ = ("steps_used", "step_limit_hit", "created", "consumed")
-
     def __init__(self, steps_used: int = 0, step_limit_hit: bool = False,
                  created: int = 0, consumed: int = 0):
         _setattr(self, "steps_used", steps_used)
@@ -146,8 +137,6 @@ class TraceMeta(Record):
 
 class Trace(Record):
     """The records of a run, its final tokens and its counts."""
-
-    __slots__ = ("records", "final_tokens", "meta")
 
     def __init__(self, records: tuple[TraceRecord, ...] = (),
                  final_tokens: tuple[Token, ...] = (), meta: TraceMeta = TraceMeta()):
@@ -207,8 +196,9 @@ def simulate(model: TMModel, scenario: Scenario) -> Trace:
     ``max_steps``, or after the stop condition ends the run, never enters.
 
     Sugared arcs are expanded first; raises ModelError if an arc or a
-    scenario stage does not resolve to a stage, or if the model declares
-    things and a scenario token or mint is of none of them."""
+    scenario stage does not resolve to a stage, if a mint is not at a
+    Create stage or two mints are at one, or if the model declares things
+    and a scenario token or mint is of none of them."""
     linked = link(model).require()
     guards: dict[str, Guard] = {}
     for arc in linked.arcs():
@@ -369,11 +359,19 @@ def _bind(linked: Linked, model: TMModel, scenario: Scenario, plans: _Plans
     stop condition and (step, seed, plan) per token (step 0), then per
     injection by declared step (step 1 at the earliest).  Raises, in
     the order mints, actions, stop condition, tokens, injections, things:
-    ModelError for an unresolved stage or, where the model declares
-    things, for a token or mint of another thing; ExprSyntaxError for an
-    action or stop condition that does not parse."""
+    ModelError for an unresolved stage, a mint at a stage that is not a
+    Create stage or at one another mint names, or, where the model
+    declares things, a token or mint of another thing; ExprSyntaxError
+    for an action or stop condition that does not parse."""
+    minted: dict[_Stage, StageRef] = {}  # plan -> its mint's ref as written
     for ref, thing, attrs in scenario.mints:
-        plans[linked.stage(ref)].mint = (thing, dict(attrs))
+        plan = plans[linked.stage(ref)]
+        if plan.ref.kind != StageKind.CREATE:
+            raise ModelError(f"scenario mint at {ref} is not at a Create stage")
+        if plan in minted:
+            raise ModelError(f"scenario mint at {ref} repeats the mint at {minted[plan]}")
+        minted[plan] = ref
+        plan.mint = (thing, dict(attrs))
     statements: dict[_Stage, list] = {}
     for ref, text in scenario.actions:
         statements.setdefault(plans[linked.stage(ref)], []).extend(
@@ -403,8 +401,6 @@ def _bind(linked: Linked, model: TMModel, scenario: Scenario, plans: _Plans
 class Occurrence(Record):
     """One run of trace records inside one region."""
 
-    __slots__ = ("region", "interval")
-
     def __init__(self, region: str, interval: Interval):
         _setattr(self, "region", region)
         _setattr(self, "interval", interval)
@@ -412,8 +408,6 @@ class Occurrence(Record):
 
 class Segmentation(Record):
     """The occurrences of a trace, and the records no region covers."""
-
-    __slots__ = ("occurrences", "unattributed")
 
     def __init__(self, occurrences: tuple[Occurrence, ...],
                  unattributed: tuple[TraceRecord, ...] = ()):

@@ -263,6 +263,28 @@ class TestSimulate:
         assert err == ("error[SIMULATION]: scenario token 't' is of undeclared "
                        "thing 'ghost'\n")
 
+    @pytest.mark.parametrize("mints, message", [
+        ("  mint a.Process of job { n = 5 }\n",
+         "scenario mint at a.Process is not at a Create stage"),
+        ("  mint top.b.Create of job { n = 2 }\n  mint b.Create of job { n = 3 }\n",
+         "scenario mint at b.Create repeats the mint at top.b.Create"),
+    ], ids=["not-create", "twice"])
+    def test_mint_no_trigger_can_read_exits_one(self, tmp_path, capsys, mints, message):
+        model = write(tmp_path, "m.tm",
+                      "thing job { n: int }\n"
+                      "machine top {\n"
+                      "  machine a { stages Create, Process }\n"
+                      "  machine b { stages Create, Process }\n"
+                      "}\n"
+                      "flow f1: a.Create -> a.Process on job\n"
+                      "trigger t1: a.Process -> b.Create\n")
+        scenario = write(tmp_path, "m.tms",
+                         f"scenario s {{\n  token x of job at a.Create {{ n = 1 }}\n{mints}}}\n")
+        assert main(["simulate", model, scenario]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error[SIMULATION]: {message}\n"
+
 
 class TestExport:
     def test_dot_default(self, capsys):

@@ -473,6 +473,54 @@ def test_the_check_sees_a_normalize_call():
                                               "text = normalize(text)\n")
 
 
+def repeated_fields(source: str, records: set[str]) -> list[str]:
+    """Each ``Class: name`` where a class that derives from one of
+    ``records`` (which grows by each such class, in source order) lists a
+    parameter of its own ``__init__`` in its ``__slots__``: the record's
+    class makes that slot from ``__init__`` already."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef)
+                and {getattr(base, "id", None) for base in node.bases} & records):
+            continue
+        records.add(node.name)
+        params: set[str] = set()
+        slots: list[str] = []
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                params = {arg.arg for arg in item.args.args}
+            elif (isinstance(item, ast.Assign)
+                  and any(getattr(target, "id", None) == "__slots__" for target in item.targets)):
+                slots = list(ast.literal_eval(item.value))
+        found += [f"{node.name}: {name}" for name in slots if name in params]
+    return found
+
+
+def test_no_record_lists_a_field_in_its_slots():
+    """A record states its fields once, in ``__init__``."""
+    records = {"Record"}
+    found = [repeated_fields(path.read_text(encoding="utf-8"), records) for path in MODULES]
+    assert sum(found, []) == []
+    assert {"Record", "_Node", "Lit", "TMModel", "Segmentation"} <= records
+
+
+def test_the_check_sees_a_field_in_the_slots():
+    source = ("class Base(Record):\n"
+              "    __slots__ = ()\n"
+              "class A(Base):\n"
+              "    __slots__ = ('x', 'extra')\n"
+              "    def __init__(self, x, y=1): pass\n"
+              "class B(Record, frozen=False):\n"
+              "    __slots__ = ('__dict__',)\n"
+              "    def __init__(self, z): pass\n"
+              "class C:\n"
+              "    __slots__ = ('x',)\n"
+              "    def __init__(self, x): pass\n")
+    records = {"Record"}
+    assert repeated_fields(source, records) == ["A: x"]
+    assert records == {"Record", "Base", "A", "B"}
+
+
 def test_every_dataclass_has_a_docstring():
     """Every record class, which ``dataclasses.is_dataclass`` matches
     through its ``_DataclassView`` (a ``Record`` or the ``StageRef``

@@ -333,6 +333,35 @@ class TestStepSemantics:
         trace = simulate(model, scenario)
         assert [(r.step, r.arc, r.token) for r in trace.records] == [(1, "f1", "t")]
 
+    NESTED_MINT = ("thing job { n: int }\n"
+                   "machine top {\n"
+                   "  machine a { stages Create, Process }\n"
+                   "  machine b { stages Create, Process }\n"
+                   "}\n"
+                   "flow f1: a.Create -> a.Process on job\n"
+                   "trigger t1: a.Process -> b.Create\n")
+
+    @pytest.mark.parametrize("mints, message", [
+        ("  mint a.Process of job { n = 5 }\n",
+         "scenario mint at a.Process is not at a Create stage"),
+        ("  mint top.b.Create of job { n = 2 }\n  mint b.Create of job { n = 3 }\n",
+         "scenario mint at b.Create repeats the mint at top.b.Create"),
+        ("  mint b.Create of job { n = 2 }\n  mint b.Create of job { n = 2 }\n",
+         "scenario mint at b.Create repeats the mint at b.Create"),
+    ], ids=["not-create", "two-spellings", "same-text"])
+    def test_a_mint_no_trigger_can_read_is_refused_before_the_first_step(
+            self, mints, message, monkeypatch):
+        """Only a trigger into a Create stage reads a mint, and one stage
+        has one mint: a mint elsewhere, or a second one at a stage however
+        it is spelt, is a ModelError before the first step."""
+        model = parse(self.NESTED_MINT).model
+        scenario = parse_scenario("scenario s {\n  token x of job at a.Create { n = 1 }\n"
+                                  f"{mints}}}\n")
+        counts = counting_compiles(monkeypatch)
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            simulate(model, scenario)
+        assert counts["calls"] == 0
+
     HELD = (
         "thing t\nthing go\n"
         "machine a { stages Create, Process, Release, Transfer }\n"

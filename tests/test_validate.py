@@ -8,6 +8,7 @@ from tmflow import (
     ThingDecl,
     TMModel,
     UnknownMachineError,
+    ValidationReport,
     parse,
     reachable_stages,
     validate,
@@ -24,6 +25,11 @@ class TestErrors:
             "machine a { stages Create, Process }\nflow a.Create -> a.Process"
         )
         assert report.ok and not report.diagnostics
+
+    def test_a_report_reads_ok_or_its_diagnostics(self):
+        assert str(ValidationReport()) == "ok"
+        report = check("machine a { stages Create, Process }\nflow a.Process -> a.Create")
+        assert str(report) == "\n".join(map(str, report.diagnostics)) != "ok"
 
     def test_adjacency_error_names_both_kinds_and_placement(self):
         report = check(
